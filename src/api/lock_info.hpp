@@ -79,10 +79,11 @@ struct LockInfo {
   /// baselines against an exclusive lock, and how the descriptor
   /// gates what the pthread_rwlock_t shim may host.
   bool rwlock_capable;
-  /// Waiting-policy name: how contenders wait ("spin", "yield",
-  /// "park", "adaptive" for the queue-lock tiers; "ctr-cas" / "load" /
-  /// "ctr-faa" / "futex" for the Hemlock Grant policies; see
-  /// core/waiting.hpp).
+  /// Waiting-policy name: how contenders wait. A tier name ("spin",
+  /// "yield", "park", "adaptive") for the queue locks and for every
+  /// Hemlock poll × tier composition above the spin tier; the Grant
+  /// poll's paper name ("load", "ctr-cas", "ctr-faa") for Hemlock's
+  /// spin-tier compositions. See core/waiting.hpp.
   std::string_view waiting;
   /// Oversubscription safety: true when waiters surrender the CPU
   /// (yield or park) instead of burning their timeslice, so the lock

@@ -14,9 +14,11 @@
 //                 Self->Grant = L                      // line 20 (handover)
 //                 while Self->Grant != null: Pause     // line 21 (drain)
 //
-// The Waiting policy parameter selects between the naive load-polling
-// of Listing 1 (PoliteWaiting — "Hemlock-" in the figures) and the
-// CTR forms of Listing 2 (CtrCasWaiting / CtrFaaWaiting).
+// The Waiting policy parameter is a Grant poll × waiting tier
+// composition (core/waiting.hpp): the naive load-polling of Listing 1
+// (PoliteWaiting — "Hemlock-" in the figures), the CTR forms of
+// Listing 2 (CtrCasWaiting / CtrFaaWaiting), or CTR polling over a
+// parking or governed tier.
 #pragma once
 
 #include <atomic>
@@ -64,8 +66,7 @@ class HEMLOCK_CAPABILITY("mutex") HemlockBase {
       // Lines 11-12: the acquire observation of our lock word pairs
       // with the owner's release store in unlock, carrying the
       // critical section's writes.
-      profiled_wait_and_consume<Waiting>(pred->grant.value, lock_word(),
-                                         *pred);
+      Waiting::wait_and_consume(pred->grant.value, lock_word(), pred);
     }
     // mo: relaxed — assert-only snapshot (line 13), no ordering.
     assert(tail_.load(std::memory_order_relaxed) != nullptr);
@@ -144,14 +145,14 @@ using Hemlock = HemlockBase<CtrCasWaiting>;
 using HemlockNaive = HemlockBase<PoliteWaiting>;
 /// CTR via fetch-and-add of zero (§2.1's LOCK:XADD alternative).
 using HemlockFaa = HemlockBase<CtrFaaWaiting>;
-/// Governed Grant policy: not a paper configuration; the Hemlock
-/// family's adaptive waiting tier (CTR doorstep, then the governor's
+/// CTR × governed tier: not a paper configuration; the Hemlock family's
+/// adaptive waiting tier (CTR doorstep, then the governor's
 /// spin/yield/park escalation). The shim hosts plain "hemlock" on
 /// this when HEMLOCK_WAIT is unset; it also serves HEMLOCK_WAIT=yield
-/// (the family has no fixed yield tier).
+/// (the family registers no fixed yield tier).
 using HemlockAdaptive = HemlockBase<GovernedGrantWaiting>;
-/// Spin-then-park via futex — the Appendix-C "polite waiting"
-/// (WaitOnAddress) option for the base algorithm.
+/// CTR × park tier — the Appendix-C "polite waiting" (WaitOnAddress)
+/// option for the base algorithm.
 using HemlockFutex = HemlockBase<FutexWaiting>;
 
 namespace detail {
@@ -165,14 +166,12 @@ struct hemlock_traits_base {
   static constexpr bool is_fifo = true;
   static constexpr bool has_trylock = true;
   static constexpr Spinning spinning = Spinning::kFereLocal;
-  /// The Grant waiting policy's name ("ctr-cas", "load", ...).
+  /// The composition's name: the poll's for a spin-tier policy
+  /// ("ctr-cas", "load", "ctr-faa"), else the tier's ("park", ...).
   static constexpr const char* waiting = W::name;
-  /// The futex policy parks, the governed policy escalates and the
-  /// adaptive policy yields; the paper's measured policies busy-wait
-  /// and convoy when preempted.
-  static constexpr bool oversub_safe =
-      std::is_same_v<W, FutexWaiting> || std::is_same_v<W, AdaptiveWaiting> ||
-      std::is_same_v<W, GovernedGrantWaiting>;
+  /// The escalating tiers yield or park; the paper's measured
+  /// spin-tier policies busy-wait and convoy when preempted.
+  static constexpr bool oversub_safe = W::oversub_safe;
 };
 }  // namespace detail
 

@@ -53,8 +53,7 @@ class HEMLOCK_CAPABILITY("mutex") HemlockAhBase {
     // acquire orders us after the predecessor's enqueue.
     ThreadRec* pred = tail_.exchange(&me, std::memory_order_acq_rel);
     if (pred != nullptr) {
-      profiled_wait_and_consume<Waiting>(pred->grant.value, lock_word(),
-                                         *pred);
+      Waiting::wait_and_consume(pred->grant.value, lock_word(), pred);
     }
     LockProfiler::on_acquire(me);
   }

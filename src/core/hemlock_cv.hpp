@@ -36,13 +36,17 @@ namespace detail {
 struct CvRec {
   std::mutex mu;
   std::condition_variable cv;
-  std::uintptr_t grant = 0;  // protected by mu
+  /// Written only under mu; HemlockCv::lock()'s residual check also
+  /// peeks at it without mu, hence atomic (every other access is
+  /// relaxed: the mutex orders it).
+  std::atomic<std::uintptr_t> grant{0};
 
   ~CvRec() {
     // Appendix A note applies here too: the mailbox must drain before
     // the memory is reclaimed (a tardy successor may still consume).
     std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] { return grant == 0; });
+    // mo: relaxed — read under mu, which orders it.
+    cv.wait(lk, [&] { return grant.load(std::memory_order_relaxed) == 0; });
   }
 };
 
@@ -69,13 +73,31 @@ class HEMLOCK_CAPABILITY("mutex") HemlockCv {
   /// consume ("take" from the bounded buffer) and notify.
   void lock() HEMLOCK_ACQUIRE() {
     detail::CvRec& me = detail::cv_self();
+    // Residual check (Overlap, Listing 3 line 6): unlock() returns
+    // without waiting for its successor's consume, so our mailbox may
+    // still hold this lock's address. Enqueueing now would let our next
+    // successor take that residual grant in place of the tardy successor
+    // it belonged to, which would then wait forever.
+    // mo: acquire peek — only this thread stores non-null values, so a
+    // value other than ours is the tardy successor's clear.
+    if (me.grant.load(std::memory_order_acquire) == lock_word()) {
+      std::unique_lock<std::mutex> lk(me.mu);
+      me.cv.wait(lk, [&] {
+        // mo: relaxed — read under mu, which orders it.
+        return me.grant.load(std::memory_order_relaxed) != lock_word();
+      });
+    }
     // mo: acq_rel doorstep SWAP — release publishes our CvRec,
     // acquire orders us after the predecessor's enqueue.
     detail::CvRec* pred = tail_.exchange(&me, std::memory_order_acq_rel);
     if (pred != nullptr) {
       std::unique_lock<std::mutex> lk(pred->mu);
-      pred->cv.wait(lk, [&] { return pred->grant == lock_word(); });
-      pred->grant = 0;
+      pred->cv.wait(lk, [&] {
+        // mo: relaxed — read under mu, which orders it.
+        return pred->grant.load(std::memory_order_relaxed) == lock_word();
+      });
+      // mo: relaxed — written under mu, which orders it.
+      pred->grant.store(0, std::memory_order_relaxed);
       // Wake the predecessor's producer side (its next contended
       // unlock waits for the mailbox to empty) and any co-waiters
       // monitoring the same mailbox for other locks. Notify while
@@ -110,8 +132,12 @@ class HEMLOCK_CAPABILITY("mutex") HemlockCv {
                                        std::memory_order_release,
                                        std::memory_order_relaxed)) {
       std::unique_lock<std::mutex> lk(me.mu);
-      me.cv.wait(lk, [&] { return me.grant == 0; });  // buffer empty?
-      me.grant = lock_word();
+      me.cv.wait(lk, [&] {  // buffer empty?
+        // mo: relaxed — read under mu, which orders it.
+        return me.grant.load(std::memory_order_relaxed) == 0;
+      });
+      // mo: relaxed — written under mu, which orders it.
+      me.grant.store(lock_word(), std::memory_order_relaxed);
       me.cv.notify_all();  // under the mutex; see lock() for why
     }
   }

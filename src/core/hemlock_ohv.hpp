@@ -66,8 +66,7 @@ class HEMLOCK_CAPABILITY("mutex") HemlockOhv1 {
                                                 std::memory_order_acq_rel,
                                                 std::memory_order_relaxed);
       // Line 10: CTR consume loop, as in Listing 2.
-      profiled_wait_and_consume<CtrCasWaiting>(pred->grant.value, lock_word(),
-                                               *pred);
+      CtrCasWaiting::wait_and_consume(pred->grant.value, lock_word(), pred);
     }
     LockProfiler::on_acquire(me);
   }
@@ -171,8 +170,7 @@ class HEMLOCK_CAPABILITY("mutex") HemlockOhv2Base {
     // acquire orders us after the predecessor's enqueue.
     ThreadRec* pred = tail_.exchange(&me, std::memory_order_acq_rel);
     if (pred != nullptr) {
-      profiled_wait_and_consume<Waiting>(pred->grant.value, lock_word(),
-                                         *pred);
+      Waiting::wait_and_consume(pred->grant.value, lock_word(), pred);
     }
     LockProfiler::on_acquire(me);
   }

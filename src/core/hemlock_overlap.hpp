@@ -60,8 +60,7 @@ class HEMLOCK_CAPABILITY("mutex") HemlockOverlapBase {
     // acquire orders us after the predecessor's enqueue.
     ThreadRec* pred = tail_.exchange(&me, std::memory_order_acq_rel);
     if (pred != nullptr) {
-      profiled_wait_and_consume<Waiting>(pred->grant.value, lock_word(),
-                                         *pred);
+      Waiting::wait_and_consume(pred->grant.value, lock_word(), pred);
     }
     LockProfiler::on_acquire(me);
   }
@@ -126,18 +125,11 @@ static_assert(sizeof(HemlockOverlapBase<>) == sizeof(void*));
 
 /// Overlap with CTR waiting (the form the ablation bench compares).
 using HemlockOverlap = HemlockOverlapBase<CtrCasWaiting>;
-/// Overlap with naive load-polling.
-using HemlockOverlapNaive = HemlockOverlapBase<PoliteWaiting>;
 
 template <>
 struct lock_traits<HemlockOverlap>
     : detail::hemlock_traits_base<CtrCasWaiting> {
   static constexpr const char* name = "hemlock-overlap";
-};
-template <>
-struct lock_traits<HemlockOverlapNaive>
-    : detail::hemlock_traits_base<PoliteWaiting> {
-  static constexpr const char* name = "hemlock-overlap-";
 };
 
 }  // namespace hemlock

@@ -1,40 +1,42 @@
-// waiting.hpp — busy-wait policies for the Grant mailbox protocol.
+// waiting.hpp — the waiting engine: how a contender waits on a word.
 //
-// The paper's Coherence Traffic Reduction optimization (§2.1) is a
-// *waiting policy*: instead of polling a Grant word with plain loads
-// (which pulls the line into S-state and forces an S→M upgrade when
-// the waiter finally clears it), the waiter polls with an atomic
-// read-modify-write — CAS (Listing 2 line 9) or fetch-and-add of 0
-// ("read-with-intent-to-write") — so the line is already in M-state
-// in the waiter's cache at the moment of hand-over. The unlock-side
-// wait (Listing 2 line 15) uses FAA(0) because the Grant word "will
-// be written by that same thread in subsequent unlock operations".
+// Every lock in the roster waits through one engine, chosen along two
+// axes:
 //
-// Each policy provides:
-//   wait_and_consume(g, expect): block until g == expect, then clear
-//       g to kGrantEmpty (the successor's acknowledgement, §2), with
-//       acquire semantics on the observation and release on the clear.
-//   wait_until_empty(g): block until g == kGrantEmpty (the unlock-side
-//       drain), with acquire semantics.
+//  * A *tier* paces the wait. QueueSpinWaiting busy-waits forever (the
+//    paper's §5.1 configuration). The escalating tiers spin a free
+//    doorstep, then run rounds their round rule picks: always yield
+//    (QueueYieldWaiting), a few yields then a futex park
+//    (SpinThenParkWaiting — Appendix C's "wait politely ... via
+//    constructs such as WaitOnAddress"), or whatever the
+//    ContentionGovernor recommends (GovernedWaiting).
+//  * A *poll* takes one look at the word. The queue locks (MCS, CLH,
+//    Ticket, Anderson, the rwlock gate) poll with an acquire load.
+//    Hemlock's Grant mailbox takes the paper's Coherence Traffic
+//    Reduction choice (§2.1): Listing 1's load then a clearing store
+//    (LoadPoll), Listing 2's CAS, whose success *is* the clear
+//    (CasPoll), or fetch-and-add of 0 then the store (FaaPoll). An RMW
+//    poll holds the line in M-state, so the hand-over needs no S->M
+//    upgrade.
 //
-// "Because of the simple communication pattern, back-off in the
-// busy-waiting loop is not useful" (§2.1) — none of the policies
-// back off; AdaptiveWaiting only escalates to sched_yield for
-// oversubscribed *test* environments, never by default in benches.
-// Each policy additionally provides:
-//   publish(g, value): the unlock-side handover store. Plain release
-//       store for the spinning policies; the parking policy adds the
-//       futex wake that its sleepers depend on.
-// ---------------------------------------------------------------------
-// Besides the Grant-mailbox policies above, this header defines the
-// *queue-lock waiting tiers*: policies with a uniform word-waiting
-// interface (wait_until / wait_while / publish) that MCS, CLH, Ticket
-// and Anderson take as a template parameter, the same way the Hemlock
-// variants take a Grant policy. They are the oversubscription
-// subsystem: the paper's baselines busy-wait unconditionally, which
-// convoys at scheduler speed when threads outnumber cores; the tiers
-// let the same algorithms yield or park (futex) instead, under the
-// ContentionGovernor's spin -> yield -> park escalation.
+// GrantWaiting<Poll, Tier> composes the two for the Hemlock family; the
+// paper's configurations are its spin-tier rows. A new waiting behavior
+// is a poll shape or a tier, never a new policy struct. "Back-off in
+// the busy-waiting loop is not useful" (§2.1) holds on dedicated cores;
+// the escalating tiers exist for the regime where it does not — more
+// runnable threads than cores, where a FIFO hand-off to a preempted
+// spinner costs a scheduler timeslice.
+//
+// Tier interface (all static):
+//   wait(w, poll, done, count): block until poll(v) succeeds; return
+//       the v it saw. `done` is the same test as a pure predicate on a
+//       loaded value (park rounds re-check with it). With `count`, a
+//       wait whose first poll fails is tallied contended — the one
+//       place a queue wait is counted.
+//   wait_until(w, expected[, count]) / wait_while(w, unwanted): the
+//       queue locks' load-polled waits (WordWaits).
+//   publish(w, value): the hand-off store (release); the parking tiers
+//       fold in a census-gated futex wake.
 #pragma once
 
 #include <atomic>
@@ -59,357 +61,27 @@ namespace hemlock {
 /// free against real contended hand-off latencies.
 inline constexpr std::int64_t kWideWordParkNanos = 2000000;
 
-/// Listing 1 waiting: plain-load polling, then a store to clear.
-/// This is "Hemlock-" in the paper's figures (no CTR).
-struct PoliteWaiting {
-  static constexpr const char* name = "load";
-
-  static void publish(std::atomic<GrantWord>& g, GrantWord value) noexcept {
-    // mo: release hand-off — the critical section happens-before the
-    // successor's acquire observation of this Grant value.
-    g.store(value, std::memory_order_release);
-  }
-
-  static void wait_and_consume(std::atomic<GrantWord>& g,
-                               GrantWord expect) noexcept {
-    HEMLOCK_TM_CONTENDED();
-    // mo: acquire poll pairs with publish's release, carrying the
-    // predecessor's critical section.
-    while (g.load(std::memory_order_acquire) != expect) {
-      cpu_relax();
-      HEMLOCK_VERIFY_YIELD("grant:poll");
-    }
-    // The observe-then-ack gap is the window the CTR policies close
-    // atomically; for the naive policy it is a schedule point.
-    HEMLOCK_VERIFY_YIELD("grant:ack");
-    // Acknowledge receipt: restore the mailbox to empty so the
-    // predecessor may reuse it (the single store the paper counts as
-    // Hemlock's only extra critical-path burden vs MCS/CLH, §2).
-    // mo: release ack — the predecessor's drain acquires this so our
-    // read of the mailbox is complete before it reuses the word.
-    g.store(kGrantEmpty, std::memory_order_release);
-  }
-
-  static void wait_until_empty(std::atomic<GrantWord>& g) noexcept {
-    // mo: acquire drain — pairs with the successor's release ack so
-    // the mailbox is ours to reuse after observing kGrantEmpty.
-    while (g.load(std::memory_order_acquire) != kGrantEmpty) {
-      cpu_relax();
-      HEMLOCK_VERIFY_YIELD("grant:drain");
-    }
-  }
-};
-
-/// Listing 2 waiting: CTR via CAS-polling. Each failed CAS still
-/// acquires the line in M-state, so the eventual successful consume
-/// needs no S→M upgrade transaction on the critical hand-over path.
-struct CtrCasWaiting {
-  static constexpr const char* name = "ctr-cas";
-
-  static void publish(std::atomic<GrantWord>& g, GrantWord value) noexcept {
-    // mo: release hand-off — the critical section happens-before the
-    // successor's acquire observation of this Grant value.
-    g.store(value, std::memory_order_release);
-  }
-
-  static void wait_and_consume(std::atomic<GrantWord>& g,
-                               GrantWord expect) noexcept {
-    HEMLOCK_TM_CONTENDED();
-    for (;;) {
-      GrantWord e = expect;
-      // mo: acq_rel consume — acquire pairs with publish's release
-      // (carrying the critical section), release makes the ack
-      // visible to the predecessor's drain; relaxed on failure (the
-      // CTR poll is just a read-with-intent-to-write).
-      if (g.compare_exchange_weak(e, kGrantEmpty, std::memory_order_acq_rel,
-                                  std::memory_order_relaxed)) {
-        return;
-      }
-      cpu_relax();
-      HEMLOCK_VERIFY_YIELD("grant:ctr-poll");
-    }
-  }
-
-  static void wait_until_empty(std::atomic<GrantWord>& g) noexcept {
-    // FAA(0) as read-with-intent-to-write (paper Listing 2 line 15):
-    // we expect to write this word in our own subsequent unlocks.
-    // mo: acquire pairs with the successor's release ack.
-    while (g.fetch_add(0, std::memory_order_acquire) != kGrantEmpty) {
-      cpu_relax();
-      HEMLOCK_VERIFY_YIELD("grant:drain");
-    }
-  }
-};
-
-/// §2.1's alternative CTR encoding: poll with fetch-and-add of 0
-/// (LOCK:XADD on x86) and clear with a normal store once the expected
-/// address appears — "we simply replace the load instruction in the
-/// traditional busy-wait loop with fetch-and-add of 0".
-struct CtrFaaWaiting {
-  static constexpr const char* name = "ctr-faa";
-
-  static void publish(std::atomic<GrantWord>& g, GrantWord value) noexcept {
-    // mo: release hand-off — the critical section happens-before the
-    // successor's acquire observation of this Grant value.
-    g.store(value, std::memory_order_release);
-  }
-
-  static void wait_and_consume(std::atomic<GrantWord>& g,
-                               GrantWord expect) noexcept {
-    HEMLOCK_TM_CONTENDED();
-    // mo: acquire FAA(0) poll pairs with publish's release.
-    while (g.fetch_add(0, std::memory_order_acquire) != expect) {
-      cpu_relax();
-      HEMLOCK_VERIFY_YIELD("grant:ctr-poll");
-    }
-    HEMLOCK_VERIFY_YIELD("grant:ack");
-    // mo: release ack toward the predecessor's acquire drain.
-    g.store(kGrantEmpty, std::memory_order_release);
-  }
-
-  static void wait_until_empty(std::atomic<GrantWord>& g) noexcept {
-    // mo: acquire FAA(0) drain — pairs with the release ack.
-    while (g.fetch_add(0, std::memory_order_acquire) != kGrantEmpty) {
-      cpu_relax();
-      HEMLOCK_VERIFY_YIELD("grant:drain");
-    }
-  }
-};
-
-/// Spin-then-park waiting via futex — the paper's Appendix C opening:
-/// "threads in the Hemlock slow-path could optionally be made to wait
-/// politely, voluntarily surrendering their CPU and blocking in the
-/// operating system, via constructs such as WaitOnAddress, where a
-/// waiting thread could use WaitOnAddress to monitor its
-/// predecessor's Grant field." futex(2) is Linux's WaitOnAddress.
-///
-/// Mechanics: waiters spin briefly (the usual spin-then-park policy
-/// the paper describes for user-mode locks), then sleep on the low
-/// 32 bits of the Grant word. Every mutation of a Grant word under
-/// this policy goes through publish()/the consume-clear below, which
-/// issue futex_wake_all; sleeps are additionally bounded by
-/// kWideWordParkNanos because two lock addresses may alias in their
-/// low halves, making a publish invisible to the kernel's 32-bit
-/// compare after its wake has already been spent.
-struct FutexWaiting {
-  static constexpr const char* name = "futex";
-#if defined(HEMLOCK_VERIFY)
-  // Verify builds shrink the spin budget so the interleaving
-  // enumerator's bounded schedule depth reaches the park path instead
-  // of being spent on equivalent spin iterations (each iteration is a
-  // schedule point). Normal builds are untouched.
-  static constexpr std::uint32_t kSpinsBeforePark = 4;
-#else
-  static constexpr std::uint32_t kSpinsBeforePark = 512;
-#endif
-
-  static_assert(std::endian::native == std::endian::little,
-                "futex word overlay assumes little-endian layout");
-
-  static std::atomic<std::uint32_t>* futex_word(
-      std::atomic<GrantWord>& g) noexcept {
-    // Low 32 bits of the grant word (little-endian: lowest address).
-    return reinterpret_cast<std::atomic<std::uint32_t>*>(&g);
-  }
-
-  static void publish(std::atomic<GrantWord>& g, GrantWord value) noexcept {
-    // mo: release hand-off; the unconditional wake (no census here)
-    // needs no extra fence — sleepers re-check after waking.
-    g.store(value, std::memory_order_release);
-    // mo: relaxed — diagnostic syscall tally (ParkDiag).
-    ContentionGovernor::instance().diag().wake_syscalls.fetch_add(
-        1, std::memory_order_relaxed);
-    HEMLOCK_TM_WAKE();
-    futex_wake_all(futex_word(g));
-  }
-
-  static void wait_and_consume(std::atomic<GrantWord>& g,
-                               GrantWord expect) noexcept {
-    HEMLOCK_TM_CONTENDED();
-    for (;;) {
-      for (std::uint32_t i = 0; i < kSpinsBeforePark; ++i) {
-        GrantWord e = expect;
-        // mo: acq_rel consume / relaxed failed poll — same CTR
-        // pairing as CtrCasWaiting.
-        if (g.compare_exchange_weak(e, kGrantEmpty,
-                                    std::memory_order_acq_rel,
-                                    std::memory_order_relaxed)) {
-          // Acknowledge; the publisher may be parked in its drain.
-          wake_after_external_clear(g);
-          return;
-        }
-        cpu_relax();
-        HEMLOCK_VERIFY_YIELD("grant:futex-poll");
-      }
-      // mo: acquire snapshot — the kernel's futex compare against its
-      // low word closes the publish-vs-sleep race.
-      const GrantWord seen = g.load(std::memory_order_acquire);
-      if (seen != expect) {
-        auto& d = ContentionGovernor::instance().diag();
-        // mo: relaxed — diagnostic sleep tally (ParkDiag).
-        d.park_sleeps.fetch_add(1, std::memory_order_relaxed);
-        HEMLOCK_TM_PARK();
-        // Bounded: Grant words are 8 bytes wide (kWideWordParkNanos).
-        futex_wait_for(futex_word(g), static_cast<std::uint32_t>(seen),
-                       kWideWordParkNanos);
-        // mo: relaxed — diagnostic wakeup tally (ParkDiag).
-        d.park_wakeups.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  static void wait_until_empty(std::atomic<GrantWord>& g) noexcept {
-    for (;;) {
-      for (std::uint32_t i = 0; i < kSpinsBeforePark; ++i) {
-        // mo: acquire drain — pairs with the successor's release ack.
-        if (g.load(std::memory_order_acquire) == kGrantEmpty) return;
-        cpu_relax();
-        HEMLOCK_VERIFY_YIELD("grant:drain");
-      }
-      // mo: acquire snapshot for the kernel's futex compare.
-      const GrantWord seen = g.load(std::memory_order_acquire);
-      if (seen == kGrantEmpty) return;
-      auto& d = ContentionGovernor::instance().diag();
-      // mo: relaxed — diagnostic sleep tally (ParkDiag).
-      d.park_sleeps.fetch_add(1, std::memory_order_relaxed);
-      HEMLOCK_TM_PARK();
-      futex_wait_for(futex_word(g), static_cast<std::uint32_t>(seen),
-                     kWideWordParkNanos);
-      // mo: relaxed — diagnostic wakeup tally (ParkDiag).
-      d.park_wakeups.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Wake a publisher that may be parked in its drain, after a Grant
-  /// clear performed outside the policy (profiled_wait_and_consume).
-  static void wake_after_external_clear(std::atomic<GrantWord>& g) noexcept {
-    // mo: relaxed — diagnostic syscall tally (ParkDiag).
-    ContentionGovernor::instance().diag().wake_syscalls.fetch_add(
-        1, std::memory_order_relaxed);
-    HEMLOCK_TM_WAKE();
-    futex_wake_all(futex_word(g));
-  }
-};
-
-/// Waiting wrapper used by the Hemlock lock() paths: when the §5.4
-/// profiler is off it defers to the configured policy untouched; when
-/// profiling, it uses a peek-then-consume protocol that makes the
-/// multi-waiting gauge *exact*. The waiter deregisters strictly
-/// before its (then-guaranteed) consume: only this waiter can clear
-/// the observed value (Lemma 9), and no next-epoch waiter can
-/// register on the same Grant word until the owner's drain — which
-/// needs our consume — completes. Hence the gauge can never count a
-/// finished waiter alongside a fresh one.
-template <typename Waiting>
-inline void profiled_wait_and_consume(std::atomic<GrantWord>& g,
-                                      GrantWord expect,
-                                      ThreadRec& pred) noexcept {
-  if (!LockProfiler::enabled()) {
-    Waiting::wait_and_consume(g, expect);
-    return;
-  }
-  HEMLOCK_TM_CONTENDED();  // the policy's own entry hook is bypassed here
-  LockProfiler::on_wait_begin(pred);
-  // mo: acquire peek pairs with publish's release — the consume CAS
-  // below re-synchronizes, so the gauge bookkeeping between them
-  // needs no stronger order.
-  while (g.load(std::memory_order_acquire) != expect) {
-    cpu_relax();
-    HEMLOCK_VERIFY_YIELD("grant:profiled-poll");
-  }
-  LockProfiler::on_wait_end(pred);
-  GrantWord e = expect;
-  // mo: acq_rel consume / relaxed failure — same CTR pairing as
-  // CtrCasWaiting (the failure arm is unreachable, see below).
-  const bool consumed = g.compare_exchange_strong(
-      e, kGrantEmpty, std::memory_order_acq_rel, std::memory_order_relaxed);
-  (void)consumed;  // cannot fail: we are the unique consumer of `expect`
-  if constexpr (requires { Waiting::wake_after_external_clear(g); }) {
-    // The publisher may be parked in its drain; the plain CAS above
-    // does not wake it.
-    Waiting::wake_after_external_clear(g);
-  }
-}
-
-/// Load-polling with spin-then-yield escalation. Not part of the
-/// paper's measured configurations; used by the test suite so that
-/// schedules with many more threads than CPUs cannot livelock the CI
-/// machine. Semantically identical to PoliteWaiting.
-struct AdaptiveWaiting {
-  static constexpr const char* name = "adaptive";
-
-  static void publish(std::atomic<GrantWord>& g, GrantWord value) noexcept {
-    // mo: release hand-off — the critical section happens-before the
-    // successor's acquire observation of this Grant value.
-    g.store(value, std::memory_order_release);
-  }
-
-  static void wait_and_consume(std::atomic<GrantWord>& g,
-                               GrantWord expect) noexcept {
-    HEMLOCK_TM_CONTENDED();
-    SpinWait w;
-    // mo: acquire poll / release ack — identical pairing to
-    // PoliteWaiting; only the loop body (yield escalation) differs.
-    while (g.load(std::memory_order_acquire) != expect) {
-      w.wait();
-      HEMLOCK_VERIFY_YIELD("grant:poll");
-    }
-    HEMLOCK_VERIFY_YIELD("grant:ack");
-    // mo: release ack toward the predecessor's acquire drain.
-    g.store(kGrantEmpty, std::memory_order_release);
-  }
-
-  static void wait_until_empty(std::atomic<GrantWord>& g) noexcept {
-    SpinWait w;
-    // mo: acquire drain — pairs with the release ack.
-    while (g.load(std::memory_order_acquire) != kGrantEmpty) {
-      w.wait();
-      HEMLOCK_VERIFY_YIELD("grant:drain");
-    }
-  }
-};
-
-// ======================================================================
-// Queue-lock waiting tiers.
-//
-// Interface (each policy provides all three, templated over the word
-// type — std::uint32_t flags, std::uint64_t tickets, queue-node
-// pointers):
-//   wait_until(w, expected): block until w == expected, acquire
-//       semantics on the successful observation.
-//   wait_while(w, unwanted): block until w != unwanted; returns the
-//       first differing value (acquire).
-//   publish(w, value): the releasing side's hand-off store (release).
-//       For the parking tiers the futex wake is folded in here, gated
-//       on the governor's parked-waiter census so uncontended unlocks
-//       never pay a syscall.
-//
-// The paper's "back-off ... is not useful" guidance (§2.1) holds for
-// dedicated cores; these tiers exist precisely for the regime where it
-// does not. QueueSpinWaiting — the default everywhere — remains the
-// paper-faithful busy-wait with zero added cost.
-// ======================================================================
-
 namespace queue_wait {
 
 #if defined(HEMLOCK_VERIFY)
-/// Verify builds compress the spin budgets: every loop iteration is a
+/// Verify builds compress the budgets: every loop iteration is a
 /// schedule point to the interleaving enumerator, so a 1024-spin
-/// doorstep would spend the whole bounded depth on equivalent polls
-/// before any tier escalation became reachable.
+/// doorstep (or four yield rounds) would spend the whole bounded depth
+/// on equivalent polls before any park became reachable.
 inline constexpr std::uint32_t kDoorstepSpins = 4;
 inline constexpr std::uint32_t kChunkSpins = 2;
+inline constexpr std::uint32_t kYieldsBeforePark = 1;
 #else
-/// Spins of the free doorstep phase every tier performs before
-/// escalating: fast hand-offs (the common case on non-oversubscribed
-/// hosts) never reach a yield or a syscall.
+/// Spins of the free doorstep every escalating tier performs: fast
+/// hand-offs (the common case on non-oversubscribed hosts) never reach
+/// a yield or a syscall.
 inline constexpr std::uint32_t kDoorstepSpins = 1024;
 /// Spin chunk between tier re-evaluations once escalated.
 inline constexpr std::uint32_t kChunkSpins = 256;
-#endif
-/// Yield rounds the fixed park tier performs before sleeping (cheap
-/// second chances around a preempted publisher).
+/// Yield rounds the park tier performs before sleeping (cheap second
+/// chances around a preempted publisher).
 inline constexpr std::uint32_t kYieldsBeforePark = 4;
+#endif
 
 /// The waited word's low 32 bits — the futex-comparable view.
 template <typename T>
@@ -439,25 +111,33 @@ inline std::atomic<std::uint32_t>* futex_word(std::atomic<T>& w) noexcept {
   return reinterpret_cast<std::atomic<std::uint32_t>*>(&w);
 }
 
+/// The queue locks' poll: an acquire load tested against `done`.
+template <typename T, typename Done>
+inline auto load_poll(std::atomic<T>& w, const Done& done) noexcept {
+  return [&w, &done](T& v) {
+    // mo: acquire poll pairs with the hand-off store's release, so the
+    // observation that ends a wait carries the publisher's critical
+    // section.
+    v = w.load(std::memory_order_acquire);
+    return done(v);
+  };
+}
+
 // ---------------------------------------------------------------------
 // Per-slot parking ring for exact-value waits (the ticket shape).
 //
-// Ticket locks wait globally: every waiter polls the one now-serving
-// word, so when the parked tiers sleep there, every release must wake
-// *every* sleeper — N-1 of which immediately re-park (the classic
-// thundering herd of parked ticket locks; each hand-off paid N wake +
-// N-1 re-park syscalls). But a ticket waiter knows the exact value it
-// is waiting for, so its sleep can be keyed on (word address, awaited
-// value) instead of the word alone: waiters hash into a small global
-// ring of generation-counted futex words, and a release wakes only the
-// slot of the ticket it just served — the front waiter (plus rare hash
-// collisions, which re-check and re-park harmlessly).
+// Every ticket waiter polls the one now-serving word, so sleeping there
+// makes every release wake *every* sleeper — N-1 of which immediately
+// re-park (the thundering herd of parked ticket locks). A ticket waiter
+// knows the exact value it awaits, so it sleeps on a slot of a small
+// global ring of generation-counted futex words keyed by (word address,
+// awaited value), and a release wakes only the slot of the ticket it
+// served (plus rare hash collisions, which re-check and re-park).
 // ---------------------------------------------------------------------
 
 /// Slots in the process-wide ticket-parking ring. Collisions are
-/// correctness-neutral (a woken collider re-checks its predicate and
-/// re-parks), so the ring only needs to be large enough to make them
-/// rare across the handful of hot parked ticket locks a process runs.
+/// correctness-neutral, so the ring only needs to make them rare across
+/// the handful of hot parked ticket locks a process runs.
 inline constexpr std::size_t kTicketRingSlots = 256;
 
 /// The ring: generation counters bumped by every publish that targets
@@ -478,25 +158,71 @@ inline std::atomic<std::uint32_t>& ticket_slot(const void* addr,
                        (kTicketRingSlots - 1)];
 }
 
-/// One parking round on the slot keyed by (w, expected) instead of on
-/// w itself. The generation snapshot plays the role the waited word's
-/// value plays in park_round: a publisher bumps the slot's generation
-/// (a seq_cst RMW — also the Dekker fence against the parked census)
-/// strictly after storing the serving word, so a sleeper either reads
-/// the bumped generation (and its predicate re-check then sees the
-/// store) or is refused by the kernel's compare. Sleeps are bounded
-/// anyway: a 2^32-generation wrap during one descheduled window is the
-/// same theoretical hazard as the wide-word alias, and the same bound
-/// turns it into a re-check.
-template <typename T, typename Pred>
+/// The end of a park round, once the re-check under the census has
+/// decided: sleep on `word` while it still reads `seen`, or — the
+/// condition already holds — record the return-to-baseline retry.
+inline void sleep_or_retry(ContentionGovernor& gov, bool sleep,
+                           std::atomic<std::uint32_t>* word,
+                           std::uint32_t seen, bool bounded) noexcept {
+  auto& d = gov.diag();
+  if (!sleep) {
+    // mo: relaxed — diagnostic retry tally (ParkDiag).
+    d.baseline_retries.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  // mo: relaxed — diagnostic sleep tally (ParkDiag).
+  d.park_sleeps.fetch_add(1, std::memory_order_relaxed);
+  HEMLOCK_TM_PARK();
+  if (bounded) {
+    futex_wait_for(word, seen, kWideWordParkNanos);
+  } else {
+    futex_wait(word, seen);
+  }
+  // mo: relaxed — diagnostic wakeup tally (ParkDiag).
+  d.park_wakeups.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// One parking round: announce the parked intent, re-check the word
+/// behind a seq_cst fence (the Dekker handshake with wake_parked()'s
+/// store-fence-read of the parked census), then sleep. The kernel's
+/// own compare of the futex word against `seen` closes the remaining
+/// window; spurious returns are absorbed by the engine's loop.
+template <typename T, typename Done>
+inline void park_round(std::atomic<T>& w, const Done& done) noexcept {
+  // mo: acquire snapshot — pairs with the publisher's release store.
+  const T seen = w.load(std::memory_order_acquire);
+  if (done(seen)) return;
+  auto& gov = ContentionGovernor::instance();
+  gov.begin_park(&w);
+  // mo: seq_cst fence — Dekker handshake with wake_parked's
+  // store-fence-census sequence: either the publisher sees our park
+  // registration and wakes, or we re-read its published value here.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  // 8-byte words may alias in their low half (an MCS successor node at
+  // a 4 GiB-aligned address, a ticket 2^32 hand-offs later): bounded.
+  // mo: relaxed re-check — ordered by the fence above.
+  sleep_or_retry(gov, w.load(std::memory_order_relaxed) == seen,
+                 futex_word(w), low_word(seen), sizeof(T) == 8);
+  gov.end_park(&w);
+}
+
+/// One parking round on the ring slot keyed by (w, expected). The
+/// generation snapshot plays the role the word's value plays in
+/// park_round: a publisher bumps the generation (a seq_cst RMW — also
+/// the Dekker fence against the parked census) strictly after storing
+/// the serving word, so a sleeper either reads the bumped generation
+/// (and its predicate re-check then sees the store) or is refused by
+/// the kernel's compare. Sleeps are bounded anyway: a 2^32-generation
+/// wrap in one descheduled window is the wide-word alias hazard again.
+template <typename T, typename Done>
 inline void park_round_slotted(std::atomic<T>& w, T expected,
-                               const Pred& done) noexcept {
+                               const Done& done) noexcept {
   auto& slot = ticket_slot(&w, expected);
   // mo: acquire generation snapshot — taken before the predicate
   // check so a publish between them bumps past `gen` and the kernel
   // refuses the sleep.
   const std::uint32_t gen = slot.load(std::memory_order_acquire);
-  if (done(w.load(std::memory_order_acquire))) return;
+  if (done(w.load(std::memory_order_acquire))) return;  // mo: as above
   auto& gov = ContentionGovernor::instance();
   gov.begin_park(&slot);
   // mo: seq_cst fence — Dekker handshake with the publisher's seq_cst
@@ -504,162 +230,101 @@ inline void park_round_slotted(std::atomic<T>& w, T expected,
   // registration and wakes, or we re-read its published value here.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   // mo: relaxed re-check — the fence above already orders it.
-  if (!done(w.load(std::memory_order_relaxed))) {
-    // mo: relaxed — diagnostic sleep tally (ParkDiag).
-    gov.diag().park_sleeps.fetch_add(1, std::memory_order_relaxed);
-    HEMLOCK_TM_PARK();
-    futex_wait_for(&slot, gen, kWideWordParkNanos);
-    // mo: relaxed — diagnostic wakeup tally (ParkDiag).
-    gov.diag().park_wakeups.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // The re-check under the census found the condition already
-    // satisfied: the return-to-baseline window the ROADMAP item 6
-    // convoy lives in. Leave evidence.
-    // mo: relaxed — diagnostic retry tally (ParkDiag).
-    gov.diag().baseline_retries.fetch_add(1, std::memory_order_relaxed);
-  }
+  sleep_or_retry(gov, !done(w.load(std::memory_order_relaxed)), &slot, gen,
+                 true);
   gov.end_park(&slot);
 }
 
-/// One parking round: announce the parked intent, re-check the word
-/// behind a seq_cst fence (the Dekker handshake with publish()'s
-/// store-fence-read of the parked census), then sleep. The kernel's
-/// own compare of the futex word against `seen` closes the remaining
-/// window; spurious returns are absorbed by the caller's loop.
-template <typename T, typename Pred>
-inline void park_round(std::atomic<T>& w, const Pred& done) noexcept {
-  // mo: acquire snapshot — pairs with the publisher's release store.
-  const T seen = w.load(std::memory_order_acquire);
-  if (done(seen)) return;
-  auto& gov = ContentionGovernor::instance();
-  gov.begin_park(&w);
-  // mo: seq_cst fence — Dekker handshake with publish_and_wake's
-  // store-fence-census sequence; see that function's comment.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  // mo: relaxed re-check — ordered by the fence above.
-  const T again = w.load(std::memory_order_relaxed);
-  if (again == seen) {
-    // mo: relaxed — diagnostic sleep tally (ParkDiag).
-    gov.diag().park_sleeps.fetch_add(1, std::memory_order_relaxed);
-    HEMLOCK_TM_PARK();
-    if constexpr (sizeof(T) == 8) {
-      // Aliasing hazard (an MCS successor node at a 4 GiB-aligned
-      // address, a ticket 2^32 hand-offs later): bounded sleep, see
-      // kWideWordParkNanos.
-      futex_wait_for(futex_word(w), low_word(seen), kWideWordParkNanos);
-    } else {
-      futex_wait(futex_word(w), low_word(seen));
-    }
-    // mo: relaxed — diagnostic wakeup tally (ParkDiag).
-    gov.diag().park_wakeups.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // Re-check under the census aborted the sleep (ROADMAP item 6's
-    // return-to-baseline window).
-    // mo: relaxed — diagnostic retry tally (ParkDiag).
-    gov.diag().baseline_retries.fetch_add(1, std::memory_order_relaxed);
-  }
-  gov.end_park(&w);
-}
-
-/// The escalating wait's engine: a free doorstep spin, then rounds
-/// whose behavior `tier_of_round(round)` selects, with `park_once`
-/// supplying the park round (direct-word park_round, or the ticket
-/// ring's slotted variant). Returns the first value satisfying
-/// `done`. Escalated rounds are registered with the governor's waiter
-/// census (that census *is* the oversubscription signal classify()
-/// consumes). Callers that already performed their own doorstep
-/// (GovernedGrantWaiting's CTR CAS loop) pass doorstep_spins = 0 so
-/// escalation latency stays one budget.
-template <typename T, typename Done, typename TierFn, typename ParkFn>
-inline T wait_escalating_with(std::atomic<T>& w, const Done& done,
-                              const TierFn& tier_of_round,
-                              const ParkFn& park_once,
-                              std::uint32_t doorstep_spins) noexcept {
-  // mo: every poll below is acquire, pairing with the hand-off
-  // store's release so the returned observation carries the
-  // publisher's critical section.
-  for (std::uint32_t i = 0; i < doorstep_spins; ++i) {
-    const T v = w.load(std::memory_order_acquire);  // mo: acquire poll
-    if (done(v)) return v;
+/// The escalating loop every tier above spin shares. `poll(v)` takes
+/// one look at the word, leaving what it saw in v, and returns true
+/// when the wait is over — a CAS poll has then also consumed the word,
+/// so one CAS serves as doorstep and escalated poll alike. The doorstep
+/// polls kDoorstepSpins times for free; then come rounds whose behavior
+/// `Rule::tier(round)` selects, with `park_once` supplying the park
+/// round (park_round on the word, or the ticket ring's slotted one).
+/// Escalated rounds are registered with the governor's waiter census
+/// (that census *is* the oversubscription signal classify() consumes).
+/// With `count`, a wait whose first poll fails is tallied contended.
+template <typename Rule, typename T, typename Poll, typename ParkFn>
+inline T wait_escalating_with(const Poll& poll, const ParkFn& park_once,
+                              bool count) noexcept {
+  T v{};
+  for (std::uint32_t i = 0; i < kDoorstepSpins; ++i) {
+    if (poll(v)) return v;
+    if (count && i == 0) HEMLOCK_TM_CONTENDED();
     cpu_relax();
     HEMLOCK_VERIFY_YIELD("queue:doorstep");
   }
   auto& gov = ContentionGovernor::instance();
   gov.begin_wait();
-  // Contended tally for the queue-lock wait shapes. The Grant policies
-  // count at wait entry (wait_and_consume is only ever called behind a
-  // real predecessor); here the done-predicate can be true on arrival
-  // (a ticket whose turn it already is), so "contended" means the wait
-  // outlasted the free doorstep spin and entered the escalated rounds.
-  HEMLOCK_TM_CONTENDED();
   // Tier-transition tracking: the doorstep counts as kSpin, so a wait
   // whose first escalated round already yields/parks records one
   // transition, and a governed wait flapping between tiers records
-  // each flap (that instability is exactly what the diagnostic exists
-  // to expose).
+  // each flap (that instability is what the diagnostic exposes).
   WaitTier prev_tier = WaitTier::kSpin;
   for (std::uint64_t round = 0;; ++round) {
-    const WaitTier round_tier = tier_of_round(round);
+    const WaitTier round_tier = Rule::tier(round);
     if (round_tier != prev_tier) {
       prev_tier = round_tier;
       // mo: relaxed — diagnostic escalation tally (ParkDiag).
       gov.diag().escalations.fetch_add(1, std::memory_order_relaxed);
       HEMLOCK_TM_ESCALATE();
     }
+    bool got = false;
     switch (round_tier) {
       case WaitTier::kSpin:
-        for (std::uint32_t i = 0; i < kChunkSpins; ++i) {
-          // mo: acquire poll (see loop-head comment).
-          const T v = w.load(std::memory_order_acquire);
-          if (done(v)) {
-            gov.end_wait();
-            return v;
-          }
+        for (std::uint32_t i = 0; i < kChunkSpins && !got; ++i) {
           cpu_relax();
           HEMLOCK_VERIFY_YIELD("queue:spin");
+          got = poll(v);
         }
         break;
-      case WaitTier::kYield: {
-        // mo: acquire poll (see loop-head comment).
-        const T v = w.load(std::memory_order_acquire);
-        if (done(v)) {
-          gov.end_wait();
-          return v;
-        }
+      case WaitTier::kYield:
         cpu_yield();
         HEMLOCK_VERIFY_YIELD("queue:yield");
+        got = poll(v);
         break;
-      }
       case WaitTier::kPark:
         park_once();
+        got = poll(v);
         break;
     }
-    // mo: acquire poll (see loop-head comment).
-    const T v = w.load(std::memory_order_acquire);
-    if (done(v)) {
+    if (got) {
       gov.end_wait();
       return v;
     }
   }
 }
 
-/// The escalating wait shared by every tier, parking directly on the
-/// waited word.
-template <typename T, typename Done, typename TierFn>
-inline T wait_escalating(std::atomic<T>& w, const Done& done,
-                         const TierFn& tier_of_round,
-                         std::uint32_t doorstep_spins = kDoorstepSpins) noexcept {
-  return wait_escalating_with(
-      w, done, tier_of_round, [&] { park_round(w, done); }, doorstep_spins);
+/// The wake half of a parking hand-off, after the caller's Dekker
+/// fence: the syscall is skipped whenever nobody is parked on the
+/// census bucket of `addr` (per-lock, so an unrelated lock's sleepers
+/// do not tax this lock's hand-offs).
+inline void wake_if_parked(const void* addr,
+                           std::atomic<std::uint32_t>* word) noexcept {
+  auto& gov = ContentionGovernor::instance();
+  if (gov.parked(addr) != 0) {
+    // mo: relaxed — diagnostic syscall tally (ParkDiag).
+    gov.diag().wake_syscalls.fetch_add(1, std::memory_order_relaxed);
+    HEMLOCK_TM_WAKE();
+    futex_wake_all(word);
+  } else {
+    // mo: relaxed — diagnostic gate-skip tally (ParkDiag).
+    gov.diag().wake_gate_skips.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
-/// Hand-off store for the parking tiers: release the value, then wake
-/// any sleepers. The seq_cst fence pairs with park_round()'s fence so
-/// that either the publisher sees the parked census and wakes, or the
-/// parker re-reads the published value and never sleeps — the wake
-/// syscall is skipped whenever nobody is parked on this word's census
-/// bucket (per-lock, not process-global: an unrelated lock's sleepers
-/// no longer tax this lock's hand-offs).
+/// The parking tiers' wake after a hand-off mutation of `w`.
+template <typename T>
+inline void wake_parked(std::atomic<T>& w) noexcept {
+  // mo: seq_cst fence — Dekker with park_round's fence: either we see
+  // the parked census and wake, or the parker re-reads our store and
+  // never sleeps.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  wake_if_parked(&w, futex_word(w));
+}
+
+/// Hand-off store for the parking tiers: release, then wake sleepers.
 template <typename T>
 inline void publish_and_wake(std::atomic<T>& w, T value) noexcept {
   // mo: release hand-off store — waiters' acquire polls pair here.
@@ -667,38 +332,12 @@ inline void publish_and_wake(std::atomic<T>& w, T value) noexcept {
   // The value is visible but the wake has not happened: a parked
   // waiter resumed here must cope with seeing the store early.
   HEMLOCK_VERIFY_YIELD("queue:published");
-  // mo: seq_cst fence — Dekker with park_round's fence: either we see
-  // the parked census and wake, or the parker re-reads our store and
-  // never sleeps.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  auto& gov = ContentionGovernor::instance();
-  if (gov.parked(&w) != 0) {
-    // mo: relaxed — diagnostic syscall tally (ParkDiag).
-    gov.diag().wake_syscalls.fetch_add(1, std::memory_order_relaxed);
-    HEMLOCK_TM_WAKE();
-    futex_wake_all(futex_word(w));
-  } else {
-    // mo: relaxed — diagnostic gate-skip tally (ParkDiag).
-    gov.diag().wake_gate_skips.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-/// wait_escalating for an exact awaited value, with park rounds routed
-/// through the ticket ring (see park_round_slotted) so a release wakes
-/// only the waiter it serves.
-template <typename T, typename TierFn>
-inline void wait_escalating_slotted(std::atomic<T>& w, T expected,
-                                    const TierFn& tier_of_round) noexcept {
-  const auto done = [expected](T v) { return v == expected; };
-  (void)wait_escalating_with(
-      w, done, tier_of_round,
-      [&] { park_round_slotted(w, expected, done); }, kDoorstepSpins);
+  wake_parked(w);
 }
 
 /// Hand-off store for slotted (exact-value) waiters: release the
 /// value, bump its slot's generation (the RMW is the Dekker fence),
-/// then wake that slot only — the front waiter, not the herd. Waiters
-/// of *other* tickets sleep on their own slots and are not disturbed.
+/// then wake that slot only — the front waiter, not the herd.
 template <typename T>
 inline void publish_and_wake_slotted(std::atomic<T>& w, T value) noexcept {
   // mo: release hand-off store — waiters' acquire polls pair here.
@@ -710,47 +349,55 @@ inline void publish_and_wake_slotted(std::atomic<T>& w, T value) noexcept {
   // mo: seq_cst generation bump — the RMW doubles as the Dekker fence
   // against park_round_slotted's fence + census registration.
   slot.fetch_add(1, std::memory_order_seq_cst);
-  auto& gov = ContentionGovernor::instance();
-  if (gov.parked(&slot) != 0) {
-    // mo: relaxed — diagnostic syscall tally (ParkDiag).
-    gov.diag().wake_syscalls.fetch_add(1, std::memory_order_relaxed);
-    HEMLOCK_TM_WAKE();
-    futex_wake_all(&slot);
-  } else {
-    // mo: relaxed — diagnostic gate-skip tally (ParkDiag).
-    gov.diag().wake_gate_skips.fetch_add(1, std::memory_order_relaxed);
-  }
+  wake_if_parked(&slot, &slot);
 }
 
 }  // namespace queue_wait
 
-/// Pure busy-waiting — the paper's §5.1 baseline configuration and the
-/// default tier everywhere. Identical code to the pre-subsystem locks;
-/// deliberately exempt from the governor census so the measured
-/// configurations carry zero added cost.
-struct QueueSpinWaiting {
-  static constexpr const char* name = "spin";
-  static constexpr bool oversub_safe = false;
-  /// Waiters never sleep — publishers need no wake consideration.
-  static constexpr bool may_park = false;
+// ======================================================================
+// Tiers.
+// ======================================================================
 
+/// The queue locks' word waits over a tier's wait(), polled by acquire
+/// loads. wait_until is an acquire-side wait — counted when its first
+/// poll fails — unless the caller is a drain (`count` false);
+/// wait_while serves MCS's unlock-side successor link and never counts.
+template <typename Tier>
+struct WordWaits {
   template <typename T>
-  static void wait_until(std::atomic<T>& w, T expected) noexcept {
-    // mo: acquire poll pairs with publish's release hand-off.
-    while (w.load(std::memory_order_acquire) != expected) {
-      cpu_relax();
-      HEMLOCK_VERIFY_YIELD("queue:spin");
-    }
+  static void wait_until(std::atomic<T>& w, T expected,
+                         bool count = true) noexcept {
+    const auto done = [expected](T v) { return v == expected; };
+    (void)Tier::wait(w, queue_wait::load_poll(w, done), done, count);
   }
 
   template <typename T>
   static T wait_while(std::atomic<T>& w, T unwanted) noexcept {
-    T v;
-    // mo: acquire poll pairs with publish's release hand-off.
-    while ((v = w.load(std::memory_order_acquire)) == unwanted) {
+    const auto done = [unwanted](T v) { return v != unwanted; };
+    return Tier::wait(w, queue_wait::load_poll(w, done), done, false);
+  }
+};
+
+/// Pure busy-waiting — the paper's §5.1 baseline configuration and the
+/// default tier everywhere: a bare poll loop, exempt from the governor
+/// census so the measured configurations carry zero added cost.
+struct QueueSpinWaiting : WordWaits<QueueSpinWaiting> {
+  static constexpr const char* name = "spin";
+  static constexpr bool oversub_safe = false;
+  static constexpr bool escalates = false;
+  /// Waiters never sleep — publishers need no wake consideration.
+  static constexpr bool may_park = false;
+
+  template <typename T, typename Poll, typename Done>
+  static T wait(std::atomic<T>&, const Poll& poll, const Done&,
+                bool count) noexcept {
+    T v{};
+    if (poll(v)) return v;
+    if (count) HEMLOCK_TM_CONTENDED();
+    do {
       cpu_relax();
       HEMLOCK_VERIFY_YIELD("queue:spin");
-    }
+    } while (!poll(v));
     return v;
   }
 
@@ -762,206 +409,235 @@ struct QueueSpinWaiting {
   }
 };
 
-/// Fixed yield tier: doorstep spin, then one sched_yield per poll.
-/// Survives oversubscription (waiters surrender their timeslice to
-/// whoever holds the lock) without ever paying a futex syscall.
-struct QueueYieldWaiting {
-  static constexpr const char* name = "yield";
+/// An escalating tier: the doorstep, then rounds chosen by `Rule`
+/// (name, may_park, tier(round)). The three tiers below differ only in
+/// that rule.
+template <typename Rule>
+struct EscalatingWaiting : WordWaits<EscalatingWaiting<Rule>> {
+  static constexpr const char* name = Rule::name;
   static constexpr bool oversub_safe = true;
-  static constexpr bool may_park = false;
+  static constexpr bool escalates = true;
+  static constexpr bool may_park = Rule::may_park;
 
-  template <typename T>
-  static void wait_until(std::atomic<T>& w, T expected) noexcept {
-    (void)queue_wait::wait_escalating(
-        w, [expected](T v) { return v == expected; },
-        [](std::uint64_t) { return WaitTier::kYield; });
-  }
-
-  template <typename T>
-  static T wait_while(std::atomic<T>& w, T unwanted) noexcept {
-    return queue_wait::wait_escalating(
-        w, [unwanted](T v) { return v != unwanted; },
-        [](std::uint64_t) { return WaitTier::kYield; });
+  template <typename T, typename Poll, typename Done>
+  static T wait(std::atomic<T>& w, const Poll& poll, const Done& done,
+                bool count) noexcept {
+    return queue_wait::wait_escalating_with<Rule, T>(
+        poll, [&] { queue_wait::park_round(w, done); }, count);
   }
 
   template <typename T>
   static void publish(std::atomic<T>& w, T value) noexcept {
-    // mo: release hand-off — waiters' acquire polls pair here; no
-    // sleepers under this tier, so no wake or fence.
-    w.store(value, std::memory_order_release);
-  }
-};
-
-/// Fixed spin-then-park tier: bounded doorstep spin, a few yield
-/// rounds, then futex park — Appendix C's "wait politely ... blocking
-/// in the operating system, via constructs such as WaitOnAddress",
-/// applied to the queue-lock baselines. The wake is folded into
-/// publish(); uncontended-path stores skip the syscall via the
-/// governor's parked census. This tier diverges from the paper's
-/// no-backoff guidance (§2.1) by design: it trades a wake syscall per
-/// contended hand-off for bounded latency when threads outnumber cores.
-struct SpinThenParkWaiting {
-  static constexpr const char* name = "park";
-  static constexpr bool oversub_safe = true;
-  static constexpr bool may_park = true;
-
-  template <typename T>
-  static void wait_until(std::atomic<T>& w, T expected) noexcept {
-    (void)queue_wait::wait_escalating(
-        w, [expected](T v) { return v == expected; }, tier_of_round);
-  }
-
-  template <typename T>
-  static T wait_while(std::atomic<T>& w, T unwanted) noexcept {
-    return queue_wait::wait_escalating(
-        w, [unwanted](T v) { return v != unwanted; }, tier_of_round);
-  }
-
-  template <typename T>
-  static void publish(std::atomic<T>& w, T value) noexcept {
-    queue_wait::publish_and_wake(w, value);
+    if constexpr (may_park) {
+      queue_wait::publish_and_wake(w, value);
+    } else {
+      // mo: release hand-off — waiters' acquire polls pair here; no
+      // sleepers under this tier, so no wake or fence.
+      w.store(value, std::memory_order_release);
+    }
   }
 
   /// Exact-value wait on a globally-shared word (ticket shape): park
   /// rounds sleep on the (word, value) ring slot, so a hand-off wakes
   /// only the waiter it serves instead of the whole herd.
   template <typename T>
-  static void wait_ticket(std::atomic<T>& w, T expected) noexcept {
-    queue_wait::wait_escalating_slotted(w, expected, tier_of_round);
+  static void wait_ticket(std::atomic<T>& w, T expected) noexcept
+    requires(Rule::may_park) {
+    const auto done = [expected](T v) { return v == expected; };
+    (void)queue_wait::wait_escalating_with<Rule, T>(
+        queue_wait::load_poll(w, done),
+        [&] { queue_wait::park_round_slotted(w, expected, done); }, true);
   }
 
   /// The matching hand-off store: wake the published value's slot only.
   template <typename T>
-  static void publish_ticket(std::atomic<T>& w, T value) noexcept {
+  static void publish_ticket(std::atomic<T>& w, T value) noexcept
+    requires(Rule::may_park) {
     queue_wait::publish_and_wake_slotted(w, value);
-  }
-
- private:
-  static WaitTier tier_of_round(std::uint64_t round) noexcept {
-    return round < queue_wait::kYieldsBeforePark ? WaitTier::kYield
-                                                 : WaitTier::kPark;
   }
 };
 
-/// Adaptive tier: consults the ContentionGovernor every escalation
-/// round, so the same lock spins on dedicated cores, yields under mild
-/// oversubscription and parks under heavy oversubscription — Dhoked &
-/// Mittal's observation that the waiting strategy should follow
-/// *observed* contention rather than a compile-time choice. This is
-/// what the interposition shim hosts for bare queue-lock names when
-/// HEMLOCK_WAIT is unset.
-struct GovernedWaiting {
-  static constexpr const char* name = "adaptive";
-  static constexpr bool oversub_safe = true;
+namespace queue_wait {
+
+/// Yield every round: survives oversubscription (waiters surrender
+/// their timeslice to whoever holds the lock) without ever paying a
+/// futex syscall.
+struct YieldRounds {
+  static constexpr const char* name = "yield";
+  static constexpr bool may_park = false;
+  static WaitTier tier(std::uint64_t) noexcept { return WaitTier::kYield; }
+};
+
+/// A few yield rounds, then futex park — Appendix C's polite waiting.
+/// It diverges from the paper's no-backoff guidance (§2.1) by design:
+/// a wake syscall per contended hand-off buys bounded latency when
+/// threads outnumber cores.
+struct ParkRounds {
+  static constexpr const char* name = "park";
   static constexpr bool may_park = true;
-
-  template <typename T>
-  static void wait_until(std::atomic<T>& w, T expected) noexcept {
-    (void)queue_wait::wait_escalating(
-        w, [expected](T v) { return v == expected; }, tier_of_round);
+  static WaitTier tier(std::uint64_t round) noexcept {
+    return round < kYieldsBeforePark ? WaitTier::kYield : WaitTier::kPark;
   }
+};
 
-  template <typename T>
-  static T wait_while(std::atomic<T>& w, T unwanted) noexcept {
-    return queue_wait::wait_escalating(
-        w, [unwanted](T v) { return v != unwanted; }, tier_of_round);
-  }
-
-  template <typename T>
-  static void publish(std::atomic<T>& w, T value) noexcept {
-    // Governed waiters may be parked; same gated wake as the park tier.
-    queue_wait::publish_and_wake(w, value);
-  }
-
-  /// Slotted ticket waiting, as in SpinThenParkWaiting (the governed
-  /// tier parks under heavy oversubscription, so it herds identically).
-  template <typename T>
-  static void wait_ticket(std::atomic<T>& w, T expected) noexcept {
-    queue_wait::wait_escalating_slotted(w, expected, tier_of_round);
-  }
-
-  template <typename T>
-  static void publish_ticket(std::atomic<T>& w, T value) noexcept {
-    queue_wait::publish_and_wake_slotted(w, value);
-  }
-
- private:
-  static WaitTier tier_of_round(std::uint64_t) noexcept {
+/// Ask the ContentionGovernor every round, so the same lock spins on
+/// dedicated cores, yields under mild oversubscription and parks under
+/// heavy oversubscription — Dhoked & Mittal's observation that the
+/// waiting strategy should follow *observed* contention rather than a
+/// compile-time choice.
+struct GovernedRounds {
+  static constexpr const char* name = "adaptive";
+  static constexpr bool may_park = true;
+  static WaitTier tier(std::uint64_t) noexcept {
     return ContentionGovernor::instance().tier();
   }
 };
 
-/// Governed Grant policy — the Hemlock family's member of the adaptive
-/// tier, so "adaptive" means the same thing across every family: a
-/// paper-faithful doorstep, then the ContentionGovernor's spin/yield/
-/// park escalation. The doorstep is CTR CAS-polling (Listing 2 line
-/// 9): hand-offs that complete inside it — the dedicated-core common
-/// case — pay no S→M upgrade and never consult the governor. The shim
-/// hosts plain "hemlock" on this policy when HEMLOCK_WAIT is unset,
-/// so the default interposed lock cannot convoy when the process
-/// oversubscribes the host.
-struct GovernedGrantWaiting {
-  static constexpr const char* name = "adaptive";
+}  // namespace queue_wait
+
+using QueueYieldWaiting = EscalatingWaiting<queue_wait::YieldRounds>;
+using SpinThenParkWaiting = EscalatingWaiting<queue_wait::ParkRounds>;
+/// What the interposition shim hosts for bare lock names when
+/// HEMLOCK_WAIT is unset.
+using GovernedWaiting = EscalatingWaiting<queue_wait::GovernedRounds>;
+
+// ======================================================================
+// Grant polls and the Hemlock adapter.
+// ======================================================================
+
+/// Listing 1: plain-load polling ("Hemlock-" in the figures); the clear
+/// is a separate store after the observation.
+struct LoadPoll {
+  static constexpr const char* name = "load";
+  static constexpr bool consumes = false;
+  using Drain = LoadPoll;
+
+  template <typename T>
+  static bool poll(std::atomic<T>& w, T expect, T& seen) noexcept {
+    // mo: acquire poll pairs with publish's release, carrying the
+    // predecessor's critical section.
+    seen = w.load(std::memory_order_acquire);
+    return seen == expect;
+  }
+};
+
+/// §2.1's fetch-and-add of 0 (LOCK:XADD on x86): "we simply replace the
+/// load instruction in the traditional busy-wait loop with fetch-and-add
+/// of 0"; the clear is still a store.
+struct FaaPoll {
+  static constexpr const char* name = "ctr-faa";
+  static constexpr bool consumes = false;
+  using Drain = FaaPoll;
+
+  template <typename T>
+  static bool poll(std::atomic<T>& w, T expect, T& seen) noexcept {
+    // mo: acquire FAA(0) poll pairs with publish's release (and, as a
+    // drain, with the successor's release ack).
+    seen = w.fetch_add(0, std::memory_order_acquire);
+    return seen == expect;
+  }
+};
+
+/// Listing 2 line 9: CAS polling — a failed CAS still acquires the line
+/// in M-state, and the successful one is the clear itself. Its drain is
+/// FAA(0) (line 15: the Grant word "will be written by that same thread
+/// in subsequent unlock operations").
+struct CasPoll {
+  static constexpr const char* name = "ctr-cas";
+  static constexpr bool consumes = true;
+  using Drain = FaaPoll;
+
+  static bool poll(std::atomic<GrantWord>& g, GrantWord expect,
+                   GrantWord& seen) noexcept {
+    seen = expect;
+    // mo: acq_rel consume — acquire pairs with publish's release
+    // (carrying the critical section), release makes the clear visible
+    // to the predecessor's drain; relaxed on failure (the CTR poll is
+    // just a read-with-intent-to-write).
+    return g.compare_exchange_weak(seen, kGrantEmpty,
+                                   std::memory_order_acq_rel,
+                                   std::memory_order_relaxed);
+  }
+};
+
+/// A Hemlock Grant-word policy: Poll reads (and clears) the
+/// predecessor's Grant word, Tier paces the wait. It provides:
+///   publish(g, value): the unlock-side hand-over (Listing 1 line 20).
+///   wait_and_consume(g, expect[, pred]): block until g == expect, then
+///       clear g to kGrantEmpty (the successor's acknowledgement, §2).
+///   wait_until_empty(g): the unlock-side drain (line 21).
+template <typename Poll, typename Tier>
+struct GrantWaiting {
+  /// A spin-tier composition reports its poll's paper name ("load",
+  /// "ctr-cas", "ctr-faa"); an escalating one reports its tier's.
+  static constexpr const char* name =
+      Tier::escalates ? Tier::name : Poll::name;
+  static constexpr bool oversub_safe = Tier::oversub_safe;
 
   static void publish(std::atomic<GrantWord>& g, GrantWord value) noexcept {
-    queue_wait::publish_and_wake(g, value);
+    Tier::publish(g, value);
   }
 
-  static void wait_and_consume(std::atomic<GrantWord>& g,
-                               GrantWord expect) noexcept {
-    HEMLOCK_TM_CONTENDED();
-    for (std::uint32_t i = 0; i < queue_wait::kDoorstepSpins; ++i) {
-      GrantWord e = expect;
-      // mo: acq_rel consume / relaxed failed poll — same CTR pairing
-      // as CtrCasWaiting.
-      if (g.compare_exchange_weak(e, kGrantEmpty, std::memory_order_acq_rel,
-                                  std::memory_order_relaxed)) {
-        wake_after_external_clear(g);
-        return;
-      }
-      cpu_relax();
-      HEMLOCK_VERIFY_YIELD("grant:ctr-poll");
-    }
-    (void)queue_wait::wait_escalating(
-        g, [expect](GrantWord v) { return v == expect; }, tier_of_round,
-        /*doorstep_spins=*/0);  // the CAS loop above was the doorstep
-    GrantWord e = expect;
-    // mo: acq_rel consume / relaxed failure — the escalating wait
-    // returned only after observing `expect`, and only we may clear it.
-    const bool consumed = g.compare_exchange_strong(
-        e, kGrantEmpty, std::memory_order_acq_rel, std::memory_order_relaxed);
-    (void)consumed;  // cannot fail: we are the unique consumer of `expect`
-    wake_after_external_clear(g);
-  }
-
-  static void wait_until_empty(std::atomic<GrantWord>& g) noexcept {
-    (void)queue_wait::wait_escalating(
-        g, [](GrantWord v) { return v == kGrantEmpty; }, tier_of_round);
-  }
-
-  /// Wake a publisher that may be parked in its drain awaiting our
-  /// clear — gated on the parked census (the same Dekker handshake as
-  /// publish_and_wake) so hand-offs with no sleeper pay no syscall.
-  static void wake_after_external_clear(std::atomic<GrantWord>& g) noexcept {
-    // mo: seq_cst fence — Dekker between our Grant clear and the
-    // census read, against the drain side's park registration + fence.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    auto& gov = ContentionGovernor::instance();
-    if (gov.parked(&g) != 0) {
-      // mo: relaxed — diagnostic syscall tally (ParkDiag).
-      gov.diag().wake_syscalls.fetch_add(1, std::memory_order_relaxed);
-      HEMLOCK_TM_WAKE();
-      futex_wake_all(queue_wait::futex_word(g));
+  /// `pred` (the mailbox's owner) feeds the §5.4 multi-waiting gauge:
+  /// while LockProfiler is on, the wait peeks with loads and the waiter
+  /// deregisters strictly before its (then guaranteed) clear. Only this
+  /// waiter can clear the observed value (Lemma 9), and no next-epoch
+  /// waiter can register on the word until the owner's drain — which
+  /// needs our clear — completes, so the gauge never counts a finished
+  /// waiter alongside a fresh one.
+  static void wait_and_consume(std::atomic<GrantWord>& g, GrantWord expect,
+                               ThreadRec* pred = nullptr) noexcept {
+    HEMLOCK_TM_CONTENDED();  // only ever called behind a real predecessor
+    const auto done = [expect](GrantWord v) { return v == expect; };
+    if (pred != nullptr && LockProfiler::enabled()) {
+      LockProfiler::on_wait_begin(*pred);
+      (void)Tier::wait(g, poll_with<LoadPoll>(g, expect), done, false);
+      LockProfiler::on_wait_end(*pred);
+      // Deregistered, not yet cleared: the peek-then-consume window.
+      HEMLOCK_VERIFY_YIELD("grant:profiled-poll");
+      ack(g);
     } else {
-      // mo: relaxed — diagnostic gate-skip tally (ParkDiag).
-      gov.diag().wake_gate_skips.fetch_add(1, std::memory_order_relaxed);
+      (void)Tier::wait(g, poll_with<Poll>(g, expect), done, false);
+      if constexpr (!Poll::consumes) {
+        // The observe-then-ack gap a CAS poll closes atomically.
+        HEMLOCK_VERIFY_YIELD("grant:ack");
+        ack(g);
+      }
     }
+    // The predecessor may be parked in its drain awaiting this clear.
+    if constexpr (Tier::may_park) queue_wait::wake_parked(g);
+  }
+
+  /// Only the spin tier drains with its poll's read (FAA(0) for the CTR
+  /// polls); a tier that escalates drains with plain loads.
+  static void wait_until_empty(std::atomic<GrantWord>& g) noexcept {
+    using Drain =
+        std::conditional_t<Tier::escalates, LoadPoll, typename Poll::Drain>;
+    (void)Tier::wait(g, poll_with<Drain>(g, kGrantEmpty),
+                     [](GrantWord v) { return v == kGrantEmpty; }, false);
   }
 
  private:
-  static WaitTier tier_of_round(std::uint64_t) noexcept {
-    return ContentionGovernor::instance().tier();
+  template <typename P>
+  static auto poll_with(std::atomic<GrantWord>& g, GrantWord expect) noexcept {
+    return [&g, expect](GrantWord& v) { return P::poll(g, expect, v); };
+  }
+
+  static void ack(std::atomic<GrantWord>& g) noexcept {
+    // Restore the mailbox to empty so the predecessor may reuse it (the
+    // single store the paper counts as Hemlock's only extra
+    // critical-path burden vs MCS/CLH, §2).
+    // mo: release ack — the predecessor's drain acquires this so our
+    // read of the mailbox is complete before it reuses the word.
+    g.store(kGrantEmpty, std::memory_order_release);
   }
 };
+
+/// The roster's Grant policies, by their historical names.
+using PoliteWaiting = GrantWaiting<LoadPoll, QueueSpinWaiting>;
+using CtrCasWaiting = GrantWaiting<CasPoll, QueueSpinWaiting>;
+using CtrFaaWaiting = GrantWaiting<FaaPoll, QueueSpinWaiting>;
+using FutexWaiting = GrantWaiting<CasPoll, SpinThenParkWaiting>;
+using GovernedGrantWaiting = GrantWaiting<CasPoll, GovernedWaiting>;
 
 }  // namespace hemlock

@@ -49,8 +49,8 @@
 // (core/waiting.hpp): it decides how gated readers wait on wflag_ and
 // how draining writers wait on the shard counters, so -yield/-park/
 // -adaptive variants come for free from the governor. The writer-side
-// Hemlock takes the matching Grant policy (CTR for spin, futex for
-// park, the governed grant policy for yield/adaptive).
+// Hemlock waits on the same tier with CTR CAS polling
+// (GrantWaiting<CasPoll, Waiting>).
 #pragma once
 
 #include <atomic>
@@ -66,24 +66,6 @@
 namespace hemlock {
 
 namespace detail {
-
-/// The Hemlock Grant policy matching a queue-lock waiting tier, so
-/// "rwlock-park"'s writers park exactly like "hemlock-futex"'s and
-/// "rwlock-adaptive"'s escalate exactly like "hemlock-adaptive"'s.
-/// (The Hemlock family has no fixed yield Grant policy; yield maps to
-/// the governed one, mirroring the shim's HEMLOCK_WAIT=yield rule.)
-template <typename Waiting>
-struct rw_grant_policy {
-  using type = GovernedGrantWaiting;
-};
-template <>
-struct rw_grant_policy<QueueSpinWaiting> {
-  using type = CtrCasWaiting;
-};
-template <>
-struct rw_grant_policy<SpinThenParkWaiting> {
-  using type = FutexWaiting;
-};
 
 /// Reader-ingress storage: cache-line-sharded counters, or one packed
 /// word for the compact (pthread_rwlock_t-hostable) instantiation.
@@ -117,8 +99,6 @@ inline constexpr std::uint32_t kRwDefaultShards = 8;
 template <typename Waiting = QueueSpinWaiting,
           std::uint32_t Shards = kRwDefaultShards>
 class HEMLOCK_CAPABILITY("mutex") RwLockT {
-  using Grant = typename detail::rw_grant_policy<Waiting>::type;
-
  public:
   RwLockT() = default;
   RwLockT(const RwLockT&) = delete;
@@ -235,7 +215,7 @@ class HEMLOCK_CAPABILITY("mutex") RwLockT {
       // Between shard waits: a shard already passed must not be
       // re-enterable while the gate stays closed.
       HEMLOCK_VERIFY_YIELD("rwlock:drain-next");
-      Waiting::wait_until(ingress_.at(i), std::uint32_t{0});
+      Waiting::wait_until(ingress_.at(i), std::uint32_t{0}, /*count=*/false);
     }
   }
 
@@ -267,7 +247,8 @@ class HEMLOCK_CAPABILITY("mutex") RwLockT {
     }
   }
 
-  HemlockBase<Grant> writers_;             ///< writer-writer exclusion
+  /// Writer-writer exclusion, waiting on this lock's tier.
+  HemlockBase<GrantWaiting<CasPoll, Waiting>> writers_;
   std::atomic<std::uint32_t> wflag_{0};    ///< writer present / draining
   detail::RwIngress<Shards> ingress_;      ///< admitted-reader counts
 };

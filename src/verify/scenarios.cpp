@@ -76,6 +76,27 @@ void check_fifo(const char* queued_tag) {
   VERIFY_ASSERT(qn == 0);  // every arrival was eventually admitted
 }
 
+/// Park reachability, across the whole enumeration: set when some
+/// schedule's trace slept in the kernel (a futex wait, which the
+/// verifier turns into a yield). A park-tier scenario whose bounded
+/// depth never reaches a sleep would pass while proving nothing about
+/// the park/publish window, so those rows assert it in post_all.
+bool g_reached_park = false;
+
+void note_park() {
+  for (const Step& s : current_trace()) {
+    if (std::strcmp(s.tag, "futex:wait") == 0) {
+      g_reached_park = true;
+      return;
+    }
+  }
+}
+
+void post_all_parked() {
+  VERIFY_ASSERT(g_reached_park);
+  g_reached_park = false;
+}
+
 // Tag carriers for the template parameter.
 struct HemlockQueuedTag { static constexpr const char* value = "hemlock:queued"; };
 struct McsQueuedTag { static constexpr const char* value = "mcs:queued"; };
@@ -140,6 +161,7 @@ struct MutexScenario {
       VERIFY_ASSERT(lk->appears_unlocked());
     }
     if constexpr (!std::is_void_v<QueuedTag>) check_fifo(QueuedTag::value);
+    note_park();
     lk->~Lock();
     lk = nullptr;
     if constexpr (!std::is_void_v<ForceTier>) {
@@ -193,6 +215,22 @@ struct TryScenario {
 };
 
 struct ForcePark { static constexpr WaitTier value = WaitTier::kPark; };
+
+/// A scenario run with the §5.4 LockProfiler on, so Hemlock waits take
+/// the multi-waiting gauge's peek-then-consume path.
+template <typename Base>
+struct Profiled : Base {
+  static void init() {
+    LockProfiler::enable(true);
+    Base::init();
+  }
+  static void fini() {
+    Base::fini();
+    LockProfiler::enable(false);
+  }
+};
+using ProfiledBase =
+    MutexScenario<HemlockAdaptive, HemlockQueuedTag, ForcePark>;
 
 // ---------------------------------------------------------------------
 // Reader-writer scenarios. Shards=2 keeps the writer's drain walk
@@ -326,15 +364,20 @@ const Scenario kScenarios[] = {
      &MutexScenario<HemlockFaa, HemlockQueuedTag>::init,
      &MutexScenario<HemlockFaa, HemlockQueuedTag>::exec,
      &MutexScenario<HemlockFaa, HemlockQueuedTag>::fini, nullptr, false},
-    {"hemlock-futex", "Hemlock + spin-then-park grant (futex shimmed)", 2,
-     &MutexScenario<HemlockFutex, HemlockQueuedTag>::init,
+    {"hemlock-futex", "Hemlock + CTR grant on the park tier (futex shimmed)",
+     2, &MutexScenario<HemlockFutex, HemlockQueuedTag>::init,
      &MutexScenario<HemlockFutex, HemlockQueuedTag>::exec,
-     &MutexScenario<HemlockFutex, HemlockQueuedTag>::fini, nullptr, false},
+     &MutexScenario<HemlockFutex, HemlockQueuedTag>::fini, &post_all_parked,
+     false},
     {"hemlock-adaptive", "Hemlock + governed grant, tier forced to park", 2,
      &MutexScenario<HemlockAdaptive, HemlockQueuedTag, ForcePark>::init,
      &MutexScenario<HemlockAdaptive, HemlockQueuedTag, ForcePark>::exec,
      &MutexScenario<HemlockAdaptive, HemlockQueuedTag, ForcePark>::fini,
-     nullptr, false},
+     &post_all_parked, false},
+    {"hemlock-profiled",
+     "hemlock-adaptive forced to park, §5.4 profiler on (peek-then-consume)",
+     2, &Profiled<ProfiledBase>::init, &Profiled<ProfiledBase>::exec,
+     &Profiled<ProfiledBase>::fini, &post_all_parked, false},
     {"hemlock-try", "Hemlock try_lock retry loops", 2,
      &TryScenario<Hemlock>::init, &TryScenario<Hemlock>::exec,
      &TryScenario<Hemlock>::fini, nullptr, false},
@@ -345,12 +388,13 @@ const Scenario kScenarios[] = {
     {"mcs-park", "MCS, spin-then-park tier (futex shimmed)", 2,
      &MutexScenario<McsParkLock, McsQueuedTag>::init,
      &MutexScenario<McsParkLock, McsQueuedTag>::exec,
-     &MutexScenario<McsParkLock, McsQueuedTag>::fini, nullptr, false},
+     &MutexScenario<McsParkLock, McsQueuedTag>::fini, &post_all_parked,
+     false},
     {"governed", "MCS, governed tier forced to park (escalation path)", 2,
      &MutexScenario<McsGovernedLock, McsQueuedTag, ForcePark>::init,
      &MutexScenario<McsGovernedLock, McsQueuedTag, ForcePark>::exec,
-     &MutexScenario<McsGovernedLock, McsQueuedTag, ForcePark>::fini, nullptr,
-     false},
+     &MutexScenario<McsGovernedLock, McsQueuedTag, ForcePark>::fini,
+     &post_all_parked, false},
     {"clh", "CLH, spin tier (node migration)", 2,
      &MutexScenario<ClhLock, ClhQueuedTag>::init,
      &MutexScenario<ClhLock, ClhQueuedTag>::exec,
@@ -362,7 +406,8 @@ const Scenario kScenarios[] = {
     {"ticket-park", "Ticket, park tier (slotted ring wakeups)", 2,
      &MutexScenario<TicketParkLock, TicketQueuedTag>::init,
      &MutexScenario<TicketParkLock, TicketQueuedTag>::exec,
-     &MutexScenario<TicketParkLock, TicketQueuedTag>::fini, nullptr, false},
+     &MutexScenario<TicketParkLock, TicketQueuedTag>::fini, &post_all_parked,
+     false},
     {"anderson", "Anderson array lock (4-slot ring)", 2,
      &MutexScenario<AndersonLockT<4>, AndersonQueuedTag>::init,
      &MutexScenario<AndersonLockT<4>, AndersonQueuedTag>::exec,

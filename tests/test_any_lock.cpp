@@ -104,7 +104,8 @@ TEST(LockFactory, WaitingTiersAreRecorded) {
         {"ticket", "spin", false}, {"ticket-park", "park", true},
         {"anderson", "spin", false}, {"anderson-park", "park", true},
         {"hemlock", "ctr-cas", false}, {"hemlock-", "load", false},
-        {"hemlock-futex", "futex", true}, {"hemlock-adaptive", "adaptive", true},
+        {"hemlock-faa", "ctr-faa", false}, {"rwlock-yield", "yield", true},
+        {"hemlock-futex", "park", true}, {"hemlock-adaptive", "adaptive", true},
         {"hemlock-cv", "park", true}, {"hemlock-chain", "park", true},
         {"pthread", "park", true}}) {
     const LockInfo* info = factory.info(name);

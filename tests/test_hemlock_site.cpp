@@ -107,6 +107,7 @@ TEST(HemlockSite, FifoHandThrough) {
     std::vector<int> order;
     std::mutex order_mu;
     std::atomic<int> go{-1};
+    std::atomic<int> arrived{-1};
     auto holder = std::make_unique<HemlockSite::Guard>(lock.value);
     std::vector<std::thread> ts;
     for (int w = 0; w < 4; ++w) {
@@ -114,6 +115,7 @@ TEST(HemlockSite, FifoHandThrough) {
         while (go.load(std::memory_order_acquire) < w) {
           std::this_thread::yield();
         }
+        arrived.store(w, std::memory_order_release);
         HemlockSite::Guard g(lock.value);
         std::lock_guard<std::mutex> og(order_mu);
         order.push_back(w);
@@ -121,6 +123,12 @@ TEST(HemlockSite, FifoHandThrough) {
     }
     for (int w = 0; w < 4; ++w) {
       go.store(w, std::memory_order_release);
+      // Waiter w is observed running at its doorstep before the gap
+      // starts, so a loaded host delays only its one-instruction swap,
+      // not its wakeup from the yield loop.
+      while (arrived.load(std::memory_order_acquire) < w) {
+        std::this_thread::yield();
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     holder.reset();  // release; pen opens

@@ -303,6 +303,7 @@ TYPED_TEST(LockProperty, FifoAdmission) {
       std::vector<int> entry_order;
       std::mutex order_mu;
       std::atomic<int> go{-1};
+      std::atomic<int> arrived{-1};
 
       lock.value.lock();  // pen the waiters
       std::vector<std::thread> ts;
@@ -313,6 +314,7 @@ TYPED_TEST(LockProperty, FifoAdmission) {
           while (go.load(std::memory_order_acquire) < w) {
             std::this_thread::yield();
           }
+          arrived.store(w, std::memory_order_release);
           lock.value.lock();
           {
             std::lock_guard<std::mutex> g(order_mu);
@@ -323,9 +325,14 @@ TYPED_TEST(LockProperty, FifoAdmission) {
       }
       // Release arrivals one at a time; the inter-arrival gap dwarfs
       // the doorstep's cost (one atomic op), so enqueue order matches
-      // index order with overwhelming probability.
+      // index order with overwhelming probability. The gap starts once
+      // waiter w is observed running at its doorstep, so a loaded host
+      // delays only that op, not the waiter's wakeup.
       for (int w = 0; w < kWaiters; ++w) {
         go.store(w, std::memory_order_release);
+        while (arrived.load(std::memory_order_acquire) < w) {
+          std::this_thread::yield();
+        }
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
       lock.value.unlock();

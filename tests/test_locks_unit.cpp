@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -16,50 +17,75 @@
 #include "core/lock_registry.hpp"
 #include "core/waiting.hpp"
 #include "locks/node_pool.hpp"
+#include "runtime/governor.hpp"
 
 namespace hemlock {
 namespace {
 
-// ------------------------------------------------ waiting policies --
-template <typename Policy>
-void policy_handshake_roundtrip() {
+// ------------------------------------- Grant poll × tier policies --
+// Every Grant composition the roster uses: the paper's three polls on
+// the spin tier, and CTR CAS over the park, governed and yield tiers
+// (the last is the rwlock-yield writer).
+template <typename PollT, typename TierT>
+struct Composition {
+  using Policy = GrantWaiting<PollT, TierT>;
+  static constexpr bool parks = TierT::may_park;
+};
+
+template <typename C>
+class GrantPolicy : public ::testing::Test {
+ protected:
+  // The governed tier is pinned to park so its waits take the sleep
+  // path too; the fixed tiers ignore the governor.
+  void SetUp() override {
+    ContentionGovernor::instance().force(WaitTier::kPark);
+  }
+  void TearDown() override { ContentionGovernor::instance().clear_force(); }
+};
+using GrantCompositions = ::testing::Types<
+    Composition<LoadPoll, QueueSpinWaiting>,
+    Composition<CasPoll, QueueSpinWaiting>,
+    Composition<FaaPoll, QueueSpinWaiting>,
+    Composition<CasPoll, SpinThenParkWaiting>,
+    Composition<CasPoll, GovernedWaiting>,
+    Composition<CasPoll, QueueYieldWaiting>>;
+TYPED_TEST_SUITE(GrantPolicy, GrantCompositions);
+
+/// Polls `cond` until it holds or 10 s pass — for asserting on a state
+/// the test observed rather than on a sleep.
+template <typename Cond>
+bool eventually(const Cond& cond) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!cond()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TYPED_TEST(GrantPolicy, HandshakeClearsAndDrains) {
+  using Policy = typename TypeParam::Policy;
   std::atomic<GrantWord> grant{kGrantEmpty};
   constexpr GrantWord kAddr = 0x1000;
 
   std::thread waiter([&] {
     Policy::wait_and_consume(grant, kAddr);  // consume must clear
   });
-  // Publish after a beat, like unlock's handover store.
+  // Publish after a beat, like unlock's handover.
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  grant.store(kAddr, std::memory_order_release);
+  Policy::publish(grant, kAddr);
   Policy::wait_until_empty(grant);  // unlock-side drain
   waiter.join();
   EXPECT_EQ(grant.load(), kGrantEmpty);
 }
 
-TEST(WaitingPolicy, PoliteHandshake) {
-  policy_handshake_roundtrip<PoliteWaiting>();
-}
-TEST(WaitingPolicy, CtrCasHandshake) {
-  policy_handshake_roundtrip<CtrCasWaiting>();
-}
-TEST(WaitingPolicy, CtrFaaHandshake) {
-  policy_handshake_roundtrip<CtrFaaWaiting>();
-}
-TEST(WaitingPolicy, AdaptiveHandshake) {
-  policy_handshake_roundtrip<AdaptiveWaiting>();
-}
-TEST(WaitingPolicy, FutexHandshake) {
-  policy_handshake_roundtrip<FutexWaiting>();
-}
-TEST(WaitingPolicy, GovernedGrantHandshake) {
-  policy_handshake_roundtrip<GovernedGrantWaiting>();
-}
-
 // A waiter for address A must ignore address B (the multi-waiting
-// disambiguation primitive, §2.2).
-template <typename Policy>
-void policy_ignores_other_addresses() {
+// disambiguation primitive, §2.2). A parked waiter is woken by B's
+// publish and must go back to sleep without consuming it.
+TYPED_TEST(GrantPolicy, IgnoresOtherAddresses) {
+  using Policy = typename TypeParam::Policy;
+  auto& gov = ContentionGovernor::instance();
   std::atomic<GrantWord> grant{kGrantEmpty};
   constexpr GrantWord kMine = 0x2000, kOther = 0x3000;
   std::atomic<bool> consumed{false};
@@ -67,24 +93,21 @@ void policy_ignores_other_addresses() {
     Policy::wait_and_consume(grant, kMine);
     consumed = true;
   });
-  grant.store(kOther, std::memory_order_release);
+  if constexpr (TypeParam::parks) {
+    EXPECT_TRUE(eventually([&] { return gov.parked(&grant) != 0; }));
+  }
+  Policy::publish(grant, kOther);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_FALSE(consumed.load());           // other address ignored
-  EXPECT_EQ(grant.load(), kOther);         // and NOT consumed
-  grant.store(kMine, std::memory_order_release);
+  if constexpr (TypeParam::parks) {
+    // Woken by the foreign publish, asleep again.
+    EXPECT_TRUE(eventually([&] { return gov.parked(&grant) != 0; }));
+  }
+  EXPECT_FALSE(consumed.load());    // other address ignored
+  EXPECT_EQ(grant.load(), kOther);  // and NOT consumed
+  Policy::publish(grant, kMine);
   waiter.join();
   EXPECT_TRUE(consumed.load());
   EXPECT_EQ(grant.load(), kGrantEmpty);
-}
-
-TEST(WaitingPolicy, PoliteIgnoresOtherAddresses) {
-  policy_ignores_other_addresses<PoliteWaiting>();
-}
-TEST(WaitingPolicy, CtrCasIgnoresOtherAddresses) {
-  policy_ignores_other_addresses<CtrCasWaiting>();
-}
-TEST(WaitingPolicy, CtrFaaIgnoresOtherAddresses) {
-  policy_ignores_other_addresses<CtrFaaWaiting>();
 }
 
 // ------------------------------------------------------ node pool --

@@ -1,18 +1,21 @@
 // test_telemetry.cpp — the lock-runtime telemetry layer
 // (stats/telemetry.hpp): log2 bucket edges, handle lifecycle and
-// slot-scrub-on-release, hook counting through AnyLock, sampled
+// slot-scrub-on-release, hook counting through AnyLock (one contended
+// count per waiting acquisition, across waiting engines), sampled
 // wait/hold histograms, snapshot/merge exactness under thread churn
 // (exited threads fold into the retired array), reset, the JSON
 // export, and the condvar-source registration.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/any_lock.hpp"
 #include "api/factory.hpp"
+#include "runtime/governor.hpp"
 #include "stats/telemetry.hpp"
 
 namespace hemlock::telemetry {
@@ -259,6 +262,53 @@ TEST(Telemetry, TryFailureCountsUnderContention) {
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->acquires, 1u);
   EXPECT_EQ(row->try_failures, 1u);
+}
+
+// One waiting acquisition is one contended acquisition, whatever engine
+// the lock waits in: Grant waits count at entry, queue waits when their
+// first poll fails, and neither escalating past the doorstep nor the
+// holder's unlock-side drain adds another. The holder releases only
+// after it has observed the waiter waiting (and, on the escalating
+// tiers, registered in the governor's waiter census).
+TEST(Telemetry, ContendedAcquisitionCountsOnce) {
+  for (const char* algo :
+       {"hemlock", "hemlock-adaptive", "hemlock-futex", "mcs",
+        "mcs-adaptive", "mcs-park", "clh", "ticket"}) {
+    SCOPED_TRACE(algo);
+    const LockInfo* info = LockFactory::instance().info(algo);
+    ASSERT_NE(info, nullptr);
+    const std::string row_name = std::string("tm-once-") + algo;
+    AnyLock l = LockFactory::instance().make(algo, row_name);
+    l.lock();
+    std::thread waiter([&] {
+      l.lock();
+      l.unlock();
+    });
+    const auto waiting = [&] {
+      const Snapshot snap = collect();
+      const LockTelemetry* row = find_row(snap, row_name);
+      return row != nullptr && row->contended >= 1 &&
+             (!info->oversub_safe ||
+              ContentionGovernor::instance().waiters() >= 1);
+    };
+    // Bounded so a lock that never counts fails instead of hanging.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    bool observed = waiting();
+    while (!observed && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+      observed = waiting();
+    }
+    l.unlock();
+    waiter.join();
+    EXPECT_TRUE(observed) << "the waiter never showed as waiting";
+
+    const Snapshot snap = collect();
+    const LockTelemetry* row = find_row(snap, row_name);
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(row->acquires, 2u);
+    EXPECT_EQ(row->contended, 1u);
+  }
 }
 
 TEST(Telemetry, ResetZeroesSlotsAndGovernorDiag) {

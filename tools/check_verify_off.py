@@ -31,7 +31,7 @@ from pathlib import Path
 RESIDUE = [
     "hemlock:queued",
     "hemlock:handover",
-    "grant:ctr-poll",
+    "grant:ack",
     "mcs:queued",
     "clh:queued",
     "ticket:drawn",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static lints for the concurrency-sensitive source tree.
 
-Two checks, both wired as ctest legs (and runnable standalone):
+Three checks, each wired as a ctest leg (and runnable standalone):
 
 ``mo`` — every ``memory_order_*`` operation in ``src/`` must carry a
 ``// mo: <why>`` justification. PR 8's ``retire()`` fence fix was
@@ -29,12 +29,19 @@ The inventory lives between ``<!-- yield-tag-inventory:begin -->``
 and ``<!-- yield-tag-inventory:end -->`` markers as backticked tags;
 ``--print-inventory`` emits a fresh block to paste on mismatch.
 
-``--self-test`` runs both checks against planted positive *and*
+``scenarios`` — every verifier scenario in the ``kScenarios`` table of
+``src/verify/scenarios.cpp`` must have a ``verify_<name>`` ctest leg in
+``CMakeLists.txt``, either through the ``HEMLOCK_VERIFY_SCENARIOS``
+list or its own ``add_test``. The two are kept in step by hand; a row
+added to only the table would never run in CI.
+
+``--self-test`` runs every check against planted positive *and*
 negative fixtures (anti-vacuity, like check_verify_off.py): a lint
 that cannot fail its planted negatives proves nothing.
 
 Usage:
-  lint_atomics.py [--root <repo root>] [--check mo|yield-tags|all]
+  lint_atomics.py [--root <repo root>]
+                  [--check mo|yield-tags|scenarios|all]
   lint_atomics.py --print-inventory
   lint_atomics.py --self-test
 """
@@ -54,6 +61,10 @@ YIELD_CALL = re.compile(
 INVENTORY_BEGIN = "<!-- yield-tag-inventory:begin -->"
 INVENTORY_END = "<!-- yield-tag-inventory:end -->"
 BACKTICKED = re.compile(r"`([^`]+)`")
+SCENARIO_TABLE = re.compile(r"kScenarios\[\]\s*=\s*\{(.*?)\n\};", re.S)
+SCENARIO_ROW = re.compile(r"\{\s*\"([^\"]+)\"\s*,")
+SCENARIO_LIST = re.compile(r"set\(\s*HEMLOCK_VERIFY_SCENARIOS\s+([^)]*)\)")
+VERIFY_LEG = re.compile(r"add_test\(\s*NAME\s+verify_([\w.+-]+)")
 
 
 def split_code_and_comments(text):
@@ -271,6 +282,37 @@ def check_yield_tags(root, doc_path=None):
     return 0
 
 
+def check_scenarios(root):
+    table_path = root / "src" / "verify" / "scenarios.cpp"
+    cmake_path = root / "CMakeLists.txt"
+    for path in (table_path, cmake_path):
+        if not path.is_file():
+            print(f"FAIL: {path} not found")
+            return 1
+    source = split_code_and_comments(table_path.read_text(errors="replace"))
+    table = SCENARIO_TABLE.search("\n".join(source[2]))
+    if table is None:
+        print(f"FAIL: no kScenarios[] table in {table_path.name}")
+        return 1
+    scenarios = SCENARIO_ROW.findall(table.group(1))
+    cmake = "\n".join(
+        line.split("#", 1)[0]
+        for line in cmake_path.read_text(errors="replace").splitlines()
+    )
+    legs = set(VERIFY_LEG.findall(cmake))
+    for listed in SCENARIO_LIST.findall(cmake):
+        legs.update(listed.split())
+    missing = [name for name in scenarios if name not in legs]
+    if missing:
+        print(
+            "FAIL: verifier scenarios with no verify_<name> ctest leg in "
+            f"{cmake_path.name}: {missing}"
+        )
+        return 1
+    print(f"PASS: all {len(scenarios)} verifier scenarios have a ctest leg")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Self-test fixtures. Each is (name, source, expected violation lines);
 # the negatives MUST fail — a lint that passes everything checks nothing.
@@ -384,6 +426,30 @@ void f() {
 #define HEMLOCK_VERIFY_YIELD(tag) ((void)0)  // no literal: not collected
 """
 
+SCENARIO_SRC = """
+const Scenario kScenarios[] = {
+    {"alpha", "first row", 2, &a::init, &a::exec, &a::fini, nullptr, false},
+    {"beta",
+     "a row whose name sits alone", 3, &b::init, &b::exec, &b::fini,
+     nullptr, false},
+    // {"ghost", "a commented-out row is not a scenario"},
+};
+"""
+
+SCENARIO_CMAKE_OK = """
+set(HEMLOCK_VERIFY_SCENARIOS
+  alpha
+)
+add_test(NAME verify_beta COMMAND verify_runner --algo=beta --depth=8)
+"""
+
+SCENARIO_CMAKE_MISSING = """
+set(HEMLOCK_VERIFY_SCENARIOS
+  alpha  # beta
+)
+add_test(NAME verify_determinism COMMAND verify_runner --algo=alpha)
+"""
+
 
 def self_test():
     failures = []
@@ -413,21 +479,36 @@ def self_test():
                     f"yield fixture '{name}': expected exit {expected_rc}, "
                     f"got {rc}"
                 )
+        (root / "src" / "verify").mkdir()
+        (root / "src" / "verify" / "scenarios.cpp").write_text(SCENARIO_SRC)
+        cases = [
+            ("every-scenario-has-a-leg", SCENARIO_CMAKE_OK, 0),
+            ("planted-missing-leg", SCENARIO_CMAKE_MISSING, 1),
+        ]
+        for name, cmake, expected_rc in cases:
+            (root / "CMakeLists.txt").write_text(cmake)
+            rc = check_scenarios(root)
+            if rc != expected_rc:
+                failures.append(
+                    f"scenario fixture '{name}': expected exit "
+                    f"{expected_rc}, got {rc}"
+                )
     if failures:
         print(f"FAIL: {len(failures)} self-test failure(s):")
         for f in failures:
             print(f"  {f}")
         return 1
     print(
-        f"PASS: self-test — {len(MO_FIXTURES)} mo fixtures and "
-        "4 yield-tag fixtures behave as planted"
+        f"PASS: self-test — {len(MO_FIXTURES)} mo fixtures, 4 yield-tag "
+        "fixtures and 2 scenario fixtures behave as planted"
     )
     return 0
 
 
 def main():
     ap = argparse.ArgumentParser(
-        description="memory-order justification and yield-tag sync lints"
+        description="memory-order justification, yield-tag sync and "
+        "verifier-scenario registration lints"
     )
     ap.add_argument(
         "--root",
@@ -437,7 +518,7 @@ def main():
     )
     ap.add_argument(
         "--check",
-        choices=["mo", "yield-tags", "all"],
+        choices=["mo", "yield-tags", "scenarios", "all"],
         default="all",
     )
     ap.add_argument("--self-test", action="store_true")
@@ -459,6 +540,8 @@ def main():
         rc |= check_mo(args.root)
     if args.check in ("yield-tags", "all"):
         rc |= check_yield_tags(args.root)
+    if args.check in ("scenarios", "all"):
+        rc |= check_scenarios(args.root)
     return rc
 
 
