@@ -20,6 +20,13 @@
 // referenced victim is recycled to the front with its bit cleared
 // instead of evicted. The scan is bounded by the list length, so one
 // insert cannot loop forever under a storm of concurrent touches.
+//
+// The DBs cache whole table blocks (ShardedLruCache<Block>; layout in
+// table.hpp). A miss copies the block's one buffer (keys, values and
+// offsets) out of its table, which is two allocations: the shared Block
+// and that buffer. A block is charged Block::charge(), which is the
+// Block object plus its buffer's bytes, so the byte budget counts what
+// the cached blocks actually hold.
 #pragma once
 
 #include <atomic>

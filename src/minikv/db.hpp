@@ -20,14 +20,14 @@
 //  * memtable flushes happen inline under the mutex when the
 //    memtable exceeds its budget (no background threads — determinism
 //    for tests; the flush is off the readrandom hot path anyway).
+//
+// The block cache, table search, flush and compaction are the storage
+// core (minikv/storage.hpp) it shares with ShardedDB.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -37,6 +37,7 @@
 #include "minikv/scan.hpp"
 #include "minikv/slice.hpp"
 #include "minikv/status.hpp"
+#include "minikv/storage.hpp"
 #include "minikv/table.hpp"
 #include "runtime/annotations.hpp"
 #include "runtime/cacheline.hpp"
@@ -52,7 +53,7 @@ struct DbOptions {
   /// Figure-8 runs (the OS page cache holds the whole database), and
   /// the benchmark's subject is the central mutex, not disk I/O.
   std::size_t block_cache_bytes = 256 << 20;  // 256 MiB
-  /// Entries per table block.
+  /// Entries per table block (at least 1).
   std::size_t block_fanout = ImmutableTable::kDefaultBlockFanout;
   /// Merge all immutable tables into one when their count exceeds
   /// this (MiniKV's stand-in for LevelDB's compaction, keeping the
@@ -68,8 +69,9 @@ struct DbOptions {
 template <BasicLockable CentralLock>
 class DB {
  public:
+  /// Throws std::invalid_argument for a block_fanout of 0.
   explicit DB(DbOptions options = DbOptions{})
-      : options_(options),
+      : options_(checked(options)),
         cache_(options.block_cache_bytes),
         mem_(std::make_shared<MemTable>()),
         version_(std::make_shared<TableVersion>()) {}
@@ -80,7 +82,7 @@ class DB {
   template <typename... LockArgs>
     requires(sizeof...(LockArgs) > 0)
   explicit DB(DbOptions options, LockArgs&&... lock_args)
-      : options_(options),
+      : options_(checked(options)),
         mu_(std::forward<LockArgs>(lock_args)...),
         cache_(options.block_cache_bytes),
         mem_(std::make_shared<MemTable>()),
@@ -118,16 +120,8 @@ class DB {
       mem = mem_;
       version = version_;
     }
-    if (mem->get(key, value)) return Status::ok();
-    for (const auto& table : version->tables) {  // newest first
-      // Key-range filter, as LevelDB's Version::Get does per table
-      // file — fillseq produces disjoint table ranges, so this keeps
-      // the read path at ~one candidate table per lookup.
-      if (key.compare(table->smallest()) < 0 ||
-          key.compare(table->largest()) > 0) {
-        continue;
-      }
-      if (table_get(*table, key, value)) return Status::ok();
+    if (mem->get(key, value) || search_tables(cache_, *version, key, value)) {
+      return Status::ok();
     }
     return Status::not_found();
   }
@@ -153,7 +147,7 @@ class DB {
       version = version_;
     }
     auto fetch = [this](const ImmutableTable& t, std::size_t b) {
-      return read_block_cached(t, b);
+      return read_block_cached(cache_, t, b);
     };
     merge_scan(*mem, *version, start, fetch,
                [&](const Slice& k, const Slice& v) {
@@ -194,71 +188,26 @@ class DB {
   }
 
  private:
-  /// REQUIRES: central mutex held.
+  static DbOptions checked(DbOptions options) {
+    ImmutableTable::checked_fanout(options.block_fanout);
+    return options;
+  }
+
+  /// Freeze the memtable into a table (folding every table into one
+  /// when there are more than compaction_trigger). REQUIRES: central
+  /// mutex held.
   void flush_memtable_locked() HEMLOCK_REQUIRES(mu_.value) {
     if (mem_->entries() == 0) return;
-    auto sorted = mem_->snapshot_sorted();
-    auto table = std::make_shared<ImmutableTable>(
-        next_table_id_++, std::move(sorted), options_.block_fanout);
     // Copy-on-write version bump: concurrent readers keep their
     // snapshot; new readers see the new table first.
     auto next = std::make_shared<TableVersion>();
-    next->tables.reserve(version_->tables.size() + 1);
-    next->tables.push_back(std::move(table));
-    for (const auto& t : version_->tables) next->tables.push_back(t);
-    if (next->tables.size() > options_.compaction_trigger) {
-      compact_locked(next.get());
+    if (flush_to_version(*mem_, *version_, next_table_id_++,
+                         options_.block_fanout, options_.compaction_trigger,
+                         [](const Slice&) { return true; }, next.get())) {
+      ++compactions_;
     }
     version_ = std::move(next);
     mem_ = std::make_shared<MemTable>();
-  }
-
-  /// Full merge compaction: fold every table (newest wins per key)
-  /// into a single replacement table. REQUIRES: central mutex held;
-  /// `v` not yet published (readers keep their old snapshots).
-  void compact_locked(TableVersion* v) HEMLOCK_REQUIRES(mu_.value) {
-    std::vector<std::pair<std::string, std::string>> merged;
-    std::unordered_set<std::string> seen;
-    for (const auto& table : v->tables) {  // newest first: first wins
-      for (std::size_t b = 0; b < table->num_blocks(); ++b) {
-        const auto block = table->read_block(b);
-        for (const auto& [k, val] : block->entries) {
-          if (seen.insert(k).second) merged.emplace_back(k, val);
-        }
-      }
-    }
-    std::sort(merged.begin(), merged.end(),
-              [](const auto& a, const auto& b) {
-                return Slice(a.first).compare(Slice(b.first)) < 0;
-              });
-    auto compacted = std::make_shared<ImmutableTable>(
-        next_table_id_++, std::move(merged), options_.block_fanout);
-    v->tables.clear();
-    v->tables.push_back(std::move(compacted));
-    ++compactions_;
-  }
-
-  /// Materialize one table block through the block cache (unlocked;
-  /// the cache's own lookup path is a shared acquisition, so this
-  /// never re-serializes concurrent shared-mode readers on a hit).
-  std::shared_ptr<Block> read_block_cached(const ImmutableTable& table,
-                                           std::size_t idx) {
-    const BlockKey bkey{table.id(), static_cast<std::uint32_t>(idx)};
-    std::shared_ptr<Block> block = cache_.lookup(bkey);
-    if (block == nullptr) {
-      block = table.read_block(idx);
-      cache_.insert(bkey, block, block->charge());
-    }
-    return block;
-  }
-
-  /// Search one table through the block cache (unlocked).
-  bool table_get(const ImmutableTable& table, const Slice& key,
-                 std::string* value) {
-    const std::int64_t idx = table.block_for(key);
-    if (idx < 0) return false;
-    return read_block_cached(table, static_cast<std::size_t>(idx))
-        ->get(key, value);
   }
 
   DbOptions options_;

@@ -14,7 +14,6 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "minikv/arena.hpp"
 #include "minikv/skiplist.hpp"
@@ -192,29 +191,6 @@ class MemTable {
   /// Approximate heap footprint (flush threshold input).
   std::size_t approximate_memory_usage() const {
     return arena_.memory_usage();
-  }
-
-  /// Snapshot the newest version of every key, sorted ascending —
-  /// the flush input for ImmutableTable. REQUIRES: writers quiesced
-  /// (DB holds its mutex across flush, as LevelDB does for the
-  /// memtable switch).
-  std::vector<std::pair<std::string, std::string>> snapshot_sorted() const {
-    std::vector<std::pair<std::string, std::string>> out;
-    Index::Iterator it(&table_);
-    it.seek_to_first();
-    std::string last_key;
-    bool first = true;
-    for (; it.valid(); it.next()) {
-      const Slice k = detail::entry_key(it.key());
-      if (first || k.view() != last_key) {
-        out.emplace_back(k.to_string(),
-                         detail::entry_value(it.key()).to_string());
-        last_key.assign(k.data(), k.size());
-        first = false;
-      }
-      // else: older version of the same key (sorted after) — skip.
-    }
-    return out;
   }
 
  private:

@@ -14,10 +14,10 @@
 // stop — which is how bounded scans avoid materializing whole tables.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -31,7 +31,7 @@ namespace hemlock::minikv {
 namespace detail {
 
 /// Forward cursor over one ImmutableTable from the first key >=
-/// start, fetching blocks through the caller's cache hook.
+/// start, fetching blocks through the caller's hook.
 template <typename Fetch>
 class TableCursor {
  public:
@@ -46,18 +46,13 @@ class TableCursor {
     load_block();
     // Position at the first entry >= start inside the block; the
     // block's first key can still be < start when block_for matched.
-    auto it = std::lower_bound(
-        block_->entries.begin(), block_->entries.end(), start,
-        [](const auto& e, const Slice& k) {
-          return Slice(e.first).compare(k) < 0;
-        });
-    entry_idx_ = static_cast<std::size_t>(it - block_->entries.begin());
+    entry_idx_ = block_->lower_bound(start);
     skip_exhausted_blocks();
   }
 
   bool valid() const { return block_idx_ < table_->num_blocks(); }
-  Slice key() const { return Slice(block_->entries[entry_idx_].first); }
-  Slice value() const { return Slice(block_->entries[entry_idx_].second); }
+  Slice key() const { return block_->key(entry_idx_); }
+  Slice value() const { return block_->value(entry_idx_); }
 
   void next() {
     ++entry_idx_;
@@ -67,7 +62,7 @@ class TableCursor {
  private:
   void load_block() { block_ = (*fetch_)(*table_, block_idx_); }
   void skip_exhausted_blocks() {
-    while (valid() && entry_idx_ >= block_->entries.size()) {
+    while (valid() && entry_idx_ >= block_->size()) {
       ++block_idx_;
       entry_idx_ = 0;
       if (valid()) load_block();
@@ -76,7 +71,9 @@ class TableCursor {
 
   const ImmutableTable* table_;
   Fetch* fetch_;
-  std::shared_ptr<Block> block_;
+  /// What the fetch returns: a std::shared_ptr<Block> from the block
+  /// cache, or a `const Block*` when the caller keeps the table alive.
+  std::invoke_result_t<Fetch&, const ImmutableTable&, std::size_t> block_{};
   std::size_t block_idx_ = 0;
   std::size_t entry_idx_ = 0;
 };
@@ -87,7 +84,8 @@ class TableCursor {
 /// `start`, ascending, invoking fn(key, value) for the NEWEST version
 /// of each key until fn returns false or the snapshot is exhausted.
 /// `fetch(table, block_idx) -> std::shared_ptr<Block>` materializes
-/// table blocks (normally via the DB's block cache).
+/// table blocks (normally via the DB's block cache); a fold that holds
+/// the tables alive may return `const Block*` instead (table.block()).
 ///
 /// Values are handed through verbatim — a layer that encodes
 /// tombstones in its values (ShardedDB) filters them in its visitor,

@@ -31,6 +31,9 @@
 // because that compaction folds EVERY table of the shard into one
 // (there is no older source left for a tombstone to shadow).
 //
+// The block cache, table search, flush and compaction are the storage
+// core (minikv/storage.hpp) this layer shares with DB<Lock>.
+//
 // Cross-shard Scan() enters/exits the epoch once per shard, collects
 // each shard's bounded prefix with the same merge_scan the central DB
 // uses, then merges — shards partition the keyspace, so the global
@@ -41,8 +44,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -53,6 +56,7 @@
 #include "minikv/scan.hpp"
 #include "minikv/slice.hpp"
 #include "minikv/status.hpp"
+#include "minikv/storage.hpp"
 #include "minikv/table.hpp"
 #include "reclaim/epoch.hpp"
 #include "runtime/annotations.hpp"
@@ -63,14 +67,14 @@ namespace hemlock::minikv {
 /// Tuning knobs for the sharded serving layer.
 struct ShardedDbOptions {
   /// Number of hash partitions (each with its own lock + memtable +
-  /// table version).
+  /// table version); at least 1.
   std::size_t num_shards = 16;
   /// Per-shard memtable budget before an inline flush.
   std::size_t write_buffer_bytes = 1 << 20;  // 1 MiB
   /// Block cache capacity, shared across all shards (table ids are
   /// DB-unique, so one cache serves every shard).
   std::size_t block_cache_bytes = 256 << 20;  // 256 MiB
-  /// Entries per table block.
+  /// Entries per table block (at least 1).
   std::size_t block_fanout = ImmutableTable::kDefaultBlockFanout;
   /// Per-shard full-merge compaction trigger (table count).
   std::size_t compaction_trigger = 8;
@@ -101,10 +105,11 @@ template <BasicLockable ShardLock = AnyLock>
 class ShardedDB {
  public:
   /// Default-constructed shard locks; reclamation through `domain`
-  /// (nullptr = the process-global EpochDomain).
+  /// (nullptr = the process-global EpochDomain). Every constructor
+  /// throws std::invalid_argument for 0 shards or a block_fanout of 0.
   explicit ShardedDB(ShardedDbOptions options = ShardedDbOptions{},
                      reclaim::EpochDomain* domain = nullptr)
-      : options_(options),
+      : options_(checked(options)),
         domain_(domain != nullptr ? domain : &reclaim::EpochDomain::global()),
         cache_(options.block_cache_bytes) {
     shards_.reserve(options_.num_shards);
@@ -122,7 +127,7 @@ class ShardedDB {
     requires(sizeof...(LockArgs) > 0)
   ShardedDB(ShardedDbOptions options, reclaim::EpochDomain* domain,
             const LockArgs&... lock_args)
-      : options_(options),
+      : options_(checked(options)),
         domain_(domain != nullptr ? domain : &reclaim::EpochDomain::global()),
         cache_(options.block_cache_bytes) {
     shards_.reserve(options_.num_shards);
@@ -352,20 +357,8 @@ class ShardedDB {
     // flush_shard_locked; mem FIRST (publication-order invariant).
     MemTable* mem = s.mem.load(std::memory_order_acquire);
     TableVersion* version = s.version.load(std::memory_order_acquire);
-    if (mem->get(key, tagged)) return true;
-    for (const auto& table : version->tables) {  // newest first
-      if (key.compare(table->smallest()) < 0 ||
-          key.compare(table->largest()) > 0) {
-        continue;
-      }
-      const std::int64_t idx = table->block_for(key);
-      if (idx < 0) continue;
-      if (read_block_cached(*table, static_cast<std::size_t>(idx))
-              ->get(key, tagged)) {
-        return true;
-      }
-    }
-    return false;
+    return mem->get(key, tagged) ||
+           search_tables(cache_, *version, key, tagged);
   }
 
   /// Bounded per-shard scan leg: first `limit` LIVE entries >= start.
@@ -378,7 +371,7 @@ class ShardedDB {
     MemTable* mem = s.mem.load(std::memory_order_acquire);
     TableVersion* version = s.version.load(std::memory_order_acquire);
     auto fetch = [this](const ImmutableTable& t, std::size_t b) {
-      return read_block_cached(t, b);
+      return read_block_cached(cache_, t, b);
     };
     std::size_t taken = 0;
     merge_scan(*mem, *version, start, fetch,
@@ -392,26 +385,28 @@ class ShardedDB {
                });
   }
 
-  /// REQUIRES: s.mu held. Freeze the memtable into a table, publish
-  /// the new version THEN the new memtable (release order readers
-  /// rely on), retire the old structures to the epoch domain.
+  /// REQUIRES: s.mu held. Freeze the memtable into a table (a full-
+  /// merge compaction past compaction_trigger, ELIDING tombstones —
+  /// correct only because that merge consumes the memtable and all of
+  /// the shard's tables, and the fresh memtable published with it is
+  /// empty, so no older version of an elided key survives anywhere),
+  /// publish the new version THEN the new memtable (release order
+  /// readers rely on), retire the old structures to the epoch domain.
   void flush_shard_locked(Shard& s) HEMLOCK_REQUIRES(s.mu.value) {
     // mo: relaxed — mu is held; this function is the only writer.
     MemTable* old_mem = s.mem.load(std::memory_order_relaxed);
     if (old_mem->entries() == 0) return;
-    auto sorted = old_mem->snapshot_sorted();
-    auto table = std::make_shared<ImmutableTable>(
-        // mo: relaxed — unique-ID counter; uniqueness, not ordering.
-        next_table_id_.fetch_add(1, std::memory_order_relaxed),
-        std::move(sorted), options_.block_fanout);
     // mo: relaxed — mu is held; the published pointer is stable.
     TableVersion* old_version = s.version.load(std::memory_order_relaxed);
     auto* next = new TableVersion();
-    next->tables.reserve(old_version->tables.size() + 1);
-    next->tables.push_back(std::move(table));
-    for (const auto& t : old_version->tables) next->tables.push_back(t);
-    if (next->tables.size() > options_.compaction_trigger) {
-      compact_tables(next);
+    if (flush_to_version(
+            *old_mem, *old_version,
+            // mo: relaxed — unique-ID counter; uniqueness, not ordering.
+            next_table_id_.fetch_add(1, std::memory_order_relaxed),
+            options_.block_fanout, options_.compaction_trigger,
+            [](const Slice& v) { return v.empty() || v[0] != kTombstoneTag; },
+            next)) {
+      compactions_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
     }
     // mo: release ×2 — publish version THEN empty memtable; readers
     // acquire-load mem first, so seeing the new (empty) memtable
@@ -425,47 +420,12 @@ class ShardedDB {
     flushes_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
   }
 
-  /// Full-merge compaction of an unpublished version: fold every
-  /// table (newest wins) into one, ELIDING tombstones — correct only
-  /// because the merge consumes all of the shard's tables and the
-  /// fresh memtable that accompanies this version is empty, so no
-  /// older version of an elided key survives anywhere.
-  void compact_tables(TableVersion* v) {
-    std::vector<std::pair<std::string, std::string>> merged;
-    std::unordered_set<std::string> seen;
-    for (const auto& table : v->tables) {  // newest first: first wins
-      for (std::size_t b = 0; b < table->num_blocks(); ++b) {
-        const auto block = table->read_block(b);
-        for (const auto& [k, val] : block->entries) {
-          if (seen.insert(k).second &&
-              (val.empty() || val[0] != kTombstoneTag)) {
-            merged.emplace_back(k, val);
-          }
-        }
-      }
+  static ShardedDbOptions checked(ShardedDbOptions options) {
+    if (options.num_shards == 0) {
+      throw std::invalid_argument("minikv: num_shards must be at least 1");
     }
-    std::sort(merged.begin(), merged.end(),
-              [](const auto& a, const auto& b) {
-                return Slice(a.first).compare(Slice(b.first)) < 0;
-              });
-    auto compacted = std::make_shared<ImmutableTable>(
-        // mo: relaxed — unique-ID counter; uniqueness, not ordering.
-        next_table_id_.fetch_add(1, std::memory_order_relaxed),
-        std::move(merged), options_.block_fanout);
-    v->tables.clear();
-    v->tables.push_back(std::move(compacted));
-    compactions_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
-  }
-
-  std::shared_ptr<Block> read_block_cached(const ImmutableTable& table,
-                                           std::size_t idx) {
-    const BlockKey bkey{table.id(), static_cast<std::uint32_t>(idx)};
-    std::shared_ptr<Block> block = cache_.lookup(bkey);
-    if (block == nullptr) {
-      block = table.read_block(idx);
-      cache_.insert(bkey, block, block->charge());
-    }
-    return block;
+    ImmutableTable::checked_fanout(options.block_fanout);
+    return options;
   }
 
   ShardedDbOptions options_;

@@ -2,67 +2,113 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <stdexcept>
 
 namespace hemlock::minikv {
 
+std::size_t Block::lower_bound(const Slice& key) const {
+  std::size_t lo = 0, hi = n_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (this->key(mid).compare(key) < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 bool Block::get(const Slice& key, std::string* value) const {
-  const auto it = std::lower_bound(
-      entries.begin(), entries.end(), key,
-      [](const auto& kv, const Slice& k) {
-        return Slice(kv.first).compare(k) < 0;
-      });
-  if (it == entries.end() || Slice(it->first) != key) return false;
-  *value = it->second;
+  const std::size_t i = lower_bound(key);
+  if (i == n_ || this->key(i) != key) return false;
+  const Slice v = this->value(i);
+  value->assign(v.data(), v.size());
   return true;
 }
 
-std::size_t Block::charge() const {
-  std::size_t bytes = sizeof(Block);
-  for (const auto& [k, v] : entries) {
-    bytes += k.size() + v.size() + 2 * sizeof(std::string);
+void Block::Builder::add(const Slice& key, const Slice& value) {
+  // The whole buffer, offsets included, must stay 32-bit addressable.
+  const std::size_t tail = 4 * (offsets_.size() + 3);
+  if (key.size() + value.size() + tail >
+      std::numeric_limits<std::uint32_t>::max() - payload_.size()) {
+    throw std::length_error("minikv: block exceeds 4 GiB");
   }
-  return bytes;
+  offsets_.push_back(static_cast<std::uint32_t>(payload_.size()));
+  payload_.append(key.data(), key.size());
+  offsets_.push_back(static_cast<std::uint32_t>(payload_.size()));
+  payload_.append(value.data(), value.size());
+}
+
+Block Block::Builder::finish() {
+  const auto n = static_cast<std::uint32_t>(size());
+  offsets_.push_back(static_cast<std::uint32_t>(payload_.size()));
+  const std::size_t offset_bytes = offsets_.size() * sizeof(std::uint32_t);
+  std::string rep(payload_.size() + offset_bytes, '\0');
+  std::memcpy(rep.data(), payload_.data(), payload_.size());
+  std::memcpy(rep.data() + payload_.size(), offsets_.data(), offset_bytes);
+  payload_.clear();
+  offsets_.clear();
+  return Block(std::move(rep), n);
+}
+
+std::size_t ImmutableTable::checked_fanout(std::size_t block_fanout) {
+  if (block_fanout == 0) {
+    throw std::invalid_argument("minikv: block_fanout must be at least 1");
+  }
+  return block_fanout;
+}
+
+ImmutableTable::Builder::Builder(std::size_t block_fanout)
+    : fanout_(checked_fanout(block_fanout)) {}
+
+void ImmutableTable::Builder::add(const Slice& key, const Slice& value) {
+  if (block_.size() == 0) index_.add(key, Slice());
+  block_.add(key, value);
+  ++entries_;
+  if (block_.size() == fanout_) blocks_.push_back(block_.finish());
 }
 
 ImmutableTable::ImmutableTable(
-    std::uint64_t id, std::vector<std::pair<std::string, std::string>> sorted,
+    std::uint64_t id,
+    const std::vector<std::pair<std::string, std::string>>& sorted,
     std::size_t block_fanout)
-    : id_(id), entries_(sorted.size()) {
-  assert(block_fanout > 0);
-  assert(std::is_sorted(sorted.begin(), sorted.end(),
-                        [](const auto& a, const auto& b) {
-                          return Slice(a.first).compare(Slice(b.first)) < 0;
-                        }));
-  if (!sorted.empty()) {
-    smallest_ = sorted.front().first;
-    largest_ = sorted.back().first;
-  }
-  for (std::size_t i = 0; i < sorted.size(); i += block_fanout) {
-    const std::size_t end = std::min(i + block_fanout, sorted.size());
-    block_first_keys_.push_back(sorted[i].first);
-    blocks_.emplace_back(std::make_move_iterator(sorted.begin() + i),
-                         std::make_move_iterator(sorted.begin() + end));
+    : ImmutableTable(id, [&] {
+        assert(std::is_sorted(sorted.begin(), sorted.end(),
+                              [](const auto& a, const auto& b) {
+                                return Slice(a.first).compare(b.first) < 0;
+                              }));
+        Builder built(block_fanout);
+        for (const auto& [k, v] : sorted) built.add(k, v);
+        return built;
+      }()) {}
+
+ImmutableTable::ImmutableTable(std::uint64_t id, Builder&& built)
+    : id_(id), entries_(built.entries_) {
+  if (built.block_.size() > 0) built.blocks_.push_back(built.block_.finish());
+  blocks_ = std::move(built.blocks_);
+  index_ = built.index_.finish();
+  if (!blocks_.empty()) {
+    const Block& last = blocks_.back();
+    smallest_ = blocks_.front().key(0).to_string();
+    largest_ = last.key(last.size() - 1).to_string();
   }
 }
 
 std::int64_t ImmutableTable::block_for(const Slice& key) const {
-  if (blocks_.empty()) return -1;
-  // Last block whose first key is <= key.
-  const auto it = std::upper_bound(
-      block_first_keys_.begin(), block_first_keys_.end(), key,
-      [](const Slice& k, const std::string& first) {
-        return k.compare(Slice(first)) < 0;
-      });
-  if (it == block_first_keys_.begin()) return -1;  // key below the table
-  return static_cast<std::int64_t>(
-      std::distance(block_first_keys_.begin(), it) - 1);
+  // Last block whose first key is <= key; -1 when key is below the
+  // table (or the table is empty).
+  const std::size_t i = index_.lower_bound(key);
+  if (i < index_.size() && index_.key(i) == key) {
+    return static_cast<std::int64_t>(i);
+  }
+  return static_cast<std::int64_t>(i) - 1;
 }
 
 std::shared_ptr<Block> ImmutableTable::read_block(std::size_t idx) const {
   assert(idx < blocks_.size());
-  auto block = std::make_shared<Block>();
-  block->entries = blocks_[idx];  // deliberate copy: the "decode" cost
-  return block;
+  return std::make_shared<Block>(blocks_[idx]);  // deliberate copy: the "decode" cost
 }
 
 }  // namespace hemlock::minikv

@@ -2,15 +2,28 @@
 //
 // When the memtable reaches its flush threshold the DB freezes it
 // into an ImmutableTable: entries packed into fixed-fanout blocks
-// with a sparse index of block-first-keys. Point lookups binary
+// with an index block of block-first-keys. Point lookups binary
 // search the index, fetch the block (through the DB's block cache —
 // cache.hpp), and binary search inside it. This mirrors LevelDB's
 // table/block/cache structure closely enough that the Figure-8
 // readrandom workload exercises the same code shape: a short central-
 // mutex critical section, then block-cache + search work outside it.
+//
+// Block layout. As in LevelDB, a block is ONE contiguous byte buffer:
+//
+//   key_0 value_0 key_1 value_1 ... key_{n-1} value_{n-1} | off_0 ... off_2n
+//
+// Keys and values are raw bytes, back to back (NUL bytes and empty
+// values are fine). The tail is 2n+1 native-endian 32-bit offsets into
+// the buffer: key i spans [off_2i, off_2i+1), its value
+// [off_2i+1, off_2i+2). Blocks live only in memory, so the offsets are
+// never byte-swapped. A block-cache miss (read_block) copies that one
+// buffer, so it costs two allocations, the shared Block and its
+// buffer, whatever the block's entry count.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,27 +33,84 @@
 
 namespace hemlock::minikv {
 
-/// A decoded block: a sorted run of key/value pairs. Blocks are
-/// immutable and shared via shared_ptr (the block cache hands out
-/// references that outlive evictions).
-struct Block {
-  std::vector<std::pair<std::string, std::string>> entries;
+/// A sorted run of key/value pairs in one buffer (layout above).
+/// Blocks are immutable and shared via shared_ptr (the block cache
+/// hands out references that outlive evictions).
+class Block {
+ public:
+  class Builder;
+
+  /// A block with no entries.
+  Block() = default;
+
+  /// Number of entries.
+  std::size_t size() const { return n_; }
+  /// Key of entry i (i < size()); points into this block.
+  Slice key(std::size_t i) const { return span(2 * i); }
+  /// Value of entry i (i < size()); points into this block.
+  Slice value(std::size_t i) const { return span(2 * i + 1); }
+
+  /// Index of the first entry whose key is >= `key` (size() if none).
+  std::size_t lower_bound(const Slice& key) const;
 
   /// Binary search inside the block.
   bool get(const Slice& key, std::string* value) const;
 
-  /// Approximate byte charge for cache accounting.
-  std::size_t charge() const;
+  /// Cache charge: the bytes this block holds, i.e. the Block object
+  /// plus its buffer (payload and offsets).
+  std::size_t charge() const { return sizeof(Block) + rep_.size(); }
+
+ private:
+  Block(std::string rep, std::uint32_t n)
+      : rep_(std::move(rep)),
+        n_(n),
+        offsets_at_(static_cast<std::uint32_t>(rep_.size() - 4 * (2 * n + 1))) {}
+
+  std::uint32_t offset(std::size_t j) const {
+    std::uint32_t off;
+    std::memcpy(&off, rep_.data() + offsets_at_ + 4 * j, sizeof(off));
+    return off;
+  }
+  Slice span(std::size_t j) const {
+    const std::uint32_t begin = offset(j);
+    return Slice(rep_.data() + begin, offset(j + 1) - begin);
+  }
+
+  std::string rep_;
+  std::uint32_t n_ = 0;
+  std::uint32_t offsets_at_ = 0;  ///< where the offset array starts in rep_
+};
+
+/// Appends entries in ascending key order, then seals them into a
+/// Block. Its scratch buffers are reused from one block to the next.
+class Block::Builder {
+ public:
+  /// Append one entry; keys must arrive in strictly ascending order.
+  void add(const Slice& key, const Slice& value);
+  /// Entries added since the last finish().
+  std::size_t size() const { return offsets_.size() / 2; }
+  /// Seal the added entries into a block (exactly sized, one buffer)
+  /// and start over empty.
+  Block finish();
+
+ private:
+  std::string payload_;
+  std::vector<std::uint32_t> offsets_;
 };
 
 /// Immutable sorted table built from a memtable snapshot.
 class ImmutableTable {
  public:
-  /// Build from sorted, de-duplicated entries (memtable snapshot).
-  /// `id` must be process-unique (block-cache key space).
+  class Builder;
+
+  /// Build from sorted, de-duplicated entries. `id` must be process-
+  /// unique (block-cache key space). Throws std::invalid_argument when
+  /// `block_fanout` is 0.
   ImmutableTable(std::uint64_t id,
-                 std::vector<std::pair<std::string, std::string>> sorted,
+                 const std::vector<std::pair<std::string, std::string>>& sorted,
                  std::size_t block_fanout = kDefaultBlockFanout);
+  /// Seal the entries streamed into `built` as table `id`.
+  ImmutableTable(std::uint64_t id, Builder&& built);
 
   ImmutableTable(const ImmutableTable&) = delete;
   ImmutableTable& operator=(const ImmutableTable&) = delete;
@@ -57,9 +127,17 @@ class ImmutableTable {
   std::int64_t block_for(const Slice& key) const;
 
   /// Materialize block `idx` (the cache-miss path: in LevelDB this is
-  /// a disk read + decode; here it is a copy out of the table's
-  /// storage, preserving the cost asymmetry vs. a cache hit).
+  /// a disk read + decode; here it is a copy of the block's one
+  /// buffer, preserving the cost asymmetry vs. a cache hit).
   std::shared_ptr<Block> read_block(std::size_t idx) const;
+
+  /// The table's own block `idx`, read in place (no copy, no cache):
+  /// for folds that hold the table alive while they read it.
+  const Block& block(std::size_t idx) const { return blocks_[idx]; }
+
+  /// `block_fanout`, or std::invalid_argument when it is 0 (the block
+  /// building loop would never advance).
+  static std::size_t checked_fanout(std::size_t block_fanout);
 
   /// First key of the table (empty if no entries).
   const std::string& smallest() const { return smallest_; }
@@ -72,9 +150,27 @@ class ImmutableTable {
   std::uint64_t id_;
   std::size_t entries_;
   std::string smallest_, largest_;
-  // block_first_keys_[i] is the first key in blocks_[i]; sorted.
-  std::vector<std::string> block_first_keys_;
-  std::vector<std::vector<std::pair<std::string, std::string>>> blocks_;
+  Block index_;  ///< key i = first key of blocks_[i]; values empty
+  std::vector<Block> blocks_;
+};
+
+/// Streams entries, in strictly ascending key order, into blocks of
+/// `block_fanout` entries for an ImmutableTable.
+class ImmutableTable::Builder {
+ public:
+  /// Throws std::invalid_argument when `block_fanout` is 0.
+  explicit Builder(std::size_t block_fanout);
+
+  /// Append one entry.
+  void add(const Slice& key, const Slice& value);
+
+ private:
+  friend class ImmutableTable;
+
+  std::size_t fanout_;
+  std::size_t entries_ = 0;
+  Block::Builder block_, index_;
+  std::vector<Block> blocks_;
 };
 
 /// Version: the immutable set of tables current at some instant.

@@ -1,12 +1,15 @@
 // test_minikv.cpp — unit and integration tests for the MiniKV
 // substrate (the Figure-8 LevelDB substitute): slice, varint
-// encoding, arena, skiplist, memtable, immutable tables, the sharded
-// LRU cache, and the DB facade with its pluggable central mutex.
+// encoding, arena, skiplist, memtable, the block format, immutable
+// tables, the sharded LRU cache, and the DB facade with its pluggable
+// central mutex.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +23,8 @@
 #include "minikv/db.hpp"
 #include "minikv/db_bench.hpp"
 #include "minikv/memtable.hpp"
+#include "minikv/scan.hpp"
+#include "minikv/sharded_db.hpp"
 #include "minikv/skiplist.hpp"
 #include "minikv/slice.hpp"
 #include "minikv/status.hpp"
@@ -176,17 +181,141 @@ TEST(MemTableTest, DistinctKeysAndEmptyValues) {
   EXPECT_FALSE(mem.get("aa", &v));
 }
 
-TEST(MemTableTest, SnapshotSortedDeduplicates) {
+TEST(MemTableTest, CursorYieldsNewestVersionOnce) {
   MemTable mem;
   mem.add(1, "b", "old-b");
   mem.add(2, "a", "va");
   mem.add(3, "b", "new-b");
   mem.add(4, "c", "vc");
-  const auto snap = mem.snapshot_sorted();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0], (std::pair<std::string, std::string>{"a", "va"}));
-  EXPECT_EQ(snap[1], (std::pair<std::string, std::string>{"b", "new-b"}));
-  EXPECT_EQ(snap[2], (std::pair<std::string, std::string>{"c", "vc"}));
+  std::vector<std::pair<std::string, std::string>> got;
+  for (MemTable::Cursor c(mem, Slice()); c.valid(); c.next()) {
+    got.emplace_back(c.key().to_string(), c.value().to_string());
+  }
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0], (std::pair<std::string, std::string>{"a", "va"}));
+  EXPECT_EQ(got[1], (std::pair<std::string, std::string>{"b", "new-b"}));
+  EXPECT_EQ(got[2], (std::pair<std::string, std::string>{"c", "vc"}));
+}
+
+// ----------------------------------------------------------- Block --
+TEST(BlockTest, AccessorsOverOneBuffer) {
+  Block::Builder b;
+  b.add("a", "1");
+  b.add(Slice("b\0c", 3), "");
+  b.add("d", Slice("x\0y", 3));
+  const Block blk = b.finish();
+  ASSERT_EQ(blk.size(), 3u);
+  EXPECT_EQ(blk.key(1), Slice("b\0c", 3));
+  EXPECT_TRUE(blk.value(1).empty());
+  EXPECT_EQ(blk.value(2), Slice("x\0y", 3));
+  EXPECT_EQ(blk.lower_bound(""), 0u);
+  EXPECT_EQ(blk.lower_bound("b"), 1u);
+  EXPECT_EQ(blk.lower_bound("c"), 2u);
+  EXPECT_EQ(blk.lower_bound("e"), 3u);
+  // 9 payload bytes (keys 1+3+1, values 1+0+3), then 7 offsets.
+  EXPECT_EQ(blk.charge(), sizeof(Block) + 9 + 7 * sizeof(std::uint32_t));
+  // The builder starts over empty after finish().
+  EXPECT_EQ(b.size(), 0u);
+  EXPECT_EQ(b.finish().size(), 0u);
+  EXPECT_EQ(Block().size(), 0u);
+  std::string v;
+  EXPECT_FALSE(Block().get("a", &v));
+}
+
+// Random bytes over an alphabet with NUL and 0xff, short enough that
+// keys share prefixes.
+std::string random_bytes(std::mt19937& rng, std::size_t min_len,
+                         std::size_t max_len) {
+  static constexpr char kAlphabet[] = {'\0', '\x01', 'a', 'b', '\xff'};
+  std::uniform_int_distribution<std::size_t> len(min_len, max_len);
+  std::uniform_int_distribution<std::size_t> pick(0, sizeof(kAlphabet) - 1);
+  std::string s(len(rng), '\0');
+  for (char& c : s) c = kAlphabet[pick(rng)];
+  return s;
+}
+
+TEST(BlockFormatProperty, SeededTablesAcrossFanouts) {
+  for (const std::size_t fanout : {1u, 7u, 16u}) {
+    SCOPED_TRACE("fanout " + std::to_string(fanout));
+    std::mt19937 rng(static_cast<std::uint32_t>(1000 + fanout));
+    // Distinct non-empty keys; the count leaves the last block exactly
+    // one entry. std::string orders bytes as unsigned, like Slice.
+    const std::size_t n = 9 * fanout + 1;
+    std::set<std::string> keys{std::string("a\0b", 3)};
+    while (keys.size() < n) keys.insert(random_bytes(rng, 1, 6));
+    std::vector<std::pair<std::string, std::string>> rows;
+    for (const auto& k : keys) rows.emplace_back(k, random_bytes(rng, 0, 24));
+    rows[0].second.clear();                    // an empty value
+    rows[1].second = std::string("\0v\0", 3);  // NULs inside a value
+
+    const ImmutableTable t(7, rows, fanout);
+    ASSERT_EQ(t.num_entries(), n);
+    ASSERT_EQ(t.num_blocks(), (n + fanout - 1) / fanout);
+    EXPECT_EQ(t.smallest(), rows.front().first);
+    EXPECT_EQ(t.largest(), rows.back().first);
+
+    // Block shapes, contents and charges.
+    for (std::size_t b = 0; b < t.num_blocks(); ++b) {
+      const auto blk = t.read_block(b);
+      const std::size_t want = b + 1 == t.num_blocks() ? 1 : fanout;
+      ASSERT_EQ(blk->size(), want);
+      std::size_t bytes = 0;
+      for (std::size_t i = 0; i < blk->size(); ++i) {
+        const auto& [k, v] = rows[b * fanout + i];
+        EXPECT_EQ(blk->key(i), Slice(k));
+        EXPECT_EQ(blk->value(i), Slice(v));
+        bytes += k.size() + v.size();
+      }
+      EXPECT_GE(blk->charge(), bytes);
+      // A miss copies: the block handed out is not the table's own.
+      EXPECT_NE(blk->key(0).data(), t.block(b).key(0).data());
+    }
+
+    // Every present key is found with its exact value.
+    std::string v;
+    for (const auto& [k, want] : rows) {
+      const std::int64_t b = t.block_for(k);
+      ASSERT_GE(b, 0);
+      ASSERT_TRUE(t.read_block(static_cast<std::size_t>(b))->get(k, &v));
+      EXPECT_EQ(v, want);
+    }
+
+    // Absent keys: below the smallest, between neighbours, beyond the
+    // largest.
+    std::vector<std::string> absent{"", rows.back().first + "\xff"};
+    for (const auto& [k, unused] : rows) absent.push_back(k + '\0');
+    std::erase_if(absent, [&](const std::string& k) { return keys.count(k); });
+    for (const auto& k : absent) {
+      const std::int64_t b = t.block_for(k);
+      if (b >= 0) {
+        EXPECT_FALSE(t.read_block(static_cast<std::size_t>(b))->get(k, &v));
+      }
+    }
+    EXPECT_EQ(t.block_for(""), -1);
+
+    // A merge scan from every start key returns the input's suffix.
+    MemTable empty;
+    TableVersion version;
+    version.tables.push_back(std::make_shared<ImmutableTable>(8, rows, fanout));
+    auto fetch = [](const ImmutableTable& table, std::size_t b) {
+      return table.read_block(b);
+    };
+    std::vector<std::string> starts = absent;
+    for (const auto& [k, unused] : rows) starts.push_back(k);
+    for (const auto& start : starts) {
+      std::vector<std::pair<std::string, std::string>> got;
+      merge_scan(empty, version, start, fetch,
+                 [&](const Slice& k, const Slice& val) {
+                   got.emplace_back(k.to_string(), val.to_string());
+                   return true;
+                 });
+      const auto from = std::lower_bound(
+          rows.begin(), rows.end(), start,
+          [](const auto& row, const std::string& k) { return row.first < k; });
+      EXPECT_EQ(got, (std::vector<std::pair<std::string, std::string>>(
+                         from, rows.end())));
+    }
+  }
 }
 
 // --------------------------------------------------- ImmutableTable --
@@ -227,13 +356,39 @@ TEST(ImmutableTableTest, MissesFallInTheRightPlaces) {
   EXPECT_TRUE(t2.read_block(static_cast<std::size_t>(b))->get("b", &v));
 }
 
+TEST(ImmutableTableTest, EmptyTableHasNoBlocks) {
+  const ImmutableTable t(4, {});
+  EXPECT_EQ(t.num_blocks(), 0u);
+  EXPECT_EQ(t.block_for("a"), -1);
+}
+
+// A fanout of 0 would never advance the block-building loop; every
+// build type rejects it (asserts are compiled out of release builds).
+TEST(ImmutableTableTest, RejectsZeroFanout) {
+  EXPECT_THROW(ImmutableTable(1, make_sorted(3), 0), std::invalid_argument);
+  EXPECT_THROW(ImmutableTable::Builder(0), std::invalid_argument);
+  DbOptions opt;
+  opt.block_fanout = 0;
+  EXPECT_THROW(DB<StdMutex> db(opt), std::invalid_argument);
+}
+
+TEST(ShardedDbOptionsTest, RejectsZeroShardsAndZeroFanout) {
+  ShardedDbOptions no_shards;
+  no_shards.num_shards = 0;
+  EXPECT_THROW(ShardedDB<> db(no_shards), std::invalid_argument);
+  EXPECT_THROW(ShardedDB<> db(no_shards, "mcs"), std::invalid_argument);
+  ShardedDbOptions no_fanout;
+  no_fanout.block_fanout = 0;
+  EXPECT_THROW(ShardedDB<> db(no_fanout), std::invalid_argument);
+}
+
 // ------------------------------------------------------------ Cache --
 TEST(CacheTest, HitMissPromoteEvict) {
   ShardedLruCache<Block> cache(16 * 1024);
   auto mkblock = [](int tag) {
-    auto b = std::make_shared<Block>();
-    b->entries.emplace_back("k" + std::to_string(tag), "v");
-    return b;
+    Block::Builder b;
+    b.add("k" + std::to_string(tag), "v");
+    return std::make_shared<Block>(b.finish());
   };
   const BlockKey k1{1, 0}, k2{1, 1};
   EXPECT_EQ(cache.lookup(k1), nullptr);
@@ -241,6 +396,7 @@ TEST(CacheTest, HitMissPromoteEvict) {
   cache.insert(k1, mkblock(1), 100);
   auto got = cache.lookup(k1);
   ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->key(0), Slice("k1"));
   EXPECT_EQ(cache.hits(), 1u);
   cache.insert(k2, mkblock(2), 100);
   EXPECT_NE(cache.lookup(k2), nullptr);
@@ -308,6 +464,35 @@ TEST(DbTest, OverwritesResolveToNewestAcrossTables) {
     ASSERT_TRUE(db.get(bench_key(i), &v).is_ok());
     EXPECT_EQ(v, "r4") << "key " << i;
   }
+}
+
+// Every flush past the trigger folds the memtable and all tables into
+// one; the newest write of each key must survive, exactly once.
+TEST(DbTest, CompactionKeepsNewestVersionOnce) {
+  DbOptions opt;
+  opt.block_fanout = 3;
+  opt.compaction_trigger = 2;
+  DB<StdMutex> db(opt);
+  std::map<std::string, std::string> model;
+  for (int round = 0; round < 6; ++round) {
+    for (int i = round; i < 300; i += round + 1) {
+      const std::string value = "r" + std::to_string(round);
+      db.put(bench_key(i), value);
+      model[bench_key(i)] = value;
+    }
+    db.flush();
+    EXPECT_LE(db.num_tables(), 2u);
+  }
+  EXPECT_EQ(db.compactions(), 2u);  // flushes 3 and 5 fold mem + 2 tables
+  std::string v;
+  for (const auto& [k, want] : model) {
+    ASSERT_TRUE(db.get(k, &v).is_ok()) << k;
+    EXPECT_EQ(v, want) << k;
+  }
+  std::vector<std::pair<std::string, std::string>> all;
+  EXPECT_EQ(db.scan(Slice(), model.size() + 1, &all), model.size());
+  EXPECT_EQ(all, (std::vector<std::pair<std::string, std::string>>(
+                     model.begin(), model.end())));
 }
 
 TEST(DbTest, CacheServesRepeatedReads) {
