@@ -1,9 +1,11 @@
-// arena.hpp — bump allocator backing the memtable's skiplist.
+// arena.hpp — bump allocator backing the memtable: its entries, key
+// slots, hash buckets and skiplist nodes.
 //
 // Mirrors leveldb::Arena: allocation is a pointer bump within 4KB
 // blocks; memory is reclaimed wholesale when the memtable is dropped.
-// Nodes allocated here are immutable once published to readers, which
-// is what lets Get() run outside the DB's central mutex.
+// Entries allocated here are immutable once published to readers, and
+// nothing is freed while the memtable lives, which is what lets Get()
+// run outside the DB's central mutex.
 #pragma once
 
 #include <atomic>

@@ -46,8 +46,9 @@ namespace hemlock::minikv {
 
 /// DB tuning knobs (a small subset of leveldb::Options).
 struct DbOptions {
-  /// Memtable budget before an inline flush to an immutable table.
-  std::size_t write_buffer_bytes = 1 << 20;  // 1 MiB
+  /// Memtable budget before an inline flush to an immutable table
+  /// (also sizes the memtable's hash index).
+  std::size_t write_buffer_bytes = MemTable::kDefaultWriteBufferBytes;
   /// Block cache capacity. Sized to hold db_bench-scale working sets:
   /// LevelDB's reads are effectively memory-speed in the paper's
   /// Figure-8 runs (the OS page cache holds the whole database), and
@@ -73,7 +74,7 @@ class DB {
   explicit DB(DbOptions options = DbOptions{})
       : options_(checked(options)),
         cache_(options.block_cache_bytes),
-        mem_(std::make_shared<MemTable>()),
+        mem_(std::make_shared<MemTable>(options.write_buffer_bytes)),
         version_(std::make_shared<TableVersion>()) {}
 
   /// As above, forwarding `lock_args` to the central mutex's
@@ -85,7 +86,7 @@ class DB {
       : options_(checked(options)),
         mu_(std::forward<LockArgs>(lock_args)...),
         cache_(options.block_cache_bytes),
-        mem_(std::make_shared<MemTable>()),
+        mem_(std::make_shared<MemTable>(options.write_buffer_bytes)),
         version_(std::make_shared<TableVersion>()) {}
 
   DB(const DB&) = delete;
@@ -207,7 +208,7 @@ class DB {
       ++compactions_;
     }
     version_ = std::move(next);
-    mem_ = std::make_shared<MemTable>();
+    mem_ = std::make_shared<MemTable>(options_.write_buffer_bytes);
   }
 
   DbOptions options_;

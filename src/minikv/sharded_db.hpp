@@ -41,6 +41,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -61,6 +62,7 @@
 #include "reclaim/epoch.hpp"
 #include "runtime/annotations.hpp"
 #include "runtime/cacheline.hpp"
+#include "runtime/thread_rec.hpp"
 
 namespace hemlock::minikv {
 
@@ -69,8 +71,9 @@ struct ShardedDbOptions {
   /// Number of hash partitions (each with its own lock + memtable +
   /// table version); at least 1.
   std::size_t num_shards = 16;
-  /// Per-shard memtable budget before an inline flush.
-  std::size_t write_buffer_bytes = 1 << 20;  // 1 MiB
+  /// Per-shard memtable budget before an inline flush (also sizes the
+  /// memtable's hash index).
+  std::size_t write_buffer_bytes = MemTable::kDefaultWriteBufferBytes;
   /// Block cache capacity, shared across all shards (table ids are
   /// DB-unique, so one cache serves every shard).
   std::size_t block_cache_bytes = 256 << 20;  // 256 MiB
@@ -114,7 +117,7 @@ class ShardedDB {
         cache_(options.block_cache_bytes) {
     shards_.reserve(options_.num_shards);
     for (std::size_t i = 0; i < options_.num_shards; ++i) {
-      shards_.push_back(std::make_unique<Shard>());
+      shards_.push_back(std::make_unique<Shard>(options_.write_buffer_bytes));
     }
   }
 
@@ -132,7 +135,8 @@ class ShardedDB {
         cache_(options.block_cache_bytes) {
     shards_.reserve(options_.num_shards);
     for (std::size_t i = 0; i < options_.num_shards; ++i) {
-      shards_.push_back(std::make_unique<Shard>(lock_args...));
+      shards_.push_back(
+          std::make_unique<Shard>(options_.write_buffer_bytes, lock_args...));
     }
   }
 
@@ -171,7 +175,7 @@ class ShardedDB {
     tagged.reserve(value.size() + 1);
     tagged.push_back(kValueTag);
     tagged.append(value.data(), value.size());
-    puts_.fetch_add(1, std::memory_order_relaxed);  // mo: relaxed — stats
+    counts().puts.fetch_add(1, std::memory_order_relaxed);  // mo: stats
     return write(key, Slice(tagged));
   }
 
@@ -179,7 +183,7 @@ class ShardedDB {
   /// scans immediately, storage is reclaimed at compaction).
   Status del(const Slice& key) {
     const char tomb[1] = {kTombstoneTag};
-    deletes_.fetch_add(1, std::memory_order_relaxed);  // mo: relaxed — stats
+    counts().deletes.fetch_add(1, std::memory_order_relaxed);  // mo: stats
     return write(key, Slice(tomb, 1));
   }
 
@@ -189,26 +193,19 @@ class ShardedDB {
   /// alive. Fallback (epoch_reads=false): shard lock, shared mode.
   Status get(const Slice& key, std::string* value) {
     Shard& s = shard_for(key);
-    std::string tagged;
-    bool found;
     if (options_.epoch_reads) {
-      epoch_gets_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
+      counts().epoch_gets.fetch_add(1, std::memory_order_relaxed);  // mo: stats
       reclaim::EpochGuard g(*domain_);
-      found = search_shard(s, key, &tagged);
-    } else if constexpr (SharedLockable<ShardLock>) {
-      locked_gets_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
+      return search_shard(s, key, value);
+    }
+    counts().locked_gets.fetch_add(1, std::memory_order_relaxed);  // mo: stats
+    if constexpr (SharedLockable<ShardLock>) {
       SharedLockGuard<ShardLock> g(s.mu.value);
-      found = search_shard(s, key, &tagged);
+      return search_shard(s, key, value);
     } else {  // exclusive-only algorithm: readers serialize
-      locked_gets_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
       LockGuard<ShardLock> g(s.mu.value);
-      found = search_shard(s, key, &tagged);
+      return search_shard(s, key, value);
     }
-    if (!found || tagged.empty() || tagged[0] == kTombstoneTag) {
-      return Status::not_found();
-    }
-    value->assign(tagged.data() + 1, tagged.size() - 1);
-    return Status::ok();
   }
 
   /// Range scan: up to `limit` live entries with key >= `start`,
@@ -220,7 +217,7 @@ class ShardedDB {
                    std::vector<std::pair<std::string, std::string>>* out) {
     out->clear();
     if (limit == 0) return 0;
-    scans_.fetch_add(1, std::memory_order_relaxed);  // mo: relaxed — stats
+    counts().scans.fetch_add(1, std::memory_order_relaxed);  // mo: stats
     std::vector<std::pair<std::string, std::string>> all;
     for (auto& sp : shards_) {
       Shard& s = *sp;
@@ -275,15 +272,18 @@ class ShardedDB {
   std::uint64_t cache_hits() const { return cache_.hits(); }
   std::uint64_t cache_misses() const { return cache_.misses(); }
 
-  /// Operation + reclamation counters.
+  /// Operation + reclamation counters, exact once operations quiesce.
   ShardedDbStats stats() const {
     ShardedDbStats st;
+    for (const OpCounts& c : counts_) {
+      // mo: relaxed — monotonic stats counters; no ordering implied.
+      st.epoch_gets += c.epoch_gets.load(std::memory_order_relaxed);
+      st.locked_gets += c.locked_gets.load(std::memory_order_relaxed);
+      st.scans += c.scans.load(std::memory_order_relaxed);
+      st.puts += c.puts.load(std::memory_order_relaxed);
+      st.deletes += c.deletes.load(std::memory_order_relaxed);
+    }
     // mo: relaxed — monotonic stats counters; no ordering implied.
-    st.epoch_gets = epoch_gets_.load(std::memory_order_relaxed);
-    st.locked_gets = locked_gets_.load(std::memory_order_relaxed);
-    st.scans = scans_.load(std::memory_order_relaxed);
-    st.puts = puts_.load(std::memory_order_relaxed);
-    st.deletes = deletes_.load(std::memory_order_relaxed);
     st.flushes = flushes_.load(std::memory_order_relaxed);
     st.compactions = compactions_.load(std::memory_order_relaxed);
     st.reclaim = domain_->stats();
@@ -307,10 +307,11 @@ class ShardedDB {
     std::atomic<TableVersion*> version;
     std::uint64_t next_seq HEMLOCK_GUARDED_BY(mu.value) = 1;  ///< under mu
 
-    Shard() : mem(new MemTable()), version(new TableVersion()) {}
     template <typename... Args>
-    explicit Shard(const Args&... args)
-        : mu(args...), mem(new MemTable()), version(new TableVersion()) {}
+    explicit Shard(std::size_t write_buffer_bytes, const Args&... args)
+        : mu(args...),
+          mem(new MemTable(write_buffer_bytes)),
+          version(new TableVersion()) {}
     ~Shard() = default;  // mem/version freed by ShardedDB's destructor
   };
 
@@ -349,16 +350,30 @@ class ShardedDB {
     return Status::ok();
   }
 
-  /// Lock-free (or shared-locked) search of one shard. The acquire
-  /// loads pair with flush_shard_locked's release stores; mem is
-  /// loaded FIRST (see the publication-order comment at the top).
-  bool search_shard(Shard& s, const Slice& key, std::string* tagged) {
+  /// Lock-free (or locked) search of one shard: a live value is
+  /// copied, tag stripped, into *value. The acquire loads pair with
+  /// flush_shard_locked's release stores; mem is loaded FIRST (see the
+  /// publication-order comment at the top). A memtable hit is a view
+  /// into the memtable, copied here while the caller's epoch guard (or
+  /// shard lock) keeps the memtable alive.
+  Status search_shard(Shard& s, const Slice& key, std::string* value) {
     // mo: acquire — pairs with the release publish in
     // flush_shard_locked; mem FIRST (publication-order invariant).
     MemTable* mem = s.mem.load(std::memory_order_acquire);
     TableVersion* version = s.version.load(std::memory_order_acquire);
-    return mem->get(key, tagged) ||
-           search_tables(cache_, *version, key, tagged);
+    Slice tagged;
+    std::string from_table;
+    if (!mem->get(key, &tagged)) {
+      if (!search_tables(cache_, *version, key, &from_table)) {
+        return Status::not_found();
+      }
+      tagged = Slice(from_table);
+    }
+    if (tagged.empty() || tagged[0] == kTombstoneTag) {
+      return Status::not_found();
+    }
+    value->assign(tagged.data() + 1, tagged.size() - 1);
+    return Status::ok();
   }
 
   /// Bounded per-shard scan leg: first `limit` LIVE entries >= start.
@@ -408,11 +423,12 @@ class ShardedDB {
             next)) {
       compactions_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
     }
+    auto* fresh = new MemTable(options_.write_buffer_bytes);
     // mo: release ×2 — publish version THEN empty memtable; readers
     // acquire-load mem first, so seeing the new (empty) memtable
     // implies seeing the version that holds the flushed table.
     s.version.store(next, std::memory_order_release);
-    s.mem.store(new MemTable(), std::memory_order_release);
+    s.mem.store(fresh, std::memory_order_release);
     // Retire AFTER unpublishing: in-epoch readers may still hold
     // these; the domain frees them two epochs from now.
     domain_->retire(old_version);
@@ -428,14 +444,27 @@ class ShardedDB {
     return options;
   }
 
+  /// Operation counts, striped by thread: a client bumps the stripe
+  /// its registry id picks, so while no two live clients share a
+  /// stripe, counting writes no line another client writes. The bumps
+  /// stay atomic, so stats() sums exact counts either way.
+  struct alignas(kCacheLineSize) OpCounts {
+    std::atomic<std::uint64_t> epoch_gets{0}, locked_gets{0}, scans{0},
+        puts{0}, deletes{0};
+  };
+  static constexpr std::size_t kCountStripes = 64;
+
+  OpCounts& counts() { return counts_[self().id % kCountStripes]; }
+
   ShardedDbOptions options_;
   reclaim::EpochDomain* domain_;
   ShardedLruCache<Block> cache_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> next_table_id_{1};  ///< DB-unique (cache keys)
 
-  std::atomic<std::uint64_t> epoch_gets_{0}, locked_gets_{0}, scans_{0},
-      puts_{0}, deletes_{0}, flushes_{0}, compactions_{0};
+  std::array<OpCounts, kCountStripes> counts_;
+  /// Bumped under the flushing shard's lock.
+  std::atomic<std::uint64_t> flushes_{0}, compactions_{0};
 };
 
 }  // namespace hemlock::minikv

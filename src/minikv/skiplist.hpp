@@ -19,7 +19,7 @@
 namespace hemlock::minikv {
 
 /// Skiplist keyed by `Key` (a trivially copyable handle, e.g. a
-/// pointer to an arena-resident encoded entry). Comparator is a
+/// pointer to an arena-resident memtable slot). Comparator is a
 /// stateless-ish functor: int operator()(Key a, Key b).
 template <typename Key, typename Comparator>
 class SkipList {
@@ -40,8 +40,7 @@ class SkipList {
   SkipList& operator=(const SkipList&) = delete;
 
   /// Insert key. REQUIRES: external serialization of writers; key not
-  /// already present (MiniKV encodes a sequence number per entry so
-  /// duplicates cannot collide, matching LevelDB).
+  /// already present (the memtable inserts each key's slot once).
   void insert(const Key& key) {
     Node* prev[kMaxHeight];
     [[maybe_unused]] Node* x = find_greater_or_equal(key, prev);
@@ -88,8 +87,10 @@ class SkipList {
       assert(valid());
       node_ = node_->next(0);
     }
-    /// Position at the first node >= target.
-    void seek(const Key& target) {
+    /// Position at the first node >= target: a Key, or any value the
+    /// comparator orders Keys against (the memtable seeks by bare key).
+    template <typename Target>
+    void seek(const Target& target) {
       node_ = list_->find_greater_or_equal(target, nullptr);
     }
     /// Position at the first node.
@@ -153,7 +154,8 @@ class SkipList {
 
   /// First node >= key; fills prev[] with the per-level predecessors
   /// when non-null (used by insert).
-  Node* find_greater_or_equal(const Key& key, Node** prev) const {
+  template <typename Target>
+  Node* find_greater_or_equal(const Target& key, Node** prev) const {
     Node* x = head_;
     int level = max_height() - 1;
     for (;;) {

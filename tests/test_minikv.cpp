@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <random>
 #include <set>
@@ -195,6 +196,120 @@ TEST(MemTableTest, CursorYieldsNewestVersionOnce) {
   EXPECT_EQ(got[0], (std::pair<std::string, std::string>{"a", "va"}));
   EXPECT_EQ(got[1], (std::pair<std::string, std::string>{"b", "new-b"}));
   EXPECT_EQ(got[2], (std::pair<std::string, std::string>{"c", "vc"}));
+}
+
+// Seeded model check: the memtable against a std::map holding the
+// newest value per key. A 1 KiB budget gets the minimum bucket count
+// (16), so the ~40 keys share chains several deep.
+TEST(MemTableTest, MatchesMapModel) {
+  MemTable mem(1024);
+  std::map<std::string, std::string> model;
+  std::vector<std::string> keys = {
+      "",  "a", "ab", "abc", "abcd", std::string(1, '\0'),
+      std::string(2, '\0'), std::string("a\0", 2), std::string("a\0b", 3),
+      std::string("ab\0", 3), "b", std::string(40, 'k')};
+  std::mt19937_64 rng(0x5EED14);
+  while (keys.size() < 40) keys.push_back("key" + std::to_string(rng() % 100000));
+  std::size_t adds = 0;
+  for (int i = 0; i < 6000; ++i) {
+    // Three adds in four overwrite one of four hot keys.
+    const std::string& k = keys[i % 4 != 0 ? rng() % 4 : rng() % keys.size()];
+    const std::string v = rng() % 8 == 0 ? "" : "v" + std::to_string(i);
+    mem.add(static_cast<std::uint64_t>(i) + 1, k, v);
+    model[k] = v;
+    ++adds;
+  }
+  EXPECT_EQ(mem.entries(), adds);
+
+  std::vector<std::string> probes = keys;
+  for (const char* absent : {"aa", "abcde", "c", "key", "\x7f"}) {
+    probes.emplace_back(absent);
+  }
+  probes.emplace_back("a\0\0", 3);
+  std::string v;
+  Slice view;
+  for (const std::string& k : probes) {
+    const auto it = model.find(k);
+    ASSERT_EQ(mem.get(k, &v), it != model.end()) << ::testing::PrintToString(k);
+    ASSERT_EQ(mem.get(k, &view), it != model.end());
+    if (it == model.end()) continue;
+    EXPECT_EQ(v, it->second);
+    EXPECT_EQ(view.to_string(), it->second);
+  }
+
+  for (const std::string& start : probes) {
+    std::vector<std::pair<std::string, std::string>> got;
+    for (MemTable::Cursor c(mem, start); c.valid(); c.next()) {
+      got.emplace_back(c.key().to_string(), c.value().to_string());
+    }
+    const std::vector<std::pair<std::string, std::string>> want(
+        model.lower_bound(start), model.end());
+    ASSERT_EQ(got, want) << "start " << ::testing::PrintToString(start);
+  }
+}
+
+// One writer overwrites keys with increasing counters while readers
+// probe keys below the watermark (every one must be found, and a key's
+// counter must never go down for a reader) and walk cursors (keys
+// strictly ascending, every key published before the walk present).
+TEST(MemTableTest, ConcurrentReadersSeeNewestValuesOnly) {
+  MemTable mem(16 * 1024);  // 16 buckets: 64 keys, chains of ~4
+  constexpr std::uint64_t kKeys = 64;
+  constexpr std::uint64_t kAdds = 200000;
+  auto key_of = [](std::uint64_t k) {
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), "k%03u", static_cast<unsigned>(k));
+    return std::string(buf);
+  };
+  std::atomic<std::uint64_t> watermark{0};  // keys 0..watermark-1 added
+  std::atomic<bool> done{false};
+  std::atomic<bool> failed{false};
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Xoshiro256 prng(r + 7);
+      std::vector<std::uint64_t> last(kKeys, 0);
+      std::string v;
+      auto observe = [&](std::uint64_t k, const std::string& value) {
+        const std::uint64_t n = std::stoull(value);
+        if (n < last[k]) failed.store(true);
+        last[k] = n;
+      };
+      for (unsigned i = 0; !done.load(std::memory_order_acquire); ++i) {
+        const std::uint64_t w = watermark.load(std::memory_order_acquire);
+        if (w == 0) continue;
+        if (i % 64 != 0) {
+          const std::uint64_t k = prng.below64(w);
+          if (!mem.get(key_of(k), &v)) {
+            failed.store(true);
+          } else {
+            observe(k, v);
+          }
+          continue;
+        }
+        std::string prev;
+        std::uint64_t seen = 0;
+        for (MemTable::Cursor c(mem, Slice()); c.valid(); c.next()) {
+          const std::string k = c.key().to_string();
+          if (seen > 0 && Slice(prev).compare(Slice(k)) >= 0) failed.store(true);
+          observe(std::stoull(k.substr(1)), c.value().to_string());
+          prev = k;
+          ++seen;
+        }
+        if (seen < w) failed.store(true);
+      }
+    });
+  }
+  for (std::uint64_t n = 1; n <= kAdds; ++n) {
+    const std::uint64_t k = (n - 1) % kKeys;
+    mem.add(n, key_of(k), std::to_string(n));
+    if (n <= kKeys) watermark.store(n, std::memory_order_release);
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(mem.entries(), kAdds);
 }
 
 // ----------------------------------------------------------- Block --
