@@ -13,6 +13,10 @@
 //                              same sharding, reads take the shard
 //                              lock in shared mode — isolating "what
 //                              does QSBR buy over a shared-mode lock"
+//                              for the memtable and table version.
+//                              Both sharded tiers read cached blocks
+//                              under the DB's epoch domain, which
+//                              recycles them (minikv/cache.hpp).
 //
 // The shard/central lock algorithm is runtime-chosen (--lock=<name>,
 // default hemlock). This bench also demonstrates the factory's

@@ -22,7 +22,9 @@
 //    for tests; the flush is off the readrandom hot path anyway).
 //
 // The block cache, table search, flush and compaction are the storage
-// core (minikv/storage.hpp) it shares with ShardedDB.
+// core (minikv/storage.hpp) it shares with ShardedDB. Its table reads
+// run inside an EpochGuard on the cache's domain (the process-global
+// one), which keeps the cached blocks they reach alive.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +41,7 @@
 #include "minikv/status.hpp"
 #include "minikv/storage.hpp"
 #include "minikv/table.hpp"
+#include "reclaim/epoch.hpp"
 #include "runtime/annotations.hpp"
 #include "runtime/cacheline.hpp"
 
@@ -121,7 +124,11 @@ class DB {
       mem = mem_;
       version = version_;
     }
-    if (mem->get(key, value) || search_tables(cache_, *version, key, value)) {
+    if (mem->get(key, value)) return Status::ok();
+    reclaim::EpochGuard pin(cache_.domain());  // the blocks read below
+    if (search_tables(cache_, *version, key, [&](const Slice& v) {
+          value->assign(v.data(), v.size());
+        })) {
       return Status::ok();
     }
     return Status::not_found();
@@ -150,6 +157,7 @@ class DB {
     auto fetch = [this](const ImmutableTable& t, std::size_t b) {
       return read_block_cached(cache_, t, b);
     };
+    reclaim::EpochGuard pin(cache_.domain());  // the blocks fetched below
     merge_scan(*mem, *version, start, fetch,
                [&](const Slice& k, const Slice& v) {
                  out->emplace_back(k.to_string(), v.to_string());

@@ -71,8 +71,9 @@ class TableCursor {
 
   const ImmutableTable* table_;
   Fetch* fetch_;
-  /// What the fetch returns: a std::shared_ptr<Block> from the block
-  /// cache, or a `const Block*` when the caller keeps the table alive.
+  /// What the fetch returns: a BlockRef from the block cache
+  /// (storage.hpp) or a `const Block*`, either one pinned by the caller
+  /// (its epoch guard, or the table it keeps alive).
   std::invoke_result_t<Fetch&, const ImmutableTable&, std::size_t> block_{};
   std::size_t block_idx_ = 0;
   std::size_t entry_idx_ = 0;
@@ -83,9 +84,10 @@ class TableCursor {
 /// Merge-scan the snapshot (mem, version) from the first key >=
 /// `start`, ascending, invoking fn(key, value) for the NEWEST version
 /// of each key until fn returns false or the snapshot is exhausted.
-/// `fetch(table, block_idx) -> std::shared_ptr<Block>` materializes
-/// table blocks (normally via the DB's block cache); a fold that holds
-/// the tables alive may return `const Block*` instead (table.block()).
+/// `fetch(table, block_idx)` materializes table blocks: normally a
+/// BlockRef through the DB's block cache, with the caller inside an
+/// EpochGuard on the cache's domain; a fold that holds the tables alive
+/// may return `const Block*` instead (table.block()).
 ///
 /// Values are handed through verbatim — a layer that encodes
 /// tombstones in its values (ShardedDB) filters them in its visitor,

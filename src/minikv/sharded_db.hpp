@@ -23,6 +23,9 @@
 //   * A locked fallback (ShardedDbOptions::epoch_reads = false) takes
 //     the shard lock in shared mode instead — the direct comparison
 //     point for "when does QSBR beat a shared-mode lock" (README).
+//     Its table reads still enter the epoch: the block cache's entries
+//     are recycled through this DB's domain, so every holder of a
+//     cached block is inside an EpochGuard (minikv/cache.hpp).
 //
 // Deletes exist at this layer (the central DB has none) via a 1-byte
 // value tag: 'V' + payload for live values, 'T' for tombstones. The
@@ -32,7 +35,9 @@
 // (there is no older source left for a tombstone to shadow).
 //
 // The block cache, table search, flush and compaction are the storage
-// core (minikv/storage.hpp) this layer shares with DB<Lock>.
+// core (minikv/storage.hpp) this layer shares with DB<Lock>. A get
+// that reaches a table copies the found value, tag stripped, straight
+// out of the pinned block into the caller's string.
 //
 // Cross-shard Scan() enters/exits the epoch once per shard, collects
 // each shard's bounded prefix with the same merge_scan the central DB
@@ -41,7 +46,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -62,7 +66,7 @@
 #include "reclaim/epoch.hpp"
 #include "runtime/annotations.hpp"
 #include "runtime/cacheline.hpp"
-#include "runtime/thread_rec.hpp"
+#include "runtime/striped_counters.hpp"
 
 namespace hemlock::minikv {
 
@@ -114,7 +118,7 @@ class ShardedDB {
                      reclaim::EpochDomain* domain = nullptr)
       : options_(checked(options)),
         domain_(domain != nullptr ? domain : &reclaim::EpochDomain::global()),
-        cache_(options.block_cache_bytes) {
+        cache_(options.block_cache_bytes, *domain_) {
     shards_.reserve(options_.num_shards);
     for (std::size_t i = 0; i < options_.num_shards; ++i) {
       shards_.push_back(std::make_unique<Shard>(options_.write_buffer_bytes));
@@ -132,7 +136,7 @@ class ShardedDB {
             const LockArgs&... lock_args)
       : options_(checked(options)),
         domain_(domain != nullptr ? domain : &reclaim::EpochDomain::global()),
-        cache_(options.block_cache_bytes) {
+        cache_(options.block_cache_bytes, *domain_) {
     shards_.reserve(options_.num_shards);
     for (std::size_t i = 0; i < options_.num_shards; ++i) {
       shards_.push_back(
@@ -175,7 +179,7 @@ class ShardedDB {
     tagged.reserve(value.size() + 1);
     tagged.push_back(kValueTag);
     tagged.append(value.data(), value.size());
-    counts().puts.fetch_add(1, std::memory_order_relaxed);  // mo: stats
+    ops_.add(kPuts);
     return write(key, Slice(tagged));
   }
 
@@ -183,7 +187,7 @@ class ShardedDB {
   /// scans immediately, storage is reclaimed at compaction).
   Status del(const Slice& key) {
     const char tomb[1] = {kTombstoneTag};
-    counts().deletes.fetch_add(1, std::memory_order_relaxed);  // mo: stats
+    ops_.add(kDeletes);
     return write(key, Slice(tomb, 1));
   }
 
@@ -194,11 +198,11 @@ class ShardedDB {
   Status get(const Slice& key, std::string* value) {
     Shard& s = shard_for(key);
     if (options_.epoch_reads) {
-      counts().epoch_gets.fetch_add(1, std::memory_order_relaxed);  // mo: stats
+      ops_.add(kEpochGets);
       reclaim::EpochGuard g(*domain_);
       return search_shard(s, key, value);
     }
-    counts().locked_gets.fetch_add(1, std::memory_order_relaxed);  // mo: stats
+    ops_.add(kLockedGets);
     if constexpr (SharedLockable<ShardLock>) {
       SharedLockGuard<ShardLock> g(s.mu.value);
       return search_shard(s, key, value);
@@ -209,15 +213,15 @@ class ShardedDB {
   }
 
   /// Range scan: up to `limit` live entries with key >= `start`,
-  /// ascending across the whole keyspace. Enters/exits the epoch (or
-  /// shard lock) once per shard; shards partition the keyspace, so
-  /// the merged result is the sorted union of bounded per-shard
-  /// prefixes.
+  /// ascending across the whole keyspace. Enters/exits the epoch (and
+  /// in the locked tier the shard lock) once per shard; shards
+  /// partition the keyspace, so the merged result is the sorted union
+  /// of bounded per-shard prefixes.
   std::size_t scan(const Slice& start, std::size_t limit,
                    std::vector<std::pair<std::string, std::string>>* out) {
     out->clear();
     if (limit == 0) return 0;
-    counts().scans.fetch_add(1, std::memory_order_relaxed);  // mo: stats
+    ops_.add(kScans);
     std::vector<std::pair<std::string, std::string>> all;
     for (auto& sp : shards_) {
       Shard& s = *sp;
@@ -226,9 +230,11 @@ class ShardedDB {
         collect_shard(s, start, limit, &all);
       } else if constexpr (SharedLockable<ShardLock>) {
         SharedLockGuard<ShardLock> g(s.mu.value);
+        reclaim::EpochGuard pin(*domain_);  // the leg's cached blocks
         collect_shard(s, start, limit, &all);
       } else {
         LockGuard<ShardLock> g(s.mu.value);
+        reclaim::EpochGuard pin(*domain_);  // the leg's cached blocks
         collect_shard(s, start, limit, &all);
       }
     }
@@ -275,14 +281,11 @@ class ShardedDB {
   /// Operation + reclamation counters, exact once operations quiesce.
   ShardedDbStats stats() const {
     ShardedDbStats st;
-    for (const OpCounts& c : counts_) {
-      // mo: relaxed — monotonic stats counters; no ordering implied.
-      st.epoch_gets += c.epoch_gets.load(std::memory_order_relaxed);
-      st.locked_gets += c.locked_gets.load(std::memory_order_relaxed);
-      st.scans += c.scans.load(std::memory_order_relaxed);
-      st.puts += c.puts.load(std::memory_order_relaxed);
-      st.deletes += c.deletes.load(std::memory_order_relaxed);
-    }
+    st.epoch_gets = ops_.sum(kEpochGets);
+    st.locked_gets = ops_.sum(kLockedGets);
+    st.scans = ops_.sum(kScans);
+    st.puts = ops_.sum(kPuts);
+    st.deletes = ops_.sum(kDeletes);
     // mo: relaxed — monotonic stats counters; no ordering implied.
     st.flushes = flushes_.load(std::memory_order_relaxed);
     st.compactions = compactions_.load(std::memory_order_relaxed);
@@ -353,22 +356,31 @@ class ShardedDB {
   /// Lock-free (or locked) search of one shard: a live value is
   /// copied, tag stripped, into *value. The acquire loads pair with
   /// flush_shard_locked's release stores; mem is loaded FIRST (see the
-  /// publication-order comment at the top). A memtable hit is a view
-  /// into the memtable, copied here while the caller's epoch guard (or
-  /// shard lock) keeps the memtable alive.
+  /// publication-order comment at the top). A hit is a view into the
+  /// memtable or a pinned table block, copied here while the caller's
+  /// epoch guard (or shard lock, plus a guard for the blocks) keeps it
+  /// alive.
   Status search_shard(Shard& s, const Slice& key, std::string* value) {
     // mo: acquire — pairs with the release publish in
     // flush_shard_locked; mem FIRST (publication-order invariant).
     MemTable* mem = s.mem.load(std::memory_order_acquire);
     TableVersion* version = s.version.load(std::memory_order_acquire);
     Slice tagged;
-    std::string from_table;
-    if (!mem->get(key, &tagged)) {
-      if (!search_tables(cache_, *version, key, &from_table)) {
-        return Status::not_found();
-      }
-      tagged = Slice(from_table);
+    if (mem->get(key, &tagged)) return unwrap(tagged, value);
+    Status st = Status::not_found();
+    auto found = [&](const Slice& t) { st = unwrap(t, value); };
+    if (options_.epoch_reads) {
+      search_tables(cache_, *version, key, found);  // get()'s guard pins
+    } else {
+      reclaim::EpochGuard pin(*domain_);  // the shard lock pins no block
+      search_tables(cache_, *version, key, found);
     }
+    return st;
+  }
+
+  /// A stored value's payload, tag stripped, into *value; a tombstone
+  /// reads as not found.
+  static Status unwrap(const Slice& tagged, std::string* value) {
     if (tagged.empty() || tagged[0] == kTombstoneTag) {
       return Status::not_found();
     }
@@ -444,17 +456,17 @@ class ShardedDB {
     return options;
   }
 
-  /// Operation counts, striped by thread: a client bumps the stripe
-  /// its registry id picks, so while no two live clients share a
-  /// stripe, counting writes no line another client writes. The bumps
-  /// stay atomic, so stats() sums exact counts either way.
-  struct alignas(kCacheLineSize) OpCounts {
-    std::atomic<std::uint64_t> epoch_gets{0}, locked_gets{0}, scans{0},
-        puts{0}, deletes{0};
+  /// Operation counts, striped by thread (runtime/striped_counters.hpp):
+  /// counting writes no line another client writes, and stats() sums
+  /// them exactly.
+  enum OpCount : std::size_t {
+    kEpochGets,
+    kLockedGets,
+    kScans,
+    kPuts,
+    kDeletes,
+    kNumOpCounts
   };
-  static constexpr std::size_t kCountStripes = 64;
-
-  OpCounts& counts() { return counts_[self().id % kCountStripes]; }
 
   ShardedDbOptions options_;
   reclaim::EpochDomain* domain_;
@@ -462,7 +474,7 @@ class ShardedDB {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::uint64_t> next_table_id_{1};  ///< DB-unique (cache keys)
 
-  std::array<OpCounts, kCountStripes> counts_;
+  StripedCounters<kNumOpCounts> ops_;
   /// Bumped under the flushing shard's lock.
   std::atomic<std::uint64_t> flushes_{0}, compactions_{0};
 };

@@ -8,7 +8,14 @@
 // with it lives here, once:
 //
 //  * read_block_cached / search_tables: the block-cache read and the
-//    table search of a point lookup (unlocked);
+//    table search of a point lookup. They take no lock, and the caller
+//    holds an EpochGuard on the cache's domain, which keeps every
+//    cached block it reaches alive (cache.hpp). A hit returns the
+//    cached block itself. A miss copies the table's block into a
+//    recycled cache entry, and only when the cache bypasses the insert
+//    does it allocate a copy of its own (read_block). search_tables
+//    hands the found value to a visitor while its block is pinned, so
+//    a point lookup through the tables allocates nothing.
 //  * flush_to_version: the one fold behind every flush and full-merge
 //    compaction (under the writer's lock).
 #pragma once
@@ -27,28 +34,48 @@
 
 namespace hemlock::minikv {
 
-/// Block `idx` of `table` through `cache`. A hit shares the cached
-/// block; a miss copies the block's buffer out of the table
-/// (read_block) and caches it at its charge(). Unlocked: the cache's
-/// lookup path is a shared acquisition, so a hit never re-serializes
-/// concurrent readers.
-inline std::shared_ptr<Block> read_block_cached(ShardedLruCache<Block>& cache,
-                                                const ImmutableTable& table,
-                                                std::size_t idx) {
+/// A table block pinned for reading: a cached block, valid while the
+/// caller's EpochGuard on the cache's domain lasts, or the reader's own
+/// copy when the cache bypassed the miss.
+class BlockRef {
+ public:
+  BlockRef() = default;
+  explicit BlockRef(const Block* cached) : block_(cached) {}
+  explicit BlockRef(std::shared_ptr<Block> copy)
+      : block_(copy.get()), copy_(std::move(copy)) {}
+
+  const Block& operator*() const { return *block_; }
+  const Block* operator->() const { return block_; }
+
+ private:
+  const Block* block_ = nullptr;
+  std::shared_ptr<Block> copy_;  ///< set only for a bypassed miss
+};
+
+/// Block `idx` of `table` through `cache`. A miss copies the block's
+/// buffer (the deliberate "decode" cost) into a recycled cache entry at
+/// its charge(); when the cache bypasses that insert, the copy is the
+/// reader's own (read_block), as every miss was before recycling.
+/// REQUIRES: an EpochGuard on cache.domain() (cache.hpp).
+inline BlockRef read_block_cached(ShardedLruCache<Block>& cache,
+                                  const ImmutableTable& table,
+                                  std::size_t idx) {
   const BlockKey bkey{table.id(), static_cast<std::uint32_t>(idx)};
-  std::shared_ptr<Block> block = cache.lookup(bkey);
-  if (block == nullptr) {
-    block = table.read_block(idx);
-    cache.insert(bkey, block, block->charge());
+  if (const Block* hit = cache.lookup(bkey)) return BlockRef(hit);
+  const Block& stored = table.block(idx);
+  if (const Block* cached = cache.insert(bkey, stored, stored.charge())) {
+    return BlockRef(cached);
   }
-  return block;
+  return BlockRef(table.read_block(idx));
 }
 
 /// Point lookup over a version's tables, newest first, through
-/// `cache`. Stops at the first table holding `key`.
-inline bool search_tables(ShardedLruCache<Block>& cache,
-                          const TableVersion& version, const Slice& key,
-                          std::string* value) {
+/// `cache`. Stops at the first table holding `key` and calls
+/// found(value) while the value's block is pinned; returns whether it
+/// did. REQUIRES: an EpochGuard on cache.domain().
+template <typename Found>
+bool search_tables(ShardedLruCache<Block>& cache, const TableVersion& version,
+                   const Slice& key, Found&& found) {
   for (const auto& table : version.tables) {  // newest first
     // Key-range filter, as LevelDB's Version::Get does per table
     // file — fillseq produces disjoint table ranges, so this keeps
@@ -59,8 +86,11 @@ inline bool search_tables(ShardedLruCache<Block>& cache,
     }
     const std::int64_t idx = table->block_for(key);
     if (idx < 0) continue;
-    if (read_block_cached(cache, *table, static_cast<std::size_t>(idx))
-            ->get(key, value)) {
+    const BlockRef block =
+        read_block_cached(cache, *table, static_cast<std::size_t>(idx));
+    Slice value;
+    if (block->get(key, &value)) {
+      found(value);
       return true;
     }
   }

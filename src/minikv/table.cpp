@@ -20,10 +20,16 @@ std::size_t Block::lower_bound(const Slice& key) const {
   return lo;
 }
 
-bool Block::get(const Slice& key, std::string* value) const {
+bool Block::get(const Slice& key, Slice* value) const {
   const std::size_t i = lower_bound(key);
   if (i == n_ || this->key(i) != key) return false;
-  const Slice v = this->value(i);
+  *value = this->value(i);
+  return true;
+}
+
+bool Block::get(const Slice& key, std::string* value) const {
+  Slice v;
+  if (!get(key, &v)) return false;
   value->assign(v.data(), v.size());
   return true;
 }

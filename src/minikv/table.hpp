@@ -17,9 +17,10 @@
 // values are fine). The tail is 2n+1 native-endian 32-bit offsets into
 // the buffer: key i spans [off_2i, off_2i+1), its value
 // [off_2i+1, off_2i+2). Blocks live only in memory, so the offsets are
-// never byte-swapped. A block-cache miss (read_block) copies that one
-// buffer, so it costs two allocations, the shared Block and its
-// buffer, whatever the block's entry count.
+// never byte-swapped. A block-cache miss copies that one buffer into a
+// recycled cache entry; read_block's standalone copy costs two
+// allocations, the shared Block and its buffer, whatever the block's
+// entry count.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +35,8 @@
 namespace hemlock::minikv {
 
 /// A sorted run of key/value pairs in one buffer (layout above).
-/// Blocks are immutable and shared via shared_ptr (the block cache
-/// hands out references that outlive evictions).
+/// Immutable once built; the block cache copies blocks into recycled
+/// entries by assignment, which reuses the entry's buffer.
 class Block {
  public:
   class Builder;
@@ -53,7 +54,9 @@ class Block {
   /// Index of the first entry whose key is >= `key` (size() if none).
   std::size_t lower_bound(const Slice& key) const;
 
-  /// Binary search inside the block.
+  /// Binary search inside the block; *value points into the block.
+  bool get(const Slice& key, Slice* value) const;
+  /// As above, copying the value out.
   bool get(const Slice& key, std::string* value) const;
 
   /// Cache charge: the bytes this block holds, i.e. the Block object
@@ -126,13 +129,16 @@ class ImmutableTable {
   /// range (key below the table's first key or table empty).
   std::int64_t block_for(const Slice& key) const;
 
-  /// Materialize block `idx` (the cache-miss path: in LevelDB this is
-  /// a disk read + decode; here it is a copy of the block's one
-  /// buffer, preserving the cost asymmetry vs. a cache hit).
+  /// A standalone copy of block `idx` (in LevelDB a cache miss is a
+  /// disk read + decode; here it is a copy of the block's one buffer,
+  /// preserving the cost asymmetry vs. a cache hit). The cache's miss
+  /// path copies into a recycled entry instead, and falls back to this
+  /// only when the cache bypasses the insert.
   std::shared_ptr<Block> read_block(std::size_t idx) const;
 
   /// The table's own block `idx`, read in place (no copy, no cache):
-  /// for folds that hold the table alive while they read it.
+  /// for folds that hold the table alive while they read it, and the
+  /// source of a cache miss's copy.
   const Block& block(std::size_t idx) const { return blocks_[idx]; }
 
   /// `block_fanout`, or std::invalid_argument when it is 0 (the block

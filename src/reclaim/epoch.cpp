@@ -13,6 +13,12 @@ namespace {
 /// EpochDomain, process-wide.
 std::atomic<std::uint32_t> g_domain_slots{0};
 
+/// retire(p, deleter)'s limbo node, allocated per call.
+struct BoxedRetiree : EpochDomain::RetireNode {
+  void* ptr;
+  void (*deleter)(void*);
+};
+
 }  // namespace
 
 EpochDomain::EpochDomain() {
@@ -45,11 +51,10 @@ EpochDomain::EpochDomain() {
 EpochDomain::~EpochDomain() {
   // Contract: quiesced (no reader in-epoch, no concurrent calls), so
   // every retiree is safe regardless of its stamp.
-  Retired* n = limbo_head_;
+  RetireNode* n = limbo_head_;
   while (n != nullptr) {
-    Retired* next = n->next;
-    n->deleter(n->ptr);
-    delete n;
+    RetireNode* next = n->next;
+    n->reclaim(n);
     n = next;
   }
   limbo_head_ = nullptr;
@@ -93,6 +98,17 @@ bool EpochDomain::in_epoch() const noexcept {
 }
 
 void EpochDomain::retire(void* p, void (*deleter)(void*)) {
+  auto* box = new BoxedRetiree;
+  box->ptr = p;
+  box->deleter = deleter;
+  retire(box, [](RetireNode* n) {
+    auto* b = static_cast<BoxedRetiree*>(n);
+    b->deleter(b->ptr);
+    delete b;
+  });
+}
+
+void EpochDomain::retire(RetireNode* node, void (*reclaim)(RetireNode*)) {
   // The caller's unlink/publication stores must be globally visible
   // before the stamp is read: a stale load yields a SMALLER stamp,
   // which frees EARLIER — a reader pinned at that stale epoch + 1 can
@@ -102,9 +118,9 @@ void EpochDomain::retire(void* p, void (*deleter)(void*)) {
   // mo: seq_cst fence + load — Dekker-style store->load ordering
   // described above; the stamp must not be read early.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  auto* node = new Retired{p, deleter,
-                           // mo: seq_cst stamp (fence pairing above)
-                           epoch_.load(std::memory_order_seq_cst), nullptr};
+  node->reclaim = reclaim;
+  // mo: seq_cst stamp (fence pairing above)
+  node->epoch = epoch_.load(std::memory_order_seq_cst);
   lock_limbo();
   node->next = limbo_head_;
   limbo_head_ = node;
@@ -116,17 +132,26 @@ bool EpochDomain::try_advance() noexcept {
   // mo: seq_cst — part of the Dekker pair with enter()'s
   // announce/recheck: the scan below must be ordered after this read.
   const std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
-  bool blocked = false;
-  ThreadRegistry::for_each([&](ThreadRec& rec) {
-    // mo: seq_cst scan — sees every announcement that the epoch
-    // read above did not already supersede (enter()'s recheck).
-    const std::uint64_t a =
-        rec.epochs[slot_].value.load(std::memory_order_seq_cst);
-    // A thread announcing e is current; announcing an older epoch
-    // means it may still hold references unlinked two epochs back.
-    if (a != 0 && a != e) blocked = true;
-  });
-  if (blocked) {
+  struct Scan {
+    std::uint32_t slot;
+    std::uint64_t epoch;
+    bool blocked;
+  } scan{slot_, e, false};
+  // The raw walk: a std::function over this lambda's captures would
+  // allocate on every advance attempt.
+  ThreadRegistry::for_each_raw(
+      [](ThreadRec& rec, void* ctx) {
+        auto& sc = *static_cast<Scan*>(ctx);
+        // mo: seq_cst scan — sees every announcement that the epoch
+        // read above did not already supersede (enter()'s recheck).
+        const std::uint64_t a =
+            rec.epochs[sc.slot].value.load(std::memory_order_seq_cst);
+        // A thread announcing e is current; announcing an older epoch
+        // means it may still hold references unlinked two epochs back.
+        if (a != 0 && a != sc.epoch) sc.blocked = true;
+      },
+      &scan);
+  if (scan.blocked) {
     advance_blocked_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
     return false;
   }
@@ -147,12 +172,12 @@ std::size_t EpochDomain::drain(std::size_t max_frees) {
   // mo: acquire — orders our stamp comparisons after the advance
   // (possibly another thread's) that made `safe` current.
   const std::uint64_t safe = epoch_.load(std::memory_order_acquire);
-  Retired* to_free = nullptr;
+  RetireNode* to_free = nullptr;
   std::size_t taken = 0;
   lock_limbo();
-  Retired** pp = &limbo_head_;
+  RetireNode** pp = &limbo_head_;
   while (*pp != nullptr && taken < max_frees) {
-    Retired* n = *pp;
+    RetireNode* n = *pp;
     if (n->epoch + 2 <= safe) {  // every possible observer has exited
       *pp = n->next;
       n->next = to_free;
@@ -164,11 +189,10 @@ std::size_t EpochDomain::drain(std::size_t max_frees) {
   }
   pending_ -= taken;
   unlock_limbo();
-  while (to_free != nullptr) {  // deleters run outside the limbo lock
-    Retired* n = to_free;
-    to_free = n->next;
-    n->deleter(n->ptr);
-    delete n;
+  while (to_free != nullptr) {  // reclaim hooks run outside the limbo lock
+    RetireNode* n = to_free;
+    to_free = n->next;  // before the hook: it may free or reuse n
+    n->reclaim(n);
   }
   freed_.fetch_add(taken, std::memory_order_relaxed);  // mo: stats
   return taken;

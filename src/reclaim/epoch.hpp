@@ -17,16 +17,23 @@
 //     on shared reclamation state.
 //   * Writers retire(ptr, deleter) garbage after unlinking it. The
 //     object is stamped with the current global epoch and parked on
-//     the domain's limbo list.
+//     the domain's limbo list. An object that embeds a RetireNode is
+//     parked through that node instead, with no allocation, and its
+//     reclaim hook may recycle it rather than free it (the block
+//     cache's entry batches, minikv/cache.hpp).
 //   * Anyone may try_advance(): the global epoch moves from E to E+1
 //     only when every thread announcing an epoch announces exactly E
 //     (a thread still at E-1 could hold references unlinked two
 //     epochs back). Garbage retired at epoch R is freed once the
 //     global epoch reaches R+2 — by then every reader that could have
 //     observed the object has exited.
-//   * drain(max) bounds reclamation work per call (the serving layer
-//     calls it from write paths; an unbounded free storm there would
-//     turn a put() into a latency cliff).
+//   * drain(max) bounds reclamation work per call: one advance
+//     attempt, one walk of the limbo list, at most `max` reclaims (an
+//     unbounded free storm would turn the caller's operation into a
+//     latency cliff). The serving layer drains from its write paths,
+//     and the block cache from a miss that finds its shard's entry
+//     pool empty, so a get may run any retiree's reclaim hook —
+//     memtable and table-version deleters included.
 //
 // A stalled reader never deadlocks the domain: advance attempts
 // simply fail (counted in DomainStats::advance_blocked) and garbage
@@ -79,10 +86,23 @@ class EpochDomain {
   /// Whether the calling thread is currently inside this domain.
   bool in_epoch() const noexcept;
 
+  /// A limbo-list link embedded in a retired object, so that retiring
+  /// it allocates nothing (retire(p, deleter) allocates one).
+  struct RetireNode {
+    void (*reclaim)(RetireNode*) = nullptr;
+    std::uint64_t epoch = 0;  ///< global epoch at retire time
+    RetireNode* next = nullptr;
+  };
+
   /// Defer `deleter(p)` until no reader can still hold a reference.
   /// Call AFTER unlinking `p` from the shared structure. Never frees
   /// inline; never blocks on readers.
   void retire(void* p, void (*deleter)(void*));
+
+  /// Allocation-free retire: defer `reclaim(node)` likewise. The node
+  /// (and whatever embeds it) belongs to the domain until reclaim runs,
+  /// which may free or recycle it.
+  void retire(RetireNode* node, void (*reclaim)(RetireNode*));
 
   /// Typed convenience: defers `delete static_cast<T*>(p)`.
   template <typename T>
@@ -98,9 +118,17 @@ class EpochDomain {
 
   /// Advance if possible, then free up to `max_frees` safe retirees
   /// (retired two or more epochs ago). Returns the number freed.
-  /// Bounded: a single call never does more than one advance attempt
-  /// plus `max_frees` deleter invocations.
+  /// Bounded: a single call never does more than one advance attempt,
+  /// one walk of the limbo list and `max_frees` reclaim invocations.
   std::size_t drain(std::size_t max_frees = kDefaultDrainBatch);
+
+  /// The current global epoch, for callers that pace their drains by
+  /// whether it has moved.
+  std::uint64_t epoch() const noexcept {
+    // mo: relaxed — a pacing hint; drain() rereads the epoch with the
+    // ordering its frees need.
+    return epoch_.load(std::memory_order_relaxed);
+  }
 
   /// Current counters (pending/freed/advances are exact; epoch is a
   /// racy snapshot by nature).
@@ -113,13 +141,6 @@ class EpochDomain {
   static constexpr std::size_t kDefaultDrainBatch = 64;
 
  private:
-  struct Retired {
-    void* ptr;
-    void (*deleter)(void*);
-    std::uint64_t epoch;  ///< global epoch at retire time
-    Retired* next;
-  };
-
   /// Spinlock over the limbo list (retire/drain are rare, off the
   /// read fast path; a raw spinlock keeps this header dependency-free
   /// for the locks the library itself implements).
@@ -130,7 +151,7 @@ class EpochDomain {
   std::atomic<std::uint64_t> epoch_{1};  ///< 0 is reserved for "quiescent"
 
   mutable std::atomic<bool> limbo_lock_{false};
-  Retired* limbo_head_ = nullptr;  ///< under limbo_lock_
+  RetireNode* limbo_head_ = nullptr;  ///< under limbo_lock_
   std::uint64_t pending_ = 0;      ///< under limbo_lock_
   std::atomic<std::uint64_t> freed_{0};
   std::atomic<std::uint64_t> advances_{0};

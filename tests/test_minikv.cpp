@@ -1,13 +1,17 @@
 // test_minikv.cpp — unit and integration tests for the MiniKV
 // substrate (the Figure-8 LevelDB substitute): slice, varint
 // encoding, arena, skiplist, memtable, the block format, immutable
-// tables, the sharded LRU cache, and the DB facade with its pluggable
-// central mutex.
+// tables, the epoch-protected block cache, and the DB facade with its
+// pluggable central mutex.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -29,7 +33,29 @@
 #include "minikv/skiplist.hpp"
 #include "minikv/slice.hpp"
 #include "minikv/status.hpp"
+#include "minikv/storage.hpp"
 #include "minikv/table.hpp"
+#include "reclaim/epoch.hpp"
+
+// Allocation counting for CacheTest.WarmMissesNeitherAllocateNorFree:
+// while a thread arms it, the replaced global operator new / delete
+// count that thread's calls.
+namespace {
+thread_local bool t_count_allocs = false;
+thread_local std::size_t t_news = 0;
+thread_local std::size_t t_deletes = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (t_count_allocs) ++t_news;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept {
+  if (t_count_allocs && p != nullptr) ++t_deletes;
+  std::free(p);
+}
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace hemlock::minikv {
 namespace {
@@ -520,30 +546,217 @@ TEST(CacheTest, HitMissPromoteEvict) {
   EXPECT_EQ(cache.lookup(k1), nullptr);
 }
 
+/// `n` block keys that land in the same cache shard.
+std::vector<BlockKey> keys_in_one_shard(std::size_t n) {
+  std::vector<BlockKey> keys;
+  for (std::uint32_t i = 0; keys.size() < n; ++i) {
+    const BlockKey k{1, i};
+    if (BlockKeyHash{}(k) % ShardedLruCache<Block>::kNumShards == 0) {
+      keys.push_back(k);
+    }
+  }
+  return keys;
+}
+
 TEST(CacheTest, EvictsLeastRecentlyUsedUnderPressure) {
-  // Single small capacity: inserting beyond capacity evicts LRU.
-  LruShard<Block> shard;
-  shard.set_capacity(250);
-  auto blk = [] { return std::make_shared<Block>(); };
-  shard.insert(BlockKey{1, 0}, blk(), 100);
-  shard.insert(BlockKey{1, 1}, blk(), 100);
-  // Touch {1,0} so {1,1} is LRU.
-  EXPECT_NE(shard.lookup(BlockKey{1, 0}), nullptr);
-  shard.insert(BlockKey{1, 2}, blk(), 100);  // forces eviction of {1,1}
-  EXPECT_EQ(shard.lookup(BlockKey{1, 1}), nullptr);
-  EXPECT_NE(shard.lookup(BlockKey{1, 0}), nullptr);
-  EXPECT_NE(shard.lookup(BlockKey{1, 2}), nullptr);
-  EXPECT_GE(shard.evictions(), 1u);
+  // One shard of 250 bytes (the cache splits its budget evenly across
+  // shards): inserting beyond capacity evicts what CLOCK saw least
+  // recently used.
+  ShardedLruCache<Block> cache(250 * ShardedLruCache<Block>::kNumShards);
+  const std::vector<BlockKey> k = keys_in_one_shard(3);
+  cache.insert(k[0], Block(), 100);
+  cache.insert(k[1], Block(), 100);
+  // Touch k[0] so k[1] is the victim.
+  EXPECT_NE(cache.lookup(k[0]), nullptr);
+  cache.insert(k[2], Block(), 100);  // forces eviction of k[1]
+  EXPECT_EQ(cache.lookup(k[1]), nullptr);
+  EXPECT_NE(cache.lookup(k[0]), nullptr);
+  EXPECT_NE(cache.lookup(k[2]), nullptr);
+  EXPECT_GE(cache.evictions(), 1u);
 }
 
 TEST(CacheTest, ReplacingSameKeyUpdatesCharge) {
-  LruShard<Block> shard;
-  shard.set_capacity(1000);
-  auto blk = [] { return std::make_shared<Block>(); };
-  shard.insert(BlockKey{7, 7}, blk(), 400);
-  EXPECT_EQ(shard.usage(), 400u);
-  shard.insert(BlockKey{7, 7}, blk(), 100);
-  EXPECT_EQ(shard.usage(), 100u);
+  ShardedLruCache<Block> cache(1000 * ShardedLruCache<Block>::kNumShards);
+  const BlockKey k{7, 7};
+  cache.insert(k, Block(), 400);
+  EXPECT_EQ(cache.usage(), 400u);
+  cache.insert(k, Block(), 100);
+  EXPECT_EQ(cache.usage(), 100u);
+}
+
+/// A table of 400 blocks of the same charge for the concurrent cache
+/// tests, with every key and value kept aside to check blocks against.
+struct StressTable {
+  static constexpr std::size_t kBlocks = 400;
+  static constexpr std::size_t kFanout = 16;
+
+  StressTable() {
+    std::vector<std::pair<std::string, std::string>> rows;
+    for (std::size_t k = 0; k < kBlocks * kFanout; ++k) {
+      std::string value = "value-" + std::to_string(k);
+      value.resize(40, '.');
+      rows.emplace_back(bench_key(k), std::move(value));
+    }
+    table = std::make_shared<ImmutableTable>(1, rows, kFanout);
+    entries = std::move(rows);
+  }
+
+  /// Whether `got` holds exactly the entries of block `b`.
+  bool holds(const Block& got, std::size_t b) const {
+    if (got.size() != kFanout) return false;
+    for (std::size_t i = 0; i < kFanout; ++i) {
+      const auto& [k, v] = entries[b * kFanout + i];
+      if (got.key(i) != Slice(k) || got.value(i) != Slice(v)) return false;
+    }
+    return true;
+  }
+
+  std::shared_ptr<ImmutableTable> table;
+  std::vector<std::pair<std::string, std::string>> entries;
+};
+
+using Cache = ShardedLruCache<Block>;
+/// Spare entries the whole cache may own beyond its live ones.
+constexpr std::size_t kCacheSpareBound =
+    Cache::kNumShards * Cache::kMaxBatches * Cache::kBatch;
+
+// Readers under EpochGuards race inserts, CLOCK evictions and entry
+// recycling; every block they get back must be the block they asked
+// for, whole. (TSan in CI checks the memory-model side.)
+TEST(CacheTest, ConcurrentLookupOrInsertStress) {
+  reclaim::EpochDomain domain;
+  const StressTable st;
+  Cache cache(64 << 10, domain);  // holds ~1/8 of the blocks
+  constexpr int kThreads = 3;
+  constexpr int kOpsEach = 30000;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Xoshiro256 rng(t + 1);
+      for (int i = 0; i < kOpsEach; ++i) {
+        const std::size_t b = rng.below(StressTable::kBlocks);
+        reclaim::EpochGuard g(domain);
+        const BlockRef got = read_block_cached(cache, *st.table, b);
+        if (!st.holds(*got, b)) bad.fetch_add(1);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  // Striped counts are exact: one hit or miss per lookup.
+  EXPECT_EQ(cache.hits() + cache.misses(),
+            static_cast<std::uint64_t>(kThreads) * kOpsEach);
+  EXPECT_GT(cache.evictions(), 0u);
+  const Cache::Footprint f = cache.footprint();
+  EXPECT_LE(f.owned, f.live + kCacheSpareBound);
+  // Misses reuse entries: far fewer allocations than cached misses.
+  EXPECT_LT(f.allocated, (cache.misses() - cache.bypassed()) / 4);
+}
+
+// Once the pools circulate, a miss copies into a recycled entry: it
+// allocates and frees nothing. Only a bypassed miss (its own copy,
+// two allocations and two frees) or a shard still growing toward its
+// bound (a new entry and its buffer) may allocate.
+TEST(CacheTest, WarmMissesNeitherAllocateNorFree) {
+  reclaim::EpochDomain domain;
+  const StressTable st;
+  Cache cache(64 << 10, domain);
+  Xoshiro256 rng(3);
+  auto op = [&] {
+    const std::size_t b = rng.below(StressTable::kBlocks);
+    reclaim::EpochGuard g(domain);
+    const BlockRef got = read_block_cached(cache, *st.table, b);
+    return st.holds(*got, b);
+  };
+  for (int i = 0; i < 20000; ++i) ASSERT_TRUE(op());  // warm the pools
+  const std::uint64_t misses0 = cache.misses();
+  const std::uint64_t bypassed0 = cache.bypassed();
+  const std::uint64_t allocated0 = cache.footprint().allocated;
+  bool ok = true;
+  t_news = t_deletes = 0;
+  t_count_allocs = true;
+  for (int i = 0; i < 20000; ++i) ok = op() && ok;
+  t_count_allocs = false;
+  EXPECT_TRUE(ok);
+  const std::uint64_t bypassed = cache.bypassed() - bypassed0;
+  const std::uint64_t grown = cache.footprint().allocated - allocated0;
+  const std::uint64_t recycled = cache.misses() - misses0 - bypassed - grown;
+  EXPECT_LE(t_news, 2 * (bypassed + grown));
+  EXPECT_LE(t_deletes, 2 * bypassed);
+  EXPECT_GT(recycled, 10000u);  // most of the window's misses
+}
+
+// A reader stalled inside its epoch pins every batch retired after it
+// entered. The cache must stop growing at its bound (bypassing misses,
+// which still return their blocks), and once the reader leaves, misses
+// must recycle the retired entries rather than allocate new ones.
+TEST(CacheTest, StalledReaderBoundsOwnedEntries) {
+  reclaim::EpochDomain domain;
+  const StressTable st;
+  Cache cache(64 << 10, domain);
+  std::atomic<int> bad{0};
+  std::atomic<bool> pinned{false}, release{false};
+  std::thread reader([&] {
+    reclaim::EpochGuard g(domain);
+    pinned.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!pinned.load()) std::this_thread::yield();
+
+  // Two threads churn misses until `stop` (or `ops` each, if nonzero).
+  std::atomic<bool> stop{false};
+  auto churn = [&](std::uint64_t seed, int ops) {
+    Xoshiro256 rng(seed);
+    for (int i = 0; ops == 0 ? !stop.load() : i < ops; ++i) {
+      const std::size_t b = rng.below(StressTable::kBlocks);
+      reclaim::EpochGuard g(domain);
+      const BlockRef got = read_block_cached(cache, *st.table, b);
+      if (!st.holds(*got, b)) bad.fetch_add(1);
+    }
+  };
+
+  // Stalled phase: run until every shard owns its full set of spares.
+  std::vector<std::thread> churners;
+  for (int t = 0; t < 2; ++t) churners.emplace_back(churn, 10 + t, 0);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  Cache::Footprint f = cache.footprint();
+  while (f.owned < f.live + kCacheSpareBound &&
+         std::chrono::steady_clock::now() < deadline) {
+    EXPECT_LE(f.owned, f.live + kCacheSpareBound);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    f = cache.footprint();
+  }
+  stop.store(true);
+  for (auto& t : churners) t.join();
+  f = cache.footprint();
+  EXPECT_EQ(f.owned, f.live + kCacheSpareBound);  // at the bound, not past it
+  EXPECT_GT(cache.bypassed(), 0u);
+  EXPECT_EQ(bad.load(), 0);  // bypassed misses returned their blocks too
+  // A refused advance pauses a shard's drains until the epoch moves
+  // (which it does at most once while the reader stays), retrying
+  // every kBatch-th insert: misses do not each scan the registry.
+  const reclaim::DomainStats stalled = domain.stats();
+  EXPECT_LE(stalled.advances + stalled.advance_blocked,
+            cache.misses() / Cache::kBatch + 2 * Cache::kNumShards);
+
+  // The reader leaves: the retired batches come back to the pools.
+  release.store(true);
+  reader.join();
+  const std::uint64_t misses0 = cache.misses();
+  const std::uint64_t bypassed0 = cache.bypassed();
+  churners.clear();
+  for (int t = 0; t < 2; ++t) churners.emplace_back(churn, 20 + t, 20000);
+  for (auto& t : churners) t.join();
+  const Cache::Footprint after = cache.footprint();
+  EXPECT_EQ(after.allocated, f.allocated);  // no entry allocated...
+  EXPECT_LE(after.owned, after.live + kCacheSpareBound);
+  // ...so every miss cached now went into a recycled entry, and more of
+  // them than the stall left spares: the entries went round again.
+  const std::uint64_t cached =
+      (cache.misses() - misses0) - (cache.bypassed() - bypassed0);
+  EXPECT_GT(cached, kCacheSpareBound);
+  EXPECT_EQ(bad.load(), 0);
 }
 
 // --------------------------------------------------------------- DB --

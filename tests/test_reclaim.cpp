@@ -236,6 +236,9 @@ ShardedDbOptions small_db_options(bool epoch_reads) {
   o.num_shards = 4;
   o.write_buffer_bytes = 4 << 10;  // tiny: force frequent flushes
   o.compaction_trigger = 3;        // ...and compactions
+  o.block_cache_bytes = 32 << 10;  // a few blocks per cache shard: each
+                                   // flush's new table ids evict and
+                                   // recycle entries in both read tiers
   o.epoch_reads = epoch_reads;
   return o;
 }
@@ -393,6 +396,7 @@ TEST_P(ShardedDbTiers, ConcurrentMixedTrafficStress) {
 
   const auto st = db.stats();
   EXPECT_GT(st.flushes, 0u);  // the churn actually exercised reclamation
+  EXPECT_GT(db.cache_hits(), 0u);  // ...and table reads the block cache
   if (GetParam()) {
     EXPECT_GT(st.epoch_gets, 0u);
     EXPECT_EQ(st.locked_gets, 0u);
