@@ -16,23 +16,25 @@
 // are returned to the chain. The detach-and-scan phase repeats until
 // a matching successor is found and ownership is transferred."
 //
-// Each waiter spins briefly on its private flag then parks on it via
-// futex — the park/unpark construct the chain exists to enable. The
-// waker's futex_wake may land after the (stack-allocated) element is
-// already popped and its frame reused; that is the standard
-// wake-after-free futex idiom — the syscall either finds no waiters
-// or spuriously wakes an unrelated one, and every wait loop here
-// re-checks its predicate.
+// Each waiter waits on its private flag through the waiting engine's
+// park tier (SpinThenParkWaiting: spin, yield, then futex park) — the
+// park/unpark construct the chain exists to enable. The hand-off is
+// the tier's publish, whose wake is gated on the governor's parked
+// census for the flag's address, so a successor still spinning costs
+// no syscall. That wake may land after the (stack-allocated) element
+// is already popped and its frame reused; it reads only the census
+// bucket, never the element, and is the standard wake-after-free futex
+// idiom — the syscall either finds no waiters or spuriously wakes an
+// unrelated one, and every wait re-checks its predicate.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 
-#include "core/hemlock.hpp"
+#include "core/waiting.hpp"
 #include "locks/lock_traits.hpp"
 #include "runtime/annotations.hpp"
 #include "runtime/cacheline.hpp"
-#include "runtime/futex.hpp"
 #include "runtime/pause.hpp"
 
 namespace hemlock {
@@ -77,6 +79,9 @@ class HEMLOCK_CAPABILITY("mutex") HemlockChain {
     // acquire orders us after the predecessor's enqueue.
     detail::ChainRec* pred = tail_.exchange(&me, std::memory_order_acq_rel);
     if (pred == nullptr) return;
+    // Queued on the Tail, element not yet pushed: the owner's unlock
+    // may already be scanning its chain for us.
+    HEMLOCK_VERIFY_YIELD("hemlock:queued");
 
     detail::ChainElem elem;
     elem.lock_addr = this;
@@ -90,16 +95,10 @@ class HEMLOCK_CAPABILITY("mutex") HemlockChain {
     } while (!pred->head.value.compare_exchange_weak(
         h, &elem, std::memory_order_release, std::memory_order_relaxed));
 
-    // Spin-then-park on our private flag.
-    // mo: acquire polls — pair with the owner's release flag store;
-    // the previous critical section happens-before our entry.
-    for (std::uint32_t spins = 0; spins < kSpinsBeforePark; ++spins) {
-      if (elem.flag.load(std::memory_order_acquire) != 0) return;  // mo: acquire poll
-      cpu_relax();
-    }
-    while (elem.flag.load(std::memory_order_acquire) == 0) {  // mo: as above
-      futex_wait(&elem.flag, 0);
-    }
+    // Spin-then-park on our private flag; the engine's acquire polls
+    // pair with the owner's release publish, so the previous critical
+    // section happens-before our entry.
+    SpinThenParkWaiting::wait_until(elem.flag, std::uint32_t{1});
   }
 
   /// Non-blocking attempt (CAS on Tail).
@@ -162,14 +161,13 @@ class HEMLOCK_CAPABILITY("mutex") HemlockChain {
       }
       if (match != nullptr) {
         // Transfer ownership. After the flag store the element (on
-        // the successor's stack) may vanish at any moment; the wake
-        // below tolerates that (see file comment).
-        // mo: release hand-off — critical section happens-before the
-        // successor's acquire flag poll.
-        match->flag.store(1, std::memory_order_release);
-        futex_wake(&match->flag, 1);
+        // the successor's stack) may vanish at any moment; the
+        // publish's wake tolerates that (see file comment).
+        SpinThenParkWaiting::publish(match->flag, std::uint32_t{1});
         return;
       }
+      // The successor swapped the Tail but has not pushed its element.
+      HEMLOCK_VERIFY_YIELD("chain:rescan");
       cpu_relax();
     }
   }
@@ -182,8 +180,6 @@ class HEMLOCK_CAPABILITY("mutex") HemlockChain {
   }
 
  private:
-  static constexpr std::uint32_t kSpinsBeforePark = 512;
-
   std::atomic<detail::ChainRec*> tail_{nullptr};
 };
 static_assert(sizeof(HemlockChain) == sizeof(void*));
@@ -200,7 +196,7 @@ struct lock_traits<HemlockChain> {
   static constexpr bool is_fifo = true;
   static constexpr bool has_trylock = true;
   static constexpr Spinning spinning = Spinning::kLocal;  // private flags
-  static constexpr const char* waiting = "park";  // futex park-unpark
+  static constexpr const char* waiting = "park";  // SpinThenParkWaiting
   static constexpr bool oversub_safe = true;
 };
 

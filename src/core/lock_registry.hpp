@@ -15,11 +15,8 @@
 #include <vector>
 
 #include "core/hemlock.hpp"
-#include "core/hemlock_ah.hpp"
 #include "core/hemlock_chain.hpp"
 #include "core/hemlock_cv.hpp"
-#include "core/hemlock_ohv.hpp"
-#include "core/hemlock_overlap.hpp"
 #include "locks/anderson.hpp"
 #include "locks/boxed.hpp"
 #include "locks/clh.hpp"

@@ -566,8 +566,15 @@ struct CasPoll {
 ///   wait_and_consume(g, expect[, pred]): block until g == expect, then
 ///       clear g to kGrantEmpty (the successor's acknowledgement, §2).
 ///   wait_until_empty(g): the unlock-side drain (line 21).
+///   wait_while(g, value): block until g != value (OHV1's drain,
+///       Overlap's residual check).
 template <typename Poll, typename Tier>
 struct GrantWaiting {
+  /// Only the spin tier drains with its poll's read (FAA(0) for the CTR
+  /// polls); a tier that escalates drains with plain loads.
+  using Drain =
+      std::conditional_t<Tier::escalates, LoadPoll, typename Poll::Drain>;
+
   /// A spin-tier composition reports its poll's paper name ("load",
   /// "ctr-cas", "ctr-faa"); an escalating one reports its tier's.
   static constexpr const char* name =
@@ -608,13 +615,20 @@ struct GrantWaiting {
     if constexpr (Tier::may_park) queue_wait::wake_parked(g);
   }
 
-  /// Only the spin tier drains with its poll's read (FAA(0) for the CTR
-  /// polls); a tier that escalates drains with plain loads.
   static void wait_until_empty(std::atomic<GrantWord>& g) noexcept {
-    using Drain =
-        std::conditional_t<Tier::escalates, LoadPoll, typename Poll::Drain>;
     (void)Tier::wait(g, poll_with<Drain>(g, kGrantEmpty),
                      [](GrantWord v) { return v == kGrantEmpty; }, false);
+  }
+
+  /// Wait until g stops holding `value`, reading with P: OHV1's drain
+  /// (Listing 5 line 15), which may end on another lock's L'|1 flag
+  /// rather than on empty, and Overlap's residual check (Listing 3 line
+  /// 6). Never counted: neither waits for a lock.
+  template <typename P = Drain>
+  static void wait_while(std::atomic<GrantWord>& g, GrantWord value) noexcept {
+    (void)Tier::wait(
+        g, [&g, value](GrantWord& v) { return !P::poll(g, value, v); },
+        [value](GrantWord v) { return v != value; }, false);
   }
 
  private:

@@ -18,6 +18,7 @@
 #include <type_traits>
 
 #include "core/hemlock.hpp"
+#include "core/hemlock_chain.hpp"
 #include "locks/anderson.hpp"
 #include "locks/clh.hpp"
 #include "locks/mcs.hpp"
@@ -114,8 +115,11 @@ struct AndersonQueuedTag { static constexpr const char* value = "anderson:slot";
 /// post-check. ForceTier (or void) pins the ContentionGovernor for
 /// the schedule — the governed-escalation scenarios use it to make
 /// the park tier reachable deterministically instead of depending on
-/// a live oversubscription census.
-template <typename Lock, typename QueuedTag = void, typename ForceTier = void>
+/// a live oversubscription census. IdleGrant selects the end-of-exec
+/// empty-mailbox check; Overlap leaves L there for a tardy successor
+/// by design.
+template <typename Lock, typename QueuedTag = void, typename ForceTier = void,
+          bool IdleGrant = true>
 struct MutexScenario {
   alignas(Lock) static inline unsigned char storage[sizeof(Lock)];
   static inline Lock* lk = nullptr;
@@ -147,10 +151,12 @@ struct MutexScenario {
     // Hemlock Listing 1 line 6: the Grant mailbox is empty between
     // locking operations. Trivially true for the node/ticket families
     // (they never touch it), load-bearing for the Hemlock ones.
-    // mo: relaxed — verification ghost state; ordering is supplied
-    // by the lock under test, these asserts only count admissions.
-    VERIFY_ASSERT(self().grant.value.load(std::memory_order_relaxed) ==
-                  kGrantEmpty);
+    if constexpr (IdleGrant) {
+      // mo: relaxed — verification ghost state; ordering is supplied
+      // by the lock under test, these asserts only count admissions.
+      VERIFY_ASSERT(self().grant.value.load(std::memory_order_relaxed) ==
+                    kGrantEmpty);
+    }
   }
 
   static void fini() {
@@ -231,6 +237,14 @@ struct Profiled : Base {
 };
 using ProfiledBase =
     MutexScenario<HemlockAdaptive, HemlockQueuedTag, ForcePark>;
+
+using OverlapScenario =
+    MutexScenario<HemlockOverlap, HemlockQueuedTag, void, false>;
+using AhScenario = MutexScenario<HemlockAh, HemlockQueuedTag>;
+using Ohv1Scenario = MutexScenario<HemlockOhv1, HemlockQueuedTag>;
+using Ohv2Scenario = MutexScenario<HemlockOhv2, HemlockQueuedTag>;
+// Chain tags its Tail-SWAP-to-push window hemlock:queued too.
+using ChainScenario = MutexScenario<HemlockChain, HemlockQueuedTag>;
 
 // ---------------------------------------------------------------------
 // Reader-writer scenarios. Shards=2 keeps the writer's drain walk
@@ -381,6 +395,27 @@ const Scenario kScenarios[] = {
     {"hemlock-try", "Hemlock try_lock retry loops", 2,
      &TryScenario<Hemlock>::init, &TryScenario<Hemlock>::exec,
      &TryScenario<Hemlock>::fini, nullptr, false},
+    {"hemlock-overlap", "Overlap: deferred drain, residual check (Listing 3)",
+     2, &OverlapScenario::init, &OverlapScenario::exec,
+     &OverlapScenario::fini, nullptr, false},
+    // Appendix A's residual race needs a third thread: a new arrival
+    // behind the re-enqueued owner, while the tardy successor waits.
+    {"hemlock-overlap-tardy",
+     "Overlap, three threads (a tardy successor's residual grant)", 3,
+     &OverlapScenario::init, &OverlapScenario::exec, &OverlapScenario::fini,
+     nullptr, false},
+    {"hemlock-ah", "Aggressive Hand-Over: publish before the CAS (Listing 4)",
+     2, &AhScenario::init, &AhScenario::exec, &AhScenario::fini, nullptr,
+     false},
+    {"hemlock-ohv1", "OHV1: L|1 successor flag (Listing 5)", 2,
+     &Ohv1Scenario::init, &Ohv1Scenario::exec, &Ohv1Scenario::fini, nullptr,
+     false},
+    {"hemlock-ohv2", "OHV2: polite Tail read before the CAS (Listing 6)", 2,
+     &Ohv2Scenario::init, &Ohv2Scenario::exec, &Ohv2Scenario::fini, nullptr,
+     false},
+    {"hemlock-chain", "Appendix C chain: private flags, park tier", 2,
+     &ChainScenario::init, &ChainScenario::exec, &ChainScenario::fini,
+     &post_all_parked, false},
     {"mcs", "MCS, spin tier", 2,
      &MutexScenario<McsLock, McsQueuedTag>::init,
      &MutexScenario<McsLock, McsQueuedTag>::exec,

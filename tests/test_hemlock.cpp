@@ -13,11 +13,8 @@
 #include <vector>
 
 #include "core/hemlock.hpp"
-#include "core/hemlock_ah.hpp"
 #include "core/hemlock_chain.hpp"
 #include "core/hemlock_cv.hpp"
-#include "core/hemlock_ohv.hpp"
-#include "core/hemlock_overlap.hpp"
 #include "locks/clh.hpp"
 #include "locks/mcs.hpp"
 #include "locks/ticket.hpp"
@@ -166,8 +163,8 @@ TEST(HemlockSemantics, MultiWaitingDisambiguationForwardRelease) {
 // Fere-local spinning (Theorem 10): the number of threads spinning on
 // one Grant word never exceeds the number of locks its owner holds.
 // Reproduced via the profiler: with the leader holding K locks and one
-// waiter per lock, max_grant_waiters must be ≤ K (and with this
-// schedule, exactly reach K).
+// waiter per lock, the leader releases only once it has observed all K
+// waiters on its own Grant word, so max_grant_waiters must be exactly K.
 TEST(HemlockSemantics, FereLocalSpinningBound) {
   constexpr int kLocks = 4;
   std::vector<CacheAligned<Hemlock>> locks(kLocks);
@@ -185,14 +182,22 @@ TEST(HemlockSemantics, FereLocalSpinningBound) {
     });
   }
   enqueued.arrive_and_wait();
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // Bounded so a broken gauge fails instead of hanging.
+  const std::atomic<std::uint32_t>& on_my_grant = self().grant_waiters;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (on_my_grant.load(std::memory_order_relaxed) < kLocks &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const std::uint32_t observed = on_my_grant.load(std::memory_order_relaxed);
   for (int k = kLocks; k-- > 0;) locks[k].value.unlock();
   for (auto& w : waiters) w.join();
 
   LockProfiler::enable(false);
   const LockUsageProfile p = collect_lock_usage_profile();
-  EXPECT_LE(p.max_grant_waiters, static_cast<std::uint32_t>(kLocks));
-  EXPECT_GE(p.max_grant_waiters, 2u);  // schedule guarantees real multi-waiting
+  EXPECT_EQ(observed, static_cast<std::uint32_t>(kLocks));
+  EXPECT_EQ(p.max_grant_waiters, static_cast<std::uint32_t>(kLocks));
   EXPECT_EQ(p.max_locks_held, static_cast<std::uint32_t>(kLocks));
   EXPECT_EQ(p.nested_acquires, static_cast<std::uint64_t>(kLocks - 1));
   EXPECT_FALSE(p.purely_local());

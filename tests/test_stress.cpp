@@ -14,11 +14,8 @@
 #include <vector>
 
 #include "core/hemlock.hpp"
-#include "core/hemlock_ah.hpp"
 #include "core/hemlock_chain.hpp"
 #include "core/hemlock_cv.hpp"
-#include "core/hemlock_ohv.hpp"
-#include "core/hemlock_overlap.hpp"
 #include "runtime/barrier.hpp"
 #include "runtime/cacheline.hpp"
 #include "runtime/prng.hpp"

@@ -272,7 +272,8 @@ TEST(Telemetry, TryFailureCountsUnderContention) {
 // tiers, registered in the governor's waiter census).
 TEST(Telemetry, ContendedAcquisitionCountsOnce) {
   for (const char* algo :
-       {"hemlock", "hemlock-adaptive", "hemlock-futex", "mcs",
+       {"hemlock", "hemlock-adaptive", "hemlock-futex", "hemlock-overlap",
+        "hemlock-ah", "hemlock-ohv1", "hemlock-ohv2", "hemlock-chain", "mcs",
         "mcs-adaptive", "mcs-park", "clh", "ticket"}) {
     SCOPED_TRACE(algo);
     const LockInfo* info = LockFactory::instance().info(algo);

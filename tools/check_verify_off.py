@@ -31,6 +31,11 @@ from pathlib import Path
 RESIDUE = [
     "hemlock:queued",
     "hemlock:handover",
+    "hemlock:deferred",
+    "hemlock:speculated",
+    "hemlock:announced",
+    "hemlock:polite",
+    "chain:rescan",
     "grant:ack",
     "mcs:queued",
     "clh:queued",

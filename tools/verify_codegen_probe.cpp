@@ -8,6 +8,7 @@
 // it, the residue must appear — which proves the probe actually
 // exercises instrumented code and the OFF check is not vacuous.
 #include "core/hemlock.hpp"
+#include "core/hemlock_chain.hpp"
 #include "locks/anderson.hpp"
 #include "locks/clh.hpp"
 #include "locks/mcs.hpp"
@@ -27,6 +28,31 @@ void hemlock_naive_cycle(hemlock::HemlockNaive& l) {
 }
 
 void hemlock_adaptive_cycle(hemlock::HemlockAdaptive& l) {
+  l.lock();
+  l.unlock();
+}
+
+void hemlock_overlap_cycle(hemlock::HemlockOverlap& l) {
+  l.lock();
+  l.unlock();
+}
+
+void hemlock_ah_cycle(hemlock::HemlockAh& l) {
+  l.lock();
+  l.unlock();
+}
+
+void hemlock_ohv1_cycle(hemlock::HemlockOhv1& l) {
+  l.lock();
+  l.unlock();
+}
+
+void hemlock_ohv2_cycle(hemlock::HemlockOhv2& l) {
+  l.lock();
+  l.unlock();
+}
+
+void hemlock_chain_cycle(hemlock::HemlockChain& l) {
   l.lock();
   l.unlock();
 }
