@@ -25,7 +25,7 @@
 #include "minikv/db.hpp"
 #include "minikv/db_bench.hpp"
 #include "runtime/thread_rec.hpp"
-#include "stats/lock_profiler.hpp"
+#include "stats/telemetry.hpp"
 
 namespace {
 
@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
     // §5.4 characterization: instrumented Hemlock on the same
     // workload at the highest thread count.
     std::cout << "\n--- instrumented-Hemlock characterization (§5.4) ---\n";
-    ThreadRegistry::reset_profile();
+    telemetry::reset();
     LockProfiler::enable(true);
     minikv::DB<Hemlock> db;
     minikv::fill_seq(db, keys, 100);
@@ -149,11 +149,10 @@ int main(int argc, char** argv) {
     cfg.num_keys = keys;
     (void)minikv::run_readrandom(db, cfg);
     LockProfiler::enable(false);
-    std::cout << collect_lock_usage_profile().describe()
+    std::cout << telemetry::collect().profile.describe()
               << "(paper, LevelDB at 64 threads: 24 nested acquires — all "
                  "during startup —, max 2 locks held, max 1 Grant waiter "
                  "=> purely local spinning)\n";
-    ThreadRegistry::reset_profile();
   }
   return 0;
 }

@@ -17,7 +17,7 @@
 #include "api/hemlock_api.hpp"
 #include "minikv/db.hpp"
 #include "minikv/db_bench.hpp"
-#include "stats/lock_profiler.hpp"
+#include "stats/telemetry.hpp"
 
 int main(int argc, char** argv) {
   using namespace hemlock;
@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   std::cout << "tables=" << db.num_tables()
             << " compactions=" << db.compactions() << "\n";
 
-  ThreadRegistry::reset_profile();
+  telemetry::reset();
   LockProfiler::enable(true);
 
   // Read-mostly workload with a background writer, like LevelDB under
@@ -98,9 +98,8 @@ int main(int argc, char** argv) {
             << " M reads/sec)\n"
             << "block cache: " << db.cache_hits() << " hits, "
             << db.cache_misses() << " misses\n\n"
-            << collect_lock_usage_profile().describe()
+            << telemetry::collect().profile.describe()
             << "(single central lock => the paper's §5.4 prediction: "
                "purely local spinning)\n";
-  ThreadRegistry::reset_profile();
   return 0;
 }

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "api/hemlock_api.hpp"
-#include "stats/lock_profiler.hpp"
+#include "stats/telemetry.hpp"
 
 namespace {
 
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
 
   std::vector<Stage> stages(num_stages);
 
-  hemlock::ThreadRegistry::reset_profile();
+  hemlock::telemetry::reset();
   hemlock::LockProfiler::enable(true);
 
   // One mover thread per adjacent stage pair: takes an item from
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
   // (i + stages-1) = n(n-1)/2 + n*(stages-1).
   const std::uint64_t expected = num_items * (num_items - 1) / 2 +
                                  num_items * (num_stages - 1);
-  const auto profile = hemlock::collect_lock_usage_profile();
+  const auto profile = hemlock::telemetry::collect().profile;
   std::cout << "stages=" << num_stages << " items=" << num_items
             << " checksum=" << checksum << " (expected " << expected
             << ")\n\n"
@@ -116,6 +116,5 @@ int main(int argc, char** argv) {
             << "\n(coupled locking holds at most 2 locks; the paper "
                "predicts at most 2 waiters per Grant word and, typically, "
                "purely local spinning)\n";
-  hemlock::ThreadRegistry::reset_profile();
   return checksum == expected ? 0 : 1;
 }

@@ -91,6 +91,7 @@ class HEMLOCK_CAPABILITY("mutex") HemlockCv {
     // acquire orders us after the predecessor's enqueue.
     detail::CvRec* pred = tail_.exchange(&me, std::memory_order_acq_rel);
     if (pred != nullptr) {
+      HEMLOCK_TM_CONTENDED();  // queued behind a predecessor
       std::unique_lock<std::mutex> lk(pred->mu);
       pred->cv.wait(lk, [&] {
         // mo: relaxed — read under mu, which orders it.
@@ -180,7 +181,9 @@ struct lock_traits<HemlockCv> {
   /// re-enter the shim (and pthread_cond_wait on an interposed mutex
   /// is unsupported; see interpose/shim_mutex.hpp).
   static constexpr bool pthread_overlay_safe = false;
-  static constexpr const char* waiting = "park";  // condvar parking
+  /// Not an engine tier: waiters sleep on the predecessor's condvar,
+  /// outside the governor's census.
+  static constexpr const char* waiting = "condvar";
   static constexpr bool oversub_safe = true;
 };
 

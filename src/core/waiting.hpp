@@ -158,52 +158,52 @@ inline std::atomic<std::uint32_t>& ticket_slot(const void* addr,
                        (kTicketRingSlots - 1)];
 }
 
-/// The end of a park round, once the re-check under the census has
-/// decided: sleep on `word` while it still reads `seen`, or — the
-/// condition already holds — record the return-to-baseline retry.
-inline void sleep_or_retry(ContentionGovernor& gov, bool sleep,
-                           std::atomic<std::uint32_t>* word,
-                           std::uint32_t seen, bool bounded) noexcept {
-  auto& d = gov.diag();
-  if (!sleep) {
-    // mo: relaxed — diagnostic retry tally (ParkDiag).
-    d.baseline_retries.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // mo: relaxed — diagnostic sleep tally (ParkDiag).
-  d.park_sleeps.fetch_add(1, std::memory_order_relaxed);
-  HEMLOCK_TM_PARK();
-  if (bounded) {
-    futex_wait_for(word, seen, kWideWordParkNanos);
+/// The shared half of a park round, once the caller has seen its wait
+/// unfinished: register in the parked census of `addr`, fence (the
+/// Dekker handshake with the publisher's fence — on a ticket slot, its
+/// seq_cst generation bump — then census read: either the publisher
+/// sees our registration and wakes, or we see its store here),
+/// re-check, then sleep on `word` while it still reads `seen` —
+/// or, the wait already over, record the return-to-baseline retry. The
+/// kernel's own compare of `word` against `seen` closes the remaining
+/// window; spurious returns are absorbed by the engine's loop.
+template <typename StillWaiting>
+inline void park_on(const void* addr, const StillWaiting& still_waiting,
+                    std::atomic<std::uint32_t>* word, std::uint32_t seen,
+                    bool bounded) noexcept {
+  auto& gov = ContentionGovernor::instance();
+  [[maybe_unused]] const std::uint32_t parked = gov.begin_park(addr);
+  // mo: seq_cst fence — the parker's half of the Dekker handshake above.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (still_waiting()) {
+    HEMLOCK_TM_PARK(addr, parked);
+    if (bounded) {
+      futex_wait_for(word, seen, kWideWordParkNanos);
+    } else {
+      futex_wait(word, seen);
+    }
+    HEMLOCK_TM_UNPARK();
   } else {
-    futex_wait(word, seen);
+    HEMLOCK_TM_RETRY(addr, parked);
   }
-  // mo: relaxed — diagnostic wakeup tally (ParkDiag).
-  d.park_wakeups.fetch_add(1, std::memory_order_relaxed);
+  gov.end_park(addr);
 }
 
-/// One parking round: announce the parked intent, re-check the word
-/// behind a seq_cst fence (the Dekker handshake with wake_parked()'s
-/// store-fence-read of the parked census), then sleep. The kernel's
-/// own compare of the futex word against `seen` closes the remaining
-/// window; spurious returns are absorbed by the engine's loop.
+/// One parking round on the waited word itself.
 template <typename T, typename Done>
 inline void park_round(std::atomic<T>& w, const Done& done) noexcept {
   // mo: acquire snapshot — pairs with the publisher's release store.
   const T seen = w.load(std::memory_order_acquire);
   if (done(seen)) return;
-  auto& gov = ContentionGovernor::instance();
-  gov.begin_park(&w);
-  // mo: seq_cst fence — Dekker handshake with wake_parked's
-  // store-fence-census sequence: either the publisher sees our park
-  // registration and wakes, or we re-read its published value here.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
   // 8-byte words may alias in their low half (an MCS successor node at
   // a 4 GiB-aligned address, a ticket 2^32 hand-offs later): bounded.
-  // mo: relaxed re-check — ordered by the fence above.
-  sleep_or_retry(gov, w.load(std::memory_order_relaxed) == seen,
-                 futex_word(w), low_word(seen), sizeof(T) == 8);
-  gov.end_park(&w);
+  park_on(
+      &w,
+      [&] {
+        // mo: relaxed re-check — ordered by park_on's fence.
+        return w.load(std::memory_order_relaxed) == seen;
+      },
+      futex_word(w), low_word(seen), sizeof(T) == 8);
 }
 
 /// One parking round on the ring slot keyed by (w, expected). The
@@ -223,16 +223,13 @@ inline void park_round_slotted(std::atomic<T>& w, T expected,
   // refuses the sleep.
   const std::uint32_t gen = slot.load(std::memory_order_acquire);
   if (done(w.load(std::memory_order_acquire))) return;  // mo: as above
-  auto& gov = ContentionGovernor::instance();
-  gov.begin_park(&slot);
-  // mo: seq_cst fence — Dekker handshake with the publisher's seq_cst
-  // generation bump + census read: either it sees our park
-  // registration and wakes, or we re-read its published value here.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  // mo: relaxed re-check — the fence above already orders it.
-  sleep_or_retry(gov, !done(w.load(std::memory_order_relaxed)), &slot, gen,
-                 true);
-  gov.end_park(&slot);
+  park_on(
+      &slot,
+      [&] {
+        // mo: relaxed re-check — ordered by park_on's fence.
+        return !done(w.load(std::memory_order_relaxed));
+      },
+      &slot, gen, true);
 }
 
 /// The escalating loop every tier above spin shares. `poll(v)` takes
@@ -266,8 +263,6 @@ inline T wait_escalating_with(const Poll& poll, const ParkFn& park_once,
     const WaitTier round_tier = Rule::tier(round);
     if (round_tier != prev_tier) {
       prev_tier = round_tier;
-      // mo: relaxed — diagnostic escalation tally (ParkDiag).
-      gov.diag().escalations.fetch_add(1, std::memory_order_relaxed);
       HEMLOCK_TM_ESCALATE();
     }
     bool got = false;
@@ -302,22 +297,18 @@ inline T wait_escalating_with(const Poll& poll, const ParkFn& park_once,
 /// do not tax this lock's hand-offs).
 inline void wake_if_parked(const void* addr,
                            std::atomic<std::uint32_t>* word) noexcept {
-  auto& gov = ContentionGovernor::instance();
-  if (gov.parked(addr) != 0) {
-    // mo: relaxed — diagnostic syscall tally (ParkDiag).
-    gov.diag().wake_syscalls.fetch_add(1, std::memory_order_relaxed);
+  if (ContentionGovernor::instance().parked(addr) != 0) {
     HEMLOCK_TM_WAKE();
     futex_wake_all(word);
   } else {
-    // mo: relaxed — diagnostic gate-skip tally (ParkDiag).
-    gov.diag().wake_gate_skips.fetch_add(1, std::memory_order_relaxed);
+    HEMLOCK_TM_GATE_SKIP();
   }
 }
 
 /// The parking tiers' wake after a hand-off mutation of `w`.
 template <typename T>
 inline void wake_parked(std::atomic<T>& w) noexcept {
-  // mo: seq_cst fence — Dekker with park_round's fence: either we see
+  // mo: seq_cst fence — Dekker with park_on's fence: either we see
   // the parked census and wake, or the parker re-reads our store and
   // never sleeps.
   std::atomic_thread_fence(std::memory_order_seq_cst);
@@ -347,7 +338,7 @@ inline void publish_and_wake_slotted(std::atomic<T>& w, T value) noexcept {
   HEMLOCK_VERIFY_YIELD("queue:published");
   auto& slot = ticket_slot(&w, value);
   // mo: seq_cst generation bump — the RMW doubles as the Dekker fence
-  // against park_round_slotted's fence + census registration.
+  // against park_on's census registration + fence.
   slot.fetch_add(1, std::memory_order_seq_cst);
   wake_if_parked(&slot, &slot);
 }

@@ -13,6 +13,7 @@
 #include "locks/lock_traits.hpp"
 #include "runtime/annotations.hpp"
 #include "runtime/pause.hpp"
+#include "stats/telemetry.hpp"
 
 namespace hemlock {
 
@@ -20,20 +21,18 @@ namespace hemlock {
 /// exchange, even while the lock is held (maximum coherence abuse).
 class HEMLOCK_CAPABILITY("mutex") TasLock {
  public:
-  /// Acquire; spins with exchange until the flag was clear.
+  /// Acquire; spins with exchange until the flag was clear. The first
+  /// failed attempt makes the acquisition a contended one.
   void lock() noexcept HEMLOCK_ACQUIRE() {
-    // mo: acquire on the winning exchange pairs with unlock's release
-    // store, carrying the previous critical section.
-    while (flag_.exchange(1, std::memory_order_acquire) != 0) {
+    if (attempt()) return;
+    HEMLOCK_TM_CONTENDED();
+    do {
       cpu_relax();
-    }
+    } while (!attempt());
   }
 
   /// Non-blocking attempt; true on acquisition.
-  bool try_lock() noexcept HEMLOCK_TRY_ACQUIRE(true) {
-    // mo: acquire on success for the same release-pairing as lock().
-    return flag_.exchange(1, std::memory_order_acquire) == 0;
-  }
+  bool try_lock() noexcept HEMLOCK_TRY_ACQUIRE(true) { return attempt(); }
 
   /// Release (caller owns the lock).
   void unlock() noexcept HEMLOCK_RELEASE() {
@@ -42,6 +41,12 @@ class HEMLOCK_CAPABILITY("mutex") TasLock {
   }
 
  private:
+  bool attempt() noexcept {
+    // mo: acquire on the winning exchange pairs with unlock's release
+    // store, carrying the previous critical section.
+    return flag_.exchange(1, std::memory_order_acquire) == 0;
+  }
+
   std::atomic<std::uint32_t> flag_{0};
 };
 
@@ -52,26 +57,17 @@ class HEMLOCK_CAPABILITY("mutex") TasLock {
 /// 1-to-1 Grant protocol.
 class HEMLOCK_CAPABILITY("mutex") TtasLock {
  public:
-  /// Acquire.
+  /// Acquire; a failed first attempt makes it a contended one.
   void lock() noexcept HEMLOCK_ACQUIRE() {
-    for (;;) {
-      // mo: relaxed peek is ordering-free by design (only the winning
-      // exchange below synchronizes); acquire on it pairs with
-      // unlock's release.
-      if (flag_.load(std::memory_order_relaxed) == 0 &&
-          flag_.exchange(1, std::memory_order_acquire) == 0) {
-        return;
-      }
+    if (attempt()) return;
+    HEMLOCK_TM_CONTENDED();
+    do {
       cpu_relax();
-    }
+    } while (!attempt());
   }
 
   /// Non-blocking attempt; true on acquisition.
-  bool try_lock() noexcept HEMLOCK_TRY_ACQUIRE(true) {
-    // mo: same pair as lock() — relaxed peek, acquire exchange.
-    return flag_.load(std::memory_order_relaxed) == 0 &&
-           flag_.exchange(1, std::memory_order_acquire) == 0;
-  }
+  bool try_lock() noexcept HEMLOCK_TRY_ACQUIRE(true) { return attempt(); }
 
   /// Release (caller owns the lock).
   void unlock() noexcept HEMLOCK_RELEASE() {
@@ -80,6 +76,13 @@ class HEMLOCK_CAPABILITY("mutex") TtasLock {
   }
 
  private:
+  bool attempt() noexcept {
+    // mo: relaxed peek is ordering-free by design (only the winning
+    // exchange synchronizes); acquire on it pairs with unlock's release.
+    return flag_.load(std::memory_order_relaxed) == 0 &&
+           flag_.exchange(1, std::memory_order_acquire) == 0;
+  }
+
   std::atomic<std::uint32_t> flag_{0};
 };
 
@@ -88,27 +91,19 @@ class HEMLOCK_CAPABILITY("mutex") TtasLock {
 /// thread counts.
 class HEMLOCK_CAPABILITY("mutex") TtasBackoffLock {
  public:
-  /// Acquire.
+  /// Acquire; a failed first attempt makes it a contended one.
   void lock() noexcept HEMLOCK_ACQUIRE() {
+    if (attempt()) return;
+    HEMLOCK_TM_CONTENDED();
     std::uint32_t ceiling = kMinBackoff;
-    for (;;) {
-      // mo: relaxed peek is ordering-free by design; acquire on the
-      // winning exchange pairs with unlock's release.
-      if (flag_.load(std::memory_order_relaxed) == 0 &&
-          flag_.exchange(1, std::memory_order_acquire) == 0) {
-        return;
-      }
+    do {
       for (std::uint32_t i = 0; i < ceiling; ++i) cpu_relax();
       ceiling = ceiling < kMaxBackoff ? ceiling * 2 : kMaxBackoff;
-    }
+    } while (!attempt());
   }
 
   /// Non-blocking attempt; true on acquisition.
-  bool try_lock() noexcept HEMLOCK_TRY_ACQUIRE(true) {
-    // mo: same pair as lock() — relaxed peek, acquire exchange.
-    return flag_.load(std::memory_order_relaxed) == 0 &&
-           flag_.exchange(1, std::memory_order_acquire) == 0;
-  }
+  bool try_lock() noexcept HEMLOCK_TRY_ACQUIRE(true) { return attempt(); }
 
   /// Release (caller owns the lock).
   void unlock() noexcept HEMLOCK_RELEASE() {
@@ -117,6 +112,13 @@ class HEMLOCK_CAPABILITY("mutex") TtasBackoffLock {
   }
 
  private:
+  bool attempt() noexcept {
+    // mo: relaxed peek is ordering-free by design; acquire on the
+    // winning exchange pairs with unlock's release.
+    return flag_.load(std::memory_order_relaxed) == 0 &&
+           flag_.exchange(1, std::memory_order_acquire) == 0;
+  }
+
   static constexpr std::uint32_t kMinBackoff = 4;
   static constexpr std::uint32_t kMaxBackoff = 4096;
   std::atomic<std::uint32_t> flag_{0};

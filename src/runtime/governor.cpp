@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "stats/telemetry.hpp"
+
 #if defined(__linux__) || defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
@@ -50,6 +52,11 @@ ContentionGovernor::ContentionGovernor() noexcept : cpus_(detect_cpus()) {
 ContentionGovernor& ContentionGovernor::instance() noexcept {
   static ContentionGovernor governor;
   return governor;
+}
+
+ContentionGovernor::ParkTotals ContentionGovernor::diag() const {
+  const telemetry::GovernorTelemetry g = telemetry::collect().governor;
+  return {{g.escalations}, {g.park_sleeps}};
 }
 
 }  // namespace hemlock

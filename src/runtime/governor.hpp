@@ -123,54 +123,28 @@ class ContentionGovernor {
            (kParkBuckets - 1);
   }
 
-  /// Diagnostic counters around the park / publish protocol. Pure
-  /// statistics (never synchronization, all relaxed), always compiled
-  /// in: they exist so the intermittent parked-census convoy under
-  /// heavy preemption (ROADMAP item 6) leaves evidence — and so the
-  /// telemetry exporter can report the wake-gate economy. Distinct
-  /// from the per-lock telemetry slabs, which attribute by lock; these
-  /// attribute to the governor's own protocol branches.
-  struct ParkDiag {
-    /// futex_wake syscalls actually issued by publishers.
-    std::atomic<std::uint64_t> wake_syscalls{0};
-    /// Publishes that skipped the wake syscall because the parked
-    /// census for the word's bucket read zero.
-    std::atomic<std::uint64_t> wake_gate_skips{0};
-    /// futex_wait calls that actually slept (census committed).
-    std::atomic<std::uint64_t> park_sleeps{0};
-    /// Returns from futex_wait (sleeps that ended — spurious or woken).
-    std::atomic<std::uint64_t> park_wakeups{0};
-    /// Park attempts aborted before the syscall because the re-check
-    /// under the census found the awaited condition already satisfied
-    /// (the return-to-baseline retry window).
-    std::atomic<std::uint64_t> baseline_retries{0};
-    /// Governed-tier escalation transitions (round tier changed).
-    std::atomic<std::uint64_t> escalations{0};
-    /// Racy-max high-water of each bucket's parked census.
-    std::atomic<std::uint32_t> census_high[kParkBuckets]{};
+  /// The parking protocol's totals since the last telemetry::reset(),
+  /// read off the telemetry snapshot's governor block (zero with
+  /// telemetry compiled out). The counts themselves live in the
+  /// telemetry slabs; the governor keeps only its census. The fields
+  /// keep the atomic `.load(order)` interface benchmark code reads.
+  struct ParkTotals {
+    std::atomic<std::uint64_t> escalations;
+    std::atomic<std::uint64_t> park_sleeps;
   };
-
-  /// The process-wide diagnostic counters (see ParkDiag).
-  ParkDiag& diag() noexcept { return diag_; }
+  ParkTotals diag() const;
 
   /// Parked census: a thread about to sleep in futex_wait on `addr` /
   /// back from it. Publishers of the same word read parked(addr)
   /// (after a seq_cst fence) to skip the wake syscall when nobody can
-  /// possibly be sleeping on it.
-  void begin_park(const void* addr) noexcept {
-    const std::size_t b = park_bucket(addr);
+  /// possibly be sleeping on it. Returns the bucket's census including
+  /// the caller.
+  std::uint32_t begin_park(const void* addr) noexcept {
+    auto& census = parked_[park_bucket(addr)];
     // mo: relaxed — the parker's seq_cst fence before sleeping (and
     // the publisher's before reading) order the census; see
-    // waiting.hpp's park_round/publish_and_wake Dekker pair.
-    const std::uint32_t now =
-        parked_[b].fetch_add(1, std::memory_order_relaxed) + 1;
-    // mo: relaxed — racy max of a diagnostic high-water (same idiom as
-    // LockProfiler::bump_max).
-    std::uint32_t cur = diag_.census_high[b].load(std::memory_order_relaxed);
-    while (now > cur &&
-           !diag_.census_high[b].compare_exchange_weak(
-               cur, now, std::memory_order_relaxed)) {  // mo: ditto
-    }
+    // waiting.hpp's park_on/wake_parked Dekker pair.
+    return census.fetch_add(1, std::memory_order_relaxed) + 1;
   }
   void end_park(const void* addr) noexcept {
     // mo: relaxed — census decrement; an extra wake is harmless.
@@ -221,7 +195,6 @@ class ContentionGovernor {
   /// contended publishes — paths already paying a syscall.
   std::atomic<std::uint32_t> parked_[kParkBuckets]{};
   std::atomic<std::uint8_t> forced_{kAuto};
-  ParkDiag diag_;
 };
 
 }  // namespace hemlock

@@ -1,12 +1,12 @@
 #include "runtime/thread_rec.hpp"
 
-#include <algorithm>
-
 #include "runtime/pause.hpp"
 
 namespace hemlock {
 
+#if HEMLOCK_TELEMETRY_ENABLED
 std::atomic<bool> LockProfiler::enabled_{false};
+#endif
 
 namespace {
 
@@ -44,7 +44,6 @@ RegistrySpinLock g_registry_mu;
 ThreadRec* g_head = nullptr;
 std::uint32_t g_ever = 0;
 std::uint32_t g_live = 0;
-ThreadRegistry::RetiredProfile g_retired;
 
 // Holder gives the thread_local a destructor that drains the Grant
 // word (paper Appendix A) before deregistering.
@@ -94,28 +93,12 @@ void ThreadRegistry::deregister_rec(ThreadRec* rec) {
   while (*link != nullptr && *link != rec) link = &(*link)->registry_next;
   if (*link == rec) *link = rec->registry_next;
   --g_live;
-  // Preserve this thread's profiling contribution past its exit.
-  // mo: relaxed — own-thread profiling counters; monotonic stats.
-  g_retired.nested_acquires +=
-      rec->nested_acquires.load(std::memory_order_relaxed);
-  g_retired.max_held = std::max(
-      // mo: relaxed — stats.
-      g_retired.max_held, rec->max_held.load(std::memory_order_relaxed));
-  g_retired.max_grant_waiters =
-      std::max(g_retired.max_grant_waiters,
-               // mo: relaxed — stats.
-               rec->max_grant_waiters.load(std::memory_order_relaxed));
 #if HEMLOCK_TELEMETRY_ENABLED
-  // Same preservation for the per-lock telemetry slab (the telemetry
-  // fold takes its own accumulator lock; registry -> fold is the one
+  // Preserve this thread's telemetry past its exit (the telemetry fold
+  // takes its own accumulator lock; registry -> fold is the one
   // permitted nesting order).
   telemetry::on_thread_exit(rec->telemetry_slab);
 #endif
-}
-
-ThreadRegistry::RetiredProfile ThreadRegistry::retired_profile() {
-  RegistryGuard g(g_registry_mu);
-  return g_retired;
 }
 
 void ThreadRegistry::for_each(const std::function<void(ThreadRec&)>& fn) {
@@ -143,19 +126,6 @@ std::uint32_t ThreadRegistry::ever_registered() {
 std::uint32_t ThreadRegistry::live_count() {
   RegistryGuard g(g_registry_mu);
   return g_live;
-}
-
-void ThreadRegistry::reset_profile() {
-  RegistryGuard g(g_registry_mu);
-  g_retired = RetiredProfile{};
-  for (ThreadRec* r = g_head; r != nullptr; r = r->registry_next) {
-    // mo: relaxed — stats reset; racing samples are already racy.
-    r->held_count.store(0, std::memory_order_relaxed);
-    r->max_held.store(0, std::memory_order_relaxed);
-    r->nested_acquires.store(0, std::memory_order_relaxed);
-    r->grant_waiters.store(0, std::memory_order_relaxed);
-    r->max_grant_waiters.store(0, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace hemlock

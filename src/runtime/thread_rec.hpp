@@ -4,10 +4,9 @@
 // (paper §1: "requiring just one word per thread plus one word per
 // lock"). ThreadRec sequesters that word as the sole occupant of a
 // cache line (§2.3) and adds, on separate *cold* lines, the registry
-// linkage and optional profiling counters used to reproduce the §5.4
-// application characterization (locks held simultaneously,
-// multi-waiting degree). The cold state is never touched on lock
-// fast paths unless profiling is explicitly enabled.
+// linkage, the thread's telemetry slab and the live multi-waiting
+// gauge of the §5.4 application characterization. The gauge is never
+// touched on lock fast paths unless profiling is explicitly enabled.
 //
 // Lifetime rule (paper Appendix A): "When ultimately destroying a
 // thread, it is necessary to wait while the thread's Grant field
@@ -66,14 +65,10 @@ struct ThreadRec {
   /// True between registration and deregistration.
   std::atomic<bool> live{false};
 
-  // Profiling counters (§5.4 characterization). Updated only when
-  // LockProfiler is enabled; all relaxed — they are statistics, not
-  // synchronization.
-  std::atomic<std::uint32_t> held_count{0};       ///< locks currently held
-  std::atomic<std::uint32_t> max_held{0};         ///< high-water mark of held_count
-  std::atomic<std::uint64_t> nested_acquires{0};  ///< lock() calls made while >=1 lock held
-  std::atomic<std::uint32_t> grant_waiters{0};    ///< threads now spinning on this->grant
-  std::atomic<std::uint32_t> max_grant_waiters{0};///< high-water mark of grant_waiters
+  /// Threads now waiting on this->grant (the §5.4 multi-waiting
+  /// gauge), moved only while LockProfiler is enabled. Its waiters
+  /// write it, so unlike the slab it is a shared RMW.
+  std::atomic<std::uint32_t> grant_waiters{0};
 
 #if HEMLOCK_TELEMETRY_ENABLED
   /// Per-lock telemetry counters for this thread (stats/telemetry.hpp).
@@ -120,86 +115,76 @@ class ThreadRegistry {
   /// Number of currently-live registered threads.
   static std::uint32_t live_count();
 
-  /// Reset the §5.4 profiling counters on every live record and the
-  /// retired tally.
-  static void reset_profile();
-
-  /// Profiling counters folded in from threads that have already
-  /// exited (their ThreadRecs are gone; the registry accumulates
-  /// their contribution at deregistration so post-run collection sees
-  /// the whole workload).
-  struct RetiredProfile {
-    std::uint64_t nested_acquires = 0;
-    std::uint32_t max_held = 0;
-    std::uint32_t max_grant_waiters = 0;
-  };
-  static RetiredProfile retired_profile();
-
   // Internal: called by self()'s per-thread holder at thread start /
   // exit. Not for direct use.
   static void register_rec(ThreadRec* rec);
   static void deregister_rec(ThreadRec* rec);
 };
 
-/// Global profiling switch for the §5.4 characterization counters.
-/// Off by default; the fast-path cost when off is one relaxed bool
-/// load per instrumented site (and the instrumented sites themselves
-/// are compiled only into the profiling hooks, not the lock
-/// algorithms' inner loops).
+/// The §5.4 characterization switch ("Using an instrumented version of
+/// Hemlock we characterized the application behavior of LevelDB").
+/// Off by default. The Hemlock lock body calls the hooks, and each
+/// statistic lands in the telemetry slab of the thread that observes
+/// it: nested acquires and the most locks held under the lock being
+/// acquired, the most Grant waiters under the lock being waited for
+/// (telemetry::collect()'s `profile` folds them). With telemetry
+/// compiled out there is no slab: enabled() is constant false, so the
+/// hooks and the switch's check vanish from the lock paths.
 class LockProfiler {
  public:
-  /// Enable/disable counter updates globally.
+#if HEMLOCK_TELEMETRY_ENABLED
+  /// Enable/disable the §5.4 hooks globally.
   static void enable(bool on) noexcept {
     // mo: relaxed — profiling switch; counters are advisory stats.
     enabled_.store(on, std::memory_order_relaxed);
   }
-  /// Whether counters are being collected.
+  /// Whether the hooks are counting.
   static bool enabled() noexcept {
     return enabled_.load(std::memory_order_relaxed);  // mo: see enable()
   }
 
-  // ---- hooks called by instrumented lock implementations --------------
-
   /// A thread acquired a lock (post-CS-entry).
   static void on_acquire(ThreadRec& me) noexcept {
     if (!enabled()) return;
-    // mo: relaxed — profiling counters (§5.4); advisory stats only.
-    std::uint32_t prior = me.held_count.fetch_add(1, std::memory_order_relaxed);
-    if (prior >= 1) me.nested_acquires.fetch_add(1, std::memory_order_relaxed);
-    bump_max(me.max_held, prior + 1);
+    telemetry::Slab& slab = me.telemetry_slab;
+    telemetry::TmSlot& s = telemetry::attr_slot(slab);
+    if (slab.held != 0) telemetry::bump(s.nested_acquires);
+    telemetry::raise(s.max_held, ++slab.held);
   }
 
-  /// A thread released a lock.
+  /// A thread released a lock. A release never takes the gauge below
+  /// zero: a lock acquired before the switch went on was not counted.
   static void on_release(ThreadRec& me) noexcept {
     if (!enabled()) return;
-    me.held_count.fetch_sub(1, std::memory_order_relaxed);  // mo: stats
+    if (me.telemetry_slab.held != 0) --me.telemetry_slab.held;
   }
 
-  /// A waiter began spinning on `pred`'s Grant word.
+  /// A waiter began waiting on `pred`'s Grant word.
   static void on_wait_begin(ThreadRec& pred) noexcept {
     if (!enabled()) return;
-    // mo: relaxed — profiling counter; advisory stats only.
-    std::uint32_t now = pred.grant_waiters.fetch_add(1, std::memory_order_relaxed) + 1;
-    bump_max(pred.max_grant_waiters, now);
+    // mo: relaxed — the live gauge is a statistic, not synchronization.
+    const std::uint32_t now =
+        pred.grant_waiters.fetch_add(1, std::memory_order_relaxed) + 1;
+    telemetry::TmSlot& s = telemetry::attr_slot(telemetry::my_slab());
+    telemetry::raise(s.max_grant_waiters, now);
   }
 
-  /// A waiter stopped spinning on `pred`'s Grant word.
+  /// A waiter stopped waiting on `pred`'s Grant word.
   static void on_wait_end(ThreadRec& pred) noexcept {
     if (!enabled()) return;
     pred.grant_waiters.fetch_sub(1, std::memory_order_relaxed);  // mo: stats
   }
 
  private:
-  static void bump_max(std::atomic<std::uint32_t>& slot,
-                       std::uint32_t candidate) noexcept {
-    // mo: relaxed — racy max of a profiling counter.
-    std::uint32_t cur = slot.load(std::memory_order_relaxed);
-    while (candidate > cur &&
-           !slot.compare_exchange_weak(cur, candidate,
-                                       std::memory_order_relaxed)) {  // mo: ditto
-    }
-  }
   static std::atomic<bool> enabled_;
+#else
+  static void enable(bool) noexcept {}
+  static constexpr bool enabled() noexcept { return false; }
+  static void on_acquire(ThreadRec&) noexcept {}
+  static void on_release(ThreadRec&) noexcept {}
+  static void on_wait_begin(ThreadRec&) noexcept {}
+  static void on_wait_end(ThreadRec&) noexcept {}
+#endif
 };
 
 }  // namespace hemlock

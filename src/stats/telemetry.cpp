@@ -60,6 +60,51 @@ void set_cond_source(CondCounters (*source)()) {
   g_cond_source.store(source, std::memory_order_release);
 }
 
+namespace {
+
+/// The counter table as data, for the generic walks below: the fold,
+/// scrub, JSON and report code iterate it instead of naming counters.
+struct Column {
+  const char* key;      ///< JSON key: the field's name
+  const char* heading;  ///< text report column heading
+  Fold fold;
+  std::uint64_t Counters::*value;
+  std::atomic<std::uint64_t> TmSlot::*slot;
+};
+
+constexpr Column kColumns[] = {
+#define HEMLOCK_TM_COLUMN(field, fold, heading) \
+  {#field, heading, Fold::fold, &Counters::field, &TmSlot::field},
+    HEMLOCK_TM_COUNTERS(HEMLOCK_TM_COLUMN)
+#undef HEMLOCK_TM_COLUMN
+};
+
+/// The report's original columns; the histogram p99s follow them, and
+/// the later table rows come after those.
+constexpr std::size_t kFirstColumns = 7;
+
+static_assert(ContentionGovernor::kParkBuckets <= (1u << kCensusBucketBits),
+              "a census bucket must fit below the packed count");
+
+constexpr std::uint64_t fold(Fold f, std::uint64_t a, std::uint64_t b) {
+  return f == Fold::kSum ? a + b : std::max(a, b);
+}
+
+}  // namespace
+
+void Counters::add(const Counters& o) noexcept {
+  for (const Column& c : kColumns) {
+    this->*c.value = fold(c.fold, this->*c.value, o.*c.value);
+  }
+}
+
+bool Counters::any() const noexcept {
+  for (const Column& c : kColumns) {
+    if (this->*c.value != 0) return true;
+  }
+  return false;
+}
+
 #if HEMLOCK_TELEMETRY_ENABLED
 
 namespace {
@@ -79,19 +124,19 @@ struct HandleEntry {
 TmSpinLock g_handle_mu;
 HandleEntry g_handles[kMaxHandles];  // slot 0 = "(unattributed)"
 
-/// Counters folded in from exited threads, indexed like a slab.
-/// Guarded by g_fold_mu (deregistration holds the thread-registry
-/// lock when folding; collect() takes the locks strictly one at a
-/// time, so the orders never nest into a cycle).
-struct RetiredSlot {
-  std::uint64_t acquires = 0, contended = 0, try_failures = 0, parks = 0,
-                wakes = 0, escalations = 0, shared_acquires = 0;
+/// One handle's fold: its counters and its histograms' bucket counts.
+struct FoldRow {
+  Counters c;
   std::uint64_t wait_hist[kHistBuckets] = {};
   std::uint64_t hold_hist[kHistBuckets] = {};
 };
 
+/// Counters folded in from exited threads, indexed like a slab.
+/// Guarded by g_fold_mu (deregistration holds the thread-registry
+/// lock when folding; the snapshot fold takes the locks strictly one
+/// at a time, so the orders never nest into a cycle).
 TmSpinLock g_fold_mu;
-RetiredSlot g_retired[kMaxHandles];
+FoldRow g_retired[kMaxHandles];
 
 /// Shared fallback slab for hooks that fire after the calling
 /// thread's ThreadRec was torn down (thread_local destructor order).
@@ -99,40 +144,67 @@ RetiredSlot g_retired[kMaxHandles];
 Slab g_late_slab;
 thread_local bool t_slab_dead = false;
 
+template <typename T>
+T peek(const std::atomic<T>& c) noexcept {
+  // mo: relaxed — monotonic stats counters; racy-consistent snapshot
+  // by design (exact once writers quiesce).
+  return c.load(std::memory_order_relaxed);
+}
+
+template <typename T>
+void zero(std::atomic<T>& c) noexcept {
+  // mo: relaxed — stats reset; a racing owner increment is racy by
+  // the same contract as bump().
+  c.store(0, std::memory_order_relaxed);
+}
+
+/// Fold a slab into rows[0..kMaxHandles).
+void fold_slab(FoldRow* rows, const Slab& slab) noexcept {
+  for (std::uint16_t i = 0; i < kMaxHandles; ++i) {
+    const TmSlot& s = slab.slots[i];
+    FoldRow& r = rows[i];
+    for (const Column& c : kColumns) {
+      r.c.*c.value = fold(c.fold, r.c.*c.value, peek(s.*c.slot));
+    }
+    for (unsigned b = 0; b < kHistBuckets; ++b) {
+      r.wait_hist[b] += peek(s.wait_hist[b]);
+      r.hold_hist[b] += peek(s.hold_hist[b]);
+    }
+  }
+}
+
+/// The fold collect() and the no-allocation report share: the retired
+/// accumulator, every live slab, then the post-exit fallback slab.
+void fold_all(FoldRow* rows) noexcept {
+  {
+    TmGuard g(g_fold_mu);
+    std::copy(g_retired, g_retired + kMaxHandles, rows);
+  }
+  ThreadRegistry::for_each_raw(
+      [](ThreadRec& rec, void* ctx) {
+        fold_slab(static_cast<FoldRow*>(ctx), rec.telemetry_slab);
+      },
+      rows);
+  fold_slab(rows, g_late_slab);
+}
+
+void scrub(TmSlot& s) noexcept {
+  for (const Column& c : kColumns) zero(s.*c.slot);
+  for (unsigned b = 0; b < kHistBuckets; ++b) {
+    zero(s.wait_hist[b]);
+    zero(s.hold_hist[b]);
+  }
+}
+
 /// Zero one slot id everywhere: retired fold + every live slab.
 void zero_slot_everywhere(std::uint16_t id) {
   {
     TmGuard g(g_fold_mu);
-    g_retired[id] = RetiredSlot{};
+    g_retired[id] = FoldRow{};
   }
-  ThreadRegistry::for_each([id](ThreadRec& rec) {
-    TmSlot& s = rec.telemetry_slab.slots[id];
-    // mo: relaxed — stats reset; concurrent owner increments are racy
-    // by the same contract as ThreadRegistry::reset_profile.
-    s.acquires.store(0, std::memory_order_relaxed);
-    s.contended.store(0, std::memory_order_relaxed);
-    s.try_failures.store(0, std::memory_order_relaxed);
-    s.parks.store(0, std::memory_order_relaxed);
-    s.wakes.store(0, std::memory_order_relaxed);
-    s.escalations.store(0, std::memory_order_relaxed);
-    s.shared_acquires.store(0, std::memory_order_relaxed);
-    for (unsigned b = 0; b < kHistBuckets; ++b) {
-      s.wait_hist[b].store(0, std::memory_order_relaxed);  // mo: stats reset
-      s.hold_hist[b].store(0, std::memory_order_relaxed);  // mo: stats reset
-    }
-  });
-  TmSlot& late = g_late_slab.slots[id];
-  late.acquires.store(0, std::memory_order_relaxed);  // mo: stats reset
-  late.contended.store(0, std::memory_order_relaxed);  // mo: stats reset
-  late.try_failures.store(0, std::memory_order_relaxed);  // mo: stats reset
-  late.parks.store(0, std::memory_order_relaxed);  // mo: stats reset
-  late.wakes.store(0, std::memory_order_relaxed);  // mo: stats reset
-  late.escalations.store(0, std::memory_order_relaxed);  // mo: stats reset
-  late.shared_acquires.store(0, std::memory_order_relaxed);  // mo: stats reset
-  for (unsigned b = 0; b < kHistBuckets; ++b) {
-    late.wait_hist[b].store(0, std::memory_order_relaxed);  // mo: stats reset
-    late.hold_hist[b].store(0, std::memory_order_relaxed);  // mo: stats reset
-  }
+  ThreadRegistry::for_each(
+      [id](ThreadRec& rec) { scrub(rec.telemetry_slab.slots[id]); });
+  scrub(g_late_slab.slots[id]);
 }
 
 }  // namespace
@@ -202,52 +274,51 @@ void on_thread_exit(Slab& slab) noexcept {
   t_slab = nullptr;
   t_slab_dead = true;
   TmGuard g(g_fold_mu);
-  for (std::uint16_t i = 0; i < kMaxHandles; ++i) {
-    const TmSlot& s = slab.slots[i];
-    RetiredSlot& r = g_retired[i];
-    // mo: relaxed — the exiting thread's own monotonic counters; the
-    // registry lock orders this fold against snapshot walks.
-    r.acquires += s.acquires.load(std::memory_order_relaxed);
-    r.contended += s.contended.load(std::memory_order_relaxed);  // mo: ditto
-    r.try_failures += s.try_failures.load(std::memory_order_relaxed);  // mo: ditto
-    r.parks += s.parks.load(std::memory_order_relaxed);  // mo: ditto
-    r.wakes += s.wakes.load(std::memory_order_relaxed);  // mo: ditto
-    r.escalations += s.escalations.load(std::memory_order_relaxed);  // mo: ditto
-    r.shared_acquires += s.shared_acquires.load(std::memory_order_relaxed);  // mo: ditto
-    for (unsigned b = 0; b < kHistBuckets; ++b) {
-      r.wait_hist[b] += s.wait_hist[b].load(std::memory_order_relaxed);  // mo: ditto
-      r.hold_hist[b] += s.hold_hist[b].load(std::memory_order_relaxed);  // mo: ditto
-    }
-  }
+  fold_slab(g_retired, slab);
 }
 
 // ---------------------------------------------------------------------
-// Waiting-layer hooks.
+// Waiting-layer hooks: single-writer bumps on the caller's own slab.
 // ---------------------------------------------------------------------
 
 namespace {
-inline TmSlot& attr_slot() noexcept {
-  return my_slab().slots[t_attr < kMaxHandles ? t_attr : 0];
+/// A census registration as a kCensus value: the count above the bucket.
+void note_census(TmSlot& s, const void* addr, std::uint32_t parked) noexcept {
+  raise(s.census_high_water,
+        (std::uint64_t{parked} << kCensusBucketBits) |
+            ContentionGovernor::park_bucket(addr));
 }
 }  // namespace
 
 void wl_contended() noexcept {
-  bump(attr_slot().contended);  // single-writer slab counter
+  bump(attr_slot(my_slab()).contended);
   trace(Ev::kContended, t_attr);
 }
 
-void wl_park() noexcept {
-  bump(attr_slot().parks);  // single-writer slab counter
+void wl_park(const void* addr, std::uint32_t parked) noexcept {
+  TmSlot& s = attr_slot(my_slab());
+  bump(s.parks);
+  note_census(s, addr, parked);
   trace(Ev::kPark, t_attr);
 }
 
+void wl_unpark() noexcept { bump(attr_slot(my_slab()).park_returns); }
+
+void wl_retry(const void* addr, std::uint32_t parked) noexcept {
+  TmSlot& s = attr_slot(my_slab());
+  bump(s.baseline_retries);
+  note_census(s, addr, parked);
+}
+
 void wl_wake() noexcept {
-  bump(attr_slot().wakes);  // single-writer slab counter
+  bump(attr_slot(my_slab()).wakes);
   trace(Ev::kWake, t_attr);
 }
 
+void wl_gate_skip() noexcept { bump(attr_slot(my_slab()).gate_skips); }
+
 void wl_escalate() noexcept {
-  bump(attr_slot().escalations);  // single-writer slab counter
+  bump(attr_slot(my_slab()).escalations);
   trace(Ev::kEscalate, t_attr);
 }
 
@@ -420,28 +491,24 @@ void trace_dump() {
 
 namespace {
 
-GovernorTelemetry governor_snapshot() {
+/// The governor block: the census read live, the protocol totals read
+/// off `total` (every per-lock row folded together).
+GovernorTelemetry governor_of(const Counters& total) {
   auto& gov = ContentionGovernor::instance();
-  auto& d = gov.diag();
   GovernorTelemetry g;
   g.cpus = gov.cpus();
   g.waiters = gov.waiters();
   g.parked_total = gov.parked_total();
-  // mo: relaxed — diagnostic counters; see ParkDiag.
-  g.wake_syscalls = d.wake_syscalls.load(std::memory_order_relaxed);
-  g.wake_gate_skips = d.wake_gate_skips.load(std::memory_order_relaxed);  // mo: ditto
-  g.park_sleeps = d.park_sleeps.load(std::memory_order_relaxed);  // mo: ditto
-  g.park_wakeups = d.park_wakeups.load(std::memory_order_relaxed);  // mo: ditto
-  g.baseline_retries = d.baseline_retries.load(std::memory_order_relaxed);  // mo: ditto
-  g.escalations = d.escalations.load(std::memory_order_relaxed);  // mo: ditto
-  for (std::size_t b = 0; b < ContentionGovernor::kParkBuckets; ++b) {
-    // mo: relaxed — racy-max diagnostic high-water.
-    const std::uint32_t hw = d.census_high[b].load(std::memory_order_relaxed);
-    if (hw > g.census_high_water_max) {
-      g.census_high_water_max = hw;
-      g.census_high_water_bucket = static_cast<std::uint32_t>(b);
-    }
-  }
+  g.wake_syscalls = total.wakes;
+  g.wake_gate_skips = total.gate_skips;
+  g.park_sleeps = total.parks;
+  g.park_wakeups = total.park_returns;
+  g.baseline_retries = total.baseline_retries;
+  g.escalations = total.escalations;
+  g.census_high_water_max =
+      static_cast<std::uint32_t>(total.census_high_water >> kCensusBucketBits);
+  g.census_high_water_bucket = static_cast<std::uint32_t>(
+      total.census_high_water & ((1u << kCensusBucketBits) - 1));
   return g;
 }
 
@@ -454,80 +521,39 @@ EpochTelemetry epoch_snapshot() {
 
 Snapshot collect() {
   Snapshot snap;
-  snap.governor = governor_snapshot();
   snap.epoch = epoch_snapshot();
   // mo: acquire — pairs with set_cond_source's release publish.
   if (auto* src = g_cond_source.load(std::memory_order_acquire)) {
     snap.cond = src();
     snap.cond_present = true;
   }
+  Counters total;
 #if HEMLOCK_TELEMETRY_ENABLED
-  struct Row {
-    std::uint64_t c[7] = {};
-    std::uint64_t wait[kHistBuckets] = {};
-    std::uint64_t hold[kHistBuckets] = {};
-  };
-  std::vector<Row> rows(kMaxHandles);
-  {
-    TmGuard g(g_fold_mu);
-    for (std::uint16_t i = 0; i < kMaxHandles; ++i) {
-      const RetiredSlot& r = g_retired[i];
-      Row& row = rows[i];
-      row.c[0] = r.acquires;
-      row.c[1] = r.contended;
-      row.c[2] = r.try_failures;
-      row.c[3] = r.parks;
-      row.c[4] = r.wakes;
-      row.c[5] = r.escalations;
-      row.c[6] = r.shared_acquires;
-      for (unsigned b = 0; b < kHistBuckets; ++b) {
-        row.wait[b] = r.wait_hist[b];
-        row.hold[b] = r.hold_hist[b];
-      }
-    }
-  }
-  const auto fold = [&rows](const Slab& slab) {
-    for (std::uint16_t i = 0; i < kMaxHandles; ++i) {
-      const TmSlot& s = slab.slots[i];
-      Row& row = rows[i];
-      // mo: relaxed — monotonic stats counters; racy-consistent
-      // snapshot by design (exact once writers quiesce).
-      row.c[0] += s.acquires.load(std::memory_order_relaxed);
-      row.c[1] += s.contended.load(std::memory_order_relaxed);  // mo: ditto
-      row.c[2] += s.try_failures.load(std::memory_order_relaxed);  // mo: ditto
-      row.c[3] += s.parks.load(std::memory_order_relaxed);  // mo: ditto
-      row.c[4] += s.wakes.load(std::memory_order_relaxed);  // mo: ditto
-      row.c[5] += s.escalations.load(std::memory_order_relaxed);  // mo: ditto
-      row.c[6] += s.shared_acquires.load(std::memory_order_relaxed);  // mo: ditto
-      for (unsigned b = 0; b < kHistBuckets; ++b) {
-        row.wait[b] += s.wait_hist[b].load(std::memory_order_relaxed);  // mo: ditto
-        row.hold[b] += s.hold_hist[b].load(std::memory_order_relaxed);  // mo: ditto
-      }
-    }
-  };
-  ThreadRegistry::for_each(
-      [&fold](ThreadRec& rec) { fold(rec.telemetry_slab); });
-  fold(g_late_slab);
-
+  std::vector<FoldRow> rows(kMaxHandles);
+  fold_all(rows.data());
   for (std::uint16_t i = 0; i < kMaxHandles; ++i) {
-    const Row& row = rows[i];
+    const FoldRow& row = rows[i];
     LockTelemetry lt;
+    static_cast<Counters&>(lt) = row.c;
     lt.name = i == 0 ? "(unattributed)" : std::string(handle_name({i}));
     if (i != 0 && lt.name.empty()) lt.name = "(released)";
-    lt.acquires = row.c[0];
-    lt.contended = row.c[1];
-    lt.try_failures = row.c[2];
-    lt.parks = row.c[3];
-    lt.wakes = row.c[4];
-    lt.escalations = row.c[5];
-    lt.shared_acquires = row.c[6];
     for (unsigned b = 0; b < kHistBuckets; ++b) {
-      if (row.wait[b] != 0) lt.wait_ns.record_n(1ull << b, row.wait[b]);
-      if (row.hold[b] != 0) lt.hold_ns.record_n(1ull << b, row.hold[b]);
+      if (row.wait_hist[b] != 0) {
+        lt.wait_ns.record_n(1ull << b, row.wait_hist[b]);
+      }
+      if (row.hold_hist[b] != 0) {
+        lt.hold_ns.record_n(1ull << b, row.hold_hist[b]);
+      }
     }
+    total.add(row.c);
     if (!lt.empty()) snap.locks.push_back(std::move(lt));
   }
 #endif  // HEMLOCK_TELEMETRY_ENABLED
+  snap.governor = governor_of(total);
+  snap.profile.nested_acquires = total.nested_acquires;
+  snap.profile.max_locks_held = static_cast<std::uint32_t>(total.max_held);
+  snap.profile.max_grant_waiters =
+      static_cast<std::uint32_t>(total.max_grant_waiters);
   return snap;
 }
 
@@ -535,17 +561,27 @@ void reset() {
 #if HEMLOCK_TELEMETRY_ENABLED
   for (std::uint16_t i = 0; i < kMaxHandles; ++i) zero_slot_everywhere(i);
 #endif
-  auto& d = ContentionGovernor::instance().diag();
-  // mo: relaxed — diagnostic reset; racing increments are racy anyway.
-  d.wake_syscalls.store(0, std::memory_order_relaxed);
-  d.wake_gate_skips.store(0, std::memory_order_relaxed);  // mo: ditto
-  d.park_sleeps.store(0, std::memory_order_relaxed);  // mo: ditto
-  d.park_wakeups.store(0, std::memory_order_relaxed);  // mo: ditto
-  d.baseline_retries.store(0, std::memory_order_relaxed);  // mo: ditto
-  d.escalations.store(0, std::memory_order_relaxed);  // mo: ditto
-  for (std::size_t b = 0; b < ContentionGovernor::kParkBuckets; ++b) {
-    d.census_high[b].store(0, std::memory_order_relaxed);  // mo: ditto
+}
+
+std::string LockUsageProfile::describe() const {
+  char buf[512];
+  if (!HEMLOCK_TELEMETRY_ENABLED) {
+    std::snprintf(buf, sizeof(buf),
+                  "lock-usage profile (cf. paper §5.4): not collected — it "
+                  "needs the telemetry slabs (built with "
+                  "-DHEMLOCK_TELEMETRY=OFF)\n");
+    return buf;
   }
+  std::snprintf(
+      buf, sizeof(buf),
+      "lock-usage profile (cf. paper §5.4):\n"
+      "  lock() calls while already holding a lock : %" PRIu64 "\n"
+      "  max locks held simultaneously by a thread : %u\n"
+      "  max threads waiting on any one Grant field: %u\n"
+      "  spinning locality                          : %s\n",
+      nested_acquires, max_locks_held, max_grant_waiters,
+      purely_local() ? "purely local" : "multi-waiting observed");
+  return buf;
 }
 
 namespace {
@@ -567,17 +603,27 @@ void append_u64(std::string& out, std::uint64_t v) {
   out += buf;
 }
 
+/// `,"key":v,...` for every (key, value) pair — one JSON block's body
+/// after its first member.
+void append_fields(
+    std::string& out,
+    std::initializer_list<std::pair<const char*, std::uint64_t>> fields) {
+  for (const auto& [key, v] : fields) {
+    out += ",\"";
+    out += key;
+    out += "\":";
+    append_u64(out, v);
+  }
+}
+
 void append_hist(std::string& out, const char* key, const Histogram& h) {
-  out += '"';
+  out += ",\"";
   out += key;
   out += "\":{\"count\":";
   append_u64(out, h.count());
-  out += ",\"p50\":";
-  append_u64(out, h.quantile(0.50));
-  out += ",\"p99\":";
-  append_u64(out, h.quantile(0.99));
-  out += ",\"max\":";
-  append_u64(out, h.max());
+  append_fields(out, {{"p50", h.quantile(0.50)},
+                      {"p99", h.quantile(0.99)},
+                      {"max", h.max()}});
   out += '}';
 }
 
@@ -595,74 +641,55 @@ std::string to_json(const Snapshot& snap) {
     first = false;
     out += "{\"name\":\"";
     json_escape_into(out, lt.name);
-    out += "\",\"acquires\":";
-    append_u64(out, lt.acquires);
-    out += ",\"contended\":";
-    append_u64(out, lt.contended);
-    out += ",\"try_failures\":";
-    append_u64(out, lt.try_failures);
-    out += ",\"parks\":";
-    append_u64(out, lt.parks);
-    out += ",\"wakes\":";
-    append_u64(out, lt.wakes);
-    out += ",\"escalations\":";
-    append_u64(out, lt.escalations);
-    out += ",\"shared_acquires\":";
-    append_u64(out, lt.shared_acquires);
-    out += ',';
+    out += '"';
+    for (const Column& c : kColumns) {
+      const std::uint64_t v = lt.*c.value;
+      if (c.fold != Fold::kCensus) {
+        append_fields(out, {{c.key, v}});
+        continue;
+      }
+      out += ",\"";
+      out += c.key;
+      out += "\":{\"max\":";
+      append_u64(out, v >> kCensusBucketBits);
+      append_fields(out, {{"bucket", v & ((1u << kCensusBucketBits) - 1)}});
+      out += '}';
+    }
     append_hist(out, "wait_ns", lt.wait_ns);
-    out += ',';
     append_hist(out, "hold_ns", lt.hold_ns);
     out += '}';
   }
+  const GovernorTelemetry& g = snap.governor;
   out += "],\"governor\":{\"cpus\":";
-  append_u64(out, snap.governor.cpus);
-  out += ",\"waiters\":";
-  append_u64(out, snap.governor.waiters);
-  out += ",\"parked\":";
-  append_u64(out, snap.governor.parked_total);
-  out += ",\"wake_syscalls\":";
-  append_u64(out, snap.governor.wake_syscalls);
-  out += ",\"wake_gate_skips\":";
-  append_u64(out, snap.governor.wake_gate_skips);
-  out += ",\"park_sleeps\":";
-  append_u64(out, snap.governor.park_sleeps);
-  out += ",\"park_wakeups\":";
-  append_u64(out, snap.governor.park_wakeups);
-  out += ",\"baseline_retries\":";
-  append_u64(out, snap.governor.baseline_retries);
-  out += ",\"escalations\":";
-  append_u64(out, snap.governor.escalations);
+  append_u64(out, g.cpus);
+  append_fields(out, {{"waiters", g.waiters},
+                      {"parked", g.parked_total},
+                      {"wake_syscalls", g.wake_syscalls},
+                      {"wake_gate_skips", g.wake_gate_skips},
+                      {"park_sleeps", g.park_sleeps},
+                      {"park_wakeups", g.park_wakeups},
+                      {"baseline_retries", g.baseline_retries},
+                      {"escalations", g.escalations}});
   out += ",\"census_high_water\":{\"max\":";
-  append_u64(out, snap.governor.census_high_water_max);
-  out += ",\"bucket\":";
-  append_u64(out, snap.governor.census_high_water_bucket);
+  append_u64(out, g.census_high_water_max);
+  append_fields(out, {{"bucket", g.census_high_water_bucket}});
   out += "}},\"epoch\":{\"epoch\":";
   append_u64(out, snap.epoch.epoch);
-  out += ",\"pending\":";
-  append_u64(out, snap.epoch.pending);
-  out += ",\"freed\":";
-  append_u64(out, snap.epoch.freed);
-  out += ",\"advances\":";
-  append_u64(out, snap.epoch.advances);
-  out += ",\"advance_blocked\":";
-  append_u64(out, snap.epoch.advance_blocked);
+  append_fields(out, {{"pending", snap.epoch.pending},
+                      {"freed", snap.epoch.freed},
+                      {"advances", snap.epoch.advances},
+                      {"advance_blocked", snap.epoch.advance_blocked}});
   out += '}';
   if (snap.cond_present) {
+    const CondCounters& c = snap.cond;
     out += ",\"cond\":{\"adopted\":";
-    append_u64(out, snap.cond.adopted);
-    out += ",\"waits\":";
-    append_u64(out, snap.cond.waits);
-    out += ",\"timeouts\":";
-    append_u64(out, snap.cond.timeouts);
-    out += ",\"signals\":";
-    append_u64(out, snap.cond.signals);
-    out += ",\"broadcasts\":";
-    append_u64(out, snap.cond.broadcasts);
-    out += ",\"requeued\":";
-    append_u64(out, snap.cond.requeued);
-    out += ",\"chain_wakes\":";
-    append_u64(out, snap.cond.chain_wakes);
+    append_u64(out, c.adopted);
+    append_fields(out, {{"waits", c.waits},
+                        {"timeouts", c.timeouts},
+                        {"signals", c.signals},
+                        {"broadcasts", c.broadcasts},
+                        {"requeued", c.requeued},
+                        {"chain_wakes", c.chain_wakes}});
     out += '}';
   }
   out += '}';
@@ -676,56 +703,31 @@ std::string to_json(const Snapshot& snap) {
 
 namespace {
 
+/// A line built piecewise in a bounded buffer, then written whole.
 struct FdSink {
   int fd;
   char buf[1024];
-  void line(const char* fmt, ...) __attribute__((format(printf, 2, 3))) {
+  std::size_t len = 0;
+
+  /// Append to the pending line (truncating at the buffer's end).
+  void add(const char* fmt, ...) __attribute__((format(printf, 2, 3))) {
     va_list ap;
     va_start(ap, fmt);
-    const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
+    const int n = std::vsnprintf(buf + len, sizeof(buf) - len, fmt, ap);
     va_end(ap);
     if (n > 0) {
-      const auto len = static_cast<std::size_t>(n) < sizeof(buf)
-                           ? static_cast<std::size_t>(n)
-                           : sizeof(buf) - 1;
-      (void)!write(fd, buf, len);
+      len = std::min(len + static_cast<std::size_t>(n), sizeof(buf) - 1);
     }
+  }
+
+  /// Write the pending line out.
+  void flush() {
+    (void)!write(fd, buf, len);
+    len = 0;
   }
 };
 
 #if HEMLOCK_TELEMETRY_ENABLED
-struct ReportRow {
-  std::uint64_t c[7];
-  std::uint64_t wait[kHistBuckets];
-  std::uint64_t hold[kHistBuckets];
-};
-struct ReportState {
-  ReportRow rows[kMaxHandles];
-};
-
-void fold_slab_into_report(const Slab& slab, ReportState* st) {
-  for (std::uint16_t i = 0; i < kMaxHandles; ++i) {
-    const TmSlot& s = slab.slots[i];
-    ReportRow& row = st->rows[i];
-    // mo: relaxed — monotonic stats counters; racy-consistent report.
-    row.c[0] += s.acquires.load(std::memory_order_relaxed);
-    row.c[1] += s.contended.load(std::memory_order_relaxed);  // mo: ditto
-    row.c[2] += s.try_failures.load(std::memory_order_relaxed);  // mo: ditto
-    row.c[3] += s.parks.load(std::memory_order_relaxed);  // mo: ditto
-    row.c[4] += s.wakes.load(std::memory_order_relaxed);  // mo: ditto
-    row.c[5] += s.escalations.load(std::memory_order_relaxed);  // mo: ditto
-    row.c[6] += s.shared_acquires.load(std::memory_order_relaxed);  // mo: ditto
-    for (unsigned b = 0; b < kHistBuckets; ++b) {
-      row.wait[b] += s.wait_hist[b].load(std::memory_order_relaxed);  // mo: ditto
-      row.hold[b] += s.hold_hist[b].load(std::memory_order_relaxed);  // mo: ditto
-    }
-  }
-}
-
-void fold_rec_into_report(ThreadRec& rec, void* ctx) {
-  fold_slab_into_report(rec.telemetry_slab, static_cast<ReportState*>(ctx));
-}
-
 /// Approximate quantile over a log2 bucket array: the upper edge of
 /// the bucket containing the q-th sample.
 std::uint64_t bucket_quantile(const std::uint64_t* hist, double q) {
@@ -740,103 +742,86 @@ std::uint64_t bucket_quantile(const std::uint64_t* hist, double q) {
   }
   return (2ull << (kHistBuckets - 1)) - 1;
 }
+
+/// A report column's width: its heading's, at least 8.
+int width(const Column& c) {
+  return std::max(8, static_cast<int>(std::strlen(c.heading)));
+}
 #endif  // HEMLOCK_TELEMETRY_ENABLED
 
 }  // namespace
 
 void report_to_fd(int fd) {
   FdSink out{fd, {}};
-  out.line("[hemlock-telemetry] pid %d\n", static_cast<int>(getpid()));
+  out.add("[hemlock-telemetry] pid %d\n", static_cast<int>(getpid()));
+  out.flush();
+  Counters total;
 #if HEMLOCK_TELEMETRY_ENABLED
-  static ReportState st;  // static: the SIGUSR1 handler's stack is small
-  std::memset(&st, 0, sizeof(st));
-  {
-    TmGuard g(g_fold_mu);
-    for (std::uint16_t i = 0; i < kMaxHandles; ++i) {
-      const RetiredSlot& r = g_retired[i];
-      ReportRow& row = st.rows[i];
-      row.c[0] = r.acquires;
-      row.c[1] = r.contended;
-      row.c[2] = r.try_failures;
-      row.c[3] = r.parks;
-      row.c[4] = r.wakes;
-      row.c[5] = r.escalations;
-      row.c[6] = r.shared_acquires;
-      for (unsigned b = 0; b < kHistBuckets; ++b) {
-        row.wait[b] = r.wait_hist[b];
-        row.hold[b] = r.hold_hist[b];
-      }
+  static FoldRow rows[kMaxHandles];  // static: a signal handler's stack is small
+  fold_all(rows);
+  out.add("%-28s", "lock");
+  for (std::size_t k = 0; k < std::size(kColumns); ++k) {
+    if (k == kFirstColumns) {
+      out.add(" %12s %12s", "wait-p99(ns)", "hold-p99(ns)");
     }
+    out.add(" %*s", width(kColumns[k]), kColumns[k].heading);
   }
-  ThreadRegistry::for_each_raw(&fold_rec_into_report, &st);
-  fold_slab_into_report(g_late_slab, &st);
-  out.line("%-28s %10s %10s %8s %8s %8s %6s %8s %12s %12s\n", "lock",
-           "acquires", "contended", "try-fail", "parks", "wakes", "escal",
-           "shared", "wait-p99(ns)", "hold-p99(ns)");
+  out.add("\n");
+  out.flush();
   for (std::uint16_t i = 0; i < kMaxHandles; ++i) {
-    const ReportRow& row = st.rows[i];
-    std::uint64_t any = 0;
-    for (std::uint64_t v : row.c) any |= v;
-    if (any == 0) continue;
+    const FoldRow& row = rows[i];
+    total.add(row.c);
+    if (!row.c.any()) continue;
     char name[kNameBytes];
+    const std::string_view n = handle_name({i});
     if (i == 0) {
       std::snprintf(name, sizeof(name), "(unattributed)");
+    } else if (n.empty()) {
+      std::snprintf(name, sizeof(name), "(released #%u)", i);
     } else {
-      const std::string_view n = handle_name({i});
-      if (n.empty()) {
-        std::snprintf(name, sizeof(name), "(released #%u)", i);
-      } else {
-        std::snprintf(name, sizeof(name), "%.*s", static_cast<int>(n.size()),
-                      n.data());
-      }
+      std::snprintf(name, sizeof(name), "%.*s", static_cast<int>(n.size()),
+                    n.data());
     }
-    out.line("%-28s %10" PRIu64 " %10" PRIu64 " %8" PRIu64 " %8" PRIu64
-             " %8" PRIu64 " %6" PRIu64 " %8" PRIu64 " %12" PRIu64
-             " %12" PRIu64 "\n",
-             name, row.c[0], row.c[1], row.c[2], row.c[3], row.c[4], row.c[5],
-             row.c[6], bucket_quantile(row.wait, 0.99),
-             bucket_quantile(row.hold, 0.99));
+    out.add("%-28s", name);
+    for (std::size_t k = 0; k < std::size(kColumns); ++k) {
+      const Column& c = kColumns[k];
+      if (k == kFirstColumns) {
+        out.add(" %12" PRIu64 " %12" PRIu64,
+                bucket_quantile(row.wait_hist, 0.99),
+                bucket_quantile(row.hold_hist, 0.99));
+      }
+      const std::uint64_t v = row.c.*c.value;
+      out.add(" %*" PRIu64, width(c),
+              c.fold == Fold::kCensus ? v >> kCensusBucketBits : v);
+    }
+    out.add("\n");
+    out.flush();
   }
 #endif  // HEMLOCK_TELEMETRY_ENABLED
-  {
-    auto& gov = ContentionGovernor::instance();
-    auto& d = gov.diag();
-    std::uint32_t hw_max = 0, hw_bucket = 0;
-    for (std::size_t b = 0; b < ContentionGovernor::kParkBuckets; ++b) {
-      // mo: relaxed — racy-max diagnostic high-water.
-      const std::uint32_t hw = d.census_high[b].load(std::memory_order_relaxed);
-      if (hw > hw_max) {
-        hw_max = hw;
-        hw_bucket = static_cast<std::uint32_t>(b);
-      }
-    }
-    out.line("governor: cpus=%u waiters=%u parked=%u wake-syscalls=%" PRIu64
-             " wake-gate-skips=%" PRIu64 " park-sleeps=%" PRIu64
-             " park-wakeups=%" PRIu64 " baseline-retries=%" PRIu64
-             " escalations=%" PRIu64 " census-high-water=%u (bucket %u)\n",
-             gov.cpus(), gov.waiters(), gov.parked_total(),
-             // mo: relaxed — diagnostic counters (ParkDiag contract).
-             d.wake_syscalls.load(std::memory_order_relaxed),
-             d.wake_gate_skips.load(std::memory_order_relaxed),
-             d.park_sleeps.load(std::memory_order_relaxed),
-             d.park_wakeups.load(std::memory_order_relaxed),
-             d.baseline_retries.load(std::memory_order_relaxed),
-             d.escalations.load(std::memory_order_relaxed), hw_max, hw_bucket);
-  }
-  {
-    const auto e = reclaim::EpochDomain::global().stats();
-    out.line("epoch: epoch=%" PRIu64 " pending=%" PRIu64 " freed=%" PRIu64
-             " advances=%" PRIu64 " advance-blocked=%" PRIu64 "\n",
-             e.epoch, e.pending, e.freed, e.advances, e.advance_blocked);
-  }
+  const GovernorTelemetry g = governor_of(total);
+  out.add("governor: cpus=%u waiters=%u parked=%u wake-syscalls=%" PRIu64
+          " wake-gate-skips=%" PRIu64 " park-sleeps=%" PRIu64
+          " park-wakeups=%" PRIu64 " baseline-retries=%" PRIu64
+          " escalations=%" PRIu64 " census-high-water=%u (bucket %u)\n",
+          g.cpus, g.waiters, g.parked_total, g.wake_syscalls,
+          g.wake_gate_skips, g.park_sleeps, g.park_wakeups,
+          g.baseline_retries, g.escalations, g.census_high_water_max,
+          g.census_high_water_bucket);
+  out.flush();
+  const auto e = reclaim::EpochDomain::global().stats();
+  out.add("epoch: epoch=%" PRIu64 " pending=%" PRIu64 " freed=%" PRIu64
+          " advances=%" PRIu64 " advance-blocked=%" PRIu64 "\n",
+          e.epoch, e.pending, e.freed, e.advances, e.advance_blocked);
+  out.flush();
   // mo: acquire — pairs with set_cond_source's release publish.
   if (auto* src = g_cond_source.load(std::memory_order_acquire)) {
     const CondCounters c = src();
-    out.line("cond: adopted=%" PRIu64 " waits=%" PRIu64 " timeouts=%" PRIu64
-             " signals=%" PRIu64 " broadcasts=%" PRIu64 " requeued=%" PRIu64
-             " chain-wakes=%" PRIu64 "\n",
-             c.adopted, c.waits, c.timeouts, c.signals, c.broadcasts,
-             c.requeued, c.chain_wakes);
+    out.add("cond: adopted=%" PRIu64 " waits=%" PRIu64 " timeouts=%" PRIu64
+            " signals=%" PRIu64 " broadcasts=%" PRIu64 " requeued=%" PRIu64
+            " chain-wakes=%" PRIu64 "\n",
+            c.adopted, c.waits, c.timeouts, c.signals, c.broadcasts,
+            c.requeued, c.chain_wakes);
+    out.flush();
   }
 }
 

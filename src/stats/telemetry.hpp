@@ -6,10 +6,11 @@
 // ran an *instrumented* lock under LevelDB. This module makes our
 // runtime answer the same questions about any live workload: every
 // attribution point (AnyLock, the LD_PRELOAD shim families, the
-// waiting tiers, the epoch domains) feeds per-thread counter slabs
-// keyed by a small per-lock TelemetryHandle, and a registry-walking
-// snapshot folds them — the same collect/merge shape as
-// collect_lock_usage_profile().
+// waiting tiers, the §5.4 profiler, the epoch domains) feeds
+// per-thread counter slabs keyed by a small per-lock TelemetryHandle,
+// and a registry-walking snapshot folds them. The slabs are the
+// library's only counter mechanism: the snapshot's governor and §5.4
+// blocks are totals of its per-lock rows.
 //
 // Cost model (the subsystem is always compiled in by default):
 //  * Unattributed locks (handle id 0) pay one predicted branch per
@@ -19,8 +20,9 @@
 //    clock pair every kSampleEvery-th acquisition), so the tax stays
 //    a few nanoseconds per lock/unlock pair.
 //  * Contended-path metrics (contended acquisitions, parks, wakes,
-//    escalations) are counted from inside the waiting slow paths,
-//    where a relaxed increment is invisible next to a syscall.
+//    gate skips, escalations) are counted from inside the waiting slow
+//    paths, on the waiting or publishing thread's own slab — no shared
+//    cache line is written for a statistic.
 //  * -DHEMLOCK_TELEMETRY_DISABLED (CMake -DHEMLOCK_TELEMETRY=OFF)
 //    compiles every hook to ((void)0); tools/check_telemetry_off.py
 //    is the codegen tripwire proving no residue survives.
@@ -83,6 +85,64 @@ inline unsigned log2_bucket(std::uint64_t ns) noexcept {
 /// exact; only the duration histograms are sampled.
 inline constexpr std::uint32_t kSampleEvery = 64;
 
+/// How a counter combines across slabs: summed, or kept as the largest
+/// value seen (a high-water). kCensus is a high-water of the governor's
+/// parked census, stored as the count shifted above the census bucket
+/// it was seen in (kCensusBucketBits), so one max keeps the two
+/// together.
+enum class Fold : std::uint8_t { kSum, kMax, kCensus };
+inline constexpr unsigned kCensusBucketBits = 8;
+
+/// The counter table: every per-lock counter, named once. A row is
+/// X(field, fold, heading): `field` names the slab atomic, the
+/// snapshot value and the JSON key; `heading` heads the text report's
+/// column. New rows go last, so the report's columns keep their
+/// positions.
+#define HEMLOCK_TM_COUNTERS(X)                                           \
+  X(acquires, kSum, "acquires")        /* exclusive acquisitions */      \
+  X(contended, kSum, "contended")      /* acquisitions that waited */    \
+  X(try_failures, kSum, "try-fail")    /* failed try_lock attempts */    \
+  X(parks, kSum, "parks")              /* futex sleeps entered */        \
+  X(wakes, kSum, "wakes")              /* wake syscalls issued */        \
+  X(escalations, kSum, "escal")        /* waiting-tier transitions */    \
+  X(shared_acquires, kSum, "shared")   /* reader admissions */           \
+  X(gate_skips, kSum, "gate-skips")    /* wakes skipped: none parked */  \
+  X(park_returns, kSum, "park-rets")   /* futex sleeps that ended */     \
+  X(baseline_retries, kSum, "retries") /* parks the re-check cancelled */ \
+  X(census_high_water, kCensus, "census-hw") /* most threads parked */   \
+  X(nested_acquires, kSum, "nested")   /* §5.4: lock() holding another */ \
+  X(max_held, kMax, "max-held")        /* §5.4: most locks held */       \
+  X(max_grant_waiters, kMax, "max-grant-w") /* §5.4: most on a Grant */
+
+/// Per-(thread, handle) counters. The table's counters are written by
+/// the owning thread with relaxed atomics (statistics, never
+/// synchronization) and read concurrently by snapshot walks. The
+/// leading sampling state is owner-thread-only and never read by
+/// snapshots; it sits just before the acquire counter, so the fast-path
+/// hooks touch adjacent words.
+struct TmSlot {
+  // ---- owner-thread sampling state (plain: never shared) --------------
+  std::uint32_t ops = 0;            ///< acquisition counter driving sampling
+  std::int64_t wait_begin_ns = 0;   ///< nonzero while timing a sampled wait
+  std::int64_t hold_begin_ns = 0;   ///< nonzero while timing a sampled hold
+
+#define HEMLOCK_TM_SLOT_FIELD(field, fold, heading) \
+  std::atomic<std::uint64_t> field{0};
+  HEMLOCK_TM_COUNTERS(HEMLOCK_TM_SLOT_FIELD)
+#undef HEMLOCK_TM_SLOT_FIELD
+  std::atomic<std::uint32_t> wait_hist[kHistBuckets]{};  ///< sampled wait ns
+  std::atomic<std::uint32_t> hold_hist[kHistBuckets]{};  ///< sampled hold ns
+};
+
+/// The per-thread slab: one TmSlot per handle, hanging off ThreadRec.
+struct Slab {
+  TmSlot slots[kMaxHandles];
+  /// §5.4 gauge: Hemlock-family locks this thread holds right now.
+  /// Owner-only, and left out of reset(): zeroing it under a held lock
+  /// would make that lock's release count below zero.
+  std::uint32_t held = 0;
+};
+
 #if HEMLOCK_TELEMETRY_ENABLED
 
 /// Single-writer counter increment: slab slots belong to one thread,
@@ -99,31 +159,11 @@ inline void bump(std::atomic<T>& c) noexcept {
   c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
-/// Per-(thread, handle) counters. Written by the owning thread with
-/// relaxed atomics (they are statistics, never synchronization), read
-/// concurrently by snapshot walks. The trailing sampling state is
-/// owner-thread-only and never read by snapshots.
-struct TmSlot {
-  std::atomic<std::uint64_t> acquires{0};         ///< exclusive acquisitions
-  std::atomic<std::uint64_t> contended{0};        ///< acquisitions that waited
-  std::atomic<std::uint64_t> try_failures{0};     ///< failed try_lock attempts
-  std::atomic<std::uint64_t> parks{0};            ///< futex sleeps entered
-  std::atomic<std::uint64_t> wakes{0};            ///< wake syscalls issued
-  std::atomic<std::uint64_t> escalations{0};      ///< waiting-tier transitions
-  std::atomic<std::uint64_t> shared_acquires{0};  ///< reader admissions
-  std::atomic<std::uint32_t> wait_hist[kHistBuckets]{};  ///< sampled wait ns
-  std::atomic<std::uint32_t> hold_hist[kHistBuckets]{};  ///< sampled hold ns
-
-  // ---- owner-thread sampling state (plain: never shared) --------------
-  std::uint32_t ops = 0;            ///< acquisition counter driving sampling
-  std::int64_t wait_begin_ns = 0;   ///< nonzero while timing a sampled wait
-  std::int64_t hold_begin_ns = 0;   ///< nonzero while timing a sampled hold
-};
-
-/// The per-thread slab: one TmSlot per handle, hanging off ThreadRec.
-struct Slab {
-  TmSlot slots[kMaxHandles];
-};
+/// Single-writer high-water: the same contract as bump().
+inline void raise(std::atomic<std::uint64_t>& c, std::uint64_t v) noexcept {
+  // mo: relaxed — single-writer statistic, never synchronization.
+  if (v > c.load(std::memory_order_relaxed)) c.store(v, std::memory_order_relaxed);
+}
 
 /// Thread-local slab cache. Populated on first hook via slab_slow()
 /// (which registers through self()); cleared at thread deregistration
@@ -143,6 +183,12 @@ Slab* slab_slow() noexcept;
 inline Slab& my_slab() noexcept {
   Slab* s = t_slab;
   return *(s != nullptr ? s : slab_slow());
+}
+
+/// The slot of `slab` the current attribution selects (slot 0 when no
+/// attribution is current).
+inline TmSlot& attr_slot(Slab& slab) noexcept {
+  return slab.slots[t_attr < kMaxHandles ? t_attr : 0];
 }
 
 /// Flight-recorder master switch: set once at startup from
@@ -251,11 +297,18 @@ inline void on_unlock_end(TelemetryHandle h) noexcept {
 // Waiting-layer hooks (out-of-line: they only run on contended slow
 // paths, so a call is free next to the spin/yield/futex they sit by).
 // They attribute to t_attr — slot 0 when no attribution is current.
+// A park or retry also records the parked census it registered into
+// (`parked` threads on the bucket of `addr`) as a high-water.
 // ---------------------------------------------------------------------
 
 void wl_contended() noexcept;  ///< a waiter queued behind a predecessor
-void wl_park() noexcept;       ///< a waiter is entering futex_wait
+/// A waiter is entering futex_wait.
+void wl_park(const void* addr, std::uint32_t parked) noexcept;
+void wl_unpark() noexcept;     ///< a waiter is back from futex_wait
+/// A park round's re-check found the wait over: no sleep.
+void wl_retry(const void* addr, std::uint32_t parked) noexcept;
 void wl_wake() noexcept;       ///< a publisher issued a wake syscall
+void wl_gate_skip() noexcept;  ///< a publisher skipped it: none parked
 void wl_escalate() noexcept;   ///< an escalating wait changed tier
 
 #else  // !HEMLOCK_TELEMETRY_ENABLED
@@ -282,16 +335,24 @@ inline void on_unlock_end(TelemetryHandle) noexcept {}
 
 #if HEMLOCK_TELEMETRY_ENABLED
 #define HEMLOCK_TM_CONTENDED() ::hemlock::telemetry::wl_contended()
-#define HEMLOCK_TM_PARK() ::hemlock::telemetry::wl_park()
+#define HEMLOCK_TM_PARK(addr, parked) \
+  ::hemlock::telemetry::wl_park(addr, parked)
+#define HEMLOCK_TM_UNPARK() ::hemlock::telemetry::wl_unpark()
+#define HEMLOCK_TM_RETRY(addr, parked) \
+  ::hemlock::telemetry::wl_retry(addr, parked)
 #define HEMLOCK_TM_WAKE() ::hemlock::telemetry::wl_wake()
+#define HEMLOCK_TM_GATE_SKIP() ::hemlock::telemetry::wl_gate_skip()
 #define HEMLOCK_TM_ESCALATE() ::hemlock::telemetry::wl_escalate()
 #define HEMLOCK_TM_EPOCH_ADVANCE(epoch)                          \
   ::hemlock::telemetry::trace(::hemlock::telemetry::Ev::kEpochAdvance, 0, \
                               static_cast<std::uint32_t>(epoch))
 #else
 #define HEMLOCK_TM_CONTENDED() ((void)0)
-#define HEMLOCK_TM_PARK() ((void)0)
+#define HEMLOCK_TM_PARK(addr, parked) ((void)0)
+#define HEMLOCK_TM_UNPARK() ((void)0)
+#define HEMLOCK_TM_RETRY(addr, parked) ((void)0)
 #define HEMLOCK_TM_WAKE() ((void)0)
+#define HEMLOCK_TM_GATE_SKIP() ((void)0)
 #define HEMLOCK_TM_ESCALATE() ((void)0)
 #define HEMLOCK_TM_EPOCH_ADVANCE(epoch) ((void)0)
 #endif
@@ -335,49 +396,72 @@ inline std::string_view handle_name(TelemetryHandle) noexcept { return {}; }
 // ---------------------------------------------------------------------
 // Snapshot / export API (cold; may allocate — never called from lock
 // paths). Available in both build flavors: with telemetry compiled
-// out, snapshots still carry the always-on governor diagnostics and
-// epoch-domain stats, with an empty per-lock table.
+// out, snapshots still carry the governor's live census and the
+// epoch-domain stats, with an empty per-lock table (so every total
+// derived from it reads zero).
 // ---------------------------------------------------------------------
 
-/// One per-lock row of a snapshot: counters summed over live threads
+/// One lock's counter-table values, folded over every slab.
+struct Counters {
+#define HEMLOCK_TM_VALUE_FIELD(field, fold, heading) std::uint64_t field = 0;
+  HEMLOCK_TM_COUNTERS(HEMLOCK_TM_VALUE_FIELD)
+#undef HEMLOCK_TM_VALUE_FIELD
+
+  /// Fold `o` in, each counter by its Fold.
+  void add(const Counters& o) noexcept;
+  /// True when any counter is nonzero.
+  bool any() const noexcept;
+};
+
+/// One per-lock row of a snapshot: counters folded over live threads
 /// plus the retired fold, histograms re-materialized as
 /// stats/histogram Histograms (log2 geometry, sub_bucket_bits = 0).
-struct LockTelemetry {
+struct LockTelemetry : Counters {
   std::string name;
-  std::uint64_t acquires = 0;
-  std::uint64_t contended = 0;
-  std::uint64_t try_failures = 0;
-  std::uint64_t parks = 0;
-  std::uint64_t wakes = 0;
-  std::uint64_t escalations = 0;
-  std::uint64_t shared_acquires = 0;
   Histogram wait_ns{0};
   Histogram hold_ns{0};
 
   /// True when every counter and both histograms are zero (rows like
   /// this are omitted from reports).
   bool empty() const noexcept {
-    return acquires == 0 && contended == 0 && try_failures == 0 &&
-           parks == 0 && wakes == 0 && escalations == 0 &&
-           shared_acquires == 0 && wait_ns.count() == 0 &&
-           hold_ns.count() == 0;
+    return !any() && wait_ns.count() == 0 && hold_ns.count() == 0;
   }
 };
 
-/// Governor-side diagnostics: the waiting-tier census and the
-/// parked-census instrumentation (ContentionGovernor::diag()).
+/// The waiting-tier governor's block: its census, read live, and the
+/// parking protocol's totals over the per-lock rows.
 struct GovernorTelemetry {
   std::uint32_t cpus = 0;
   std::uint32_t waiters = 0;
   std::uint32_t parked_total = 0;
-  std::uint64_t wake_syscalls = 0;
-  std::uint64_t wake_gate_skips = 0;
-  std::uint64_t park_sleeps = 0;
-  std::uint64_t park_wakeups = 0;
-  std::uint64_t baseline_retries = 0;
-  std::uint64_t escalations = 0;
-  std::uint32_t census_high_water_max = 0;  ///< max over buckets
+  std::uint64_t wake_syscalls = 0;     ///< sum of `wakes`
+  std::uint64_t wake_gate_skips = 0;   ///< sum of `gate_skips`
+  std::uint64_t park_sleeps = 0;       ///< sum of `parks`
+  std::uint64_t park_wakeups = 0;      ///< sum of `park_returns`
+  std::uint64_t baseline_retries = 0;  ///< sum of `baseline_retries`
+  std::uint64_t escalations = 0;       ///< sum of `escalations`
+  std::uint32_t census_high_water_max = 0;  ///< max over the rows
   std::uint32_t census_high_water_bucket = 0;
+};
+
+/// The paper's §5.4 characterization over the per-lock rows: "we found
+/// 24 instances of calls to lock where a thread already held at least
+/// one other lock ... The maximum number of locks held simultaneously
+/// by any thread was 2. The maximum number of threads waiting
+/// simultaneously on any Grant field was 1, thus the application
+/// enjoyed purely local spinning." Counted only while LockProfiler
+/// (runtime/thread_rec.hpp) is on.
+struct LockUsageProfile {
+  std::uint64_t nested_acquires = 0;   ///< sum of `nested_acquires`
+  std::uint32_t max_locks_held = 0;    ///< max of `max_held`
+  std::uint32_t max_grant_waiters = 0; ///< max of `max_grant_waiters`
+
+  /// True when the profile implies purely local spinning (§5.4).
+  bool purely_local() const noexcept { return max_grant_waiters <= 1; }
+
+  /// Paper-style report block (with telemetry compiled out: a line
+  /// saying the profile needs it).
+  std::string describe() const;
 };
 
 /// Epoch-domain stats for the process-global domain (limbo depth,
@@ -406,7 +490,8 @@ struct CondCounters {
 /// A full telemetry snapshot.
 struct Snapshot {
   std::vector<LockTelemetry> locks;  ///< non-empty rows, handle order
-  GovernorTelemetry governor;
+  GovernorTelemetry governor;        ///< totals derived from `locks`
+  LockUsageProfile profile;          ///< §5.4, derived from `locks`
   EpochTelemetry epoch;
   CondCounters cond;
   bool cond_present = false;  ///< a cond source was registered
@@ -414,12 +499,13 @@ struct Snapshot {
 
 /// Collect a snapshot: retired fold first, then a registry walk over
 /// live slabs (racy-consistent — exact once the measured threads have
-/// quiesced, like collect_lock_usage_profile()).
+/// quiesced).
 Snapshot collect();
 
-/// Zero every live slab, the retired accumulator, and the governor
-/// diagnostics (the epoch domain's counters are owned by the domain
-/// and are not reset here).
+/// Zero every live slab's counters and the retired accumulator, and
+/// with them every total derived from the rows (the epoch domain's
+/// counters are owned by the domain and are not reset here; neither is
+/// the §5.4 held gauge, which tracks live holds).
 void reset();
 
 /// Register the condvar-counter source (interpose layer start-up).

@@ -106,7 +106,7 @@ TEST(LockFactory, WaitingTiersAreRecorded) {
         {"hemlock", "ctr-cas", false}, {"hemlock-", "load", false},
         {"hemlock-faa", "ctr-faa", false}, {"rwlock-yield", "yield", true},
         {"hemlock-futex", "park", true}, {"hemlock-adaptive", "adaptive", true},
-        {"hemlock-cv", "park", true}, {"hemlock-chain", "park", true},
+        {"hemlock-cv", "condvar", true}, {"hemlock-chain", "park", true},
         {"pthread", "park", true}}) {
     const LockInfo* info = factory.info(name);
     ASSERT_NE(info, nullptr) << name;

@@ -11,6 +11,7 @@
 
 #include "core/waiting.hpp"
 #include "runtime/governor.hpp"
+#include "stats/telemetry.hpp"
 
 namespace hemlock {
 namespace {
@@ -143,29 +144,20 @@ TEST(Governor, ParkedCensusIsPerAddressBucket) {
   EXPECT_EQ(gov.parked(a), a_before);
 }
 
-// The ParkDiag protocol counters must balance once every thread has
+#if HEMLOCK_TELEMETRY_ENABLED
+// The parking protocol's counters must balance once every thread has
 // come home: a joined workload leaves no futex sleep without a return,
 // and every publish either issued the wake syscall or was gated off by
-// the zero census. (These are the diagnostics the telemetry exporter
-// surfaces as the governor block — see docs/OBSERVABILITY.md.)
+// the zero census. (These are the telemetry snapshot's governor block,
+// the totals of its per-lock rows — see docs/OBSERVABILITY.md.)
 TEST(Governor, ParkDiagBalancesAfterGovernedParkWorkload) {
   auto& gov = ContentionGovernor::instance();
-  auto& d = gov.diag();
   ForceGuard restore;
   gov.force(WaitTier::kPark);
 
-  // mo: relaxed throughout — diagnostic counters read while the only
-  // threads that touch them are quiesced (before the workload / after
-  // every join).
-  const std::uint64_t sleeps0 = d.park_sleeps.load(std::memory_order_relaxed);
-  const std::uint64_t wakeups0 =
-      d.park_wakeups.load(std::memory_order_relaxed);  // mo: ditto
-  const std::uint64_t syscalls0 =
-      d.wake_syscalls.load(std::memory_order_relaxed);  // mo: ditto
-  const std::uint64_t skips0 =
-      d.wake_gate_skips.load(std::memory_order_relaxed);  // mo: ditto
-  const std::uint64_t retries0 =
-      d.baseline_retries.load(std::memory_order_relaxed);  // mo: ditto
+  // Read while the only threads that touch the counters are quiesced
+  // (before the workload / after every join).
+  const telemetry::GovernorTelemetry before = telemetry::collect().governor;
 
   for (int round = 0; round < 8; ++round) {
     std::atomic<std::uint32_t> word{1};
@@ -176,17 +168,13 @@ TEST(Governor, ParkDiagBalancesAfterGovernedParkWorkload) {
     waiter.join();
   }
 
-  const std::uint64_t sleeps =
-      d.park_sleeps.load(std::memory_order_relaxed) - sleeps0;  // mo: ditto
-  const std::uint64_t wakeups =
-      d.park_wakeups.load(std::memory_order_relaxed) - wakeups0;  // mo: ditto
-  const std::uint64_t syscalls =
-      d.wake_syscalls.load(std::memory_order_relaxed) - syscalls0;  // mo: ditto
-  const std::uint64_t skips =
-      d.wake_gate_skips.load(std::memory_order_relaxed) - skips0;  // mo: ditto
-  const std::uint64_t retries = d.baseline_retries.load(
-                                    std::memory_order_relaxed) -  // mo: ditto
-                                retries0;
+  const telemetry::GovernorTelemetry after = telemetry::collect().governor;
+  const std::uint64_t sleeps = after.park_sleeps - before.park_sleeps;
+  const std::uint64_t wakeups = after.park_wakeups - before.park_wakeups;
+  const std::uint64_t syscalls = after.wake_syscalls - before.wake_syscalls;
+  const std::uint64_t skips = after.wake_gate_skips - before.wake_gate_skips;
+  const std::uint64_t retries =
+      after.baseline_retries - before.baseline_retries;
 
   // Every sleep returned (joined threads cannot still be in futex_wait).
   EXPECT_EQ(sleeps, wakeups);
@@ -198,7 +186,11 @@ TEST(Governor, ParkDiagBalancesAfterGovernedParkWorkload) {
   // waiter can find the word already published and never park, so
   // only the aggregate is asserted.
   EXPECT_GE(sleeps + retries, 1u);
+  // diag() reads the same totals.
+  EXPECT_EQ(gov.diag().park_sleeps.load(std::memory_order_relaxed),  // mo: test read
+            after.park_sleeps);
 }
+#endif  // HEMLOCK_TELEMETRY_ENABLED
 
 // Parker and publisher agree on the bucket because they hash the same
 // address — the property the publish-side syscall gate relies on.

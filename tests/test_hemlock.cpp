@@ -21,7 +21,7 @@
 #include "runtime/barrier.hpp"
 #include "runtime/cacheline.hpp"
 #include "runtime/thread_rec.hpp"
-#include "stats/lock_profiler.hpp"
+#include "stats/telemetry.hpp"
 
 namespace hemlock {
 namespace {
@@ -160,6 +160,7 @@ TEST(HemlockSemantics, MultiWaitingDisambiguationForwardRelease) {
 }
 
 // ---------------------------------------------------------------------------
+#if HEMLOCK_TELEMETRY_ENABLED
 // Fere-local spinning (Theorem 10): the number of threads spinning on
 // one Grant word never exceeds the number of locks its owner holds.
 // Reproduced via the profiler: with the leader holding K locks and one
@@ -168,7 +169,7 @@ TEST(HemlockSemantics, MultiWaitingDisambiguationForwardRelease) {
 TEST(HemlockSemantics, FereLocalSpinningBound) {
   constexpr int kLocks = 4;
   std::vector<CacheAligned<Hemlock>> locks(kLocks);
-  ThreadRegistry::reset_profile();
+  telemetry::reset();
   LockProfiler::enable(true);
 
   for (auto& l : locks) l.value.lock();
@@ -195,20 +196,19 @@ TEST(HemlockSemantics, FereLocalSpinningBound) {
   for (auto& w : waiters) w.join();
 
   LockProfiler::enable(false);
-  const LockUsageProfile p = collect_lock_usage_profile();
+  const telemetry::LockUsageProfile p = telemetry::collect().profile;
   EXPECT_EQ(observed, static_cast<std::uint32_t>(kLocks));
   EXPECT_EQ(p.max_grant_waiters, static_cast<std::uint32_t>(kLocks));
   EXPECT_EQ(p.max_locks_held, static_cast<std::uint32_t>(kLocks));
   EXPECT_EQ(p.nested_acquires, static_cast<std::uint64_t>(kLocks - 1));
   EXPECT_FALSE(p.purely_local());
-  ThreadRegistry::reset_profile();
 }
 
 // With single-lock usage the profile must report purely local
 // spinning (the §5.4 LevelDB finding).
 TEST(HemlockSemantics, SimpleContentionIsPurelyLocal) {
   CacheAligned<Hemlock> lock;
-  ThreadRegistry::reset_profile();
+  telemetry::reset();
   LockProfiler::enable(true);
   SpinBarrier start(4);
   std::uint64_t counter = 0;
@@ -225,14 +225,46 @@ TEST(HemlockSemantics, SimpleContentionIsPurelyLocal) {
   }
   for (auto& t : ts) t.join();
   LockProfiler::enable(false);
-  const LockUsageProfile p = collect_lock_usage_profile();
+  const telemetry::LockUsageProfile p = telemetry::collect().profile;
   EXPECT_EQ(counter, 80000u);
   EXPECT_LE(p.max_grant_waiters, 1u);
   EXPECT_TRUE(p.purely_local());
   EXPECT_EQ(p.max_locks_held, 1u);
   EXPECT_EQ(p.nested_acquires, 0u);
-  ThreadRegistry::reset_profile();
 }
+
+// The held gauge is the thread's own and survives reset(), and a
+// release never takes it below zero: neither a reset nor switching the
+// profiler on while a lock is held may skew the next acquisition.
+TEST(HemlockSemantics, ProfileHeldGaugeSurvivesResetAndLateEnable) {
+  CacheAligned<Hemlock> a;
+  const auto lone_acquire = [&] {
+    telemetry::reset();
+    a.value.lock();
+    a.value.unlock();
+    return telemetry::collect().profile;
+  };
+
+  LockProfiler::enable(true);
+  a.value.lock();
+  telemetry::reset();  // a reset under a held lock
+  a.value.unlock();
+  telemetry::LockUsageProfile p = lone_acquire();
+  EXPECT_EQ(p.nested_acquires, 0u);
+  EXPECT_EQ(p.max_locks_held, 1u);
+
+  LockProfiler::enable(false);
+  a.value.lock();
+  LockProfiler::enable(true);  // switched on under a held lock
+  a.value.unlock();
+  p = lone_acquire();
+  EXPECT_EQ(p.nested_acquires, 0u);
+  EXPECT_EQ(p.max_locks_held, 1u);
+
+  LockProfiler::enable(false);
+  telemetry::reset();
+}
+#endif  // HEMLOCK_TELEMETRY_ENABLED
 
 // ---------------------------------------------------------------------------
 // Overlap variant: unlock returns without waiting for the successor's

@@ -167,29 +167,41 @@ TEST(ThreadRec, IdsAreUnique) {
   EXPECT_EQ(ids.size(), 8u);
 }
 
+#if HEMLOCK_TELEMETRY_ENABLED
+// The §5.4 hooks write the caller's slab (slot 0: no attribution is
+// current) and the predecessor's live Grant-waiter gauge.
 TEST(LockProfiler, HooksRespectEnableFlag) {
   ThreadRec& me = self();
-  ThreadRegistry::reset_profile();
+  telemetry::reset();
+  telemetry::Slab& slab = me.telemetry_slab;
+  const telemetry::TmSlot& s = slab.slots[0];
   LockProfiler::enable(false);
   LockProfiler::on_acquire(me);
-  EXPECT_EQ(me.held_count.load(), 0u);
+  EXPECT_EQ(slab.held, 0u);
   LockProfiler::enable(true);
   LockProfiler::on_acquire(me);
   LockProfiler::on_acquire(me);  // nested
-  EXPECT_EQ(me.held_count.load(), 2u);
-  EXPECT_EQ(me.max_held.load(), 2u);
-  EXPECT_EQ(me.nested_acquires.load(), 1u);
+  EXPECT_EQ(slab.held, 2u);
+  EXPECT_EQ(s.max_held.load(), 2u);
+  EXPECT_EQ(s.nested_acquires.load(), 1u);
   LockProfiler::on_release(me);
   LockProfiler::on_release(me);
-  EXPECT_EQ(me.held_count.load(), 0u);
+  LockProfiler::on_release(me);  // never below zero
+  EXPECT_EQ(slab.held, 0u);
   LockProfiler::on_wait_begin(me);
   EXPECT_EQ(me.grant_waiters.load(), 1u);
-  EXPECT_EQ(me.max_grant_waiters.load(), 1u);
+  EXPECT_EQ(s.max_grant_waiters.load(), 1u);
   LockProfiler::on_wait_end(me);
   EXPECT_EQ(me.grant_waiters.load(), 0u);
   LockProfiler::enable(false);
-  ThreadRegistry::reset_profile();
+  telemetry::reset();
 }
+#else
+TEST(LockProfiler, CompiledOutWithTelemetry) {
+  LockProfiler::enable(true);
+  EXPECT_FALSE(LockProfiler::enabled());
+}
+#endif
 
 TEST(SpinWait, EscalatesAfterLimit) {
   SpinWait w(4);

@@ -3,10 +3,12 @@
 // slot-scrub-on-release, hook counting through AnyLock (one contended
 // count per waiting acquisition, across waiting engines), sampled
 // wait/hold histograms, snapshot/merge exactness under thread churn
-// (exited threads fold into the retired array), reset, the JSON
-// export, and the condvar-source registration.
+// (exited threads fold into the retired array), the governor block as
+// the rows' totals, reset, the JSON export, and the condvar-source
+// registration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -15,6 +17,7 @@
 
 #include "api/any_lock.hpp"
 #include "api/factory.hpp"
+#include "core/waiting.hpp"
 #include "runtime/governor.hpp"
 #include "stats/telemetry.hpp"
 
@@ -264,21 +267,29 @@ TEST(Telemetry, TryFailureCountsUnderContention) {
   EXPECT_EQ(row->try_failures, 1u);
 }
 
-// One waiting acquisition is one contended acquisition, whatever engine
-// the lock waits in: Grant waits count at entry, queue waits when their
-// first poll fails, and neither escalating past the doorstep nor the
-// holder's unlock-side drain adds another. The holder releases only
-// after it has observed the waiter waiting (and, on the escalating
-// tiers, registered in the governor's waiter census).
+// One waiting acquisition is one contended acquisition, whatever lock
+// of the roster it is and whatever engine it waits in: Grant waits
+// count at entry, queue waits when their first poll fails, hemlock-cv
+// when its SWAP finds a predecessor, K42 after its enqueue CAS, the TAS
+// family on its first failed attempt; and neither escalating past the
+// doorstep nor the holder's unlock-side drain adds another. The holder
+// releases only after it has observed the waiter waiting (and, for the
+// locks that wait through the engine's escalating tiers, registered in
+// the governor's waiter census). pthread is left out: the library
+// cannot see glibc's waits.
 TEST(Telemetry, ContendedAcquisitionCountsOnce) {
-  for (const char* algo :
-       {"hemlock", "hemlock-adaptive", "hemlock-futex", "hemlock-overlap",
-        "hemlock-ah", "hemlock-ohv1", "hemlock-ohv2", "hemlock-chain", "mcs",
-        "mcs-adaptive", "mcs-park", "clh", "ticket"}) {
+  for (const std::string_view algo : LockFactory::instance().names()) {
+    if (algo == "pthread") continue;
     SCOPED_TRACE(algo);
     const LockInfo* info = LockFactory::instance().info(algo);
     ASSERT_NE(info, nullptr);
-    const std::string row_name = std::string("tm-once-") + algo;
+    // Only the engine's escalating tiers join the census (hemlock-cv's
+    // condvar wait never does).
+    const std::string_view tier = info->waiting;
+    const bool joins_census = tier == QueueYieldWaiting::name ||
+                              tier == SpinThenParkWaiting::name ||
+                              tier == GovernedWaiting::name;
+    const std::string row_name = "tm-once-" + std::string(algo);
     AnyLock l = LockFactory::instance().make(algo, row_name);
     l.lock();
     std::thread waiter([&] {
@@ -289,8 +300,7 @@ TEST(Telemetry, ContendedAcquisitionCountsOnce) {
       const Snapshot snap = collect();
       const LockTelemetry* row = find_row(snap, row_name);
       return row != nullptr && row->contended >= 1 &&
-             (!info->oversub_safe ||
-              ContentionGovernor::instance().waiters() >= 1);
+             (!joins_census || ContentionGovernor::instance().waiters() >= 1);
     };
     // Bounded so a lock that never counts fails instead of hanging.
     const auto deadline =
@@ -309,6 +319,50 @@ TEST(Telemetry, ContendedAcquisitionCountsOnce) {
     ASSERT_NE(row, nullptr);
     EXPECT_EQ(row->acquires, 2u);
     EXPECT_EQ(row->contended, 1u);
+  }
+}
+
+// The snapshot's governor block is derived: each protocol total is the
+// sum of the per-lock rows, and the census high-water their maximum.
+// A parked hand-off workload on a named lock puts real traffic in them.
+TEST(Telemetry, GovernorBlockIsTheRowTotals) {
+  {
+    AnyLock l = LockFactory::instance().make("mcs-park", "tm-gov-rows");
+    for (int round = 0; round < 4; ++round) {
+      l.lock();
+      std::thread waiter([&] {
+        l.lock();
+        l.unlock();
+      });
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      l.unlock();
+      waiter.join();
+    }
+    const Snapshot snap = collect();
+    const LockTelemetry* row = find_row(snap, "tm-gov-rows");
+    ASSERT_NE(row, nullptr);
+    EXPECT_GE(row->wakes + row->gate_skips, 1u);
+
+    GovernorTelemetry sum;
+    std::uint64_t census = 0;
+    for (const LockTelemetry& lt : snap.locks) {
+      sum.wake_syscalls += lt.wakes;
+      sum.wake_gate_skips += lt.gate_skips;
+      sum.park_sleeps += lt.parks;
+      sum.park_wakeups += lt.park_returns;
+      sum.baseline_retries += lt.baseline_retries;
+      sum.escalations += lt.escalations;
+      census = std::max(census, lt.census_high_water);
+    }
+    const GovernorTelemetry& g = snap.governor;
+    EXPECT_EQ(g.wake_syscalls, sum.wake_syscalls);
+    EXPECT_EQ(g.wake_gate_skips, sum.wake_gate_skips);
+    EXPECT_EQ(g.park_sleeps, sum.park_sleeps);
+    EXPECT_EQ(g.park_wakeups, sum.park_wakeups);
+    EXPECT_EQ(g.baseline_retries, sum.baseline_retries);
+    EXPECT_EQ(g.escalations, sum.escalations);
+    EXPECT_EQ(g.census_high_water_max, census >> kCensusBucketBits);
+    EXPECT_EQ(g.park_sleeps, g.park_wakeups);  // every sleeper came back
   }
 }
 

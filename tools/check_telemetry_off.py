@@ -9,7 +9,8 @@ project compiler:
      slab/attribution thread-locals, no out-of-line hook calls. This
      is the acceptance criterion that the OFF build's hooked headers
      compile to the same code as an unhooked tree (every hook is an
-     empty inline, every HEMLOCK_TM_* macro is ``((void)0)``).
+     empty inline, every HEMLOCK_TM_* macro is ``((void)0)``, and the
+     §5.4 profiler's switch is a constant false).
 
   2. WITHOUT the define (telemetry on, the default): the same residue
      MUST appear. This guards the first check against vacuity — if a
@@ -33,17 +34,24 @@ from pathlib import Path
 
 # Mangled fragments of the telemetry namespace's symbols: the
 # thread-local slab cache and attribution (referenced by the inline
-# hooks), the cold slab resolver, the out-of-line waiting-layer hooks,
-# the trace appender, and the handle lifecycle.
+# hooks), the cold slab resolver, the out-of-line waiting-layer hooks
+# (the parking tiers' park/unpark/retry/gate-skip counts included), the
+# trace appender, and the handle lifecycle — plus the §5.4 profiler's
+# switch, whose check the Hemlock lock body carries only with telemetry.
 RESIDUE = [
     "9telemetry6t_slabE",
     "9telemetry6t_attrE",
     "9slab_slowEv",
     "12wl_contendedEv",
+    "7wl_parkE",
+    "9wl_unparkEv",
+    "8wl_retryE",
+    "12wl_gate_skipEv",
     "10trace_emitE",
     "15register_handleE",
     "14release_handleE",
     "10g_trace_onE",
+    "12LockProfiler8enabled_E",
 ]
 
 

@@ -4,8 +4,9 @@
 //
 // It instantiates the hooked hot paths: AnyLock's lock/try/shared
 // cycles (the inline on_lock_begin/... hooks), a named construction
-// (register_handle/release_handle), and a futex-waiting lock cycle
-// (the waiting layer's HEMLOCK_TM_* statement macros). With
+// (register_handle/release_handle), and parking-tier Hemlock cycles
+// (the waiting layer's HEMLOCK_TM_* statement macros and the §5.4
+// LockProfiler checks in the Hemlock lock body). With
 // -DHEMLOCK_TELEMETRY_DISABLED the generated assembly must contain no
 // telemetry residue — no slab/attribution thread-locals, no
 // out-of-line telemetry calls; without it, the residue must appear —
