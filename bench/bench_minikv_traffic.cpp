@@ -237,7 +237,10 @@ int main(int argc, char** argv) {
   std::cout << "\n(Y values: millions of client operations per second; a "
                "scan counts as one request.)\n"
             << "(sharded backend: " << st.epoch_gets << " epoch gets, "
-            << st.flushes << " flushes, " << st.compactions
+            << st.epoch_gets - st.table_gets << " answered by the memtable, "
+            << st.table_gets << " by tables; block cache "
+            << sharded.cache_hits() << " hits, " << sharded.cache_misses()
+            << " misses; " << st.flushes << " flushes, " << st.compactions
             << " compactions; reclamation: " << st.reclaim.freed
             << " freed, " << st.reclaim.pending << " pending, "
             << st.reclaim.advance_blocked << " blocked advances)\n";

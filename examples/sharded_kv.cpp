@@ -101,6 +101,9 @@ int main(int argc, char** argv) {
             << " pending, " << st.reclaim.advances << " advances ("
             << st.reclaim.advance_blocked << " blocked by in-flight "
             << "readers)\n"
+            << "gets answered by the memtable: "
+            << st.epoch_gets + st.locked_gets - st.table_gets
+            << ", by tables: " << st.table_gets << "\n"
             << "block cache: " << db.cache_hits() << " hits, "
             << db.cache_misses() << " misses\n";
   return 0;

@@ -97,8 +97,9 @@ class DB {
 
   /// Insert or overwrite key -> value.
   Status put(const Slice& key, const Slice& value) {
+    const std::uint64_t hash = detail::hash_key(key);
     LockGuard<CentralLock> g(mu_.value);
-    mem_->add(next_seq_++, key, value);
+    mem_->add(key, hash, value);
     if (mem_->approximate_memory_usage() >= options_.write_buffer_bytes) {
       flush_memtable_locked();
     }
@@ -113,6 +114,7 @@ class DB {
   /// two shared_ptr copies are safe under shared holds because every
   /// mutator of mem_/version_ runs under the exclusive mode.
   Status get(const Slice& key, std::string* value) {
+    const std::uint64_t hash = detail::hash_key(key);  // memtable and tables
     std::shared_ptr<MemTable> mem;
     std::shared_ptr<TableVersion> version;
     if constexpr (SharedLockable<CentralLock>) {
@@ -124,14 +126,16 @@ class DB {
       mem = mem_;
       version = version_;
     }
-    if (mem->get(key, value)) return Status::ok();
-    reclaim::EpochGuard pin(cache_.domain());  // the blocks read below
-    if (search_tables(cache_, *version, key, [&](const Slice& v) {
-          value->assign(v.data(), v.size());
-        })) {
+    auto found = [&](const Slice& v) { value->assign(v.data(), v.size()); };
+    Slice v;
+    if (mem->get(key, hash, &v)) {
+      found(v);
       return Status::ok();
     }
-    return Status::not_found();
+    reclaim::EpochGuard pin(cache_.domain());  // the blocks read below
+    return search_tables(cache_, *version, key, hash, found)
+               ? Status::ok()
+               : Status::not_found();
   }
 
   /// Range scan: up to `limit` entries with key >= `start`, ascending,
@@ -227,7 +231,6 @@ class DB {
   // shared_ptrs under mu_ and then operate on immutable state).
   std::shared_ptr<MemTable> mem_ HEMLOCK_GUARDED_BY(mu_.value);
   std::shared_ptr<TableVersion> version_ HEMLOCK_GUARDED_BY(mu_.value);
-  std::uint64_t next_seq_ HEMLOCK_GUARDED_BY(mu_.value) = 1;
   std::uint64_t next_table_id_ HEMLOCK_GUARDED_BY(mu_.value) = 1;
   std::uint64_t compactions_ HEMLOCK_GUARDED_BY(mu_.value) = 0;
 };

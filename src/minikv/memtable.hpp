@@ -6,9 +6,11 @@
 // Each distinct key owns one slot: an atomic pointer to the key's
 // newest entry plus the link of its hash chain. A bucket array sized
 // from the owner's write budget (about one bucket per KiB, carved from
-// the arena so the flush threshold counts it) finds slots, so a point
-// get walks one short chain. A skiplist holding one node per slot keeps
-// the keys ordered for cursors, merge scans, flushes and compactions.
+// the arena so the flush threshold counts it) finds slots by the low
+// bits of the key's hash (detail::hash_key, slice.hpp, which the DBs
+// compute once per operation), so a point get walks one short chain.
+// A skiplist holding one node per slot keeps the keys ordered for
+// cursors, merge scans, flushes and compactions.
 //
 // Only the newest version of a key is kept. leveldb::MemTable keeps
 // every version, ordered by sequence number, because its snapshots can
@@ -93,33 +95,6 @@ inline Slice entry_value(const char* entry) {
   return Slice(p, vlen);
 }
 
-/// 64-bit hash of a key, eight bytes per multiply, splitmix-finalized
-/// so the low bits that pick a bucket depend on every key byte. The
-/// length seeds it: keys that differ only in trailing NULs differ.
-inline std::uint64_t hash_key(const Slice& key) {
-  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
-  const char* p = key.data();
-  std::size_t n = key.size();
-  std::uint64_t h = n * kMul;
-  for (; n >= 8; n -= 8, p += 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p, sizeof(w));
-    h = (h ^ w) * kMul;
-    h ^= h >> 32;
-  }
-  if (n > 0) {
-    std::uint64_t w = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      w |= std::uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
-    }
-    h = (h ^ w) * kMul;
-    h ^= h >> 32;
-  }
-  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
-  return h ^ (h >> 31);
-}
-
 }  // namespace detail
 
 /// In-memory write buffer holding the newest value of each key. Writers
@@ -174,10 +149,10 @@ class MemTable {
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
 
-  /// Make `value` the newest value of `key`. `seq` is the writer's
-  /// sequence number; the writer applies adds in order and only the
-  /// newest value is kept, so it is not stored.
-  void add(std::uint64_t /*seq*/, const Slice& key, const Slice& value) {
+  /// Make `value` the newest value of `key`, whose detail::hash_key()
+  /// is `hash`: the caller hashes the key once per operation, and the
+  /// bucket array takes the hash's low bits.
+  void add(const Slice& key, std::uint64_t hash, const Slice& value) {
     const std::size_t klen = key.size();
     const std::size_t vlen = value.size();
     const std::size_t bytes = detail::varint32_length(klen) + klen +
@@ -189,9 +164,8 @@ class MemTable {
     p = detail::encode_varint32(p, static_cast<std::uint32_t>(vlen));
     std::memcpy(p, value.data(), vlen);
 
-    const std::uint64_t h = detail::hash_key(key);
-    std::atomic<Slot*>& bucket = buckets_[h & mask_];
-    if (Slot* s = find(bucket, h, key)) {
+    std::atomic<Slot*>& bucket = buckets_[hash & mask_];
+    if (Slot* s = find(bucket, hash, key)) {
       // mo: release — publishes the new entry's bytes to readers that
       // acquire it through Slot::newest().
       s->entry.store(buf, std::memory_order_release);
@@ -199,7 +173,7 @@ class MemTable {
       // mo: relaxed — only this (serialized) writer stores bucket heads.
       Slot* head = bucket.load(std::memory_order_relaxed);
       Slot* slot =
-          new (arena_.allocate_aligned(sizeof(Slot))) Slot(buf, head, h);
+          new (arena_.allocate_aligned(sizeof(Slot))) Slot(buf, head, hash);
       // mo: release — publishes the slot's fields and its entry to
       // get()'s acquire walk of the chain.
       bucket.store(slot, std::memory_order_release);
@@ -210,11 +184,18 @@ class MemTable {
     entries_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Newest value for key, if present, as a view into the memtable's
-  /// arena: valid while the memtable lives.
-  bool get(const Slice& key, Slice* value) const {
-    const std::uint64_t h = detail::hash_key(key);
-    const Slot* s = find(buckets_[h & mask_], h, key);
+  /// As above, hashing `key` here. `seq` is the writer's sequence
+  /// number; the writer applies adds in order and only the newest value
+  /// is kept, so it is not stored.
+  void add(std::uint64_t /*seq*/, const Slice& key, const Slice& value) {
+    add(key, detail::hash_key(key), value);
+  }
+
+  /// Newest value for `key`, whose detail::hash_key() is `hash`, if
+  /// present, as a view into the memtable's arena: valid while the
+  /// memtable lives.
+  bool get(const Slice& key, std::uint64_t hash, Slice* value) const {
+    const Slot* s = find(buckets_[hash & mask_], hash, key);
     if (s == nullptr) return false;
     *value = detail::entry_value(s->newest());
     return true;
@@ -223,7 +204,7 @@ class MemTable {
   /// Newest value for key, if present, copied into *value.
   bool get(const Slice& key, std::string* value) const {
     Slice found;
-    if (!get(key, &found)) return false;
+    if (!get(key, detail::hash_key(key), &found)) return false;
     value->assign(found.data(), found.size());
     return true;
   }

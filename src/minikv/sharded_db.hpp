@@ -39,6 +39,12 @@
 // that reaches a table copies the found value, tag stripped, straight
 // out of the pinned block into the caller's string.
 //
+// Every operation hashes its key once (detail::hash_key, slice.hpp):
+// the router picks the shard from the hash's top bits by multiply-
+// shift, so any shard count works, and the memtable's buckets and the
+// tables' hash directories read its low bits, which the router leaves
+// free within a shard.
+//
 // Cross-shard Scan() enters/exits the epoch once per shard, collects
 // each shard's bounded prefix with the same merge_scan the central DB
 // uses, then merges — shards partition the keyspace, so the global
@@ -97,6 +103,9 @@ struct ShardedDbOptions {
 struct ShardedDbStats {
   std::uint64_t epoch_gets = 0;   ///< lock-free gets served
   std::uint64_t locked_gets = 0;  ///< shared-mode fallback gets
+  /// Gets (either tier) the memtable did not answer: they searched the
+  /// tables, through the block cache.
+  std::uint64_t table_gets = 0;
   std::uint64_t scans = 0;
   std::uint64_t puts = 0;
   std::uint64_t deletes = 0;
@@ -196,19 +205,20 @@ class ShardedDB {
   /// the epoch guard keeps every structure this thread can reach
   /// alive. Fallback (epoch_reads=false): shard lock, shared mode.
   Status get(const Slice& key, std::string* value) {
-    Shard& s = shard_for(key);
+    const std::uint64_t hash = detail::hash_key(key);
+    Shard& s = shard_for(hash);
     if (options_.epoch_reads) {
       ops_.add(kEpochGets);
       reclaim::EpochGuard g(*domain_);
-      return search_shard(s, key, value);
+      return search_shard(s, key, hash, value);
     }
     ops_.add(kLockedGets);
     if constexpr (SharedLockable<ShardLock>) {
       SharedLockGuard<ShardLock> g(s.mu.value);
-      return search_shard(s, key, value);
+      return search_shard(s, key, hash, value);
     } else {  // exclusive-only algorithm: readers serialize
       LockGuard<ShardLock> g(s.mu.value);
-      return search_shard(s, key, value);
+      return search_shard(s, key, hash, value);
     }
   }
 
@@ -283,6 +293,7 @@ class ShardedDB {
     ShardedDbStats st;
     st.epoch_gets = ops_.sum(kEpochGets);
     st.locked_gets = ops_.sum(kLockedGets);
+    st.table_gets = ops_.sum(kTableGets);
     st.scans = ops_.sum(kScans);
     st.puts = ops_.sum(kPuts);
     st.deletes = ops_.sum(kDeletes);
@@ -308,7 +319,6 @@ class ShardedDB {
     /// contended refcount on the hot path.
     std::atomic<MemTable*> mem;
     std::atomic<TableVersion*> version;
-    std::uint64_t next_seq HEMLOCK_GUARDED_BY(mu.value) = 1;  ///< under mu
 
     template <typename... Args>
     explicit Shard(std::size_t write_buffer_bytes, const Args&... args)
@@ -318,29 +328,23 @@ class ShardedDB {
     ~Shard() = default;  // mem/version freed by ShardedDB's destructor
   };
 
-  /// Keyspace router: FNV-1a over the key bytes, splitmix-finalized
-  /// so low-entropy key suffixes still spread across shards.
-  Shard& shard_for(const Slice& key) {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (std::size_t i = 0; i < key.size(); ++i) {
-      h ^= static_cast<unsigned char>(key.data()[i]);
-      h *= 1099511628211ULL;
-    }
-    h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
-    h ^= h >> 31;
-    return *shards_[h % shards_.size()];
+  /// Keyspace router: the top 32 bits of the key's hash, scaled onto
+  /// the shard count (multiply-shift). A shard's keys share only the
+  /// hash's top ⌈log2 shards⌉ bits.
+  Shard& shard_for(std::uint64_t hash) {
+    return *shards_[((hash >> 32) * shards_.size()) >> 32];
   }
 
   Status write(const Slice& key, const Slice& tagged) {
-    Shard& s = shard_for(key);
+    const std::uint64_t hash = detail::hash_key(key);
+    Shard& s = shard_for(hash);
     bool flushed = false;
     {
       LockGuard<ShardLock> g(s.mu.value);
       // mo: relaxed — mu is held; only flush_shard_locked (also
       // under mu) swings this pointer.
       MemTable* mem = s.mem.load(std::memory_order_relaxed);
-      mem->add(s.next_seq++, key, tagged);
+      mem->add(key, hash, tagged);
       if (mem->approximate_memory_usage() >= options_.write_buffer_bytes) {
         flush_shard_locked(s);
         flushed = true;
@@ -353,27 +357,29 @@ class ShardedDB {
     return Status::ok();
   }
 
-  /// Lock-free (or locked) search of one shard: a live value is
-  /// copied, tag stripped, into *value. The acquire loads pair with
-  /// flush_shard_locked's release stores; mem is loaded FIRST (see the
-  /// publication-order comment at the top). A hit is a view into the
-  /// memtable or a pinned table block, copied here while the caller's
-  /// epoch guard (or shard lock, plus a guard for the blocks) keeps it
-  /// alive.
-  Status search_shard(Shard& s, const Slice& key, std::string* value) {
+  /// Lock-free (or locked) search of one shard for `key`, whose hash
+  /// is `hash`: a live value is copied, tag stripped, into *value. The
+  /// acquire loads pair with flush_shard_locked's release stores; mem
+  /// is loaded FIRST (see the publication-order comment at the top). A
+  /// hit is a view into the memtable or a pinned table block, copied
+  /// here while the caller's epoch guard (or shard lock, plus a guard
+  /// for the blocks) keeps it alive.
+  Status search_shard(Shard& s, const Slice& key, std::uint64_t hash,
+                      std::string* value) {
     // mo: acquire — pairs with the release publish in
     // flush_shard_locked; mem FIRST (publication-order invariant).
     MemTable* mem = s.mem.load(std::memory_order_acquire);
     TableVersion* version = s.version.load(std::memory_order_acquire);
     Slice tagged;
-    if (mem->get(key, &tagged)) return unwrap(tagged, value);
+    if (mem->get(key, hash, &tagged)) return unwrap(tagged, value);
+    ops_.add(kTableGets);
     Status st = Status::not_found();
     auto found = [&](const Slice& t) { st = unwrap(t, value); };
     if (options_.epoch_reads) {
-      search_tables(cache_, *version, key, found);  // get()'s guard pins
+      search_tables(cache_, *version, key, hash, found);  // get()'s guard pins
     } else {
       reclaim::EpochGuard pin(*domain_);  // the shard lock pins no block
-      search_tables(cache_, *version, key, found);
+      search_tables(cache_, *version, key, hash, found);
     }
     return st;
   }
@@ -462,6 +468,7 @@ class ShardedDB {
   enum OpCount : std::size_t {
     kEpochGets,
     kLockedGets,
+    kTableGets,
     kScans,
     kPuts,
     kDeletes,

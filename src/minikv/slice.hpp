@@ -1,11 +1,15 @@
-// slice.hpp — non-owning byte-string view, LevelDB-style.
+// slice.hpp — non-owning byte-string view, LevelDB-style, and the
+// one key hash.
 //
 // MiniKV is this repository's stand-in for the paper's LevelDB 1.20
 // workload (Figure 8, §5.4). Slice mirrors leveldb::Slice: a cheap
 // (pointer, length) view used across the memtable, table and cache
-// layers so lookups never copy keys.
+// layers so lookups never copy keys. detail::hash_key is computed once
+// per operation: the sharded router takes its top bits, the memtable's
+// bucket array and a table's hash directory its low ones.
 #pragma once
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -69,5 +73,36 @@ inline bool operator==(const Slice& a, const Slice& b) {
          std::memcmp(a.data(), b.data(), a.size()) == 0;
 }
 inline bool operator!=(const Slice& a, const Slice& b) { return !(a == b); }
+
+namespace detail {
+
+/// 64-bit hash of a key, eight bytes per multiply, splitmix-finalized
+/// so every output bit depends on every key byte. The length seeds it:
+/// keys that differ only in trailing NULs differ.
+inline std::uint64_t hash_key(const Slice& key) {
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+  const char* p = key.data();
+  std::size_t n = key.size();
+  std::uint64_t h = n * kMul;
+  for (; n >= 8; n -= 8, p += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof(w));
+    h = (h ^ w) * kMul;
+    h ^= h >> 32;
+  }
+  if (n > 0) {
+    std::uint64_t w = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      w |= std::uint64_t{static_cast<unsigned char>(p[i])} << (8 * i);
+    }
+    h = (h ^ w) * kMul;
+    h ^= h >> 32;
+  }
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
+  return h ^ (h >> 31);
+}
+
+}  // namespace detail
 
 }  // namespace hemlock::minikv

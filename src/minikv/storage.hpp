@@ -14,8 +14,11 @@
 //    cached block itself. A miss copies the table's block into a
 //    recycled cache entry, and only when the cache bypasses the insert
 //    does it allocate a copy of its own (read_block). search_tables
-//    hands the found value to a visitor while its block is pinned, so
-//    a point lookup through the tables allocates nothing.
+//    probes each table's hash directory with the key's hash, newest
+//    table first, reads exactly the candidate's block and compares one
+//    key (table.hpp); it hands the found value to a visitor while its
+//    block is pinned, so a point lookup through the tables allocates
+//    nothing.
 //  * flush_to_version: the one fold behind every flush and full-merge
 //    compaction (under the writer's lock).
 #pragma once
@@ -70,29 +73,21 @@ inline BlockRef read_block_cached(ShardedLruCache<Block>& cache,
 }
 
 /// Point lookup over a version's tables, newest first, through
-/// `cache`. Stops at the first table holding `key` and calls
-/// found(value) while the value's block is pinned; returns whether it
-/// did. REQUIRES: an EpochGuard on cache.domain().
+/// `cache`; `hash` is detail::hash_key(key). Stops at the first table
+/// holding `key` and calls found(value) while the value's block is
+/// pinned; returns whether it did. REQUIRES: an EpochGuard on
+/// cache.domain().
 template <typename Found>
 bool search_tables(ShardedLruCache<Block>& cache, const TableVersion& version,
-                   const Slice& key, Found&& found) {
+                   const Slice& key, std::uint64_t hash, Found&& found) {
   for (const auto& table : version.tables) {  // newest first
-    // Key-range filter, as LevelDB's Version::Get does per table
-    // file — fillseq produces disjoint table ranges, so this keeps
-    // the read path at ~one candidate table per lookup.
-    if (key.compare(table->smallest()) < 0 ||
-        key.compare(table->largest()) > 0) {
-      continue;
-    }
-    const std::int64_t idx = table->block_for(key);
-    if (idx < 0) continue;
-    const BlockRef block =
-        read_block_cached(cache, *table, static_cast<std::size_t>(idx));
-    Slice value;
-    if (block->get(key, &value)) {
-      found(value);
+    const bool hit = table->probe(hash, [&](std::size_t b, std::size_t e) {
+      const BlockRef block = read_block_cached(cache, *table, b);
+      if (block->key(e) != key) return false;  // a fingerprint collision
+      found(block->value(e));
       return true;
-    }
+    });
+    if (hit) return true;
   }
   return false;
 }

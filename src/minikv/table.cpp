@@ -1,6 +1,7 @@
 #include "minikv/table.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 #include <stdexcept>
@@ -18,20 +19,6 @@ std::size_t Block::lower_bound(const Slice& key) const {
     }
   }
   return lo;
-}
-
-bool Block::get(const Slice& key, Slice* value) const {
-  const std::size_t i = lower_bound(key);
-  if (i == n_ || this->key(i) != key) return false;
-  *value = this->value(i);
-  return true;
-}
-
-bool Block::get(const Slice& key, std::string* value) const {
-  Slice v;
-  if (!get(key, &v)) return false;
-  value->assign(v.data(), v.size());
-  return true;
 }
 
 void Block::Builder::add(const Slice& key, const Slice& value) {
@@ -72,7 +59,7 @@ ImmutableTable::Builder::Builder(std::size_t block_fanout)
 void ImmutableTable::Builder::add(const Slice& key, const Slice& value) {
   if (block_.size() == 0) index_.add(key, Slice());
   block_.add(key, value);
-  ++entries_;
+  hashes_.push_back(detail::hash_key(key));
   if (block_.size() == fanout_) blocks_.push_back(block_.finish());
 }
 
@@ -91,14 +78,31 @@ ImmutableTable::ImmutableTable(
       }()) {}
 
 ImmutableTable::ImmutableTable(std::uint64_t id, Builder&& built)
-    : id_(id), entries_(built.entries_) {
+    : id_(id),
+      entries_(built.hashes_.size()),
+      fanout_(static_cast<std::uint32_t>(std::min<std::size_t>(
+          built.fanout_, std::numeric_limits<std::uint32_t>::max()))) {
+  if (entries_ >= std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("minikv: table exceeds 2^32 - 2 entries");
+  }
   if (built.block_.size() > 0) built.blocks_.push_back(built.block_.finish());
   blocks_ = std::move(built.blocks_);
   index_ = built.index_.finish();
-  if (!blocks_.empty()) {
-    const Block& last = blocks_.back();
-    smallest_ = blocks_.front().key(0).to_string();
-    largest_ = last.key(last.size() - 1).to_string();
+
+  // The hash directory: at most half full, so probes stay short and
+  // always reach an empty slot.
+  const std::size_t slots = std::bit_ceil(std::max<std::size_t>(2 * entries_, 1));
+  dir_.assign(slots, 0);
+  dir_mask_ = slots - 1;
+  dir_bits_ = static_cast<unsigned>(std::countr_zero(slots));
+  ordinal_bits_ = static_cast<unsigned>(std::bit_width(entries_));
+  ordinal_mask_ =
+      static_cast<std::uint32_t>((std::uint64_t{1} << ordinal_bits_) - 1);
+  for (std::size_t ordinal = 0; ordinal < entries_; ++ordinal) {
+    const std::uint64_t hash = built.hashes_[ordinal];
+    std::size_t i = hash & dir_mask_;
+    while (dir_[i] != 0) i = (i + 1) & dir_mask_;
+    dir_[i] = fingerprint(hash) | static_cast<std::uint32_t>(ordinal + 1);
   }
 }
 

@@ -2,12 +2,26 @@
 //
 // When the memtable reaches its flush threshold the DB freezes it
 // into an ImmutableTable: entries packed into fixed-fanout blocks
-// with an index block of block-first-keys. Point lookups binary
-// search the index, fetch the block (through the DB's block cache —
-// cache.hpp), and binary search inside it. This mirrors LevelDB's
-// table/block/cache structure closely enough that the Figure-8
-// readrandom workload exercises the same code shape: a short central-
-// mutex critical section, then block-cache + search work outside it.
+// with an index block of block-first-keys, plus a hash directory
+// built once with the table. A point lookup probes the directory with
+// the key's hash (detail::hash_key, computed once per operation),
+// fetches exactly the candidate's block (through the DB's block cache
+// — cache.hpp) and compares one key. Seeks and scans binary search the
+// index, then the block. This mirrors LevelDB's table/block/cache
+// structure closely enough that the Figure-8 readrandom workload
+// exercises the same code shape: a short central-mutex critical
+// section, then block-cache + search work outside it.
+//
+// Hash directory. Open addressing with linear probing over a power-of-
+// two array of 32-bit slots, at most half full. A slot's low
+// ⌈log2(n+1)⌉ bits (n entries) hold the entry's ordinal plus 1, its
+// other bits a fingerprint of the key's hash; 0 is empty. Ordinal o is
+// entry o % fanout of block o / fanout: every block but the last holds
+// exactly `fanout` entries. A slot's index takes the hash's low bits
+// and the fingerprint the bits just above them, all below bit 33, so
+// the sharded router's top bits (sharded_db.hpp) never reach them.
+// Fingerprints can collide: a candidate's key is always compared, and
+// the probe walks on past a mismatch.
 //
 // Block layout. As in LevelDB, a block is ONE contiguous byte buffer:
 //
@@ -51,13 +65,9 @@ class Block {
   /// Value of entry i (i < size()); points into this block.
   Slice value(std::size_t i) const { return span(2 * i + 1); }
 
-  /// Index of the first entry whose key is >= `key` (size() if none).
+  /// Index of the first entry whose key is >= `key` (size() if none):
+  /// the binary search of seeks and scans.
   std::size_t lower_bound(const Slice& key) const;
-
-  /// Binary search inside the block; *value points into the block.
-  bool get(const Slice& key, Slice* value) const;
-  /// As above, copying the value out.
-  bool get(const Slice& key, std::string* value) const;
 
   /// Cache charge: the bytes this block holds, i.e. the Block object
   /// plus its buffer (payload and offsets).
@@ -112,7 +122,9 @@ class ImmutableTable {
   ImmutableTable(std::uint64_t id,
                  const std::vector<std::pair<std::string, std::string>>& sorted,
                  std::size_t block_fanout = kDefaultBlockFanout);
-  /// Seal the entries streamed into `built` as table `id`.
+  /// Seal the entries streamed into `built` as table `id`. Throws
+  /// std::length_error past 2^32 - 2 entries (the directory's ordinals
+  /// are 32-bit).
   ImmutableTable(std::uint64_t id, Builder&& built);
 
   ImmutableTable(const ImmutableTable&) = delete;
@@ -125,8 +137,30 @@ class ImmutableTable {
   /// Total number of entries.
   std::size_t num_entries() const { return entries_; }
 
+  /// Point-lookup candidates for the key whose detail::hash_key() is
+  /// `hash`: calls at(block, entry) for each entry whose directory
+  /// fingerprint matches, in probe order, until `at` returns true, and
+  /// returns whether it did. A candidate may hold another key (the
+  /// fingerprint collided), so `at` compares the key and returns false
+  /// to walk on.
+  template <typename At>
+  bool probe(std::uint64_t hash, At&& at) const {
+    const std::uint32_t fp = fingerprint(hash);
+    for (std::size_t i = hash & dir_mask_;; i = (i + 1) & dir_mask_) {
+      const std::uint32_t slot = dir_[i];
+      if (slot == 0) return false;
+      if ((slot & ~ordinal_mask_) == fp) {
+        const std::uint32_t ordinal = (slot & ordinal_mask_) - 1;
+        if (at(std::size_t{ordinal / fanout_}, std::size_t{ordinal % fanout_})) {
+          return true;
+        }
+      }
+    }
+  }
+
   /// Index of the block that could contain `key`, or -1 when out of
-  /// range (key below the table's first key or table empty).
+  /// range (key below the table's first key or table empty): the start
+  /// of a seek.
   std::int64_t block_for(const Slice& key) const;
 
   /// A standalone copy of block `idx` (in LevelDB a cache miss is a
@@ -145,19 +179,39 @@ class ImmutableTable {
   /// building loop would never advance).
   static std::size_t checked_fanout(std::size_t block_fanout);
 
-  /// First key of the table (empty if no entries).
-  const std::string& smallest() const { return smallest_; }
-  /// Last key of the table.
-  const std::string& largest() const { return largest_; }
+  /// Last key of the table (empty if no entries); points into it.
+  Slice largest() const {
+    return blocks_.empty() ? Slice()
+                           : blocks_.back().key(blocks_.back().size() - 1);
+  }
+
+  /// Bytes the hash directory holds.
+  std::size_t directory_bytes() const {
+    return dir_.size() * sizeof(std::uint32_t);
+  }
 
   static constexpr std::size_t kDefaultBlockFanout = 16;
 
  private:
+  /// The directory fingerprint of `hash`: the hash bits above the slot
+  /// index, in the slot bits above the ordinal.
+  std::uint32_t fingerprint(std::uint64_t hash) const {
+    return static_cast<std::uint32_t>((hash >> dir_bits_) << ordinal_bits_);
+  }
+
   std::uint64_t id_;
   std::size_t entries_;
-  std::string smallest_, largest_;
+  /// block_fanout, clamped to 32 bits: every ordinal is below 2^32 - 1,
+  /// so a larger fanout puts every entry in block 0 either way.
+  std::uint32_t fanout_;
   Block index_;  ///< key i = first key of blocks_[i]; values empty
   std::vector<Block> blocks_;
+  // The hash directory (file comment).
+  std::vector<std::uint32_t> dir_;
+  std::size_t dir_mask_ = 0;
+  unsigned dir_bits_ = 0;      ///< log2(dir_.size())
+  unsigned ordinal_bits_ = 0;  ///< ⌈log2(entries_ + 1)⌉
+  std::uint32_t ordinal_mask_ = 0;
 };
 
 /// Streams entries, in strictly ascending key order, into blocks of
@@ -174,7 +228,7 @@ class ImmutableTable::Builder {
   friend class ImmutableTable;
 
   std::size_t fanout_;
-  std::size_t entries_ = 0;
+  std::vector<std::uint64_t> hashes_;  ///< detail::hash_key of each key
   Block::Builder block_, index_;
   std::vector<Block> blocks_;
 };

@@ -10,13 +10,16 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <new>
+#include <optional>
 #include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/hemlock.hpp"
@@ -225,8 +228,9 @@ TEST(MemTableTest, CursorYieldsNewestVersionOnce) {
 }
 
 // Seeded model check: the memtable against a std::map holding the
-// newest value per key. A 1 KiB budget gets the minimum bucket count
-// (16), so the ~40 keys share chains several deep.
+// newest value per key, through both the hashing forms and the ones
+// that take the caller's hash. A 1 KiB budget gets the minimum bucket
+// count (16), so the ~40 keys share chains several deep.
 TEST(MemTableTest, MatchesMapModel) {
   MemTable mem(1024);
   std::map<std::string, std::string> model;
@@ -241,7 +245,11 @@ TEST(MemTableTest, MatchesMapModel) {
     // Three adds in four overwrite one of four hot keys.
     const std::string& k = keys[i % 4 != 0 ? rng() % 4 : rng() % keys.size()];
     const std::string v = rng() % 8 == 0 ? "" : "v" + std::to_string(i);
-    mem.add(static_cast<std::uint64_t>(i) + 1, k, v);
+    if (i % 2 == 0) {
+      mem.add(static_cast<std::uint64_t>(i) + 1, k, v);
+    } else {
+      mem.add(k, detail::hash_key(k), v);
+    }
     model[k] = v;
     ++adds;
   }
@@ -257,7 +265,7 @@ TEST(MemTableTest, MatchesMapModel) {
   for (const std::string& k : probes) {
     const auto it = model.find(k);
     ASSERT_EQ(mem.get(k, &v), it != model.end()) << ::testing::PrintToString(k);
-    ASSERT_EQ(mem.get(k, &view), it != model.end());
+    ASSERT_EQ(mem.get(k, detail::hash_key(k), &view), it != model.end());
     if (it == model.end()) continue;
     EXPECT_EQ(v, it->second);
     EXPECT_EQ(view.to_string(), it->second);
@@ -359,8 +367,6 @@ TEST(BlockTest, AccessorsOverOneBuffer) {
   EXPECT_EQ(b.size(), 0u);
   EXPECT_EQ(b.finish().size(), 0u);
   EXPECT_EQ(Block().size(), 0u);
-  std::string v;
-  EXPECT_FALSE(Block().get("a", &v));
 }
 
 // Random bytes over an alphabet with NUL and 0xff, short enough that
@@ -375,14 +381,42 @@ std::string random_bytes(std::mt19937& rng, std::size_t min_len,
   return s;
 }
 
+/// Where `key` sits in `t` — (block, entry) — found through the
+/// table's hash directory, reading blocks in place; nullopt when the
+/// directory has no entry holding it. Candidates that hold another key
+/// (a fingerprint collision) are counted in *collisions.
+std::optional<std::pair<std::size_t, std::size_t>> locate(
+    const ImmutableTable& t, const Slice& key, std::size_t* collisions = nullptr) {
+  std::optional<std::pair<std::size_t, std::size_t>> at;
+  t.probe(detail::hash_key(key), [&](std::size_t b, std::size_t e) {
+    if (b >= t.num_blocks() || e >= t.block(b).size()) {
+      ADD_FAILURE() << "candidate (" << b << ", " << e << ") out of range";
+      return true;
+    }
+    if (t.block(b).key(e) != key) {
+      if (collisions != nullptr) ++*collisions;
+      return false;
+    }
+    at.emplace(b, e);
+    return true;
+  });
+  return at;
+}
+
 TEST(BlockFormatProperty, SeededTablesAcrossFanouts) {
-  for (const std::size_t fanout : {1u, 7u, 16u}) {
-    SCOPED_TRACE("fanout " + std::to_string(fanout));
-    std::mt19937 rng(static_cast<std::uint32_t>(1000 + fanout));
-    // Distinct non-empty keys; the count leaves the last block exactly
-    // one entry. std::string orders bytes as unsigned, like Slice.
+  constexpr std::size_t kFanouts[] = {1, 7, 16};
+  for (unsigned run = 0; run < 2 * std::size(kFanouts); ++run) {
+    const std::size_t fanout = kFanouts[run / 2];
+    const bool with_empty_key = run % 2 == 1;
+    SCOPED_TRACE("fanout " + std::to_string(fanout) +
+                 (with_empty_key ? ", empty key stored" : ""));
+    std::mt19937 rng(static_cast<std::uint32_t>(1000 + fanout + with_empty_key));
+    // Distinct keys, non-empty unless the empty key is stored; the
+    // count leaves the last block exactly one entry. std::string orders
+    // bytes as unsigned, like Slice.
     const std::size_t n = 9 * fanout + 1;
     std::set<std::string> keys{std::string("a\0b", 3)};
+    if (with_empty_key) keys.insert("");
     while (keys.size() < n) keys.insert(random_bytes(rng, 1, 6));
     std::vector<std::pair<std::string, std::string>> rows;
     for (const auto& k : keys) rows.emplace_back(k, random_bytes(rng, 0, 24));
@@ -392,7 +426,6 @@ TEST(BlockFormatProperty, SeededTablesAcrossFanouts) {
     const ImmutableTable t(7, rows, fanout);
     ASSERT_EQ(t.num_entries(), n);
     ASSERT_EQ(t.num_blocks(), (n + fanout - 1) / fanout);
-    EXPECT_EQ(t.smallest(), rows.front().first);
     EXPECT_EQ(t.largest(), rows.back().first);
 
     // Block shapes, contents and charges.
@@ -412,27 +445,26 @@ TEST(BlockFormatProperty, SeededTablesAcrossFanouts) {
       EXPECT_NE(blk->key(0).data(), t.block(b).key(0).data());
     }
 
-    // Every present key is found with its exact value.
-    std::string v;
-    for (const auto& [k, want] : rows) {
-      const std::int64_t b = t.block_for(k);
-      ASSERT_GE(b, 0);
-      ASSERT_TRUE(t.read_block(static_cast<std::size_t>(b))->get(k, &v));
-      EXPECT_EQ(v, want);
+    // The directory finds every present key at its own (block, entry),
+    // and a seek's block_for lands on that block.
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& [k, want] = rows[i];
+      const auto at = locate(t, k);
+      ASSERT_TRUE(at.has_value()) << ::testing::PrintToString(k);
+      EXPECT_EQ(*at, std::make_pair(i / fanout, i % fanout));
+      EXPECT_EQ(t.block(at->first).value(at->second), Slice(want));
+      EXPECT_EQ(t.block_for(k), static_cast<std::int64_t>(i / fanout));
     }
 
     // Absent keys: below the smallest, between neighbours, beyond the
-    // largest.
+    // largest. The directory finds none of them.
     std::vector<std::string> absent{"", rows.back().first + "\xff"};
     for (const auto& [k, unused] : rows) absent.push_back(k + '\0');
     std::erase_if(absent, [&](const std::string& k) { return keys.count(k); });
     for (const auto& k : absent) {
-      const std::int64_t b = t.block_for(k);
-      if (b >= 0) {
-        EXPECT_FALSE(t.read_block(static_cast<std::size_t>(b))->get(k, &v));
-      }
+      EXPECT_FALSE(locate(t, k).has_value()) << ::testing::PrintToString(k);
     }
-    EXPECT_EQ(t.block_for(""), -1);
+    EXPECT_EQ(t.block_for(""), with_empty_key ? 0 : -1);
 
     // A merge scan from every start key returns the input's suffix.
     MemTable empty;
@@ -473,34 +505,59 @@ TEST(ImmutableTableTest, BlockLookupFindsEveryKey) {
   ImmutableTable t(1, make_sorted(100), /*block_fanout=*/7);
   EXPECT_EQ(t.num_entries(), 100u);
   EXPECT_EQ(t.num_blocks(), (100 + 6) / 7);
-  std::string v;
   for (int i = 0; i < 100; ++i) {
     const auto key = bench_key(static_cast<std::uint64_t>(i) * 2);
-    const std::int64_t b = t.block_for(key);
-    ASSERT_GE(b, 0);
-    auto block = t.read_block(static_cast<std::size_t>(b));
-    ASSERT_TRUE(block->get(key, &v)) << key;
-    EXPECT_EQ(v, "val" + std::to_string(i * 2));
+    const auto at = locate(t, key);
+    ASSERT_TRUE(at.has_value()) << key;
+    EXPECT_EQ(*at, std::make_pair(static_cast<std::size_t>(i) / 7,
+                                  static_cast<std::size_t>(i) % 7));
+    EXPECT_EQ(t.read_block(at->first)->value(at->second).to_string(),
+              "val" + std::to_string(i * 2));
+    EXPECT_FALSE(locate(t, bench_key(static_cast<std::uint64_t>(i) * 2 + 1)));
   }
+}
+
+// At 2^17 keys a directory slot carries 14 fingerprint bits at load
+// 0.5, so some probes meet a slot whose fingerprint matches another
+// key's: the key compare must reject it and the probe walk on.
+TEST(ImmutableTableTest, DirectoryWalksPastFingerprintCollisions) {
+  constexpr std::size_t kN = std::size_t{1} << 17;
+  std::vector<std::pair<std::string, std::string>> rows;
+  rows.reserve(kN);
+  for (std::size_t i = 0; i < kN; ++i) rows.emplace_back(bench_key(2 * i), "");
+  const ImmutableTable t(1, rows, ImmutableTable::kDefaultBlockFanout);
+  // At most half full, in a power-of-two array of 4-byte slots.
+  EXPECT_EQ(t.directory_bytes(), 2 * kN * sizeof(std::uint32_t));
+  std::size_t collisions = 0;
+  for (std::size_t i = 0; i < kN; ++i) {
+    const auto at = locate(t, rows[i].first, &collisions);
+    ASSERT_TRUE(at.has_value()) << rows[i].first;
+    ASSERT_EQ(at->first * ImmutableTable::kDefaultBlockFanout + at->second, i);
+    ASSERT_FALSE(locate(t, bench_key(2 * i + 1), &collisions));
+  }
+  EXPECT_GT(collisions, 0u);
 }
 
 TEST(ImmutableTableTest, MissesFallInTheRightPlaces) {
   ImmutableTable t(2, make_sorted(50), 8);
-  std::string v;
   // Key below the smallest: no candidate block.
   EXPECT_EQ(t.block_for("0000000000000000"), 0);  // equals first key -> block 0
   ImmutableTable t2(3, {{"b", "1"}, {"d", "2"}}, 8);
   EXPECT_EQ(t2.block_for("a"), -1);
-  const std::int64_t b = t2.block_for("c");
-  ASSERT_GE(b, 0);
-  EXPECT_FALSE(t2.read_block(static_cast<std::size_t>(b))->get("c", &v));
-  EXPECT_TRUE(t2.read_block(static_cast<std::size_t>(b))->get("b", &v));
+  EXPECT_EQ(t2.block_for("c"), 0);
+  EXPECT_FALSE(locate(t2, "a"));
+  EXPECT_FALSE(locate(t2, "c"));
+  EXPECT_FALSE(locate(t2, "e"));
+  EXPECT_EQ(locate(t2, "b"), std::make_pair(std::size_t{0}, std::size_t{0}));
+  EXPECT_EQ(locate(t2, "d"), std::make_pair(std::size_t{0}, std::size_t{1}));
 }
 
 TEST(ImmutableTableTest, EmptyTableHasNoBlocks) {
   const ImmutableTable t(4, {});
   EXPECT_EQ(t.num_blocks(), 0u);
   EXPECT_EQ(t.block_for("a"), -1);
+  EXPECT_FALSE(locate(t, "a"));
+  EXPECT_FALSE(locate(t, ""));
 }
 
 // A fanout of 0 would never advance the block-building loop; every
@@ -821,6 +878,92 @@ TEST(DbTest, CompactionKeepsNewestVersionOnce) {
   EXPECT_EQ(db.scan(Slice(), model.size() + 1, &all), model.size());
   EXPECT_EQ(all, (std::vector<std::pair<std::string, std::string>>(
                      model.begin(), model.end())));
+}
+
+// Seeded model check of the table path, newest table first. A tiny
+// write buffer flushes every few dozen writes and compaction_trigger 4
+// keeps up to four tables per shard, so a key's older values (and, in
+// ShardedDB, the live values its tombstones shadow) sit in older tables
+// while the newest sits in a newer one or the memtable. After every
+// flush each key's get must match a std::map model: a directory that
+// answered from an older table, or a tombstone that stopped shadowing,
+// fails it. `flushed()` says whether the last write flushed.
+template <typename Db, typename Flushed>
+void check_newest_first(Db& db, std::uint32_t seed, Flushed&& flushed,
+                        std::size_t* checks, std::size_t* max_tables) {
+  constexpr std::uint64_t kKeys = 64;  // plus 8 never written
+  std::mt19937 rng(seed);
+  std::map<std::string, std::string> model;
+  std::string v;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string key = bench_key(rng() % kKeys);
+    bool deleted = false;
+    if constexpr (requires { db.del(Slice()); }) {
+      if (rng() % 5 == 0) {
+        db.del(key);
+        model.erase(key);
+        deleted = true;
+      }
+    }
+    if (!deleted) {
+      const std::string value = "v" + std::to_string(i) + std::string(rng() % 40, 'x');
+      db.put(key, value);
+      model[key] = value;
+    }
+    if (!flushed()) continue;
+    ++*checks;
+    *max_tables = std::max(*max_tables, db.num_tables());
+    for (std::uint64_t k = 0; k < kKeys + 8; ++k) {
+      const std::string probe = bench_key(k);
+      const auto it = model.find(probe);
+      const Status st = db.get(probe, &v);
+      ASSERT_EQ(st.is_ok(), it != model.end()) << probe << " after write " << i;
+      if (it != model.end()) {
+        ASSERT_EQ(v, it->second) << probe << " after write " << i;
+      }
+    }
+  }
+}
+
+TEST(NewestFirstModel, CentralDbOverwrites) {
+  DbOptions opt;
+  opt.write_buffer_bytes = 8 * 1024;
+  opt.block_fanout = 4;
+  opt.compaction_trigger = 4;
+  opt.block_cache_bytes = 64 * 1024;
+  DB<StdMutex> db(opt);
+  std::size_t checks = 0, max_tables = 0;
+  check_newest_first(db, 0x5EED20,
+                     [&] { return db.memtable_entries() == 0; },
+                     &checks, &max_tables);
+  EXPECT_GE(checks, 20u);
+  EXPECT_EQ(max_tables, 4u);
+  EXPECT_GT(db.compactions(), 0u);
+}
+
+TEST(NewestFirstModel, ShardedDbOverwritesAndTombstones) {
+  ShardedDbOptions opt;
+  opt.num_shards = 4;
+  opt.write_buffer_bytes = 8 * 1024;
+  opt.block_fanout = 4;
+  opt.compaction_trigger = 4;
+  opt.block_cache_bytes = 64 * 1024;
+  ShardedDB<> db(opt);
+  std::uint64_t flushes = 0;
+  std::size_t checks = 0, max_tables = 0;
+  check_newest_first(db, 0x5EED21,
+                     [&] {
+                       const std::uint64_t now = db.stats().flushes;
+                       return std::exchange(flushes, now) != now;
+                     },
+                     &checks, &max_tables);
+  EXPECT_GE(checks, 20u);
+  EXPECT_GE(max_tables, 2 * opt.num_shards);  // several tables per shard
+  const ShardedDbStats st = db.stats();
+  EXPECT_GT(st.compactions, 0u);
+  EXPECT_GT(st.deletes, 0u);
+  EXPECT_GT(st.table_gets, 0u);
+  EXPECT_LE(st.table_gets, st.epoch_gets);
 }
 
 TEST(DbTest, CacheServesRepeatedReads) {
