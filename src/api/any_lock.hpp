@@ -78,6 +78,71 @@ struct LockVTable {
   bool (*try_lock_shared)(void* storage);
 };
 
+/// The attributed erased operations: each runs one vtable thunk on a
+/// lock hosted at `storage`, between the telemetry hooks that
+/// attribute it to `tm` ({0}: unattributed, one branch per hook).
+/// AnyLock and the pthread overlays (interpose/) both go through
+/// these, so each operation's hook pairing is written here only.
+namespace hosted {
+
+/// Records a non-blocking attempt's outcome: an acquisition in the
+/// attempted mode, or a try failure. A deadline-polled acquire counts
+/// its whole wait as one attempt through this.
+inline bool count_attempt(bool acquired, bool shared,
+                          telemetry::TelemetryHandle tm) noexcept {
+  if (!acquired) {
+    telemetry::on_try_failure(tm);
+  } else if (shared) {
+    telemetry::on_shared_acquired(tm);
+  } else {
+    telemetry::on_try_acquired(tm);
+  }
+  return acquired;
+}
+
+inline void lock(const LockVTable& vt, void* storage,
+                 telemetry::TelemetryHandle tm) {
+  telemetry::on_lock_begin(tm);
+  vt.lock(storage);
+  telemetry::on_lock_acquired(tm);
+}
+
+inline void unlock(const LockVTable& vt, void* storage,
+                   telemetry::TelemetryHandle tm) {
+  telemetry::on_unlock_begin(tm);
+  vt.unlock(storage);
+  telemetry::on_unlock_end(tm);
+}
+
+inline bool try_lock(const LockVTable& vt, void* storage,
+                     telemetry::TelemetryHandle tm) {
+  return count_attempt(vt.try_lock(storage), false, tm);
+}
+
+inline void lock_shared(const LockVTable& vt, void* storage,
+                        telemetry::TelemetryHandle tm) {
+  telemetry::on_shared_begin(tm);
+  vt.lock_shared(storage);
+  telemetry::on_shared_acquired(tm);
+}
+
+inline void unlock_shared(const LockVTable& vt, void* storage,
+                          telemetry::TelemetryHandle tm) {
+  // Attribution only (reader holds are not timed — see
+  // telemetry::on_shared_acquired): the drain hand-off a reader exit
+  // can trigger should land on this lock's row.
+  telemetry::on_shared_begin(tm);
+  vt.unlock_shared(storage);
+  telemetry::on_unlock_end(tm);
+}
+
+inline bool try_lock_shared(const LockVTable& vt, void* storage,
+                            telemetry::TelemetryHandle tm) {
+  return count_attempt(vt.try_lock_shared(storage), true, tm);
+}
+
+}  // namespace hosted
+
 namespace detail {
 
 /// Inline-storage geometry over a lock_tag tuple: the buffer must
@@ -161,32 +226,18 @@ class HEMLOCK_CAPABILITY("mutex") AnyLock {
   ///    busy-wait selections (info().oversub_safe == false) convoy at
   ///    scheduler speed when runnable threads exceed cores — prefer
   ///    the "-adaptive" variant when oversubscription is possible.
-  void lock() HEMLOCK_ACQUIRE() {
-    telemetry::on_lock_begin(tm_);
-    vt_->lock(storage_);
-    telemetry::on_lock_acquired(tm_);
-  }
+  void lock() HEMLOCK_ACQUIRE() { hosted::lock(*vt_, storage_, tm_); }
   /// Release. Precondition: the calling thread holds the exclusive
   /// lock (POSIX would say EPERM; here it is undefined — queue locks
   /// would hand a grant nobody owns). Release semantics: writes made
   /// while holding are visible to the next acquirer.
-  void unlock() HEMLOCK_RELEASE() {
-    telemetry::on_unlock_begin(tm_);
-    vt_->unlock(storage_);
-    telemetry::on_unlock_end(tm_);
-  }
+  void unlock() HEMLOCK_RELEASE() { hosted::unlock(*vt_, storage_, tm_); }
   /// Non-blocking attempt; always false when !info().has_trylock
   /// (CLH and Anderson have no native try path — an attempt that
   /// never succeeds, not an error). On true, same ordering and
   /// ownership obligations as lock().
   bool try_lock() HEMLOCK_TRY_ACQUIRE(true) {
-    const bool ok = vt_->try_lock(storage_);
-    if (ok) {
-      telemetry::on_try_acquired(tm_);
-    } else {
-      telemetry::on_try_failure(tm_);
-    }
-    return ok;
+    return hosted::try_lock(*vt_, storage_, tm_);
   }
 
   /// Shared (reader) acquire. Concurrent readers are admitted only
@@ -200,30 +251,17 @@ class HEMLOCK_CAPABILITY("mutex") AnyLock {
   /// writers — epoch-protected reads (src/reclaim/) are the
   /// read-mostly alternative that bounds memory instead of progress.
   void lock_shared() HEMLOCK_ACQUIRE_SHARED() {
-    telemetry::on_shared_begin(tm_);
-    vt_->lock_shared(storage_);
-    telemetry::on_shared_acquired(tm_);
+    hosted::lock_shared(*vt_, storage_, tm_);
   }
   /// Shared release. Precondition: pairs one-to-one with a successful
   /// lock_shared()/try_lock_shared() by this thread. Release
   /// semantics toward the writer that drains the reader out.
   void unlock_shared() HEMLOCK_RELEASE_SHARED() {
-    // Attribution only (reader holds are not timed — see
-    // telemetry::on_shared_acquired): the drain hand-off a reader exit
-    // can trigger should land on this lock's row.
-    telemetry::on_shared_begin(tm_);
-    vt_->unlock_shared(storage_);
-    telemetry::on_unlock_end(tm_);
+    hosted::unlock_shared(*vt_, storage_, tm_);
   }
   /// Non-blocking shared attempt; same pairing obligation on true.
   bool try_lock_shared() HEMLOCK_TRY_ACQUIRE_SHARED(true) {
-    const bool ok = vt_->try_lock_shared(storage_);
-    if (ok) {
-      telemetry::on_shared_acquired(tm_);
-    } else {
-      telemetry::on_try_failure(tm_);
-    }
-    return ok;
+    return hosted::try_lock_shared(*vt_, storage_, tm_);
   }
 
   /// The hosted algorithm's descriptor.

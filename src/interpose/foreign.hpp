@@ -9,10 +9,11 @@
 // process-local overlay as garbage: silently accepting such objects
 // into the shim corrupts every cross-process user.
 //
-// The fix: pthread_*_init detects the pshared attribute and routes the
-// object to the real glibc implementation (resolved once via
-// dlsym(RTLD_NEXT)), recording its address in a small fixed-size
-// registry so every later operation on it is forwarded too. The
+// The fix: pthread_*_init (OverlaySurface::init, interpose/overlay.hpp)
+// detects the pshared attribute and routes the object to the real glibc
+// implementation (resolved once via dlsym(RTLD_NEXT)), recording its
+// address in a small fixed-size registry so every later operation on
+// it is forwarded too. The
 // registry is allocation-free (the shim runs inside arbitrary
 // application callsites where a malloc could re-enter the interposed
 // surface) and its lookup is one relaxed load when no pshared object
@@ -24,7 +25,6 @@
 // is indistinguishable from adoptable storage.
 #pragma once
 
-#include <errno.h>
 #include <pthread.h>
 #include <time.h>
 
@@ -102,27 +102,5 @@ void warn_pshared_once(const char* what) noexcept;
 /// Emit the real-symbols-unresolved fallback notice for a pshared
 /// `what` that will be hosted process-locally instead.
 void warn_pshared_unroutable(const char* what) noexcept;
-
-/// Route a PROCESS_SHARED `obj` to glibc: warn once, register it in
-/// the ForeignRegistry, run `real_init` (which must call the real
-/// glibc init), and deregister on its failure. Returns the init's
-/// result, ENOMEM when the registry is full, or -1 when the real
-/// symbols could not be resolved — the caller then falls back to
-/// hosting the object process-locally (with the loud notice already
-/// printed). The shared implementation of the identical detection
-/// blocks in the mutex/cond/rwlock shim inits.
-template <typename InitFn>
-int route_pshared_init(const void* obj, const char* what,
-                       const InitFn& real_init) noexcept {
-  if (!real_pthread().resolved) {
-    warn_pshared_unroutable(what);
-    return -1;
-  }
-  warn_pshared_once(what);
-  if (!ForeignRegistry::insert(obj)) return ENOMEM;
-  const int rc = real_init();
-  if (rc != 0) ForeignRegistry::erase(obj);
-  return rc;
-}
 
 }  // namespace hemlock::interpose

@@ -7,20 +7,14 @@
 #include <cstdio>
 #include <cstring>
 
-#include "api/factory.hpp"
-#include "interpose/foreign.hpp"
+#include "interpose/overlay.hpp"
 #include "interpose/shim_mutex.hpp"
 #include "runtime/futex.hpp"
-#include "stats/telemetry.hpp"
 
 namespace hemlock::interpose {
 
 std::vector<std::string_view> supported_cond_lock_names() {
-  std::vector<std::string_view> names;
-  for (const LockVTable* vt : LockFactory::instance().entries()) {
-    if (shim_cond_capable(vt->info)) names.push_back(vt->info.name);
-  }
-  return names;
+  return hostable_names(&shim_cond_capable);
 }
 
 CondStats& cond_stats() noexcept {
@@ -30,41 +24,60 @@ CondStats& cond_stats() noexcept {
 
 namespace {
 
-/// Adopt the pthread_cond_t storage. Unlike the mutex overlay there is
-/// nothing to construct — the all-zero state (PTHREAD_COND_INITIALIZER)
-/// is already a valid fresh condvar — so adoption is one CAS that
-/// claims the magic word for lifecycle accounting.
-ShimCond* adopt(pthread_cond_t* c) {
-  auto* sc = reinterpret_cast<ShimCond*>(c);
-  std::uint32_t expected = 0;
-  // mo: acquire peek + acq_rel claim — the winning CAS publishes the
-  // adopted state; losers acquire the winner's claim (either via the
-  // peek or the CAS failure load) before using the condvar.
-  if (sc->magic.load(std::memory_order_acquire) != ShimCond::kReady &&
-      sc->magic.compare_exchange_strong(expected, ShimCond::kReady,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-    // mo: relaxed — monotonic stats counter, no ordering needed.
-    cond_stats().adopted.fetch_add(1, std::memory_order_relaxed);
-    // Registered here, not at static init, so the telemetry snapshot
-    // carries a cond block exactly when the condvar overlay was
-    // exercised (re-registration by later adoptions is idempotent).
-    telemetry::set_cond_source(+[] {
-      const CondStats& s = cond_stats();
-      return telemetry::CondCounters{
-          // mo: relaxed — monotonic diagnostics; a snapshot tolerates
-          // counters read mid-update.
-          s.adopted.load(std::memory_order_relaxed),
-          s.waits.load(std::memory_order_relaxed),
-          s.timeouts.load(std::memory_order_relaxed),
-          s.signals.load(std::memory_order_relaxed),
-          s.broadcasts.load(std::memory_order_relaxed),
-          s.requeued.load(std::memory_order_relaxed),
-          s.chain_wakes.load(std::memory_order_relaxed)};
-    });
+/// Construction of a claimed pthread_cond_t: the all-zero state
+/// (PTHREAD_COND_INITIALIZER) is already a valid fresh condvar, so
+/// only the lifecycle accounting and the condattr clock remain.
+void construct(ShimCond& sc, const pthread_condattr_t* attr) {
+  // mo: relaxed — monotonic stats counter, no ordering needed.
+  cond_stats().adopted.fetch_add(1, std::memory_order_relaxed);
+  // Registered here, not at static init, so the telemetry snapshot
+  // carries a cond block exactly when the condvar overlay was
+  // exercised (re-registration by later adoptions is idempotent).
+  telemetry::set_cond_source(+[] {
+    const CondStats& s = cond_stats();
+    return telemetry::CondCounters{
+        // mo: relaxed — monotonic diagnostics; a snapshot tolerates
+        // counters read mid-update.
+        s.adopted.load(std::memory_order_relaxed),
+        s.waits.load(std::memory_order_relaxed),
+        s.timeouts.load(std::memory_order_relaxed),
+        s.signals.load(std::memory_order_relaxed),
+        s.broadcasts.load(std::memory_order_relaxed),
+        s.requeued.load(std::memory_order_relaxed),
+        s.chain_wakes.load(std::memory_order_relaxed)};
+  });
+  clockid_t ck = CLOCK_REALTIME;
+  if (attr != nullptr && pthread_condattr_getclock(attr, &ck) == 0) {
+    // mo: relaxed — adoption's kReady release publishes it.
+    sc.clock.store(static_cast<std::int32_t>(ck), std::memory_order_relaxed);
   }
-  return sc;
 }
+
+/// Destroy drain: threads still inside wait (POSIX allows destroy as
+/// soon as they have all been *signaled*) may not have deregistered
+/// yet. Keep bumping seq — so a waiter between unlock and sleep refuses
+/// the sleep — and waking both words until every waiter has made its
+/// final touch of this storage. Waiters deregister before re-acquiring
+/// the mutex, so this loop terminates even when the destroyer still
+/// holds the associated mutex.
+void drain(ShimCond& sc) {
+  // mo: acquire drain — pairs with waiters' release deregistration,
+  // so zero means every waiter's last touch of this storage is
+  // visible before destroy's scrub.
+  while (sc.waiters.load(std::memory_order_acquire) != 0) {
+    // mo: seq_cst bump — same total order as the waiters' snapshot,
+    // so a waiter between unlock and sleep refuses the stale sleep.
+    sc.seq.fetch_add(1, std::memory_order_seq_cst);
+    futex_wake_all(&sc.seq);
+    futex_wake_all(&sc.chain);
+    sched_yield();
+  }
+}
+
+constexpr OverlaySurface<ShimCond, pthread_cond_t, pthread_condattr_t>
+    kSurface{"pthread_cond",          &pthread_condattr_getpshared,
+             &RealPthread::cond_init, &RealPthread::cond_destroy,
+             &construct,              &drain};
 
 /// Nanoseconds until `abstime` on `clock`; <= 0 when the deadline has
 /// passed. Large deadlines are clamped (no int64 overflow from
@@ -119,7 +132,7 @@ int wait_common(pthread_cond_t* c, pthread_mutex_t* m, clockid_t clock,
       (abstime->tv_nsec < 0 || abstime->tv_nsec >= 1000000000L)) {
     return EINVAL;  // checked before any state change: the mutex stays held
   }
-  ShimCond* sc = adopt(c);
+  ShimCond* sc = kSurface.adopt(c);
   // mo: relaxed — monotonic stats counter, no ordering needed.
   cond_stats().waits.fetch_add(1, std::memory_order_relaxed);
 
@@ -188,65 +201,10 @@ int wait_common(pthread_cond_t* c, pthread_mutex_t* m, clockid_t clock,
 }  // namespace
 
 int ShimCond::shim_init(pthread_cond_t* c, const pthread_condattr_t* attr) {
-  if (c == nullptr) return EINVAL;
-  if (attr != nullptr) {
-    int pshared = PTHREAD_PROCESS_PRIVATE;
-    if (pthread_condattr_getpshared(attr, &pshared) == 0 &&
-        pshared == PTHREAD_PROCESS_SHARED) {
-      // Same rule as the mutex shim: pshared objects are glibc's.
-      const int rc = route_pshared_init(
-          c, "pthread_cond", [&] { return real_pthread().cond_init(c, attr); });
-      if (rc >= 0) return rc;
-    }
-  }
-  // Clear any stale routing entry left by a destroy-less pshared
-  // object previously at this address (see shim_mutex's init).
-  if (ForeignRegistry::contains(c)) ForeignRegistry::erase(c);
-  std::memset(static_cast<void*>(c), 0, sizeof(*c));
-  ShimCond* sc = adopt(c);
-  clockid_t ck = CLOCK_REALTIME;
-  if (attr != nullptr && pthread_condattr_getclock(attr, &ck) == 0) {
-    // mo: relaxed — written during init, before the condvar is shared;
-    // the caller publishes the condvar object itself.
-    sc->clock.store(static_cast<std::int32_t>(ck),
-                    std::memory_order_relaxed);
-  }
-  return 0;
+  return kSurface.init(c, attr);
 }
 
-int ShimCond::shim_destroy(pthread_cond_t* c) {
-  if (c == nullptr) return EINVAL;
-  if (ForeignRegistry::contains(c)) {
-    const int rc = real_pthread().cond_destroy(c);
-    ForeignRegistry::erase(c);
-    return rc;
-  }
-  auto* sc = reinterpret_cast<ShimCond*>(c);
-  // mo: acquire — pairs with adopt's claim so an adopted condvar's
-  // state is visible before we drain it.
-  if (sc->magic.load(std::memory_order_acquire) == kReady) {
-    // Drain: threads still inside wait (POSIX allows destroy as soon
-    // as they have all been *signaled*) may not have deregistered yet.
-    // Keep bumping seq — so a waiter between unlock and sleep refuses
-    // the sleep — and waking both words until every waiter has made
-    // its final touch of this storage. Waiters deregister before
-    // re-acquiring the mutex, so this loop terminates even when the
-    // destroyer still holds the associated mutex.
-    // mo: acquire drain — pairs with waiters' release deregistration,
-    // so zero means every waiter's last touch of this storage is
-    // visible before the memset below.
-    while (sc->waiters.load(std::memory_order_acquire) != 0) {
-      // mo: seq_cst bump — same total order as the waiters' snapshot,
-      // so a waiter between unlock and sleep refuses the stale sleep.
-      sc->seq.fetch_add(1, std::memory_order_seq_cst);
-      futex_wake_all(&sc->seq);
-      futex_wake_all(&sc->chain);
-      sched_yield();
-    }
-  }
-  std::memset(static_cast<void*>(c), 0, sizeof(*c));
-  return 0;
-}
+int ShimCond::shim_destroy(pthread_cond_t* c) { return kSurface.destroy(c); }
 
 namespace {
 
@@ -292,7 +250,7 @@ int ShimCond::shim_timedwait(pthread_cond_t* c, pthread_mutex_t* m,
   // turned CLOCK_MONOTONIC deadlines into immediate timeouts.
   // mo: relaxed — clock is fixed at init time, before sharing.
   const auto clock = static_cast<clockid_t>(
-      adopt(c)->clock.load(std::memory_order_relaxed));
+      kSurface.adopt(c)->clock.load(std::memory_order_relaxed));
   return wait_common(c, m, clock, abstime);
 }
 
@@ -315,7 +273,7 @@ int ShimCond::shim_clockwait(pthread_cond_t* c, pthread_mutex_t* m,
 int ShimCond::shim_signal(pthread_cond_t* c) {
   if (c == nullptr) return EINVAL;
   if (ForeignRegistry::contains(c)) return real_pthread().cond_signal(c);
-  ShimCond* sc = adopt(c);
+  ShimCond* sc = kSurface.adopt(c);
   // mo: relaxed — monotonic stats counter, no ordering needed.
   cond_stats().signals.fetch_add(1, std::memory_order_relaxed);
   // mo: seq_cst bump-then-census-read — Dekker with wait_common's
@@ -337,7 +295,7 @@ int ShimCond::shim_signal(pthread_cond_t* c) {
 int ShimCond::shim_broadcast(pthread_cond_t* c) {
   if (c == nullptr) return EINVAL;
   if (ForeignRegistry::contains(c)) return real_pthread().cond_broadcast(c);
-  ShimCond* sc = adopt(c);
+  ShimCond* sc = kSurface.adopt(c);
   // mo: relaxed — monotonic stats counter, no ordering needed.
   cond_stats().broadcasts.fetch_add(1, std::memory_order_relaxed);
   // mo: seq_cst bump-then-census-read — same Dekker gate as signal.

@@ -12,6 +12,10 @@
 // lock/unlock surface, so it composes with every hosted algorithm
 // (hemlock, MCS, CLH, ticket, TAS, ... × every waiting tier).
 //
+// Adoption, pshared routing and the init/destroy prologues are the
+// overlay core's (interpose/overlay.hpp), shared with the mutex and
+// rwlock overlays; this file adds the condvar protocol itself.
+//
 // Protocol (the classic futex-sequence condvar, plus a requeue valve):
 //
 //  * wait: register in the waiter census, snapshot the sequence word,
@@ -90,11 +94,13 @@ struct CondStats {
 /// The process-wide condvar lifecycle counters.
 CondStats& cond_stats() noexcept;
 
-/// The overlay. POSIX storage is adopted in place; all-zero bytes
-/// (PTHREAD_COND_INITIALIZER, or fresh pthread_cond_init) are a valid
-/// fresh state, so adoption is a single CAS on the magic word.
+/// The overlay. POSIX storage is adopted in place by the overlay core
+/// (interpose/overlay.hpp); all-zero bytes (PTHREAD_COND_INITIALIZER,
+/// or fresh pthread_cond_init) are already a valid fresh state, so
+/// adoption only counts the condvar and records the condattr clock.
 struct ShimCond {
-  static constexpr std::uint32_t kReady = 0x48434E44;  // "HCND"
+  static constexpr std::uint32_t kReady = 0x48434E44;    // "HCND"
+  static constexpr std::uint32_t kIniting = 0x43494E49;  // "CINI"
 
   std::atomic<std::uint32_t> magic;
   /// Wakeup sequence: bumped by signal/broadcast; waiters sleep on it.

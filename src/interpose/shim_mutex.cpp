@@ -2,255 +2,74 @@
 
 #include <errno.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <string_view>
 
-#include "api/factory.hpp"
-#include "interpose/foreign.hpp"
-#include "interpose/tier_select.hpp"
-#include "runtime/governor.hpp"
-#include "runtime/pause.hpp"
-#include "stats/telemetry.hpp"
+#include "interpose/overlay.hpp"
 
 namespace hemlock::interpose {
 
 namespace {
 
-/// Adopt the pthread_mutex_t storage: fast path when already ours,
-/// else a race-safe lazy initialization keyed on the magic word
-/// (PTHREAD_MUTEX_INITIALIZER is all-zero storage on glibc, so
-/// statically initialized mutexes arrive here with magic == 0).
-ShimMutex* adopt(pthread_mutex_t* m) {
-  auto* sm = reinterpret_cast<ShimMutex*>(m);
-  // mo: acquire peek — pairs with the kReady release below so an
-  // adopted object's vt/storage are visible.
-  std::uint32_t cur = sm->magic.load(std::memory_order_acquire);
-  if (cur == ShimMutex::kReady) return sm;
-  std::uint32_t expected = 0;
-  // mo: acq_rel claim — exactly one adopter wins; acquire on failure
-  // orders the kReady poll below after the winner's stores.
-  if (sm->magic.compare_exchange_strong(expected, ShimMutex::kIniting,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-    sm->vt = &selected_lock();
-    sm->vt->construct(sm->storage);
-    // mo: release — publishes vt/storage to acquiring peeks.
-    sm->magic.store(ShimMutex::kReady, std::memory_order_release);
-    return sm;
-  }
-  // Another thread is adopting; wait for it.
-  // mo: acquire poll — pairs with the winner's kReady release.
-  while (sm->magic.load(std::memory_order_acquire) != ShimMutex::kReady) {
-    cpu_relax();
-  }
-  return sm;
-}
+constexpr HostRule kRule{"mutex", "HEMLOCK_LOCK", kDefaultLockName,
+                         &shim_hostable, /*rwlock_siblings=*/false};
 
-}  // namespace
+constexpr OverlaySurface<ShimMutex, pthread_mutex_t, pthread_mutexattr_t>
+    kSurface{"pthread_mutex",
+             &pthread_mutexattr_getpshared,
+             &RealPthread::mutex_init,
+             &RealPthread::mutex_destroy,
+             [](ShimMutex& sm, const pthread_mutexattr_t*) {
+               sm.vt = &selected_lock();
+               sm.vt->construct(sm.storage);
+             },
+             [](ShimMutex& sm) { sm.vt->destroy(sm.storage); }};
 
-std::vector<std::string_view> supported_lock_names() {
-  std::vector<std::string_view> names;
-  for (const LockVTable* vt : LockFactory::instance().entries()) {
-    if (shim_hostable(vt->info)) names.push_back(vt->info.name);
-  }
-  return names;
-}
-
-namespace {
-
-/// Mutex-overlay hostability as tier_select's lookup gate.
-const LockVTable* hostable_variant(std::string_view family,
-                                   std::string_view suffix) noexcept {
-  return interpose::hostable_variant(
-      family, suffix, [](const LockInfo& info) { return shim_hostable(info); });
-}
-
-}  // namespace
-
-const LockVTable& resolve_shim_lock(const char* lock_env,
-                                    const char* wait_env) noexcept {
-  const LockVTable* fallback = find_lock(kDefaultLockName);
-  const LockVTable* chosen = fallback;
-  // "mcs-spin" canonicalizes to the "mcs" vtable, but the alias is the
-  // user's explicit request for the paper's pure busy-wait — auto mode
-  // must honor it instead of rehosting onto the adaptive variant.
-  bool explicit_spin = false;
-  if (lock_env != nullptr && lock_env[0] != '\0') {
-    const LockVTable* named = find_lock(lock_env);
-    if (named != nullptr && shim_hostable(named->info)) {
-      chosen = named;
-      explicit_spin = std::string_view(lock_env).ends_with("-spin");
-    } else {
-      const char* reason =
-          named == nullptr ? "not a factory algorithm"
-          : !named->info.pthread_overlay_safe
-              ? "excluded by design: unsafe under POSIX mutex lifetimes "
-                "(paper Appendix B) or re-enters the interposed pthread "
-                "surface"
-              : "lock state does not fit the pthread_mutex_t overlay";
-      std::fprintf(stderr,
-                   "[hemlock-interpose] HEMLOCK_LOCK=%s rejected (%s); "
-                   "using hemlock\n",
-                   lock_env, reason);
-    }
-  }
-
-  const std::string_view family = waiting_family(chosen->info.name);
-  WaitTier tier;
-  if (parse_wait_tier(wait_env, &tier)) {
-    const LockVTable* variant = nullptr;
-    switch (tier) {
-      case WaitTier::kSpin:
-        variant = hostable_variant(family, "");
-        break;
-      case WaitTier::kYield:
-        variant = hostable_variant(family, "-yield");
-        if (variant == nullptr) variant = hostable_variant(family, "-adaptive");
-        break;
-      case WaitTier::kPark:
-        variant = hostable_variant(family, "-park");
-        if (variant == nullptr) variant = hostable_variant(family, "-futex");
-        break;
-    }
-    if (variant != nullptr) {
-      chosen = variant;
-    } else {
-      std::fprintf(stderr,
-                   "[hemlock-interpose] HEMLOCK_WAIT=%s: no such waiting "
-                   "tier for %.*s; keeping %.*s\n",
-                   wait_env, static_cast<int>(family.size()), family.data(),
-                   static_cast<int>(chosen->info.name.size()),
-                   chosen->info.name.data());
-    }
-  } else {
-    if (wait_env != nullptr && wait_env[0] != '\0' &&
-        std::strcmp(wait_env, "auto") != 0) {
-      std::fprintf(stderr,
-                   "[hemlock-interpose] HEMLOCK_WAIT=%s unrecognized "
-                   "(want spin|yield|park|auto); using auto\n",
-                   wait_env);
-    }
-    // Auto: a pure busy-wait algorithm would convoy at scheduler
-    // speed if this process oversubscribes the host (ROADMAP: minutes
-    // for 480k MCS hand-offs on 1 CPU). That covers the default CTR
-    // hemlock as much as the spin queue locks, so the gate is the
-    // oversub_safe descriptor, not a tier name. Host the governed
-    // variant where one exists (it spins identically while contenders
-    // fit the CPUs), else the family's parking variant.
-    if (!chosen->info.oversub_safe && !explicit_spin) {
-      const LockVTable* safe = hostable_variant(family, "-adaptive");
-      if (safe == nullptr) safe = hostable_variant(family, "-futex");
-      if (safe != nullptr) {
-        std::fprintf(stderr,
-                     "[hemlock-interpose] hosting %.*s as %.*s "
-                     "(oversubscription-adaptive waiting; set "
-                     "HEMLOCK_WAIT=spin for pure busy-waiting)\n",
-                     static_cast<int>(family.size()), family.data(),
-                     static_cast<int>(safe->info.name.size()),
-                     safe->info.name.data());
-        chosen = safe;
-      }
-    }
-  }
-  return *chosen;
-}
-
-const LockVTable& selected_lock() {
-  static const LockVTable& vt = resolve_shim_lock(
-      std::getenv("HEMLOCK_LOCK"), std::getenv("HEMLOCK_WAIT"));
-  return vt;
-}
-
-namespace {
-
-/// The telemetry row every interposed mutex reports under: one handle
-/// per family×tier ("mutex:<selected algorithm>"), resolved once. A
-/// 32-slot handle table cannot carry one row per pthread object;
-/// per-object distinctions live in the flight recorder's per-thread
-/// timelines instead (docs/OBSERVABILITY.md).
-telemetry::TelemetryHandle mutex_family_handle() {
-  static const telemetry::TelemetryHandle h = [] {
-    const std::string_view name = selected_lock().info.name;
-    char buf[64];
-    const int n = std::snprintf(buf, sizeof(buf), "mutex:%.*s",
-                                static_cast<int>(name.size()), name.data());
-    return telemetry::register_handle(
-        std::string_view(buf, static_cast<std::size_t>(n)));
-  }();
+telemetry::TelemetryHandle family_row() {
+  static const telemetry::TelemetryHandle h =
+      register_family_row(kRule.kind, selected_lock());
   return h;
 }
 
 }  // namespace
 
-int ShimMutex::shim_init(pthread_mutex_t* m, const pthread_mutexattr_t* attr) {
-  int pshared = PTHREAD_PROCESS_PRIVATE;
-  if (attr != nullptr &&
-      pthread_mutexattr_getpshared(attr, &pshared) == 0 &&
-      pshared == PTHREAD_PROCESS_SHARED) {
-    // Our overlay is process-local state; hosting a pshared mutex
-    // would corrupt its cross-process users. Route it to glibc and
-    // remember the address so every later operation forwards too
-    // (-1: real symbols unresolved — host locally, notice printed).
-    const int rc = route_pshared_init(
-        m, "pthread_mutex", [&] { return real_pthread().mutex_init(m, attr); });
-    if (rc >= 0) return rc;
-  }
-  // A pshared object at this address may have been freed without its
-  // destroy (the peer process owns the teardown); hosting here without
-  // clearing the stale routing entry would forward this fresh mutex's
-  // operations to glibc over overlay bytes.
-  if (ForeignRegistry::contains(m)) ForeignRegistry::erase(m);
-  std::memset(static_cast<void*>(m), 0, sizeof(*m));
-  adopt(m);
-  return 0;
+std::vector<std::string_view> supported_lock_names() {
+  return hostable_names(&shim_hostable);
 }
 
-int ShimMutex::shim_destroy(pthread_mutex_t* m) {
-  if (ForeignRegistry::contains(m)) {
-    const int rc = real_pthread().mutex_destroy(m);
-    ForeignRegistry::erase(m);
-    return rc;
-  }
-  auto* sm = reinterpret_cast<ShimMutex*>(m);
-  // mo: acquire — pairs with adopt's kReady release before destroy.
-  if (sm->magic.load(std::memory_order_acquire) == kReady) {
-    sm->vt->destroy(sm->storage);
-  }
-  std::memset(static_cast<void*>(m), 0, sizeof(*m));
-  return 0;
+const LockVTable& resolve_shim_lock(const char* lock_env,
+                                    const char* wait_env) noexcept {
+  return resolve_hosted(kRule, lock_env, wait_env);
 }
+
+const LockVTable& selected_lock() {
+  static const LockVTable& vt =
+      resolve_shim_lock(std::getenv(kRule.env), std::getenv("HEMLOCK_WAIT"));
+  return vt;
+}
+
+int ShimMutex::shim_init(pthread_mutex_t* m, const pthread_mutexattr_t* attr) {
+  return kSurface.init(m, attr);
+}
+
+int ShimMutex::shim_destroy(pthread_mutex_t* m) { return kSurface.destroy(m); }
 
 int ShimMutex::shim_lock(pthread_mutex_t* m) {
   if (ForeignRegistry::contains(m)) return real_pthread().mutex_lock(m);
-  ShimMutex* sm = adopt(m);
-  const telemetry::TelemetryHandle h = mutex_family_handle();
-  telemetry::on_lock_begin(h);
-  sm->vt->lock(sm->storage);
-  telemetry::on_lock_acquired(h);
+  ShimMutex* sm = kSurface.adopt(m);
+  hosted::lock(*sm->vt, sm->storage, family_row());
   return 0;
 }
 
 int ShimMutex::shim_trylock(pthread_mutex_t* m) {
   if (ForeignRegistry::contains(m)) return real_pthread().mutex_trylock(m);
-  ShimMutex* sm = adopt(m);
-  const telemetry::TelemetryHandle h = mutex_family_handle();
-  if (sm->vt->try_lock(sm->storage)) {
-    telemetry::on_try_acquired(h);
-    return 0;
-  }
-  telemetry::on_try_failure(h);
-  return EBUSY;
+  ShimMutex* sm = kSurface.adopt(m);
+  return hosted::try_lock(*sm->vt, sm->storage, family_row()) ? 0 : EBUSY;
 }
 
 int ShimMutex::shim_unlock(pthread_mutex_t* m) {
   if (ForeignRegistry::contains(m)) return real_pthread().mutex_unlock(m);
-  ShimMutex* sm = adopt(m);
-  const telemetry::TelemetryHandle h = mutex_family_handle();
-  telemetry::on_unlock_begin(h);
-  sm->vt->unlock(sm->storage);
-  telemetry::on_unlock_end(h);
+  ShimMutex* sm = kSurface.adopt(m);
+  hosted::unlock(*sm->vt, sm->storage, family_row());
   return 0;
 }
 

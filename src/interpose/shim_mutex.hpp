@@ -19,6 +19,13 @@
 // (PTHREAD_MUTEX_INITIALIZER — all-zero storage on glibc) are
 // adopted lazily and race-safely on first use.
 //
+// This overlay is data over the shared overlay core
+// (interpose/overlay.hpp): the core owns adoption, pshared routing,
+// the selection rule and the telemetry row; shim_mutex.cpp supplies
+// the hostability predicate, the default family (hemlock) and the
+// construct step, and runs each operation through the same attributed
+// erased ops as AnyLock (api/any_lock.hpp).
+//
 // Limitations (documented, matching the technique's scope):
 //  * pthread_cond_* on an interposed mutex goes through the condvar
 //    overlay (shim_cond.hpp) — glibc's own condvar would manipulate
@@ -61,22 +68,12 @@ constexpr bool shim_hostable(const LockInfo& info) noexcept {
 std::vector<std::string_view> supported_lock_names();
 
 /// The pure selection rule behind selected_lock(), exposed for tests:
-/// resolve (HEMLOCK_LOCK, HEMLOCK_WAIT) to a hostable factory entry.
-///
-///  * lock_env: factory name; unknown or non-hostable names fall back
-///    to kDefaultLockName (reported on stderr).
-///  * wait_env selects the waiting tier (core/waiting.hpp) by
-///    re-selecting the lock *variant* within the chosen algorithm's
-///    family:
-///      "spin"  -> the bare name (pure busy-wait, paper-faithful)
-///      "yield" -> "<base>-yield" (or "<base>-adaptive" as fallback)
-///      "park"  -> "<base>-park"  (or "<base>-futex", so
-///                 HEMLOCK_LOCK=hemlock HEMLOCK_WAIT=park parks too)
-///      unset/"auto" -> pure-spin queue locks are hosted as their
-///                 "-adaptive" (governed) variant, so oversubscription
-///                 detected at run time escalates spin -> yield ->
-///                 park instead of convoying; every other algorithm
-///                 is hosted as named.
+/// resolve (HEMLOCK_LOCK, HEMLOCK_WAIT) to a hostable factory entry —
+/// the overlay core's resolve_hosted() (interpose/overlay.hpp) with
+/// the mutex overlay's data. Unknown or non-hostable names fall back
+/// to kDefaultLockName (reported on stderr); HEMLOCK_WAIT re-selects
+/// the waiting tier within the chosen family, and unset/"auto" hosts a
+/// pure-spin algorithm as its governed "-adaptive" variant.
 /// Allocation-free (this runs inside the application's first
 /// pthread_mutex operation).
 const LockVTable& resolve_shim_lock(const char* lock_env,

@@ -2,196 +2,70 @@
 
 #include <errno.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
-#include "api/factory.hpp"
-#include "interpose/foreign.hpp"
-#include "interpose/tier_select.hpp"
-#include "runtime/futex.hpp"
-#include "runtime/governor.hpp"
-#include "runtime/pause.hpp"
-#include "stats/telemetry.hpp"
+#include "interpose/overlay.hpp"
 
 namespace hemlock::interpose {
 
-std::vector<std::string_view> supported_rwlock_names() {
-  std::vector<std::string_view> names;
-  for (const LockVTable* vt : LockFactory::instance().entries()) {
-    if (shim_rwlock_hostable(vt->info)) names.push_back(vt->info.name);
-  }
-  return names;
-}
-
 namespace {
 
-/// The default hosted family. The sharded "rwlock" names cannot fit
-/// the overlay; their compact siblings are the same protocol with a
-/// packed ingress word.
-constexpr std::string_view kDefaultRwFamily = "rwlock-compact";
+// The default hosted family is the compact one: the sharded "rwlock"
+// names cannot fit the overlay, and their compact siblings are the same
+// protocol with a packed ingress word.
+constexpr HostRule kRule{"rwlock", "HEMLOCK_RWLOCK", "rwlock-compact",
+                         &shim_rwlock_hostable, /*rwlock_siblings=*/true};
 
-/// Rwlock-overlay hostability as tier_select's lookup gate.
-const LockVTable* hostable_rw_variant(std::string_view family,
-                                      std::string_view suffix) noexcept {
-  return hostable_variant(family, suffix, [](const LockInfo& info) {
-    return shim_rwlock_hostable(info);
-  });
-}
+constexpr OverlaySurface<ShimRwLock, pthread_rwlock_t, pthread_rwlockattr_t>
+    kSurface{"pthread_rwlock",
+             &pthread_rwlockattr_getpshared,
+             &RealPthread::rwlock_init,
+             &RealPthread::rwlock_destroy,
+             [](ShimRwLock& srw, const pthread_rwlockattr_t*) {
+               srw.vt = &selected_rwlock();
+               srw.vt->construct(srw.storage);
+               // mo: relaxed — adoption's kReady release publishes it.
+               srw.wheld.store(0, std::memory_order_relaxed);
+             },
+             [](ShimRwLock& srw) { srw.vt->destroy(srw.storage); }};
 
-}  // namespace
-
-const LockVTable& resolve_shim_rwlock(const char* rwlock_env,
-                                      const char* wait_env) noexcept {
-  const LockVTable* fallback = find_lock(kDefaultRwFamily);
-  const LockVTable* chosen = fallback;
-  bool explicit_spin = false;
-  if (rwlock_env != nullptr && rwlock_env[0] != '\0') {
-    const LockVTable* named = find_lock(rwlock_env);
-    if (named != nullptr && shim_rwlock_hostable(named->info)) {
-      chosen = named;
-      explicit_spin = std::string_view(rwlock_env).ends_with("-spin");
-    } else if (named != nullptr && named->info.rwlock_capable) {
-      // A real rwlock that does not fit the overlay (the sharded
-      // family): host its compact sibling in the same tier.
-      const std::string_view tier = named->info.waiting;
-      const LockVTable* compact =
-          tier == QueueSpinWaiting::name
-              ? hostable_rw_variant(kDefaultRwFamily, "")
-              : (hostable_rw_variant(
-                     kDefaultRwFamily,
-                     tier == QueueYieldWaiting::name  ? "-yield"
-                     : tier == SpinThenParkWaiting::name ? "-park"
-                                                         : "-adaptive"));
-      if (compact != nullptr) {
-        std::fprintf(stderr,
-                     "[hemlock-interpose] HEMLOCK_RWLOCK=%s does not fit "
-                     "the pthread_rwlock_t overlay; hosting %.*s\n",
-                     rwlock_env,
-                     static_cast<int>(compact->info.name.size()),
-                     compact->info.name.data());
-        chosen = compact;
-        explicit_spin = std::string_view(rwlock_env).ends_with("-spin");
-      }
-    } else {
-      std::fprintf(stderr,
-                   "[hemlock-interpose] HEMLOCK_RWLOCK=%s rejected (%s); "
-                   "using %.*s\n",
-                   rwlock_env,
-                   named == nullptr ? "not a factory algorithm"
-                                    : "no shared (reader) mode",
-                   static_cast<int>(kDefaultRwFamily.size()),
-                   kDefaultRwFamily.data());
-    }
-  }
-
-  const std::string_view family = waiting_family(chosen->info.name);
-  WaitTier tier;
-  if (parse_wait_tier(wait_env, &tier)) {
-    const LockVTable* variant = nullptr;
-    switch (tier) {
-      case WaitTier::kSpin:
-        variant = hostable_rw_variant(family, "");
-        break;
-      case WaitTier::kYield:
-        variant = hostable_rw_variant(family, "-yield");
-        break;
-      case WaitTier::kPark:
-        variant = hostable_rw_variant(family, "-park");
-        break;
-    }
-    if (variant != nullptr) {
-      chosen = variant;
-    } else {
-      std::fprintf(stderr,
-                   "[hemlock-interpose] HEMLOCK_WAIT=%s: no such waiting "
-                   "tier for %.*s; keeping %.*s\n",
-                   wait_env, static_cast<int>(family.size()), family.data(),
-                   static_cast<int>(chosen->info.name.size()),
-                   chosen->info.name.data());
-    }
-  } else if (!chosen->info.oversub_safe && !explicit_spin) {
-    // Auto: same rule as the mutex shim — a busy-waiting selection
-    // would convoy when the process oversubscribes the host, so host
-    // the governed variant (identical spinning while contenders fit
-    // the CPUs). Silent, unlike the mutex shim's note: the rwlock
-    // default itself lands here on every preload.
-    const LockVTable* safe = hostable_rw_variant(family, "-adaptive");
-    if (safe != nullptr) chosen = safe;
-  }
-  return *chosen;
-}
-
-const LockVTable& selected_rwlock() {
-  static const LockVTable& vt = resolve_shim_rwlock(
-      std::getenv("HEMLOCK_RWLOCK"), std::getenv("HEMLOCK_WAIT"));
-  return vt;
-}
-
-namespace {
-
-/// The telemetry row every interposed rwlock reports under (the mutex
-/// shim's family×tier scheme: "rwlock:<selected algorithm>").
-telemetry::TelemetryHandle rwlock_family_handle() {
-  static const telemetry::TelemetryHandle h = [] {
-    const std::string_view name = selected_rwlock().info.name;
-    char buf[64];
-    const int n = std::snprintf(buf, sizeof(buf), "rwlock:%.*s",
-                                static_cast<int>(name.size()), name.data());
-    return telemetry::register_handle(
-        std::string_view(buf, static_cast<std::size_t>(n)));
-  }();
+telemetry::TelemetryHandle family_row() {
+  static const telemetry::TelemetryHandle h =
+      register_family_row(kRule.kind, selected_rwlock());
   return h;
 }
 
-/// Adopt the pthread_rwlock_t storage (the mutex overlay's lazy
-/// adoption, verbatim: PTHREAD_RWLOCK_INITIALIZER is all-zero).
-ShimRwLock* adopt(pthread_rwlock_t* rw) {
-  auto* srw = reinterpret_cast<ShimRwLock*>(rw);
-  // mo: acquire peek — pairs with the kReady release below so an
-  // adopted object's vt/storage are visible.
-  std::uint32_t cur = srw->magic.load(std::memory_order_acquire);
-  if (cur == ShimRwLock::kReady) return srw;
-  std::uint32_t expected = 0;
-  // mo: acq_rel claim — exactly one adopter wins; acquire on failure
-  // orders the kReady poll below after the winner's stores.
-  if (srw->magic.compare_exchange_strong(expected, ShimRwLock::kIniting,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-    srw->vt = &selected_rwlock();
-    srw->vt->construct(srw->storage);
-    // mo: relaxed — the kReady release below publishes it.
-    srw->wheld.store(0, std::memory_order_relaxed);
-    // mo: release — publishes vt/storage/wheld to acquiring peeks.
-    srw->magic.store(ShimRwLock::kReady, std::memory_order_release);
-    return srw;
-  }
-  // mo: acquire poll — pairs with the winner's kReady release.
-  while (srw->magic.load(std::memory_order_acquire) != ShimRwLock::kReady) {
-    cpu_relax();
-  }
-  return srw;
-}
-
-/// Deadline-polled acquisition for the timed entry points: bounded
-/// try + sleep until `abstime` on `clock`. Not a queued wait — the
-/// hosted algorithms have no cancellable queue entry — but POSIX only
-/// promises the deadline, which this honors on the kernel's clock.
-template <typename TryFn>
-int timed_poll(clockid_t clock, const struct timespec* abstime,
-               const TryFn& try_acquire) {
-  if (abstime == nullptr ||
-      abstime->tv_nsec < 0 || abstime->tv_nsec >= 1000000000L) {
+/// The one timed acquire behind pthread_rwlock_{timed,clock}{rd,wr}lock:
+/// a reader (`shared`) or writer acquire, polled (bounded try + sleep)
+/// until `abstime` on `clock`. Not a queued wait — the hosted
+/// algorithms have no cancellable queue entry — but POSIX only promises
+/// the deadline, which this honors on the kernel's clock. Telemetry
+/// counts the whole wait as one attempt, however many probes it took.
+/// `forward` runs a routed (pshared) rwlock's glibc entry point.
+template <typename Forward>
+int timed_lock(pthread_rwlock_t* rw, clockid_t clock,
+               const struct timespec* abstime, bool shared,
+               const Forward& forward) {
+  if (rw == nullptr) return EINVAL;
+  if (clock != CLOCK_REALTIME && clock != CLOCK_MONOTONIC) return EINVAL;
+  if (ForeignRegistry::contains(rw)) return forward();
+  if (abstime == nullptr || abstime->tv_nsec < 0 ||
+      abstime->tv_nsec >= 1000000000L) {
     return EINVAL;
   }
+  ShimRwLock* srw = kSurface.adopt(rw);
+  const LockVTable& vt = *srw->vt;
   constexpr long kPollNanos = 500 * 1000;  // 0.5 ms between attempts
-  for (std::uint32_t spin = 0;; ++spin) {
-    if (try_acquire()) return 0;
+  int rc = 0;
+  for (std::uint32_t spin = 0; !(shared ? vt.try_lock_shared(srw->storage)
+                                        : vt.try_lock(srw->storage));
+       ++spin) {
     struct timespec now;
     if (clock_gettime(clock, &now) != 0) return EINVAL;
     if (now.tv_sec > abstime->tv_sec ||
         (now.tv_sec == abstime->tv_sec && now.tv_nsec >= abstime->tv_nsec)) {
-      return ETIMEDOUT;
+      rc = ETIMEDOUT;
+      break;
     }
     if (spin < 64) {
       cpu_relax();
@@ -200,58 +74,51 @@ int timed_poll(clockid_t clock, const struct timespec* abstime,
       nanosleep(&nap, nullptr);
     }
   }
+  // mo: relaxed — holder-only flag; the lock orders it (shim_unlock).
+  if (rc == 0 && !shared) srw->wheld.store(1, std::memory_order_relaxed);
+  hosted::count_attempt(rc == 0, shared, family_row());
+  return rc;
+}
+
+/// A clock-taking glibc entry point (glibc >= 2.30), or EINVAL where
+/// the running libc lacks it.
+template <typename Fn>
+int forward_clocked(Fn* fn, pthread_rwlock_t* rw, clockid_t clock,
+                    const struct timespec* abstime) {
+  return fn != nullptr ? fn(rw, clock, abstime) : EINVAL;
 }
 
 }  // namespace
 
+std::vector<std::string_view> supported_rwlock_names() {
+  return hostable_names(&shim_rwlock_hostable);
+}
+
+const LockVTable& resolve_shim_rwlock(const char* rwlock_env,
+                                      const char* wait_env) noexcept {
+  return resolve_hosted(kRule, rwlock_env, wait_env);
+}
+
+const LockVTable& selected_rwlock() {
+  static const LockVTable& vt = resolve_shim_rwlock(
+      std::getenv(kRule.env), std::getenv("HEMLOCK_WAIT"));
+  return vt;
+}
+
 int ShimRwLock::shim_init(pthread_rwlock_t* rw,
                           const pthread_rwlockattr_t* attr) {
-  if (rw == nullptr) return EINVAL;
-  if (attr != nullptr) {
-    int pshared = PTHREAD_PROCESS_PRIVATE;
-    if (pthread_rwlockattr_getpshared(attr, &pshared) == 0 &&
-        pshared == PTHREAD_PROCESS_SHARED) {
-      // Same rule as the mutex shim: pshared objects are glibc's.
-      const int rc = route_pshared_init(rw, "pthread_rwlock", [&] {
-        return real_pthread().rwlock_init(rw, attr);
-      });
-      if (rc >= 0) return rc;
-    }
-    // rwlockattr kind (reader/writer preference) is not modelled: the
-    // hosted family is writer-preferring regardless.
-  }
-  // Clear any stale routing entry left by a destroy-less pshared
-  // object previously at this address (see shim_mutex's init).
-  if (ForeignRegistry::contains(rw)) ForeignRegistry::erase(rw);
-  std::memset(static_cast<void*>(rw), 0, sizeof(*rw));
-  adopt(rw);
-  return 0;
+  return kSurface.init(rw, attr);
 }
 
 int ShimRwLock::shim_destroy(pthread_rwlock_t* rw) {
-  if (rw == nullptr) return EINVAL;
-  if (ForeignRegistry::contains(rw)) {
-    const int rc = real_pthread().rwlock_destroy(rw);
-    ForeignRegistry::erase(rw);
-    return rc;
-  }
-  auto* srw = reinterpret_cast<ShimRwLock*>(rw);
-  // mo: acquire — pairs with adopt's kReady release before destroy.
-  if (srw->magic.load(std::memory_order_acquire) == kReady) {
-    srw->vt->destroy(srw->storage);
-  }
-  std::memset(static_cast<void*>(rw), 0, sizeof(*rw));
-  return 0;
+  return kSurface.destroy(rw);
 }
 
 int ShimRwLock::shim_rdlock(pthread_rwlock_t* rw) {
   if (rw == nullptr) return EINVAL;
   if (ForeignRegistry::contains(rw)) return real_pthread().rwlock_rdlock(rw);
-  ShimRwLock* srw = adopt(rw);
-  const telemetry::TelemetryHandle h = rwlock_family_handle();
-  telemetry::on_shared_begin(h);
-  srw->vt->lock_shared(srw->storage);
-  telemetry::on_shared_acquired(h);
+  ShimRwLock* srw = kSurface.adopt(rw);
+  hosted::lock_shared(*srw->vt, srw->storage, family_row());
   return 0;
 }
 
@@ -260,68 +127,32 @@ int ShimRwLock::shim_tryrdlock(pthread_rwlock_t* rw) {
   if (ForeignRegistry::contains(rw)) {
     return real_pthread().rwlock_tryrdlock(rw);
   }
-  ShimRwLock* srw = adopt(rw);
-  const telemetry::TelemetryHandle h = rwlock_family_handle();
-  if (srw->vt->try_lock_shared(srw->storage)) {
-    telemetry::on_shared_acquired(h);
-    return 0;
-  }
-  telemetry::on_try_failure(h);
-  return EBUSY;
+  ShimRwLock* srw = kSurface.adopt(rw);
+  return hosted::try_lock_shared(*srw->vt, srw->storage, family_row())
+             ? 0
+             : EBUSY;
 }
 
 int ShimRwLock::shim_timedrdlock(pthread_rwlock_t* rw,
                                  const struct timespec* abstime) {
-  if (rw == nullptr) return EINVAL;
-  if (ForeignRegistry::contains(rw)) {
+  return timed_lock(rw, CLOCK_REALTIME, abstime, /*shared=*/true, [&] {
     return real_pthread().rwlock_timedrdlock(rw, abstime);
-  }
-  ShimRwLock* srw = adopt(rw);
-  // Telemetry at poll completion, not per attempt: a timed wait is one
-  // acquisition (or one failure), however many 0.5 ms probes it took.
-  const telemetry::TelemetryHandle h = rwlock_family_handle();
-  const int rc = timed_poll(CLOCK_REALTIME, abstime, [srw] {
-    return srw->vt->try_lock_shared(srw->storage);
   });
-  if (rc == 0) {
-    telemetry::on_shared_acquired(h);
-  } else if (rc == ETIMEDOUT) {
-    telemetry::on_try_failure(h);
-  }
-  return rc;
 }
 
 int ShimRwLock::shim_clockrdlock(pthread_rwlock_t* rw, clockid_t clock,
                                  const struct timespec* abstime) {
-  if (rw == nullptr) return EINVAL;
-  if (clock != CLOCK_REALTIME && clock != CLOCK_MONOTONIC) return EINVAL;
-  if (ForeignRegistry::contains(rw)) {
-    const RealPthread& real = real_pthread();
-    return real.rwlock_clockrdlock != nullptr
-               ? real.rwlock_clockrdlock(rw, clock, abstime)
-               : EINVAL;
-  }
-  ShimRwLock* srw = adopt(rw);
-  const telemetry::TelemetryHandle h = rwlock_family_handle();
-  const int rc = timed_poll(clock, abstime, [srw] {
-    return srw->vt->try_lock_shared(srw->storage);
+  return timed_lock(rw, clock, abstime, /*shared=*/true, [&] {
+    return forward_clocked(real_pthread().rwlock_clockrdlock, rw, clock,
+                           abstime);
   });
-  if (rc == 0) {
-    telemetry::on_shared_acquired(h);
-  } else if (rc == ETIMEDOUT) {
-    telemetry::on_try_failure(h);
-  }
-  return rc;
 }
 
 int ShimRwLock::shim_wrlock(pthread_rwlock_t* rw) {
   if (rw == nullptr) return EINVAL;
   if (ForeignRegistry::contains(rw)) return real_pthread().rwlock_wrlock(rw);
-  ShimRwLock* srw = adopt(rw);
-  const telemetry::TelemetryHandle h = rwlock_family_handle();
-  telemetry::on_lock_begin(h);
-  srw->vt->lock(srw->storage);
-  telemetry::on_lock_acquired(h);
+  ShimRwLock* srw = kSurface.adopt(rw);
+  hosted::lock(*srw->vt, srw->storage, family_row());
   // mo: relaxed — wheld is only read by lock holders (see shim_unlock's
   // mode-dispatch comment); the lock itself orders it.
   srw->wheld.store(1, std::memory_order_relaxed);
@@ -333,13 +164,8 @@ int ShimRwLock::shim_trywrlock(pthread_rwlock_t* rw) {
   if (ForeignRegistry::contains(rw)) {
     return real_pthread().rwlock_trywrlock(rw);
   }
-  ShimRwLock* srw = adopt(rw);
-  const telemetry::TelemetryHandle h = rwlock_family_handle();
-  if (!srw->vt->try_lock(srw->storage)) {
-    telemetry::on_try_failure(h);
-    return EBUSY;
-  }
-  telemetry::on_try_acquired(h);
+  ShimRwLock* srw = kSurface.adopt(rw);
+  if (!hosted::try_lock(*srw->vt, srw->storage, family_row())) return EBUSY;
   // mo: relaxed — holder-only flag; the lock orders it (shim_unlock).
   srw->wheld.store(1, std::memory_order_relaxed);
   return 0;
@@ -347,72 +173,34 @@ int ShimRwLock::shim_trywrlock(pthread_rwlock_t* rw) {
 
 int ShimRwLock::shim_timedwrlock(pthread_rwlock_t* rw,
                                  const struct timespec* abstime) {
-  if (rw == nullptr) return EINVAL;
-  if (ForeignRegistry::contains(rw)) {
+  return timed_lock(rw, CLOCK_REALTIME, abstime, /*shared=*/false, [&] {
     return real_pthread().rwlock_timedwrlock(rw, abstime);
-  }
-  ShimRwLock* srw = adopt(rw);
-  const telemetry::TelemetryHandle h = rwlock_family_handle();
-  const int rc = timed_poll(CLOCK_REALTIME, abstime, [srw] {
-    return srw->vt->try_lock(srw->storage);
   });
-  if (rc == 0) {
-    telemetry::on_try_acquired(h);
-    // mo: relaxed — holder-only flag; the lock orders it (shim_unlock).
-    srw->wheld.store(1, std::memory_order_relaxed);
-  } else if (rc == ETIMEDOUT) {
-    telemetry::on_try_failure(h);
-  }
-  return rc;
 }
 
 int ShimRwLock::shim_clockwrlock(pthread_rwlock_t* rw, clockid_t clock,
                                  const struct timespec* abstime) {
-  if (rw == nullptr) return EINVAL;
-  if (clock != CLOCK_REALTIME && clock != CLOCK_MONOTONIC) return EINVAL;
-  if (ForeignRegistry::contains(rw)) {
-    const RealPthread& real = real_pthread();
-    return real.rwlock_clockwrlock != nullptr
-               ? real.rwlock_clockwrlock(rw, clock, abstime)
-               : EINVAL;
-  }
-  ShimRwLock* srw = adopt(rw);
-  const telemetry::TelemetryHandle h = rwlock_family_handle();
-  const int rc = timed_poll(clock, abstime, [srw] {
-    return srw->vt->try_lock(srw->storage);
+  return timed_lock(rw, clock, abstime, /*shared=*/false, [&] {
+    return forward_clocked(real_pthread().rwlock_clockwrlock, rw, clock,
+                           abstime);
   });
-  if (rc == 0) {
-    telemetry::on_try_acquired(h);
-    // mo: relaxed — holder-only flag; the lock orders it (shim_unlock).
-    srw->wheld.store(1, std::memory_order_relaxed);
-  } else if (rc == ETIMEDOUT) {
-    telemetry::on_try_failure(h);
-  }
-  return rc;
 }
 
 int ShimRwLock::shim_unlock(pthread_rwlock_t* rw) {
   if (rw == nullptr) return EINVAL;
   if (ForeignRegistry::contains(rw)) return real_pthread().rwlock_unlock(rw);
-  ShimRwLock* srw = adopt(rw);
+  ShimRwLock* srw = kSurface.adopt(rw);
   // Mode dispatch: wheld is set only between a write acquire and its
   // release, and readers run only while no writer holds — so a reader
   // unlocking always reads it clear, and the writer (the sole holder)
   // always reads its own store.
-  const telemetry::TelemetryHandle h = rwlock_family_handle();
   // mo: relaxed — holder-only flag; the comment above is the
   // ordering argument (the rwlock itself is the synchronizer).
   if (srw->wheld.load(std::memory_order_relaxed) != 0) {
     srw->wheld.store(0, std::memory_order_relaxed);
-    telemetry::on_unlock_begin(h);
-    srw->vt->unlock(srw->storage);
-    telemetry::on_unlock_end(h);
+    hosted::unlock(*srw->vt, srw->storage, family_row());
   } else {
-    // Attribution only — reader holds are not timed (any_lock.hpp's
-    // unlock_shared makes the same call for the same reason).
-    telemetry::on_shared_begin(h);
-    srw->vt->unlock_shared(srw->storage);
-    telemetry::on_unlock_end(h);
+    hosted::unlock_shared(*srw->vt, srw->storage, family_row());
   }
   return 0;
 }

@@ -13,15 +13,20 @@
 //
 // Statically initialized rwlocks (PTHREAD_RWLOCK_INITIALIZER —
 // all-zero storage on glibc) are adopted lazily and race-safely on
-// first use, like the mutex overlay.
+// first use, like the mutex overlay: adoption, pshared routing, the
+// selection rule and the telemetry row are the shared overlay core's
+// (interpose/overlay.hpp). This overlay's data for it: rwlock
+// hostability, the compact family as default, and a too-big rwlock
+// (the sharded family) hosted as its compact sibling in the same tier.
 //
 // Divergences from glibc, all documented in the README:
 //  * POSIX's pthread_rwlock_unlock releases whichever mode the caller
 //    holds; the overlay dispatches on a writer-hold marker set by
 //    wrlock (readers never observe it set while they hold).
-//  * timedrdlock/timedwrlock poll (bounded try + sleep) rather than
-//    queueing with a deadline; the deadline itself is honored on
-//    CLOCK_REALTIME per POSIX.
+//  * the timed and clock entry points share one deadline-polled
+//    acquire (bounded try + sleep) rather than queueing with a
+//    deadline; the deadline itself is honored on the requested clock
+//    (CLOCK_REALTIME for the timed ones, per POSIX).
 //  * rwlockattr kind (reader/writer preference) is not modelled: the
 //    hosted family is writer-preferring, matching glibc's
 //    PREFER_WRITER_NONRECURSIVE_NP — recursive read acquisition can

@@ -95,8 +95,6 @@ struct ShardedDbOptions {
   /// point of this layer). false: they take the shard lock in shared
   /// mode instead — the comparison baseline.
   bool epoch_reads = true;
-  /// Reclamation work bound per write that triggered a flush.
-  std::size_t drain_batch = reclaim::EpochDomain::kDefaultDrainBatch;
 };
 
 /// Operation counters + the reclamation domain's view.
@@ -262,7 +260,7 @@ class ShardedDB {
       LockGuard<ShardLock> g(sp->mu.value);
       flush_shard_locked(*sp);
     }
-    domain_->drain(options_.drain_batch);
+    domain_->drain();
   }
 
   /// Bounded reclamation step (also runs automatically after flushes
@@ -352,8 +350,8 @@ class ShardedDB {
     }
     // Reclamation piggybacks on the writes that generate garbage,
     // outside the shard lock and bounded, so a put() pays at most
-    // drain_batch deleter calls.
-    if (flushed) domain_->drain(options_.drain_batch);
+    // EpochDomain::kDefaultDrainBatch deleter calls.
+    if (flushed) domain_->drain();
     return Status::ok();
   }
 

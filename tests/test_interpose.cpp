@@ -26,6 +26,7 @@
 #include "interpose/shim_mutex.hpp"
 #include "interpose/shim_rwlock.hpp"
 #include "runtime/governor.hpp"
+#include "stats/telemetry.hpp"
 
 namespace hemlock::interpose {
 namespace {
@@ -177,9 +178,15 @@ TEST(ShimMutex, StaticInitializerAdoptedLazily) {
   EXPECT_EQ(ShimMutex::shim_destroy(&m), 0);
 }
 
-TEST(ShimMutex, ConcurrentFirstUseAdoptsExactlyOnce) {
+// Eight threads race the first exclusive acquire of a statically
+// initialized object, so they race its adoption: one adopter must
+// construct the hosted lock, the rest wait for it, and the counter the
+// lock guards comes out exact. Shared by the mutex and rwlock overlays.
+template <typename T>
+void race_first_use(T initializer, int (*lock)(T*), int (*unlock)(T*),
+                    int (*destroy)(T*)) {
   for (int round = 0; round < 20; ++round) {
-    pthread_mutex_t m = PTHREAD_MUTEX_INITIALIZER;
+    T m = initializer;
     long counter = 0;
     std::atomic<int> go{0};
     std::vector<std::thread> ts;
@@ -189,16 +196,22 @@ TEST(ShimMutex, ConcurrentFirstUseAdoptsExactlyOnce) {
         while (go.load() < 8) {
         }
         for (int i = 0; i < 1000; ++i) {
-          ShimMutex::shim_lock(&m);
+          lock(&m);
           ++counter;
-          ShimMutex::shim_unlock(&m);
+          unlock(&m);
         }
       });
     }
     for (auto& t : ts) t.join();
     EXPECT_EQ(counter, 8000);
-    ShimMutex::shim_destroy(&m);
+    destroy(&m);
   }
+}
+
+TEST(ShimMutex, ConcurrentFirstUseAdoptsExactlyOnce) {
+  race_first_use<pthread_mutex_t>(PTHREAD_MUTEX_INITIALIZER,
+                                  ShimMutex::shim_lock, ShimMutex::shim_unlock,
+                                  ShimMutex::shim_destroy);
 }
 
 TEST(ShimMutex, TrylockContract) {
@@ -659,6 +672,12 @@ TEST(ShimRwLock, StaticInitializerAdoptedLazily) {
   EXPECT_EQ(ShimRwLock::shim_destroy(&rw), 0);
 }
 
+TEST(ShimRwLock, ConcurrentFirstUseAdoptsExactlyOnce) {
+  race_first_use<pthread_rwlock_t>(
+      PTHREAD_RWLOCK_INITIALIZER, ShimRwLock::shim_wrlock,
+      ShimRwLock::shim_unlock, ShimRwLock::shim_destroy);
+}
+
 // Readers and writers through the shim surface: exact write totals
 // and no torn reads, i.e. the hosted rwlock's exclusion survives the
 // overlay's unlock-mode dispatch.
@@ -699,7 +718,42 @@ TEST(ShimRwLock, MixedReadersWritersAreExact) {
   ShimRwLock::shim_destroy(&rw);
 }
 
+// The rwlock overlay's telemetry row, folded over every thread: one
+// "rwlock:<algorithm>" row serves every interposed rwlock.
+telemetry::Counters rwlock_row() {
+  const std::string name =
+      "rwlock:" + std::string(selected_rwlock().info.name);
+  for (const telemetry::LockTelemetry& row : telemetry::collect().locks) {
+    if (row.name == name) return row;
+  }
+  return {};
+}
+
+// `ms` milliseconds from now on `clock`.
+struct timespec deadline_in(clockid_t clock, long ms) {
+  struct timespec t;
+  clock_gettime(clock, &t);
+  t.tv_nsec += ms * 1000 * 1000;
+  while (t.tv_nsec >= 1000000000L) {
+    t.tv_nsec -= 1000000000L;
+    ++t.tv_sec;
+  }
+  return t;
+}
+
 TEST(ShimRwLock, TimedLocksHonorDeadlinesAndEinval) {
+  // A timed call is one attempt in the rwlock row, however many polls
+  // it took: an acquire (or a reader admission) on success, one try
+  // failure on timeout.
+  const auto expect_counted = [](const telemetry::Counters& from,
+                                 std::uint64_t acquires, std::uint64_t shared,
+                                 std::uint64_t failures) {
+    if (!HEMLOCK_TELEMETRY_ENABLED) return;
+    const telemetry::Counters now = rwlock_row();
+    EXPECT_EQ(now.acquires - from.acquires, acquires);
+    EXPECT_EQ(now.shared_acquires - from.shared_acquires, shared);
+    EXPECT_EQ(now.try_failures - from.try_failures, failures);
+  };
   pthread_rwlock_t rw = PTHREAD_RWLOCK_INITIALIZER;
   // Invalid abstime: EINVAL before any state change.
   struct timespec bad{};
@@ -707,28 +761,53 @@ TEST(ShimRwLock, TimedLocksHonorDeadlinesAndEinval) {
   EXPECT_EQ(ShimRwLock::shim_timedrdlock(&rw, &bad), EINVAL);
   EXPECT_EQ(ShimRwLock::shim_timedwrlock(&rw, &bad), EINVAL);
   EXPECT_EQ(ShimRwLock::shim_clockrdlock(&rw, CLOCK_TAI, &bad), EINVAL);
+  EXPECT_EQ(ShimRwLock::shim_clockwrlock(&rw, CLOCK_TAI, &bad), EINVAL);
+  EXPECT_EQ(ShimRwLock::shim_clockwrlock(&rw, CLOCK_MONOTONIC, &bad), EINVAL);
   // Uncontended timed acquires succeed immediately.
   struct timespec soon;
   clock_gettime(CLOCK_REALTIME, &soon);
   soon.tv_sec += 1;
+  telemetry::Counters before = rwlock_row();
   EXPECT_EQ(ShimRwLock::shim_timedrdlock(&rw, &soon), 0);
   EXPECT_EQ(ShimRwLock::shim_unlock(&rw), 0);
   EXPECT_EQ(ShimRwLock::shim_timedwrlock(&rw, &soon), 0);
+  expect_counted(before, 1, 1, 0);
   // Contended: a past deadline reports ETIMEDOUT promptly, and a
   // short future deadline expires rather than hanging.
   struct timespec past;
   clock_gettime(CLOCK_REALTIME, &past);
   past.tv_sec -= 1;
+  before = rwlock_row();
   EXPECT_EQ(ShimRwLock::shim_timedrdlock(&rw, &past), ETIMEDOUT);
-  struct timespec brief;
-  clock_gettime(CLOCK_MONOTONIC, &brief);
-  brief.tv_nsec += 50 * 1000 * 1000;
-  if (brief.tv_nsec >= 1000000000L) {
-    brief.tv_nsec -= 1000000000L;
-    ++brief.tv_sec;
-  }
+  struct timespec brief = deadline_in(CLOCK_MONOTONIC, 50);
   EXPECT_EQ(ShimRwLock::shim_clockrdlock(&rw, CLOCK_MONOTONIC, &brief),
             ETIMEDOUT);
+  brief = deadline_in(CLOCK_MONOTONIC, 50);
+  EXPECT_EQ(ShimRwLock::shim_clockwrlock(&rw, CLOCK_MONOTONIC, &brief),
+            ETIMEDOUT);
+  expect_counted(before, 0, 0, 3);
+  EXPECT_EQ(ShimRwLock::shim_unlock(&rw), 0);
+
+  // A writer times out behind a reader that holds the lock, and gets
+  // it once the reader leaves.
+  std::atomic<int> phase{0};
+  std::thread reader([&] {
+    EXPECT_EQ(ShimRwLock::shim_rdlock(&rw), 0);
+    phase.store(1);
+    while (phase.load() != 2) std::this_thread::yield();
+    EXPECT_EQ(ShimRwLock::shim_unlock(&rw), 0);
+  });
+  while (phase.load() != 1) std::this_thread::yield();
+  before = rwlock_row();
+  brief = deadline_in(CLOCK_REALTIME, 50);
+  EXPECT_EQ(ShimRwLock::shim_timedwrlock(&rw, &brief), ETIMEDOUT);
+  expect_counted(before, 0, 0, 1);
+  phase.store(2);
+  reader.join();
+  before = rwlock_row();
+  const struct timespec later = deadline_in(CLOCK_MONOTONIC, 1000);
+  EXPECT_EQ(ShimRwLock::shim_clockwrlock(&rw, CLOCK_MONOTONIC, &later), 0);
+  expect_counted(before, 1, 0, 0);
   EXPECT_EQ(ShimRwLock::shim_unlock(&rw), 0);
   ShimRwLock::shim_destroy(&rw);
 }
@@ -834,6 +913,72 @@ TEST(ForeignRouting, PsharedRwlockRoutesToGlibc) {
   EXPECT_EQ(ShimRwLock::shim_destroy(&rw), 0);
   EXPECT_FALSE(ForeignRegistry::contains(&rw));
   pthread_rwlockattr_destroy(&attr);
+}
+
+// A pshared object freed without its destroy (its peer process owns
+// the teardown) leaves a route behind. A private init at the same
+// address must clear it and host the new object in the overlay, or
+// every operation would reach glibc over overlay bytes.
+TEST(ForeignRouting, PrivateReinitClearsAStaleRoute) {
+  if (!real_pthread().resolved) {
+    GTEST_SKIP() << "real pthread symbols not resolvable";
+  }
+  pthread_mutexattr_t mattr;
+  pthread_condattr_t cattr;
+  pthread_rwlockattr_t rwattr;
+  ASSERT_EQ(pthread_mutexattr_init(&mattr), 0);
+  ASSERT_EQ(pthread_mutexattr_setpshared(&mattr, PTHREAD_PROCESS_SHARED), 0);
+  ASSERT_EQ(pthread_condattr_init(&cattr), 0);
+  ASSERT_EQ(pthread_condattr_setpshared(&cattr, PTHREAD_PROCESS_SHARED), 0);
+  ASSERT_EQ(pthread_rwlockattr_init(&rwattr), 0);
+  ASSERT_EQ(pthread_rwlockattr_setpshared(&rwattr, PTHREAD_PROCESS_SHARED),
+            0);
+
+  pthread_mutex_t m;
+  ASSERT_EQ(ShimMutex::shim_init(&m, &mattr), 0);
+  ASSERT_TRUE(ForeignRegistry::contains(&m));
+  ASSERT_EQ(ShimMutex::shim_init(&m, nullptr), 0);  // no destroy between
+  // A stale route would send the calls below to glibc, which reads
+  // the overlay's magic word as a held lock and blocks.
+  ASSERT_FALSE(ForeignRegistry::contains(&m));
+  EXPECT_EQ(ShimMutex::shim_lock(&m), 0);
+  EXPECT_EQ(reinterpret_cast<ShimMutex*>(&m)->magic.load(), ShimMutex::kReady);
+  EXPECT_EQ(reinterpret_cast<ShimMutex*>(&m)->vt, &selected_lock());
+  EXPECT_EQ(ShimMutex::shim_unlock(&m), 0);
+
+  pthread_cond_t c;
+  ASSERT_EQ(ShimCond::shim_init(&c, &cattr), 0);
+  ASSERT_TRUE(ForeignRegistry::contains(&c));
+  ASSERT_EQ(ShimCond::shim_init(&c, nullptr), 0);
+  ASSERT_FALSE(ForeignRegistry::contains(&c));
+  EXPECT_EQ(ShimCond::shim_signal(&c), 0);
+  EXPECT_EQ(reinterpret_cast<ShimCond*>(&c)->magic.load(), ShimCond::kReady);
+  // The hosted condvar waits on the hosted mutex (a routed condvar
+  // would refuse it with EINVAL).
+  struct timespec past;
+  clock_gettime(CLOCK_REALTIME, &past);
+  past.tv_sec -= 1;
+  EXPECT_EQ(ShimMutex::shim_lock(&m), 0);
+  EXPECT_EQ(ShimCond::shim_timedwait(&c, &m, &past), ETIMEDOUT);
+  EXPECT_EQ(ShimMutex::shim_unlock(&m), 0);
+
+  pthread_rwlock_t rw;
+  ASSERT_EQ(ShimRwLock::shim_init(&rw, &rwattr), 0);
+  ASSERT_TRUE(ForeignRegistry::contains(&rw));
+  ASSERT_EQ(ShimRwLock::shim_init(&rw, nullptr), 0);
+  ASSERT_FALSE(ForeignRegistry::contains(&rw));
+  EXPECT_EQ(ShimRwLock::shim_rdlock(&rw), 0);
+  EXPECT_EQ(reinterpret_cast<ShimRwLock*>(&rw)->magic.load(),
+            ShimRwLock::kReady);
+  EXPECT_EQ(reinterpret_cast<ShimRwLock*>(&rw)->vt, &selected_rwlock());
+  EXPECT_EQ(ShimRwLock::shim_unlock(&rw), 0);
+
+  EXPECT_EQ(ShimRwLock::shim_destroy(&rw), 0);
+  EXPECT_EQ(ShimCond::shim_destroy(&c), 0);
+  EXPECT_EQ(ShimMutex::shim_destroy(&m), 0);
+  pthread_rwlockattr_destroy(&rwattr);
+  pthread_condattr_destroy(&cattr);
+  pthread_mutexattr_destroy(&mattr);
 }
 
 // Process-private attrs stay in the overlay (no foreign routing).

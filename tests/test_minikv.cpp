@@ -707,8 +707,12 @@ TEST(CacheTest, ConcurrentLookupOrInsertStress) {
   EXPECT_GT(cache.evictions(), 0u);
   const Cache::Footprint f = cache.footprint();
   EXPECT_LE(f.owned, f.live + kCacheSpareBound);
-  // Misses reuse entries: far fewer allocations than cached misses.
-  EXPECT_LT(f.allocated, (cache.misses() - cache.bypassed()) / 4);
+  // Misses reuse entries: every cached miss takes an entry, so more
+  // cached misses than entries ever allocated means at least one took
+  // a recycled one. (How many depends on how often preempted readers
+  // let the epoch advance; WarmMissesNeitherAllocateNorFree pins the
+  // steady state single-threaded.)
+  EXPECT_GT(cache.misses() - cache.bypassed(), f.allocated);
 }
 
 // Once the pools circulate, a miss copies into a recycled entry: it
