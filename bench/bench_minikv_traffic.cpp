@@ -19,11 +19,7 @@
 //                              recycles them (minikv/cache.hpp).
 //
 // The shard/central lock algorithm is runtime-chosen (--lock=<name>,
-// default hemlock). This bench also demonstrates the factory's
-// runtime registration: it registers a std::shared_mutex-backed
-// family ("std-shared-mutex") at startup, so
-// --lock=std-shared-mutex measures a lock that is NOT in the
-// compile-time roster through the identical AnyLock path.
+// default hemlock).
 //
 // Flags: --duration-ms --runs --max-threads --oversubscribe --csv
 //        --json=<path> --seed --lock=<name> --keys --shards --batch
@@ -31,62 +27,16 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
 #include "api/any_lock.hpp"
-#include "api/factory.hpp"
 #include "bench_common.hpp"
 #include "minikv/db.hpp"
 #include "minikv/db_bench.hpp"
 #include "minikv/sharded_db.hpp"
 #include "minikv/traffic.hpp"
 #include "stats/telemetry.hpp"
-
-namespace hemlock {
-
-namespace {
-
-/// The runtime-registration demo subject: the C++ standard library's
-/// reader-writer mutex, absent from AllLockTags, registered with the
-/// factory in main(). Its traits make it a first-class roster citizen
-/// (Table-1 accounting, rwlock capability) without recompiling the
-/// registry.
-class StdSharedMutexLock {
- public:
-  void lock() { m_.lock(); }
-  void unlock() { m_.unlock(); }
-  bool try_lock() { return m_.try_lock(); }
-  void lock_shared() { m_.lock_shared(); }
-  void unlock_shared() { m_.unlock_shared(); }
-  bool try_lock_shared() { return m_.try_lock_shared(); }
-
- private:
-  std::shared_mutex m_;
-};
-
-}  // namespace
-
-template <>
-struct lock_traits<StdSharedMutexLock> {
-  static constexpr const char* name = "std-shared-mutex";
-  static constexpr std::size_t lock_words =
-      words_for(sizeof(std::shared_mutex));
-  static constexpr std::size_t held_words = 0;
-  static constexpr std::size_t wait_words = 0;
-  static constexpr std::size_t thread_words = 0;
-  static constexpr bool nontrivial_init = true;  // opaque pthread state
-  static constexpr bool is_fifo = false;
-  static constexpr bool has_trylock = true;
-  static constexpr Spinning spinning = Spinning::kGlobal;
-  /// Registered at run time by this bench, not part of the shim's
-  /// vetted overlay set.
-  static constexpr bool pthread_overlay_safe = false;
-  static constexpr const char* waiting = "park";
-};
-
-}  // namespace hemlock
 
 namespace {
 
@@ -120,15 +70,6 @@ double traffic_median(minikv::KvBackend& kv,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Runtime registration happens BEFORE flag validation so
-  // --lock=std-shared-mutex passes the factory check like any roster
-  // name. Registered boxed: std::shared_mutex outweighs the compact
-  // inline buffer, the same demotion the roster applies to Anderson.
-  if (!LockFactory::register_lock_type<BoxedLock<StdSharedMutexLock>>()) {
-    std::fprintf(stderr, "runtime lock registration failed\n");
-    return 1;
-  }
-
   Options opts(argc, argv);
   const auto args = parse_figure_args(opts);
   TrafficBenchConfig cfg;

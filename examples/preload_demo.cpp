@@ -10,12 +10,16 @@
 //   LD_PRELOAD=$BUILD/src/interpose/libhemlock_preload.so  # plus
 //   HEMLOCK_LOCK=hemlock ./preload_demo
 //
-// Exit code 0 iff the counters are exact — which makes this binary
-// double as the interposition integration test.
+// Exit code 0 iff the counters are exact and the timed acquires below
+// succeed — which makes this binary double as the interposition
+// integration test.
 #include <pthread.h>
+#include <time.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <vector>
 
 namespace {
@@ -70,10 +74,29 @@ void* worker(void*) {
   return nullptr;
 }
 
+/// Before any worker runs, both timed acquire paths must take a free
+/// lock: pthread_mutex_timedlock on the static mutex, and a
+/// std::timed_mutex through try_lock_for (which libstdc++ builds on
+/// pthread_mutex_clocklock or timedlock).
+bool timed_acquires_work() {
+  struct timespec deadline;
+  clock_gettime(CLOCK_REALTIME, &deadline);
+  deadline.tv_sec += 1;
+  const int rc = pthread_mutex_timedlock(&g_static_mu, &deadline);
+  if (rc == 0) pthread_mutex_unlock(&g_static_mu);
+  std::timed_mutex tm;
+  const bool timed = tm.try_lock_for(std::chrono::seconds(1));
+  if (timed) tm.unlock();
+  std::printf("timed acquires : pthread_mutex_timedlock=%d try_lock_for=%s\n",
+              rc, timed ? "ok" : "failed");
+  return rc == 0 && timed;
+}
+
 }  // namespace
 
 int main() {
   pthread_mutex_init(&g_dynamic_mu, nullptr);
+  const bool timed_ok = timed_acquires_work();
 
   std::vector<pthread_t> workers(threads());
   for (auto& t : workers) pthread_create(&t, nullptr, worker, nullptr);
@@ -89,7 +112,7 @@ int main() {
   std::printf("trylock wins   : %ld\n", g_trylock_wins);
 
   pthread_mutex_destroy(&g_dynamic_mu);
-  const bool ok = g_static_counter == expected_static &&
+  const bool ok = timed_ok && g_static_counter == expected_static &&
                   g_dynamic_counter == expected_dynamic;
   std::puts(ok ? "OK" : "FAILED");
   return ok ? EXIT_SUCCESS : EXIT_FAILURE;

@@ -1,9 +1,6 @@
 #include "api/factory.hpp"
 
-#include <atomic>
-#include <cassert>
-#include <stdexcept>
-#include <string>
+#include <array>
 
 #include "core/lock_registry.hpp"
 
@@ -11,102 +8,67 @@ namespace hemlock {
 
 namespace {
 
-// ---- runtime-registered families --------------------------------------
-// Fixed-capacity, allocation-free: find_lock() must stay callable from
-// inside the interposition shim (see the comment on find_lock below),
-// so the runtime roster is a static array published with a
-// release-store of the count. Slots are written before the count that
-// covers them, so lock-free readers only ever see fully-written
-// entries.
+template <typename Tags>
+struct NameTable;
 
-const LockVTable* g_runtime[LockFactory::kMaxRuntimeLocks] = {};
-std::atomic<std::size_t> g_runtime_count{0};
-/// Serializes registrations (duplicate check + publish must be one
-/// step); never taken on any lookup path.
-std::atomic<bool> g_runtime_reg_lock{false};
+template <typename... Ls>
+struct NameTable<std::tuple<lock_tag<Ls>...>> {
+  static constexpr std::array<const LockVTable*, sizeof...(Ls)> entries{
+      &lock_vtable<Ls>...};
+};
 
-const LockVTable* find_runtime_lock(std::string_view name) noexcept {
-  // mo: acquire — pairs with the registrar's count release store, so
-  // entries below the count are fully published.
-  const std::size_t n = g_runtime_count.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (g_runtime[i]->info.name == name) return g_runtime[i];
+/// The one name table: every roster algorithm's static vtable, registry
+/// order. Constant-initialized, so find_lock() reads it allocation-free
+/// from inside the interposition shim.
+constexpr const auto& kRoster = NameTable<AllLockTags>::entries;
+
+constexpr std::string_view kSpinAlias = "-spin";
+
+/// The table's invariants: every name is unique and none spells a
+/// "-spin" alias (which would shadow the base entry's spelling), and
+/// every (family, tier) pair names one entry.
+constexpr bool roster_well_formed() {
+  for (std::size_t i = 0; i < kRoster.size(); ++i) {
+    const LockInfo& a = kRoster[i]->info;
+    if (a.name.empty() || a.name.ends_with(kSpinAlias)) return false;
+    for (std::size_t j = i + 1; j < kRoster.size(); ++j) {
+      const LockInfo& b = kRoster[j]->info;
+      if (a.name == b.name) return false;
+      if (a.family == b.family && a.tier == b.tier) return false;
+    }
+  }
+  return true;
+}
+static_assert(roster_well_formed(),
+              "roster names and (family, tier) pairs must be unique");
+
+const LockVTable* find_exact(std::string_view name) noexcept {
+  for (const LockVTable* vt : kRoster) {
+    if (vt->info.name == name) return vt;
   }
   return nullptr;
 }
 
-/// "-spin" is the explicit spelling of the default pure-spin tier:
-/// the roster registers "mcs" (spin), "mcs-yield", "mcs-park",
-/// "mcs-adaptive" — so "mcs-spin" canonicalizes to "mcs". Returns the
-/// base name, or an empty view when the alias does not apply.
-std::string_view strip_spin_suffix(std::string_view name) noexcept {
-  constexpr std::string_view kSuffix = "-spin";
-  if (name.size() > kSuffix.size() && name.ends_with(kSuffix)) {
-    return name.substr(0, name.size() - kSuffix.size());
-  }
-  return {};
-}
-
-/// Exact lookup across the compile-time roster then the runtime
-/// registrations, allocation-free (see find_lock).
-const LockVTable* find_lock_exact(std::string_view name) noexcept {
-  const LockVTable* found = nullptr;
-  for_each_lock_type<AllLockTags>([&](auto tag) {
-    using L = typename decltype(tag)::type;
-    if (found == nullptr && name == lock_vtable<L>.info.name) {
-      found = &lock_vtable<L>;
-    }
-  });
-  if (found != nullptr) return found;
-  return find_runtime_lock(name);
-}
-
 }  // namespace
 
-LockFactory::LockFactory() {
-  entries_.reserve(std::tuple_size_v<AllLockTags>);
-  for_each_lock_type<AllLockTags>([&](auto tag) {
-    using L = typename decltype(tag)::type;
-    entries_.push_back(&lock_vtable<L>);
-  });
-  // Registry invariant: names are unique (also asserted by the test
-  // suite against the full roster).
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    for (std::size_t j = i + 1; j < entries_.size(); ++j) {
-      assert(entries_[i]->info.name != entries_[j]->info.name);
-    }
-  }
-}
-
 const LockFactory& LockFactory::instance() {
-  static const LockFactory factory;
+  static const LockFactory factory{};
   return factory;
 }
 
 const LockVTable* LockFactory::find(std::string_view name) const noexcept {
-  // Same resolution as the free function (compile-time roster,
-  // runtime registrations, one "-spin" strip) — there is exactly one
+  // Same resolution as the free function — there is exactly one
   // name→algorithm rule in the library.
   return find_lock(name);
 }
 
 AnyLock LockFactory::make(std::string_view name) const {
-  const LockVTable* vt = find(name);
-  if (vt == nullptr) {
-    throw std::invalid_argument("hemlock: unknown lock algorithm \"" +
-                                std::string(name) + "\"");
-  }
-  return AnyLock(*vt);  // guaranteed elision: constructed in place
+  return AnyLock(name);  // guaranteed elision: constructed in place
 }
 
 AnyLock LockFactory::make(std::string_view name,
                           std::string_view telemetry_name) const {
-  const LockVTable* vt = find(name);
-  if (vt == nullptr) {
-    throw std::invalid_argument("hemlock: unknown lock algorithm \"" +
-                                std::string(name) + "\"");
-  }
-  return AnyLock(*vt, telemetry_name);  // guaranteed elision
+  return AnyLock(name, telemetry_name);  // guaranteed elision
 }
 
 const LockInfo* LockFactory::info(std::string_view name) const noexcept {
@@ -116,57 +78,13 @@ const LockInfo* LockFactory::info(std::string_view name) const noexcept {
 
 std::vector<std::string_view> LockFactory::names() const {
   std::vector<std::string_view> out;
-  out.reserve(entries_.size());
-  for (const LockVTable* vt : entries_) out.push_back(vt->info.name);
+  out.reserve(kRoster.size());
+  for (const LockVTable* vt : kRoster) out.push_back(vt->info.name);
   return out;
 }
 
-bool LockFactory::register_lock(const LockVTable& vt) noexcept {
-  if (vt.info.name.empty() || vt.construct == nullptr ||
-      vt.destroy == nullptr || vt.lock == nullptr || vt.unlock == nullptr ||
-      vt.try_lock == nullptr || vt.lock_shared == nullptr ||
-      vt.unlock_shared == nullptr || vt.try_lock_shared == nullptr) {
-    return false;
-  }
-  // The inline-buffer contract: AnyLock constructs registered locks
-  // in place, so an oversized entry would smash the buffer. (The
-  // typed path, register_lock_type<L>, rejects this at compile time;
-  // big-bodied algorithms go through locks/boxed.hpp.)
-  if (vt.info.size_bytes > AnyLock::kStorageBytes ||
-      vt.info.align_bytes > AnyLock::kStorageAlign) {
-    return false;
-  }
-  // mo: acquire TAS — pairs with the release below; the prior
-  // registrar's table edits are visible.
-  while (g_runtime_reg_lock.exchange(true, std::memory_order_acquire)) {
-  }
-  bool registered = false;
-  // Duplicate check under the lock, against everything resolvable —
-  // including the "-spin" alias, so a registration can never shadow
-  // or be shadowed by an existing spelling.
-  if (find_lock(vt.info.name) == nullptr) {
-    // mo: relaxed — the registration lock is held; count is stable.
-    const std::size_t n = g_runtime_count.load(std::memory_order_relaxed);
-    if (n < kMaxRuntimeLocks) {
-      g_runtime[n] = &vt;
-      // mo: release — publishes the slot before the count that lets
-      // lock-free lookups read it.
-      g_runtime_count.store(n + 1, std::memory_order_release);
-      registered = true;
-    }
-  }
-  // mo: release — publishes this registrar's table edits.
-  g_runtime_reg_lock.store(false, std::memory_order_release);
-  return registered;
-}
-
-std::vector<const LockVTable*> LockFactory::runtime_entries() {
-  std::vector<const LockVTable*> out;
-  // mo: acquire — as find_runtime_lock's count load.
-  const std::size_t n = g_runtime_count.load(std::memory_order_acquire);
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(g_runtime[i]);
-  return out;
+std::span<const LockVTable* const> LockFactory::entries() const noexcept {
+  return kRoster;
 }
 
 const LockVTable* find_lock(std::string_view name) noexcept {
@@ -174,15 +92,22 @@ const LockVTable* find_lock(std::string_view name) noexcept {
   // interposition shim resolves HEMLOCK_LOCK through this function
   // from inside the application's first pthread_mutex_lock, where a
   // malloc — whose allocator may itself guard state with a pthread
-  // mutex — could re-enter the shim and deadlock. The vtables are
-  // constant-initialized statics (or, for runtime registrations,
-  // caller-owned statics behind a release-published count); this is
-  // pure name comparison.
-  if (const LockVTable* found = find_lock_exact(name)) return found;
-  // Same "-spin" canonicalization as ever: one strip, then an exact
-  // lookup only, so suffixes never chain.
-  const std::string_view base = strip_spin_suffix(name);
-  return base.empty() ? nullptr : find_lock_exact(base);
+  // mutex — could re-enter the shim and deadlock. The table holds
+  // constant-initialized statics; this is pure name comparison.
+  if (const LockVTable* found = find_exact(name)) return found;
+  // "-spin" is the explicit spelling of the default pure-spin tier:
+  // one strip, then an exact lookup only, so suffixes never chain.
+  if (name.size() > kSpinAlias.size() && name.ends_with(kSpinAlias)) {
+    return find_exact(name.substr(0, name.size() - kSpinAlias.size()));
+  }
+  return nullptr;
+}
+
+const LockVTable* find_tier(std::string_view family, LockTier tier) noexcept {
+  for (const LockVTable* vt : kRoster) {
+    if (vt->info.family == family && vt->info.tier == tier) return vt;
+  }
+  return nullptr;
 }
 
 }  // namespace hemlock

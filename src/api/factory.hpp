@@ -1,22 +1,20 @@
 // factory.hpp — the runtime lock roster: name → algorithm, once.
 //
 // The library has exactly one compile-time roster (AllLockTags in
-// core/lock_registry.hpp) and exactly one runtime dispatch point:
-// this factory, self-populated from that roster. Every consumer that
-// turns a *string* into a *lock* goes through here — the
+// core/lock_registry.hpp) and exactly one name table: the factory's,
+// constant-initialized from that roster (one LockVTable pointer per
+// algorithm, registry order; names are unique at compile time). Every
+// consumer that turns a *string* into a *lock* goes through here — the
 // LD_PRELOAD shim's HEMLOCK_LOCK, the bench harness's --lock=<name>,
 // examples, tests. Nothing else maintains a name table.
 //
-// Embedders can additionally register families at RUN TIME
-// (register_lock / register_lock_type<L>): the vtable mechanism never
-// cared whether an entry came from the tuple, so a registered family
-// resolves through find()/make()/find_lock() — and therefore through
-// AnyLock("name"), DB<AnyLock>, the sharded serving layer and the
-// traffic driver — without editing AllLockTags. Registration is
-// deliberately bounded (fixed slots, no allocation) so the shim-safe
-// find_lock() stays allocation-free.
+// The roster is closed: it is a roster, not a plugin ecosystem. An
+// embedder's own lock still runs behind the same surface, constructed
+// from its vtable (AnyLock(lock_vtable<L>)) or typed into DB<L> /
+// ShardedDB<L>; it just has no name here.
 #pragma once
 
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -24,9 +22,8 @@
 
 namespace hemlock {
 
-/// String-keyed runtime roster of every registered lock algorithm.
-/// Immutable after construction; the singleton is built on first use
-/// from AllLockTags and is safe to query from any thread.
+/// String-keyed runtime roster of every lock algorithm: queries over
+/// the one constant name table, safe from any thread.
 class LockFactory {
  public:
   /// The process-wide factory.
@@ -53,56 +50,22 @@ class LockFactory {
   /// The named algorithm's descriptor, or nullptr if unknown.
   const LockInfo* info(std::string_view name) const noexcept;
 
-  /// Names of all compile-time roster algorithms, registry order.
-  /// (Runtime-registered families resolve through find()/make()/
-  /// info() but are listed by runtime_entries(), not here — the
-  /// roster sweeps in tests/benches pin down the static registry.)
+  /// Names of all roster algorithms, registry order.
   std::vector<std::string_view> names() const;
 
-  /// Compile-time roster entries, registry order (for roster sweeps).
-  const std::vector<const LockVTable*>& entries() const noexcept {
-    return entries_;
-  }
+  /// Roster entries, registry order (for roster sweeps).
+  std::span<const LockVTable* const> entries() const noexcept;
 
-  /// Number of compile-time roster algorithms.
-  std::size_t size() const noexcept { return entries_.size(); }
-
-  // ---- runtime registration -------------------------------------------
-
-  /// Maximum number of runtime-registered families per process. A
-  /// fixed bound keeps lookup allocation-free (the interposition
-  /// shim's constraint) — this is a roster, not a plugin ecosystem.
-  static constexpr std::size_t kMaxRuntimeLocks = 16;
-
-  /// Register a lock family at run time. `vt` must have static
-  /// storage duration (entry pointers are handed out for the life of
-  /// the process). Returns false — registering nothing — when the
-  /// name is empty or already taken (including via the "-spin"
-  /// alias), when a lifecycle/operation thunk is missing, when the
-  /// lock would not fit AnyLock's inline buffer (size or alignment),
-  /// or when all kMaxRuntimeLocks slots are used. Thread-safe:
-  /// publication is release/acquire — a concurrent find() observes
-  /// either the complete entry or no entry, never a torn one. Still,
-  /// register at startup, before consumer threads resolve names: a
-  /// lookup that races ahead of registration misses legitimately, and
-  /// callers rarely distinguish "not yet" from "never".
-  static bool register_lock(const LockVTable& vt) noexcept;
-
-  /// Register lock type L through its static vtable — the typed
-  /// convenience over register_lock(); the erasure's static_asserts
-  /// check the buffer fit at compile time.
-  template <typename L>
-  static bool register_lock_type() noexcept {
-    return register_lock(lock_vtable<L>);
-  }
-
-  /// Snapshot of the runtime-registered entries, registration order.
-  static std::vector<const LockVTable*> runtime_entries();
+  /// Number of roster algorithms.
+  std::size_t size() const noexcept { return entries().size(); }
 
  private:
-  LockFactory();  // populates from AllLockTags
-
-  std::vector<const LockVTable*> entries_;
+  LockFactory() = default;
 };
+
+/// The roster entry of `family` in `tier` (LockInfo::family/tier), or
+/// nullptr: how the shim moves between one algorithm's waiting tiers.
+/// Allocation-free, like find_lock().
+const LockVTable* find_tier(std::string_view family, LockTier tier) noexcept;
 
 }  // namespace hemlock

@@ -43,6 +43,14 @@ constexpr std::string_view spinning_name(Spinning s) noexcept {
 /// threads may exceed cores).
 struct LockInfo {
   std::string_view name;     ///< lock_traits<L>::name — the registry key
+  /// The family the entry belongs to: one algorithm across its waiting
+  /// tiers ("mcs" for mcs, mcs-yield, mcs-park and mcs-adaptive;
+  /// "hemlock" for hemlock, hemlock-futex and hemlock-adaptive). An
+  /// algorithm built in one tier only is its own family.
+  std::string_view family;
+  /// The waiting tier the entry occupies in its family. (family, tier)
+  /// names one roster entry: how the shim moves between tiers.
+  LockTier tier;
   std::size_t lock_words;    ///< Table 1: lock body size, 8-byte words
   std::size_t held_words;    ///< Table 1: extra space per held lock
   std::size_t wait_words;    ///< Table 1: extra space per waited-on lock
@@ -94,14 +102,25 @@ struct LockInfo {
 };
 
 /// Materialize the LockInfo for lock type L from lock_traits<L>.
-/// The max_threads / pthread_overlay_safe fields come from optional
-/// trait members; algorithms that don't declare them get the
-/// permissive defaults (unbounded, overlay-safe).
+/// The family / tier / max_threads / pthread_overlay_safe fields come
+/// from optional trait members; algorithms that don't declare them get
+/// the defaults (their own family, the spin tier, unbounded,
+/// overlay-safe).
 template <typename L>
 constexpr LockInfo make_lock_info() noexcept {
   using T = lock_traits<L>;
   LockInfo info{};
   info.name = T::name;
+  if constexpr (requires { T::family; }) {
+    info.family = T::family;
+  } else {
+    info.family = T::name;
+  }
+  if constexpr (requires { T::tier; }) {
+    info.tier = T::tier;
+  } else {
+    info.tier = LockTier::kSpin;
+  }
   info.lock_words = T::lock_words;
   info.held_words = T::held_words;
   info.wait_words = T::wait_words;

@@ -434,15 +434,20 @@ struct hemlock_traits_base {
   /// The composition's name: the poll's for a spin-tier policy
   /// ("ctr-cas", "load", "ctr-faa"), else the tier's ("park", ...).
   static constexpr const char* waiting = W::name;
+  static constexpr LockTier tier = W::lock_tier;
   /// The escalating tiers yield or park; the paper's measured
   /// spin-tier policies busy-wait and convoy when preempted.
   static constexpr bool oversub_safe = W::oversub_safe;
 };
 }  // namespace detail
 
+/// The CTR rows are one family across the tiers, under their historical
+/// names: "hemlock" (spin), "hemlock-futex" (park), "hemlock-adaptive".
+/// The family has no yield tier.
 template <>
 struct lock_traits<Hemlock> : detail::hemlock_traits_base<CtrCasWaiting> {
   static constexpr const char* name = "hemlock";
+  static constexpr const char* family = "hemlock";
 };
 template <>
 struct lock_traits<HemlockNaive>
@@ -457,11 +462,13 @@ template <>
 struct lock_traits<HemlockAdaptive>
     : detail::hemlock_traits_base<GovernedGrantWaiting> {
   static constexpr const char* name = "hemlock-adaptive";
+  static constexpr const char* family = "hemlock";
 };
 template <>
 struct lock_traits<HemlockFutex>
     : detail::hemlock_traits_base<FutexWaiting> {
   static constexpr const char* name = "hemlock-futex";
+  static constexpr const char* family = "hemlock";
 };
 template <>
 struct lock_traits<HemlockOverlap>

@@ -196,7 +196,8 @@ struct lock_traits<HemlockChain> {
   static constexpr bool is_fifo = true;
   static constexpr bool has_trylock = true;
   static constexpr Spinning spinning = Spinning::kLocal;  // private flags
-  static constexpr const char* waiting = "park";  // SpinThenParkWaiting
+  static constexpr const char* waiting = SpinThenParkWaiting::name;
+  static constexpr LockTier tier = SpinThenParkWaiting::lock_tier;
   static constexpr bool oversub_safe = true;
 };
 

@@ -184,6 +184,7 @@ struct lock_traits<HemlockCv> {
   /// Not an engine tier: waiters sleep on the predecessor's condvar,
   /// outside the governor's census.
   static constexpr const char* waiting = "condvar";
+  static constexpr LockTier tier = LockTier::kPark;
   static constexpr bool oversub_safe = true;
 };
 

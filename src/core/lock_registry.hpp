@@ -4,9 +4,10 @@
 // run time (via LD_PRELOAD + an environment variable, §5). This
 // tuple is the library's single source of truth for *what exists*:
 // the typed test/bench suites sweep it directly, and the runtime
-// LockFactory (api/factory.hpp) self-populates from it. All
+// LockFactory (api/factory.hpp) reads its one name table from it. All
 // name→algorithm dispatch happens in the factory; this header only
-// enumerates types.
+// enumerates types. A tiered family enters once, as each_tier<F>: its
+// lock_traits (declared over the tier) name every variant.
 #pragma once
 
 #include <string>
@@ -43,11 +44,9 @@ struct lock_tag {
 /// LockInfo::max_threads). 64 covers the thread counts the test
 /// suites and typical hosts use; benches sweeping wider instantiate
 /// AndersonLock<N> directly.
-using AndersonDefault = AndersonLock<64>;
-/// Waiting-tier variants of the default-capacity Anderson lock.
-using AndersonYieldDefault = AndersonLockT<64, QueueYieldWaiting>;
-using AndersonParkDefault = AndersonLockT<64, SpinThenParkWaiting>;
-using AndersonGovernedDefault = AndersonLockT<64, GovernedWaiting>;
+template <typename W>
+using AndersonDefaultT = AndersonLockT<64, W>;
+using AndersonDefault = AndersonDefaultT<QueueSpinWaiting>;
 
 // Bulk-bodied algorithms enter the registry through the boxed
 // side-storage path (locks/boxed.hpp): the erased footprint is one
@@ -57,39 +56,40 @@ using AndersonGovernedDefault = AndersonLockT<64, GovernedWaiting>;
 // factory names are unchanged ("anderson", "rwlock", ...); only the
 // erased storage strategy differs. Embedders that want the arrays
 // inline use the concrete templates directly.
-using AndersonBoxed = BoxedLock<AndersonDefault>;
-using AndersonYieldBoxed = BoxedLock<AndersonYieldDefault>;
-using AndersonParkBoxed = BoxedLock<AndersonParkDefault>;
-using AndersonGovernedBoxed = BoxedLock<AndersonGovernedDefault>;
-using RwBoxed = BoxedLock<RwLock>;
-using RwYieldBoxed = BoxedLock<RwYieldLock>;
-using RwParkBoxed = BoxedLock<RwParkLock>;
-using RwGovernedBoxed = BoxedLock<RwGovernedLock>;
+template <typename W>
+using AndersonBoxedT = BoxedLock<AndersonDefaultT<W>>;
+template <typename W>
+using RwBoxedT = BoxedLock<RwLockT<W>>;
+template <typename W>
+using RwCompactT = RwLockT<W, 1>;
 
-/// Every algorithm in the library, core contribution first, then the
-/// paper's baselines, then the queue locks' oversubscription waiting
-/// tiers (-yield / -park / -adaptive; see core/waiting.hpp), then the
-/// reader-writer family (sharded-ingress and pthread_rwlock_t-sized
-/// compact, each across the tiers), then the reference system mutexes.
-using AllLockTags = std::tuple<
-    lock_tag<Hemlock>, lock_tag<HemlockNaive>, lock_tag<HemlockFaa>,
-    lock_tag<HemlockFutex>, lock_tag<HemlockAdaptive>,
-    lock_tag<HemlockOverlap>, lock_tag<HemlockAh>,
-    lock_tag<HemlockOhv1>, lock_tag<HemlockOhv2>, lock_tag<HemlockCv>,
-    lock_tag<HemlockChain>, lock_tag<McsLock>, lock_tag<McsK42Lock>,
-    lock_tag<ClhLock>, lock_tag<TicketLock>, lock_tag<TasLock>,
-    lock_tag<TtasLock>, lock_tag<TtasBackoffLock>,
-    lock_tag<AndersonBoxed>, lock_tag<McsYieldLock>,
-    lock_tag<McsParkLock>, lock_tag<McsGovernedLock>,
-    lock_tag<ClhYieldLock>, lock_tag<ClhParkLock>,
-    lock_tag<ClhGovernedLock>, lock_tag<TicketYieldLock>,
-    lock_tag<TicketParkLock>, lock_tag<TicketGovernedLock>,
-    lock_tag<AndersonYieldBoxed>, lock_tag<AndersonParkBoxed>,
-    lock_tag<AndersonGovernedBoxed>, lock_tag<RwBoxed>,
-    lock_tag<RwYieldBoxed>, lock_tag<RwParkBoxed>,
-    lock_tag<RwGovernedBoxed>, lock_tag<RwCompactLock>,
-    lock_tag<RwCompactYieldLock>, lock_tag<RwCompactParkLock>,
-    lock_tag<RwCompactGovernedLock>, lock_tag<PthreadMutex>>;
+/// A tiered family in each of its four waiting tiers (core/waiting.hpp),
+/// spin first.
+template <template <typename> class Family>
+using each_tier =
+    std::tuple<lock_tag<Family<QueueSpinWaiting>>,
+               lock_tag<Family<QueueYieldWaiting>>,
+               lock_tag<Family<SpinThenParkWaiting>>,
+               lock_tag<Family<GovernedWaiting>>>;
+
+/// Every algorithm in the library: the Hemlock family (the CTR rows in
+/// their spin, park and adaptive tiers, then the paper's other
+/// variants), the single-tier baselines, each tiered family × tier
+/// (MCS, CLH, Ticket, Anderson, then the sharded and the
+/// pthread_rwlock_t-sized compact reader-writer locks), and the
+/// reference system mutex.
+using AllLockTags = decltype(std::tuple_cat(
+    std::tuple<lock_tag<Hemlock>, lock_tag<HemlockNaive>,
+               lock_tag<HemlockFaa>, lock_tag<HemlockFutex>,
+               lock_tag<HemlockAdaptive>, lock_tag<HemlockOverlap>,
+               lock_tag<HemlockAh>, lock_tag<HemlockOhv1>,
+               lock_tag<HemlockOhv2>, lock_tag<HemlockCv>,
+               lock_tag<HemlockChain>, lock_tag<McsK42Lock>,
+               lock_tag<TasLock>, lock_tag<TtasLock>,
+               lock_tag<TtasBackoffLock>>{},
+    each_tier<McsLockT>{}, each_tier<ClhLockT>{}, each_tier<TicketLockT>{},
+    each_tier<AndersonBoxedT>{}, each_tier<RwBoxedT>{},
+    each_tier<RwCompactT>{}, std::tuple<lock_tag<PthreadMutex>>{}));
 
 /// The five algorithms the paper's figures plot: MCS, CLH, Ticket,
 /// Hemlock (CTR) and Hemlock- (naive).

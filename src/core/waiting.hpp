@@ -37,6 +37,8 @@
 //       queue locks' load-polled waits (WordWaits).
 //   publish(w, value): the hand-off store (release); the parking tiers
 //       fold in a census-gated futex wake.
+//   lock_tier / name: the tier a lock built on it occupies in its
+//       family (locks/lock_traits.hpp), and that tier's name.
 #pragma once
 
 #include <atomic>
@@ -45,6 +47,7 @@
 #include <type_traits>
 
 #include "core/verify_hooks.hpp"
+#include "locks/lock_traits.hpp"
 #include "runtime/futex.hpp"
 #include "runtime/governor.hpp"
 #include "runtime/pause.hpp"
@@ -373,7 +376,8 @@ struct WordWaits {
 /// default tier everywhere: a bare poll loop, exempt from the governor
 /// census so the measured configurations carry zero added cost.
 struct QueueSpinWaiting : WordWaits<QueueSpinWaiting> {
-  static constexpr const char* name = "spin";
+  static constexpr LockTier lock_tier = LockTier::kSpin;
+  static constexpr const char* name = lock_tier_name(lock_tier);
   static constexpr bool oversub_safe = false;
   static constexpr bool escalates = false;
   /// Waiters never sleep — publishers need no wake consideration.
@@ -401,11 +405,12 @@ struct QueueSpinWaiting : WordWaits<QueueSpinWaiting> {
 };
 
 /// An escalating tier: the doorstep, then rounds chosen by `Rule`
-/// (name, may_park, tier(round)). The three tiers below differ only in
-/// that rule.
+/// (lock_tier, may_park, tier(round)). The three tiers below differ
+/// only in that rule.
 template <typename Rule>
 struct EscalatingWaiting : WordWaits<EscalatingWaiting<Rule>> {
-  static constexpr const char* name = Rule::name;
+  static constexpr LockTier lock_tier = Rule::lock_tier;
+  static constexpr const char* name = lock_tier_name(lock_tier);
   static constexpr bool oversub_safe = true;
   static constexpr bool escalates = true;
   static constexpr bool may_park = Rule::may_park;
@@ -454,7 +459,7 @@ namespace queue_wait {
 /// their timeslice to whoever holds the lock) without ever paying a
 /// futex syscall.
 struct YieldRounds {
-  static constexpr const char* name = "yield";
+  static constexpr LockTier lock_tier = LockTier::kYield;
   static constexpr bool may_park = false;
   static WaitTier tier(std::uint64_t) noexcept { return WaitTier::kYield; }
 };
@@ -464,7 +469,7 @@ struct YieldRounds {
 /// a wake syscall per contended hand-off buys bounded latency when
 /// threads outnumber cores.
 struct ParkRounds {
-  static constexpr const char* name = "park";
+  static constexpr LockTier lock_tier = LockTier::kPark;
   static constexpr bool may_park = true;
   static WaitTier tier(std::uint64_t round) noexcept {
     return round < kYieldsBeforePark ? WaitTier::kYield : WaitTier::kPark;
@@ -477,7 +482,7 @@ struct ParkRounds {
 /// waiting strategy should follow *observed* contention rather than a
 /// compile-time choice.
 struct GovernedRounds {
-  static constexpr const char* name = "adaptive";
+  static constexpr LockTier lock_tier = LockTier::kAdaptive;
   static constexpr bool may_park = true;
   static WaitTier tier(std::uint64_t) noexcept {
     return ContentionGovernor::instance().tier();
@@ -570,6 +575,7 @@ struct GrantWaiting {
   /// "ctr-cas", "ctr-faa"); an escalating one reports its tier's.
   static constexpr const char* name =
       Tier::escalates ? Tier::name : Poll::name;
+  static constexpr LockTier lock_tier = Tier::lock_tier;
   static constexpr bool oversub_safe = Tier::oversub_safe;
 
   static void publish(std::atomic<GrantWord>& g, GrantWord value) noexcept {

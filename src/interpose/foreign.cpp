@@ -5,45 +5,23 @@
 #include <atomic>
 #include <cstdio>
 
-#include "runtime/pause.hpp"
+#include "runtime/raw_spinlock.hpp"
 
 namespace hemlock::interpose {
 
 namespace {
 
-/// Slots hold routed object addresses; empty slots are null. A tiny
-/// TTAS spinlock guards mutations only — contains() scans lock-free.
+/// Slots hold routed object addresses; empty slots are null. The
+/// library's raw spinlock guards mutations only — contains() scans
+/// lock-free.
 std::atomic<const void*> g_slots[ForeignRegistry::kCapacity];
 std::atomic<std::size_t> g_count{0};
-std::atomic<std::uint32_t> g_mutate_lock{0};
-
-struct MutateGuard {
-  MutateGuard() {
-    for (;;) {
-      std::uint32_t expected = 0;
-      // mo: acquire TAS — pairs with ~MutateGuard's release; the prior
-      // mutator's slot edits are visible. Relaxed on failure.
-      if (g_mutate_lock.compare_exchange_weak(expected, 1,
-                                              std::memory_order_acquire,
-                                              std::memory_order_relaxed)) {
-        return;
-      }
-      // mo: relaxed TTAS poll — the acquiring CAS re-synchronizes.
-      while (g_mutate_lock.load(std::memory_order_relaxed) != 0) {
-        cpu_relax();
-      }
-    }
-  }
-  ~MutateGuard() {
-    // mo: release — publishes this mutator's slot edits.
-    g_mutate_lock.store(0, std::memory_order_release);
-  }
-};
+RawSpinLock g_mutate_lock;
 
 }  // namespace
 
 bool ForeignRegistry::insert(const void* obj) noexcept {
-  MutateGuard g;
+  RawSpinGuard g(g_mutate_lock);
   for (auto& slot : g_slots) {
     // mo: relaxed scan — the mutate lock is held; slots are stable.
     if (slot.load(std::memory_order_relaxed) == nullptr) {
@@ -66,7 +44,7 @@ bool ForeignRegistry::insert(const void* obj) noexcept {
 }
 
 void ForeignRegistry::erase(const void* obj) noexcept {
-  MutateGuard g;
+  RawSpinGuard g(g_mutate_lock);
   for (auto& slot : g_slots) {
     // mo: relaxed scan — the mutate lock is held; slots are stable.
     if (slot.load(std::memory_order_relaxed) == obj) {
@@ -113,6 +91,8 @@ RealPthread resolve_real() noexcept {
   resolve(r.mutex_lock, "pthread_mutex_lock");
   resolve(r.mutex_trylock, "pthread_mutex_trylock");
   resolve(r.mutex_unlock, "pthread_mutex_unlock");
+  resolve(r.mutex_timedlock, "pthread_mutex_timedlock");
+  resolve(r.mutex_clocklock, "pthread_mutex_clocklock");
   resolve(r.cond_init, "pthread_cond_init");
   resolve(r.cond_destroy, "pthread_cond_destroy");
   resolve(r.cond_wait, "pthread_cond_wait");
@@ -136,7 +116,8 @@ RealPthread resolve_real() noexcept {
   // entry points (null-checked at their call sites) may be absent.
   r.resolved = r.mutex_init != nullptr && r.mutex_destroy != nullptr &&
                r.mutex_lock != nullptr && r.mutex_trylock != nullptr &&
-               r.mutex_unlock != nullptr && r.cond_init != nullptr &&
+               r.mutex_unlock != nullptr && r.mutex_timedlock != nullptr &&
+               r.cond_init != nullptr &&
                r.cond_destroy != nullptr && r.cond_wait != nullptr &&
                r.cond_timedwait != nullptr && r.cond_signal != nullptr &&
                r.cond_broadcast != nullptr && r.rwlock_init != nullptr &&

@@ -62,6 +62,10 @@ struct RealPthread {
   int (*mutex_lock)(pthread_mutex_t*) = nullptr;
   int (*mutex_trylock)(pthread_mutex_t*) = nullptr;
   int (*mutex_unlock)(pthread_mutex_t*) = nullptr;
+  int (*mutex_timedlock)(pthread_mutex_t*, const struct timespec*) = nullptr;
+  /// glibc >= 2.30; may be null on older libcs.
+  int (*mutex_clocklock)(pthread_mutex_t*, clockid_t,
+                         const struct timespec*) = nullptr;
 
   int (*cond_init)(pthread_cond_t*, const pthread_condattr_t*) = nullptr;
   int (*cond_destroy)(pthread_cond_t*) = nullptr;

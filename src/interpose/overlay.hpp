@@ -13,15 +13,19 @@
 //    glibc (interpose/foreign.hpp), and destroy forwards it and
 //    forgets the route;
 //  * selection: one rule resolves (HEMLOCK_LOCK or HEMLOCK_RWLOCK,
-//    HEMLOCK_WAIT) to a hostable factory entry;
+//    HEMLOCK_WAIT) to a hostable factory entry, moving between a
+//    family's waiting tiers by (LockInfo::family, LockInfo::tier);
+//  * timed acquires: one deadline-polled body serves every timed and
+//    clock entry point of the mutex and rwlock overlays;
 //  * attribution: one "<kind>:<algorithm>" telemetry row per overlay.
 //
 // An overlay hands the core data only: an OverlaySurface (its glibc
-// entry points, its construct and teardown steps) and, if it hosts a
-// lock, a HostRule (hostability predicate, default family, and whether
-// a too-big reader-writer lock maps to that family). Operations on a
-// hosted lock are the attributed erased ops of api/any_lock.hpp
-// (hemlock::hosted), the same ones AnyLock runs.
+// entry points, its construct and teardown steps, and what a timed
+// exclusive acquire marks) and, if it hosts a lock, a HostRule
+// (hostability predicate, default family, and whether a too-big
+// reader-writer lock maps to that family). Operations on a hosted lock
+// are the attributed erased ops of api/any_lock.hpp (hemlock::hosted),
+// the same ones AnyLock runs.
 //
 // Everything an interposed call can reach here is allocation-free: it
 // runs inside the application's pthread operations, where a malloc
@@ -30,12 +34,14 @@
 
 #include <errno.h>
 #include <pthread.h>
+#include <time.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <string_view>
 #include <vector>
 
@@ -66,6 +72,9 @@ struct OverlaySurface {
   void (*construct)(Overlay&, const Attr* attr);
   /// Runs at destroy on adopted storage, before the scrub.
   void (*teardown)(Overlay&);
+  /// Runs on adopted storage after a timed exclusive acquire, or null:
+  /// the rwlock overlay marks its writer hold there.
+  void (*exclusive_acquired)(Overlay&);
 
   /// The overlay at `obj`: a fast path when already adopted, else a
   /// race-safe adoption keyed on the magic word, which statically
@@ -145,25 +154,74 @@ struct OverlaySurface {
     std::memset(static_cast<void*>(obj), 0, sizeof(*obj));
     return 0;
   }
+
+  /// The one body of every timed entry point of the lock-hosting
+  /// overlays (pthread_mutex_{timed,clock}lock and
+  /// pthread_rwlock_{timed,clock}{rd,wr}lock): an exclusive or `shared`
+  /// acquire of the hosted lock, polled (bounded try + sleep) until
+  /// `abstime` on `clock`. Not a queued wait — the hosted algorithms
+  /// have no cancellable queue entry — but POSIX only promises the
+  /// deadline, which this honors on the kernel's clock. An algorithm
+  /// with no native try path (the CLH family; LockInfo::has_trylock)
+  /// takes its blocking lock() instead, so its timed calls always
+  /// acquire. Arguments are checked before any state changes; a routed
+  /// (pshared) object runs `forward`, its glibc entry point. Telemetry
+  /// counts the whole call as one attempt, however many probes it took.
+  template <typename Forward>
+  int timed_lock(T* obj, clockid_t clock, const struct timespec* abstime,
+                 bool shared, telemetry::TelemetryHandle tm,
+                 const Forward& forward) const {
+    if (obj == nullptr) return EINVAL;
+    if (clock != CLOCK_REALTIME && clock != CLOCK_MONOTONIC) return EINVAL;
+    if (ForeignRegistry::contains(obj)) return forward();
+    if (abstime == nullptr || abstime->tv_nsec < 0 ||
+        abstime->tv_nsec >= 1000000000L) {
+      return EINVAL;
+    }
+    Overlay* o = adopt(obj);
+    const LockVTable& vt = *o->vt;
+    int rc = 0;
+    if (!vt.info.has_trylock) {
+      shared ? hosted::lock_shared(vt, o->storage, tm)
+             : hosted::lock(vt, o->storage, tm);
+    } else {
+      constexpr long kPollNanos = 500 * 1000;  // 0.5 ms between attempts
+      for (std::uint32_t spin = 0; !(shared ? vt.try_lock_shared(o->storage)
+                                            : vt.try_lock(o->storage));
+           ++spin) {
+        struct timespec now;
+        if (clock_gettime(clock, &now) != 0) return EINVAL;
+        if (now.tv_sec > abstime->tv_sec ||
+            (now.tv_sec == abstime->tv_sec &&
+             now.tv_nsec >= abstime->tv_nsec)) {
+          rc = ETIMEDOUT;
+          break;
+        }
+        if (spin < 64) {
+          cpu_relax();
+        } else {
+          struct timespec nap{0, kPollNanos};
+          nanosleep(&nap, nullptr);
+        }
+      }
+      hosted::count_attempt(rc == 0, shared, tm);
+    }
+    if (rc == 0 && !shared && exclusive_acquired != nullptr) {
+      exclusive_acquired(*o);
+    }
+    return rc;
+  }
 };
 
-// ---- selection --------------------------------------------------------
-
-/// The chosen algorithm's family name: the registered name minus its
-/// waiting-tier suffix ("mcs-park" -> "mcs", "hemlock-futex" ->
-/// "hemlock", "rwlock-compact-adaptive" -> "rwlock-compact"), so
-/// HEMLOCK_WAIT can move *within* a family.
-inline std::string_view waiting_family(std::string_view name) noexcept {
-  for (const std::string_view suffix :
-       {std::string_view{"-spin"}, std::string_view{"-yield"},
-        std::string_view{"-park"}, std::string_view{"-adaptive"},
-        std::string_view{"-futex"}}) {
-    if (name.size() > suffix.size() && name.ends_with(suffix)) {
-      return name.substr(0, name.size() - suffix.size());
-    }
-  }
-  return name;
+/// A clock-taking glibc entry point (glibc >= 2.30) for a routed object,
+/// or EINVAL where the running libc lacks it.
+template <typename T, typename Fn>
+int forward_clocked(Fn* fn, T* obj, clockid_t clock,
+                    const struct timespec* abstime) {
+  return fn != nullptr ? fn(obj, clock, abstime) : EINVAL;
 }
+
+// ---- selection --------------------------------------------------------
 
 /// What an overlay that hosts a lock tells the selection rule.
 struct HostRule {
@@ -190,18 +248,16 @@ inline std::vector<std::string_view> hostable_names(
   return names;
 }
 
-/// The factory entry named `family + suffix` that `rule` hosts, or
-/// nullptr. Fixed-buffer concatenation: no allocation on this path.
-inline const LockVTable* hostable_variant(const HostRule& rule,
-                                          std::string_view family,
-                                          std::string_view suffix) noexcept {
-  char buf[96];
-  if (family.size() + suffix.size() >= sizeof(buf)) return nullptr;
-  std::memcpy(buf, family.data(), family.size());
-  std::memcpy(buf + family.size(), suffix.data(), suffix.size());
-  const LockVTable* vt =
-      find_lock(std::string_view(buf, family.size() + suffix.size()));
-  return (vt != nullptr && rule.hostable(vt->info)) ? vt : nullptr;
+/// The entry of `family` that `rule` hosts in the first of `tiers` the
+/// family has, or nullptr.
+inline const LockVTable* hostable_tier(
+    const HostRule& rule, std::string_view family,
+    std::initializer_list<LockTier> tiers) noexcept {
+  for (const LockTier tier : tiers) {
+    const LockVTable* vt = find_tier(family, tier);
+    if (vt != nullptr && rule.hostable(vt->info)) return vt;
+  }
+  return nullptr;
 }
 
 /// The one selection rule: resolve (`env_value`, `wait_env`) to a
@@ -211,15 +267,15 @@ inline const LockVTable* hostable_variant(const HostRule& rule,
 ///    to rule.default_family (reported on stderr) — except that under
 ///    rule.rwlock_siblings a reader-writer lock too big for the overlay
 ///    is hosted as default_family in its own tier.
-///  * wait_env re-selects the variant within the chosen algorithm's
-///    family (core/waiting.hpp tiers):
-///      "spin"  -> the bare name (pure busy-wait, paper-faithful)
-///      "yield" -> "<base>-yield" (or "<base>-adaptive" as fallback)
-///      "park"  -> "<base>-park"  (or "<base>-futex", so
-///                 HEMLOCK_LOCK=hemlock HEMLOCK_WAIT=park parks too)
+///  * wait_env re-selects the entry within the chosen algorithm's
+///    family (LockInfo::family), by tier:
+///      "spin"  -> the spin tier (pure busy-wait, paper-faithful)
+///      "yield" -> the yield tier, else the adaptive one (the Hemlock
+///                 family has no fixed yield tier)
+///      "park"  -> the park tier (hemlock-futex for the Hemlock family)
 ///      unset/"auto" -> a busy-waiting algorithm (!oversub_safe) is
-///                 hosted as its "-adaptive" (governed) variant, else
-///                 its "-futex" one, so oversubscription detected at
+///                 hosted in its family's adaptive (governed) tier,
+///                 else its park tier, so oversubscription detected at
 ///                 run time escalates spin -> yield -> park instead of
 ///                 convoying; every other algorithm is hosted as named.
 /// Allocation-free (this runs inside the application's first pthread
@@ -227,35 +283,23 @@ inline const LockVTable* hostable_variant(const HostRule& rule,
 inline const LockVTable& resolve_hosted(const HostRule& rule,
                                         const char* env_value,
                                         const char* wait_env) noexcept {
-  // Per HEMLOCK_WAIT tier (WaitTier order), the variants that serve it,
-  // preferred first; then auto mode's.
-  constexpr std::string_view kTierVariants[3][2] = {
-      {"", ""}, {"-yield", "-adaptive"}, {"-park", "-futex"}};
-  constexpr std::string_view kAutoVariants[2] = {"-adaptive", "-futex"};
-  const auto variant_of = [&rule](std::string_view family,
-                                  const std::string_view(&suffixes)[2]) {
-    const LockVTable* vt = hostable_variant(rule, family, suffixes[0]);
-    return vt != nullptr ? vt : hostable_variant(rule, family, suffixes[1]);
-  };
-
   const LockVTable* chosen = find_lock(rule.default_family);
   const bool named = env_value != nullptr && env_value[0] != '\0';
   // "mcs-spin" canonicalizes to the "mcs" vtable, but the alias is the
   // user's explicit request for the paper's pure busy-wait — auto mode
-  // must honor it instead of rehosting onto the adaptive variant.
+  // must honor it instead of rehosting onto the adaptive variant. The
+  // alias is the one spelling that resolves to another entry's name.
   bool explicit_spin = false;
   if (named) {
-    const bool spin_alias = std::string_view(env_value).ends_with("-spin");
     const LockVTable* vt = find_lock(env_value);
+    const bool spin_alias = vt != nullptr && vt->info.name != env_value;
     if (vt != nullptr && rule.hostable(vt->info)) {
       chosen = vt;
       explicit_spin = spin_alias;
     } else if (vt != nullptr && rule.rwlock_siblings &&
                vt->info.rwlock_capable) {
-      const std::string_view name = vt->info.name;
-      const std::string_view tier = name.substr(waiting_family(name).size());
-      if (const LockVTable* sibling =
-              hostable_variant(rule, rule.default_family, tier)) {
+      if (const LockVTable* sibling = hostable_tier(
+              rule, rule.default_family, {vt->info.tier})) {
         std::fprintf(stderr,
                      "[hemlock-interpose] %s=%s does not fit the "
                      "pthread_%.*s_t overlay; hosting %.*s\n",
@@ -283,11 +327,16 @@ inline const LockVTable& resolve_hosted(const HostRule& rule,
     }
   }
 
-  const std::string_view family = waiting_family(chosen->info.name);
-  WaitTier tier;
-  if (parse_wait_tier(wait_env, &tier)) {
-    if (const LockVTable* variant =
-            variant_of(family, kTierVariants[static_cast<int>(tier)])) {
+  const std::string_view family = chosen->info.family;
+  WaitTier wait;
+  if (parse_wait_tier(wait_env, &wait)) {
+    const LockVTable* variant =
+        wait == WaitTier::kSpin ? hostable_tier(rule, family, {LockTier::kSpin})
+        : wait == WaitTier::kYield
+            ? hostable_tier(rule, family,
+                            {LockTier::kYield, LockTier::kAdaptive})
+            : hostable_tier(rule, family, {LockTier::kPark});
+    if (variant != nullptr) {
       chosen = variant;
     } else {
       std::fprintf(stderr,
@@ -310,11 +359,12 @@ inline const LockVTable& resolve_hosted(const HostRule& rule,
   // this process oversubscribes the host (ROADMAP: minutes for 480k MCS
   // hand-offs on 1 CPU). That covers the default CTR hemlock as much as
   // the spin queue locks, so the gate is the oversub_safe descriptor,
-  // not a tier name. The governed variant spins identically while
+  // not a tier. The governed variant spins identically while
   // contenders fit the CPUs. Announced only when the environment named
   // the algorithm: the defaults themselves land here on every run.
   if (!chosen->info.oversub_safe && !explicit_spin) {
-    if (const LockVTable* safe = variant_of(family, kAutoVariants)) {
+    if (const LockVTable* safe = hostable_tier(
+            rule, family, {LockTier::kAdaptive, LockTier::kPark})) {
       if (named) {
         std::fprintf(stderr,
                      "[hemlock-interpose] hosting %.*s as %.*s "

@@ -61,6 +61,16 @@ int pthread_mutex_trylock(pthread_mutex_t* m) {
   return ShimMutex::shim_trylock(m);
 }
 
+int pthread_mutex_timedlock(pthread_mutex_t* m,
+                            const struct timespec* abstime) {
+  return ShimMutex::shim_timedlock(m, abstime);
+}
+
+int pthread_mutex_clocklock(pthread_mutex_t* m, clockid_t clock,
+                            const struct timespec* abstime) {
+  return ShimMutex::shim_clocklock(m, clock, abstime);
+}
+
 int pthread_mutex_unlock(pthread_mutex_t* m) {
   return ShimMutex::shim_unlock(m);
 }

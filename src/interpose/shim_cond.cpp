@@ -77,7 +77,8 @@ void drain(ShimCond& sc) {
 constexpr OverlaySurface<ShimCond, pthread_cond_t, pthread_condattr_t>
     kSurface{"pthread_cond",          &pthread_condattr_getpshared,
              &RealPthread::cond_init, &RealPthread::cond_destroy,
-             &construct,              &drain};
+             &construct,              &drain,
+             /*exclusive_acquired=*/nullptr};
 
 /// Nanoseconds until `abstime` on `clock`; <= 0 when the deadline has
 /// passed. Large deadlines are clamped (no int64 overflow from

@@ -22,7 +22,8 @@ constexpr OverlaySurface<ShimMutex, pthread_mutex_t, pthread_mutexattr_t>
                sm.vt = &selected_lock();
                sm.vt->construct(sm.storage);
              },
-             [](ShimMutex& sm) { sm.vt->destroy(sm.storage); }};
+             [](ShimMutex& sm) { sm.vt->destroy(sm.storage); },
+             /*exclusive_acquired=*/nullptr};
 
 telemetry::TelemetryHandle family_row() {
   static const telemetry::TelemetryHandle h =
@@ -64,6 +65,23 @@ int ShimMutex::shim_trylock(pthread_mutex_t* m) {
   if (ForeignRegistry::contains(m)) return real_pthread().mutex_trylock(m);
   ShimMutex* sm = kSurface.adopt(m);
   return hosted::try_lock(*sm->vt, sm->storage, family_row()) ? 0 : EBUSY;
+}
+
+int ShimMutex::shim_timedlock(pthread_mutex_t* m,
+                              const struct timespec* abstime) {
+  return kSurface.timed_lock(
+      m, CLOCK_REALTIME, abstime, /*shared=*/false, family_row(),
+      [&] { return real_pthread().mutex_timedlock(m, abstime); });
+}
+
+int ShimMutex::shim_clocklock(pthread_mutex_t* m, clockid_t clock,
+                              const struct timespec* abstime) {
+  return kSurface.timed_lock(
+      m, clock, abstime, /*shared=*/false, family_row(),
+      [&] {
+        return forward_clocked(real_pthread().mutex_clocklock, m, clock,
+                               abstime);
+      });
 }
 
 int ShimMutex::shim_unlock(pthread_mutex_t* m) {

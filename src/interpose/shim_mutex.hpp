@@ -40,6 +40,7 @@
 #pragma once
 
 #include <pthread.h>
+#include <time.h>
 
 #include <atomic>
 #include <cstdint>
@@ -112,6 +113,16 @@ struct ShimMutex {
   /// native try_lock — CLH — conservatively report EBUSY, which
   /// callers must treat as "retry or lock()" anyway).
   static int shim_trylock(pthread_mutex_t* m);
+  /// pthread_mutex_timedlock (CLOCK_REALTIME) and
+  /// pthread_mutex_clocklock: the overlay core's deadline-polled
+  /// acquire, ETIMEDOUT once `abstime` passes. Without a native
+  /// try_lock (CLH) there is nothing to poll, so these take the
+  /// blocking lock() and always acquire — the waiting counterpart of
+  /// trylock's conservative EBUSY.
+  static int shim_timedlock(pthread_mutex_t* m,
+                            const struct timespec* abstime);
+  static int shim_clocklock(pthread_mutex_t* m, clockid_t clock,
+                            const struct timespec* abstime);
   /// pthread_mutex_unlock.
   static int shim_unlock(pthread_mutex_t* m);
 };

@@ -87,9 +87,10 @@ class HEMLOCK_CAPABILITY("mutex") AndersonLockT {
 template <std::uint32_t MaxThreads = 64>
 using AndersonLock = AndersonLockT<MaxThreads, QueueSpinWaiting>;
 
-namespace detail {
+/// One row per waiting tier, at every capacity: "anderson",
+/// "anderson-yield", "anderson-park", "anderson-adaptive".
 template <std::uint32_t N, typename W>
-struct anderson_traits_base {
+struct lock_traits<AndersonLockT<N, W>> : tiered_traits<"anderson", W> {
   static constexpr std::size_t lock_words =
       (sizeof(AndersonLockT<N, W>)) / sizeof(void*);  // the big array
   static constexpr std::size_t held_words = 0;
@@ -103,30 +104,6 @@ struct anderson_traits_base {
   /// consumers (LockInfo) enforce this where the thread count is a
   /// run-time quantity.
   static constexpr std::size_t max_threads = N;
-  static constexpr const char* waiting = W::name;
-  static constexpr bool oversub_safe = W::oversub_safe;
-};
-}  // namespace detail
-
-template <std::uint32_t N>
-struct lock_traits<AndersonLockT<N, QueueSpinWaiting>>
-    : detail::anderson_traits_base<N, QueueSpinWaiting> {
-  static constexpr const char* name = "anderson";
-};
-template <std::uint32_t N>
-struct lock_traits<AndersonLockT<N, QueueYieldWaiting>>
-    : detail::anderson_traits_base<N, QueueYieldWaiting> {
-  static constexpr const char* name = "anderson-yield";
-};
-template <std::uint32_t N>
-struct lock_traits<AndersonLockT<N, SpinThenParkWaiting>>
-    : detail::anderson_traits_base<N, SpinThenParkWaiting> {
-  static constexpr const char* name = "anderson-park";
-};
-template <std::uint32_t N>
-struct lock_traits<AndersonLockT<N, GovernedWaiting>>
-    : detail::anderson_traits_base<N, GovernedWaiting> {
-  static constexpr const char* name = "anderson-adaptive";
 };
 
 }  // namespace hemlock

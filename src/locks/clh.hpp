@@ -111,9 +111,10 @@ using ClhParkLock = ClhLockT<SpinThenParkWaiting>;
 /// Governor-adaptive tier (spin -> yield -> park as contention grows).
 using ClhGovernedLock = ClhLockT<GovernedWaiting>;
 
-namespace detail {
+/// One row per waiting tier: "clh", "clh-yield", "clh-park",
+/// "clh-adaptive".
 template <typename W>
-struct clh_traits_base {
+struct lock_traits<ClhLockT<W>> : tiered_traits<"clh", W> {
   // Table 1: lock body = 2 words + resident dummy element E.
   static constexpr std::size_t lock_words =
       2 + sizeof(ClhNode) / sizeof(void*);
@@ -124,29 +125,6 @@ struct clh_traits_base {
   static constexpr bool is_fifo = true;
   static constexpr bool has_trylock = false;  // paper §2: CLH does not
   static constexpr Spinning spinning = Spinning::kLocal;
-  static constexpr const char* waiting = W::name;
-  static constexpr bool oversub_safe = W::oversub_safe;
-};
-}  // namespace detail
-
-template <>
-struct lock_traits<ClhLock> : detail::clh_traits_base<QueueSpinWaiting> {
-  static constexpr const char* name = "clh";
-};
-template <>
-struct lock_traits<ClhYieldLock>
-    : detail::clh_traits_base<QueueYieldWaiting> {
-  static constexpr const char* name = "clh-yield";
-};
-template <>
-struct lock_traits<ClhParkLock>
-    : detail::clh_traits_base<SpinThenParkWaiting> {
-  static constexpr const char* name = "clh-park";
-};
-template <>
-struct lock_traits<ClhGovernedLock>
-    : detail::clh_traits_base<GovernedWaiting> {
-  static constexpr const char* name = "clh-adaptive";
 };
 
 }  // namespace hemlock

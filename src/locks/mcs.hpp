@@ -143,9 +143,10 @@ using McsParkLock = McsLockT<SpinThenParkWaiting>;
 /// Governor-adaptive tier (spin -> yield -> park as contention grows).
 using McsGovernedLock = McsLockT<GovernedWaiting>;
 
-namespace detail {
+/// One row per waiting tier: "mcs", "mcs-yield", "mcs-park",
+/// "mcs-adaptive".
 template <typename W>
-struct mcs_traits_base {
+struct lock_traits<McsLockT<W>> : tiered_traits<"mcs", W> {
   static constexpr std::size_t lock_words = 2;  // tail + head (Table 1)
   static constexpr std::size_t held_words = sizeof(McsNode) / sizeof(void*);
   static constexpr std::size_t wait_words = sizeof(McsNode) / sizeof(void*);
@@ -154,29 +155,6 @@ struct mcs_traits_base {
   static constexpr bool is_fifo = true;
   static constexpr bool has_trylock = true;
   static constexpr Spinning spinning = Spinning::kLocal;
-  static constexpr const char* waiting = W::name;
-  static constexpr bool oversub_safe = W::oversub_safe;
-};
-}  // namespace detail
-
-template <>
-struct lock_traits<McsLock> : detail::mcs_traits_base<QueueSpinWaiting> {
-  static constexpr const char* name = "mcs";
-};
-template <>
-struct lock_traits<McsYieldLock>
-    : detail::mcs_traits_base<QueueYieldWaiting> {
-  static constexpr const char* name = "mcs-yield";
-};
-template <>
-struct lock_traits<McsParkLock>
-    : detail::mcs_traits_base<SpinThenParkWaiting> {
-  static constexpr const char* name = "mcs-park";
-};
-template <>
-struct lock_traits<McsGovernedLock>
-    : detail::mcs_traits_base<GovernedWaiting> {
-  static constexpr const char* name = "mcs-adaptive";
 };
 
 }  // namespace hemlock

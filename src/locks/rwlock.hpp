@@ -55,6 +55,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 
 #include "core/hemlock.hpp"
 #include "core/waiting.hpp"
@@ -226,24 +227,16 @@ class HEMLOCK_CAPABILITY("mutex") RwLockT {
   }
 
   /// Decrement a shard; the reader whose decrement completes a
-  /// writer's drain wakes that (possibly parked) writer. The fence +
-  /// census-gated wake is the same Dekker handshake as
-  /// queue_wait::publish_and_wake, with the RMW playing the store.
+  /// writer's drain wakes that (possibly parked) writer through the
+  /// parking tiers' one census-gated wake, with the RMW playing
+  /// publish_and_wake's store.
   static void egress(std::atomic<std::uint32_t>& c) noexcept {
     HEMLOCK_VERIFY_YIELD("rwlock:egress");
     // mo: seq_cst decrement — releases our read-side section to the
-    // draining writer and orders against the census check below.
+    // draining writer and orders against wake_parked's census check.
     const std::uint32_t prior = c.fetch_sub(1, std::memory_order_seq_cst);
     if constexpr (Waiting::may_park) {
-      if (prior == 1) {
-        // mo: seq_cst fence — store-to-load Dekker against a parking
-        // writer (decrement above vs. its census registration), same
-        // handshake as queue_wait::publish_and_wake.
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        if (ContentionGovernor::instance().parked(&c) != 0) {
-          futex_wake_all(queue_wait::futex_word(c));
-        }
-      }
+      if (prior == 1) queue_wait::wake_parked(c);
     }
   }
 
@@ -269,9 +262,13 @@ using RwCompactGovernedLock = RwLockT<GovernedWaiting, 1>;
 static_assert(sizeof(RwCompactLock) == 16,
               "compact rwlock must stay pthread_rwlock_t-hostable");
 
-namespace detail {
+/// One row per waiting tier of each family: the sharded "rwlock",
+/// "rwlock-yield", ... and the one-word-ingress "rwlock-compact",
+/// "rwlock-compact-yield", ...
 template <typename W, std::uint32_t S>
-struct rwlock_traits_base {
+struct lock_traits<RwLockT<W, S>>
+    : std::conditional_t<S == 1, tiered_traits<"rwlock-compact", W>,
+                         tiered_traits<"rwlock", W>> {
   static constexpr std::size_t lock_words =
       sizeof(RwLockT<W, S>) / sizeof(void*);
   static constexpr std::size_t held_words = 0;
@@ -283,50 +280,6 @@ struct rwlock_traits_base {
   static constexpr bool is_fifo = false;
   static constexpr bool has_trylock = true;
   static constexpr Spinning spinning = Spinning::kGlobal;
-  static constexpr const char* waiting = W::name;
-  static constexpr bool oversub_safe = W::oversub_safe;
-};
-}  // namespace detail
-
-template <>
-struct lock_traits<RwLock>
-    : detail::rwlock_traits_base<QueueSpinWaiting, kRwDefaultShards> {
-  static constexpr const char* name = "rwlock";
-};
-template <>
-struct lock_traits<RwYieldLock>
-    : detail::rwlock_traits_base<QueueYieldWaiting, kRwDefaultShards> {
-  static constexpr const char* name = "rwlock-yield";
-};
-template <>
-struct lock_traits<RwParkLock>
-    : detail::rwlock_traits_base<SpinThenParkWaiting, kRwDefaultShards> {
-  static constexpr const char* name = "rwlock-park";
-};
-template <>
-struct lock_traits<RwGovernedLock>
-    : detail::rwlock_traits_base<GovernedWaiting, kRwDefaultShards> {
-  static constexpr const char* name = "rwlock-adaptive";
-};
-template <>
-struct lock_traits<RwCompactLock>
-    : detail::rwlock_traits_base<QueueSpinWaiting, 1> {
-  static constexpr const char* name = "rwlock-compact";
-};
-template <>
-struct lock_traits<RwCompactYieldLock>
-    : detail::rwlock_traits_base<QueueYieldWaiting, 1> {
-  static constexpr const char* name = "rwlock-compact-yield";
-};
-template <>
-struct lock_traits<RwCompactParkLock>
-    : detail::rwlock_traits_base<SpinThenParkWaiting, 1> {
-  static constexpr const char* name = "rwlock-compact-park";
-};
-template <>
-struct lock_traits<RwCompactGovernedLock>
-    : detail::rwlock_traits_base<GovernedWaiting, 1> {
-  static constexpr const char* name = "rwlock-compact-adaptive";
 };
 
 }  // namespace hemlock

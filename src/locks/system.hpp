@@ -55,6 +55,7 @@ struct lock_traits<PthreadMutex> {
   /// contention — the reference point the parking tiers are measured
   /// against.
   static constexpr const char* waiting = "park";
+  static constexpr LockTier tier = LockTier::kPark;
   static constexpr bool oversub_safe = true;
 };
 
@@ -70,6 +71,7 @@ struct lock_traits<std::mutex> {
   static constexpr bool has_trylock = true;
   static constexpr Spinning spinning = Spinning::kGlobal;
   static constexpr const char* waiting = "park";
+  static constexpr LockTier tier = LockTier::kPark;
   static constexpr bool oversub_safe = true;
 };
 

@@ -103,9 +103,10 @@ using TicketParkLock = TicketLockT<SpinThenParkWaiting>;
 /// Governor-adaptive tier (spin -> yield -> park as contention grows).
 using TicketGovernedLock = TicketLockT<GovernedWaiting>;
 
-namespace detail {
+/// One row per waiting tier: "ticket", "ticket-yield", "ticket-park",
+/// "ticket-adaptive".
 template <typename W>
-struct ticket_traits_base {
+struct lock_traits<TicketLockT<W>> : tiered_traits<"ticket", W> {
   static constexpr std::size_t lock_words = 2;  // Table 1: Lock = 2
   static constexpr std::size_t held_words = 0;
   static constexpr std::size_t wait_words = 0;
@@ -114,30 +115,6 @@ struct ticket_traits_base {
   static constexpr bool is_fifo = true;
   static constexpr bool has_trylock = true;  // extension, see try_lock()
   static constexpr Spinning spinning = Spinning::kGlobal;
-  static constexpr const char* waiting = W::name;
-  static constexpr bool oversub_safe = W::oversub_safe;
-};
-}  // namespace detail
-
-template <>
-struct lock_traits<TicketLock>
-    : detail::ticket_traits_base<QueueSpinWaiting> {
-  static constexpr const char* name = "ticket";
-};
-template <>
-struct lock_traits<TicketYieldLock>
-    : detail::ticket_traits_base<QueueYieldWaiting> {
-  static constexpr const char* name = "ticket-yield";
-};
-template <>
-struct lock_traits<TicketParkLock>
-    : detail::ticket_traits_base<SpinThenParkWaiting> {
-  static constexpr const char* name = "ticket-park";
-};
-template <>
-struct lock_traits<TicketGovernedLock>
-    : detail::ticket_traits_base<GovernedWaiting> {
-  static constexpr const char* name = "ticket-adaptive";
 };
 
 }  // namespace hemlock

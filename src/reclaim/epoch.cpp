@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "runtime/pause.hpp"
 #include "stats/telemetry.hpp"
 
 namespace hemlock::reclaim {
@@ -121,11 +120,10 @@ void EpochDomain::retire(RetireNode* node, void (*reclaim)(RetireNode*)) {
   node->reclaim = reclaim;
   // mo: seq_cst stamp (fence pairing above)
   node->epoch = epoch_.load(std::memory_order_seq_cst);
-  lock_limbo();
+  RawSpinGuard g(limbo_lock_);
   node->next = limbo_head_;
   limbo_head_ = node;
   ++pending_;
-  unlock_limbo();
 }
 
 bool EpochDomain::try_advance() noexcept {
@@ -174,21 +172,22 @@ std::size_t EpochDomain::drain(std::size_t max_frees) {
   const std::uint64_t safe = epoch_.load(std::memory_order_acquire);
   RetireNode* to_free = nullptr;
   std::size_t taken = 0;
-  lock_limbo();
-  RetireNode** pp = &limbo_head_;
-  while (*pp != nullptr && taken < max_frees) {
-    RetireNode* n = *pp;
-    if (n->epoch + 2 <= safe) {  // every possible observer has exited
-      *pp = n->next;
-      n->next = to_free;
-      to_free = n;
-      ++taken;
-    } else {
-      pp = &n->next;
+  {
+    RawSpinGuard g(limbo_lock_);
+    RetireNode** pp = &limbo_head_;
+    while (*pp != nullptr && taken < max_frees) {
+      RetireNode* n = *pp;
+      if (n->epoch + 2 <= safe) {  // every possible observer has exited
+        *pp = n->next;
+        n->next = to_free;
+        to_free = n;
+        ++taken;
+      } else {
+        pp = &n->next;
+      }
     }
+    pending_ -= taken;
   }
-  pending_ -= taken;
-  unlock_limbo();
   while (to_free != nullptr) {  // reclaim hooks run outside the limbo lock
     RetireNode* n = to_free;
     to_free = n->next;  // before the hook: it may free or reuse n
@@ -202,9 +201,10 @@ DomainStats EpochDomain::stats() const {
   DomainStats s;
   // mo: acquire — snapshot is ordered after the latest advance.
   s.epoch = epoch_.load(std::memory_order_acquire);
-  lock_limbo();
-  s.pending = pending_;
-  unlock_limbo();
+  {
+    RawSpinGuard g(limbo_lock_);
+    s.pending = pending_;
+  }
   // mo: relaxed — monotonic stats counters; no ordering implied.
   s.freed = freed_.load(std::memory_order_relaxed);
   s.advances = advances_.load(std::memory_order_relaxed);
@@ -215,21 +215,6 @@ DomainStats EpochDomain::stats() const {
 EpochDomain& EpochDomain::global() {
   static EpochDomain domain;
   return domain;
-}
-
-void EpochDomain::lock_limbo() const noexcept {
-  // mo: acquire TAS — pairs with unlock_limbo's release store; the
-  // prior holder's list edits are visible.
-  while (limbo_lock_.exchange(true, std::memory_order_acquire)) {
-    SpinWait waiter;
-    // mo: relaxed TTAS poll — the acquiring exchange re-synchronizes.
-    while (limbo_lock_.load(std::memory_order_relaxed)) waiter.wait();
-  }
-}
-
-void EpochDomain::unlock_limbo() const noexcept {
-  // mo: release — publishes this holder's limbo-list edits.
-  limbo_lock_.store(false, std::memory_order_release);
 }
 
 }  // namespace hemlock::reclaim

@@ -46,6 +46,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "runtime/raw_spinlock.hpp"
 #include "runtime/thread_rec.hpp"
 
 namespace hemlock::reclaim {
@@ -141,16 +142,13 @@ class EpochDomain {
   static constexpr std::size_t kDefaultDrainBatch = 64;
 
  private:
-  /// Spinlock over the limbo list (retire/drain are rare, off the
-  /// read fast path; a raw spinlock keeps this header dependency-free
-  /// for the locks the library itself implements).
-  void lock_limbo() const noexcept;
-  void unlock_limbo() const noexcept;
-
   std::uint32_t slot_;  ///< index into ThreadRec::epochs
   std::atomic<std::uint64_t> epoch_{1};  ///< 0 is reserved for "quiescent"
 
-  mutable std::atomic<bool> limbo_lock_{false};
+  /// Guards the limbo list (retire/drain are rare, off the read fast
+  /// path; the raw spinlock keeps this header free of the locks the
+  /// library itself implements).
+  mutable RawSpinLock limbo_lock_;
   RetireNode* limbo_head_ = nullptr;  ///< under limbo_lock_
   std::uint64_t pending_ = 0;      ///< under limbo_lock_
   std::atomic<std::uint64_t> freed_{0};

@@ -1,6 +1,7 @@
 #include "runtime/thread_rec.hpp"
 
 #include "runtime/pause.hpp"
+#include "runtime/raw_spinlock.hpp"
 
 namespace hemlock {
 
@@ -14,33 +15,9 @@ namespace {
 // interposition library every pthread_mutex (and therefore every
 // std::mutex) in the process is replaced by a library lock whose
 // lock() path registers the thread — which would re-enter this
-// registry. A private raw spinlock breaks that recursion. Nothing
+// registry. The library's raw spinlock breaks that recursion. Nothing
 // here is on a lock fast path.
-class RegistrySpinLock {
- public:
-  void lock() noexcept {
-    // mo: acquire TAS — pairs with unlock's release store; the prior
-    // holder's registry edits are visible.
-    while (flag_.exchange(1, std::memory_order_acquire) != 0) {
-      cpu_relax();
-    }
-  }
-  void unlock() noexcept {
-    // mo: release — publishes this holder's registry edits.
-    flag_.store(0, std::memory_order_release);
-  }
-
- private:
-  std::atomic<std::uint32_t> flag_{0};
-};
-
-struct RegistryGuard {
-  explicit RegistryGuard(RegistrySpinLock& l) : lock(l) { lock.lock(); }
-  ~RegistryGuard() { lock.unlock(); }
-  RegistrySpinLock& lock;
-};
-
-RegistrySpinLock g_registry_mu;
+RawSpinLock g_registry_mu;
 ThreadRec* g_head = nullptr;
 std::uint32_t g_ever = 0;
 std::uint32_t g_live = 0;
@@ -74,7 +51,7 @@ ThreadRec& self() {
 }
 
 void ThreadRegistry::register_rec(ThreadRec* rec) {
-  RegistryGuard g(g_registry_mu);
+  RawSpinGuard g(g_registry_mu);
   rec->id = g_ever++;
   rec->registry_next = g_head;
   g_head = rec;
@@ -85,7 +62,7 @@ void ThreadRegistry::register_rec(ThreadRec* rec) {
 }
 
 void ThreadRegistry::deregister_rec(ThreadRec* rec) {
-  RegistryGuard g(g_registry_mu);
+  RawSpinGuard g(g_registry_mu);
   // mo: release — orders the record's last profiling writes before
   // the tombstone that for_each checks.
   rec->live.store(false, std::memory_order_release);
@@ -102,7 +79,7 @@ void ThreadRegistry::deregister_rec(ThreadRec* rec) {
 }
 
 void ThreadRegistry::for_each(const std::function<void(ThreadRec&)>& fn) {
-  RegistryGuard g(g_registry_mu);
+  RawSpinGuard g(g_registry_mu);
   for (ThreadRec* r = g_head; r != nullptr; r = r->registry_next) {
     // mo: acquire — pairs with register_rec's release so the
     // record's fields are visible for live entries.
@@ -111,7 +88,7 @@ void ThreadRegistry::for_each(const std::function<void(ThreadRec&)>& fn) {
 }
 
 void ThreadRegistry::for_each_raw(void (*fn)(ThreadRec&, void*), void* ctx) {
-  RegistryGuard g(g_registry_mu);
+  RawSpinGuard g(g_registry_mu);
   for (ThreadRec* r = g_head; r != nullptr; r = r->registry_next) {
     // mo: acquire — as for_each.
     if (r->live.load(std::memory_order_acquire)) fn(*r, ctx);
@@ -119,12 +96,12 @@ void ThreadRegistry::for_each_raw(void (*fn)(ThreadRec&, void*), void* ctx) {
 }
 
 std::uint32_t ThreadRegistry::ever_registered() {
-  RegistryGuard g(g_registry_mu);
+  RawSpinGuard g(g_registry_mu);
   return g_ever;
 }
 
 std::uint32_t ThreadRegistry::live_count() {
-  RegistryGuard g(g_registry_mu);
+  RawSpinGuard g(g_registry_mu);
   return g_live;
 }
 

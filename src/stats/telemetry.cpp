@@ -16,37 +16,12 @@
 
 #include "reclaim/epoch.hpp"
 #include "runtime/governor.hpp"
-#include "runtime/pause.hpp"
+#include "runtime/raw_spinlock.hpp"
 #include "runtime/thread_rec.hpp"
 
 namespace hemlock::telemetry {
 
 namespace {
-
-/// Raw spinlock for the cold registry paths (same rationale as the
-/// thread registry's: under the LD_PRELOAD shim a std::mutex here
-/// would re-enter the interposed surface).
-class TmSpinLock {
- public:
-  void lock() noexcept {
-    // mo: acquire TAS — pairs with unlock's release so the prior
-    // holder's table edits are visible.
-    while (flag_.exchange(1, std::memory_order_acquire) != 0) cpu_relax();
-  }
-  void unlock() noexcept {
-    // mo: release — publishes this holder's table edits.
-    flag_.store(0, std::memory_order_release);
-  }
-
- private:
-  std::atomic<std::uint32_t> flag_{0};
-};
-
-struct TmGuard {
-  explicit TmGuard(TmSpinLock& l) : lock(l) { lock.lock(); }
-  ~TmGuard() { lock.unlock(); }
-  TmSpinLock& lock;
-};
 
 /// Condvar-counter source registered by the interpose layer (the
 /// stats layer cannot see ShimCond itself).
@@ -121,7 +96,7 @@ struct HandleEntry {
   char name[kNameBytes] = {};
 };
 
-TmSpinLock g_handle_mu;
+RawSpinLock g_handle_mu;
 HandleEntry g_handles[kMaxHandles];  // slot 0 = "(unattributed)"
 
 /// One handle's fold: its counters and its histograms' bucket counts.
@@ -135,7 +110,7 @@ struct FoldRow {
 /// Guarded by g_fold_mu (deregistration holds the thread-registry
 /// lock when folding; the snapshot fold takes the locks strictly one
 /// at a time, so the orders never nest into a cycle).
-TmSpinLock g_fold_mu;
+RawSpinLock g_fold_mu;
 FoldRow g_retired[kMaxHandles];
 
 /// Shared fallback slab for hooks that fire after the calling
@@ -177,7 +152,7 @@ void fold_slab(FoldRow* rows, const Slab& slab) noexcept {
 /// accumulator, every live slab, then the post-exit fallback slab.
 void fold_all(FoldRow* rows) noexcept {
   {
-    TmGuard g(g_fold_mu);
+    RawSpinGuard g(g_fold_mu);
     std::copy(g_retired, g_retired + kMaxHandles, rows);
   }
   ThreadRegistry::for_each_raw(
@@ -199,7 +174,7 @@ void scrub(TmSlot& s) noexcept {
 /// Zero one slot id everywhere: retired fold + every live slab.
 void zero_slot_everywhere(std::uint16_t id) {
   {
-    TmGuard g(g_fold_mu);
+    RawSpinGuard g(g_fold_mu);
     g_retired[id] = FoldRow{};
   }
   ThreadRegistry::for_each(
@@ -213,7 +188,7 @@ TelemetryHandle register_handle(std::string_view name) noexcept {
   if (name.empty()) return {};
   std::uint16_t claimed = 0;
   {
-    TmGuard g(g_handle_mu);
+    RawSpinGuard g(g_handle_mu);
     // Refcount an existing live entry with the same name.
     for (std::uint16_t i = 1; i < kMaxHandles; ++i) {
       HandleEntry& e = g_handles[i];
@@ -243,7 +218,7 @@ TelemetryHandle register_handle(std::string_view name) noexcept {
 void release_handle(TelemetryHandle h) noexcept {
   if (h.id == 0 || h.id >= kMaxHandles) return;
   {
-    TmGuard g(g_handle_mu);
+    RawSpinGuard g(g_handle_mu);
     HandleEntry& e = g_handles[h.id];
     if (!e.live || e.refs == 0) return;
     if (--e.refs != 0) return;
@@ -251,14 +226,14 @@ void release_handle(TelemetryHandle h) noexcept {
     // scrubbed, so a racing register_handle cannot adopt a dirty slot.
   }
   zero_slot_everywhere(h.id);
-  TmGuard g(g_handle_mu);
+  RawSpinGuard g(g_handle_mu);
   g_handles[h.id].live = false;
   g_handles[h.id].name[0] = '\0';
 }
 
 std::string_view handle_name(TelemetryHandle h) noexcept {
   if (h.id == 0 || h.id >= kMaxHandles) return {};
-  TmGuard g(g_handle_mu);
+  RawSpinGuard g(g_handle_mu);
   return g_handles[h.id].live ? std::string_view(g_handles[h.id].name)
                               : std::string_view{};
 }
@@ -273,7 +248,7 @@ Slab* slab_slow() noexcept {
 void on_thread_exit(Slab& slab) noexcept {
   t_slab = nullptr;
   t_slab_dead = true;
-  TmGuard g(g_fold_mu);
+  RawSpinGuard g(g_fold_mu);
   fold_slab(g_retired, slab);
 }
 

@@ -1,8 +1,8 @@
 // test_any_lock.cpp — the type-erased public API: factory roster
 // integrity, LockInfo consistency with lock_traits<>, unknown-name
 // rejection, the inline-buffer guarantee (with the boxed-storage
-// demotion of bulk-bodied algorithms), runtime lock registration,
-// shim/factory name-set agreement, and a parameterized
+// demotion of bulk-bodied algorithms), an embedder's own lock behind
+// AnyLock, shim/factory name-set agreement, and a parameterized
 // mutual-exclusion stress sweep that runs EVERY factory algorithm
 // through AnyLock.
 #include <gtest/gtest.h>
@@ -62,6 +62,8 @@ TEST(LockFactory, InfoMatchesLockTraits) {
     const LockInfo* info = factory.info(lock_traits<L>::name);
     ASSERT_NE(info, nullptr) << lock_traits<L>::name;
     EXPECT_EQ(info->name, expected.name);
+    EXPECT_EQ(info->family, expected.family);
+    EXPECT_EQ(info->tier, expected.tier);
     EXPECT_EQ(info->lock_words, expected.lock_words);
     EXPECT_EQ(info->held_words, expected.held_words);
     EXPECT_EQ(info->wait_words, expected.wait_words);
@@ -119,6 +121,43 @@ TEST(LockFactory, WaitingTiersAreRecorded) {
   }
 }
 
+// Each tiered family is one family across its tiers, its variants
+// named from the family and the tier; (family, tier) finds every entry.
+TEST(LockFactory, TiersAreFoundByFamilyAndTier) {
+  constexpr LockTier kTiers[] = {LockTier::kSpin, LockTier::kYield,
+                                 LockTier::kPark, LockTier::kAdaptive};
+  for (const char* family : {"mcs", "clh", "ticket", "anderson", "rwlock",
+                             "rwlock-compact"}) {
+    for (const LockTier tier : kTiers) {
+      const std::string name =
+          tier == LockTier::kSpin
+              ? std::string(family)
+              : std::string(family) + "-" + lock_tier_name(tier);
+      const LockVTable* vt = find_tier(family, tier);
+      ASSERT_NE(vt, nullptr) << name;
+      EXPECT_EQ(vt, find_lock(name)) << name;
+      EXPECT_EQ(vt->info.family, family) << name;
+      EXPECT_EQ(vt->info.waiting, lock_tier_name(tier)) << name;
+    }
+  }
+  // The CTR Hemlock rows keep their names; the family has no yield tier.
+  EXPECT_EQ(find_tier("hemlock", LockTier::kSpin), find_lock("hemlock"));
+  EXPECT_EQ(find_tier("hemlock", LockTier::kPark), find_lock("hemlock-futex"));
+  EXPECT_EQ(find_tier("hemlock", LockTier::kAdaptive),
+            find_lock("hemlock-adaptive"));
+  EXPECT_EQ(find_tier("hemlock", LockTier::kYield), nullptr);
+  // A single-tier algorithm is its own family.
+  EXPECT_EQ(find_tier("hemlock-faa", LockTier::kSpin),
+            find_lock("hemlock-faa"));
+  EXPECT_EQ(find_tier("hemlock-chain", LockTier::kPark),
+            find_lock("hemlock-chain"));
+  EXPECT_EQ(find_tier("tas", LockTier::kPark), nullptr);
+  for (const LockVTable* vt : LockFactory::instance().entries()) {
+    EXPECT_EQ(find_tier(vt->info.family, vt->info.tier), vt)
+        << vt->info.name;
+  }
+}
+
 // "-spin" is the explicit name of the default pure-spin tier: it
 // canonicalizes to the base entry (one vtable, not a duplicate).
 TEST(LockFactory, SpinSuffixCanonicalizesToTheBaseEntry) {
@@ -137,11 +176,11 @@ TEST(LockFactory, SpinSuffixCanonicalizesToTheBaseEntry) {
   EXPECT_EQ(find_lock("mcs-spin-spin"), nullptr);
 }
 
-// ------------------------------------------ runtime registration --
-// A lock family OUTSIDE AllLockTags, registered with the factory at
-// run time — how an embedder brings its own shard lock to the sharded
-// serving layer without recompiling the registry.
-class RuntimeTestLock {
+// ---------------------------------------------- embedders' locks --
+// A lock OUTSIDE AllLockTags: the roster is closed, but an embedder's
+// own lock still runs behind the erased surface from its static
+// vtable — it just has no factory name.
+class EmbedderTestLock {
  public:
   void lock() {
     while (held_.exchange(true, std::memory_order_acquire)) {
@@ -157,8 +196,8 @@ class RuntimeTestLock {
 }  // namespace
 
 template <>
-struct lock_traits<RuntimeTestLock> {
-  static constexpr const char* name = "runtime-test-tas";
+struct lock_traits<EmbedderTestLock> {
+  static constexpr const char* name = "embedder-test-tas";
   static constexpr std::size_t lock_words = 1;
   static constexpr std::size_t held_words = 0;
   static constexpr std::size_t wait_words = 0;
@@ -171,21 +210,12 @@ struct lock_traits<RuntimeTestLock> {
 
 namespace {
 
-TEST(LockFactoryRuntime, RegistrationRoundTrip) {
-  ASSERT_TRUE(LockFactory::register_lock_type<RuntimeTestLock>());
-  // Resolves everywhere a compile-time roster name does.
-  const auto& factory = LockFactory::instance();
-  const LockVTable* vt = factory.find("runtime-test-tas");
-  ASSERT_NE(vt, nullptr);
-  EXPECT_EQ(vt, find_lock("runtime-test-tas"));
-  ASSERT_NE(factory.info("runtime-test-tas"), nullptr);
-  EXPECT_EQ(factory.info("runtime-test-tas")->size_bytes,
-            sizeof(RuntimeTestLock));
-
-  // ...including the erased construction paths, with real mutual
-  // exclusion through the registered thunks.
-  AnyLock lk = factory.make("runtime-test-tas");
-  EXPECT_EQ(lk.name(), "runtime-test-tas");
+TEST(AnyLock, EmbedderLockRunsFromItsVtable) {
+  AnyLock lk(lock_vtable<EmbedderTestLock>, "embedder-test");
+  EXPECT_EQ(lk.name(), "embedder-test-tas");
+  EXPECT_EQ(lk.info().family, "embedder-test-tas");
+  EXPECT_EQ(lk.info().size_bytes, sizeof(EmbedderTestLock));
+  // Real mutual exclusion through the erased thunks.
   constexpr int kThreads = 4;
   constexpr int kIters = 2000;
   std::uint64_t counter = 0;
@@ -202,50 +232,9 @@ TEST(LockFactoryRuntime, RegistrationRoundTrip) {
   }
   for (auto& t : ts) t.join();
   EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) * kIters);
-
-  // Listed by runtime_entries(), invisible to the compile-time roster
-  // views (names()/entries() stay the static registry, so the roster
-  // sweeps above remain exact).
-  const auto runtime = LockFactory::runtime_entries();
-  EXPECT_NE(std::find(runtime.begin(), runtime.end(), vt), runtime.end());
-  for (const auto name : factory.names()) {
-    EXPECT_NE(name, "runtime-test-tas");
-  }
-
-  // Re-registering the same name is refused.
-  EXPECT_FALSE(LockFactory::register_lock_type<RuntimeTestLock>());
-}
-
-TEST(LockFactoryRuntime, InvalidRegistrationsAreRejected) {
-  // Colliding with a roster name — directly or through the "-spin"
-  // alias — is refused, so registration can never shadow an existing
-  // spelling.
-  static LockVTable collides = lock_vtable<RuntimeTestLock>;
-  collides.info.name = "mcs";
-  EXPECT_FALSE(LockFactory::register_lock(collides));
-  static LockVTable alias_collides = lock_vtable<RuntimeTestLock>;
-  alias_collides.info.name = "mcs-spin";
-  EXPECT_FALSE(LockFactory::register_lock(alias_collides));
-
-  static LockVTable unnamed = lock_vtable<RuntimeTestLock>;
-  unnamed.info.name = "";
-  EXPECT_FALSE(LockFactory::register_lock(unnamed));
-
-  // An entry AnyLock's inline buffer could not host is refused (the
-  // typed path rejects this at compile time; the raw path must too).
-  static LockVTable oversized = lock_vtable<RuntimeTestLock>;
-  oversized.info.name = "runtime-oversized";
-  oversized.info.size_bytes = AnyLock::kStorageBytes + 1;
-  EXPECT_FALSE(LockFactory::register_lock(oversized));
-
-  static LockVTable thunkless = lock_vtable<RuntimeTestLock>;
-  thunkless.info.name = "runtime-thunkless";
-  thunkless.lock = nullptr;
-  EXPECT_FALSE(LockFactory::register_lock(thunkless));
-
-  // None of the rejects leaked into the lookup paths.
-  EXPECT_EQ(find_lock("runtime-oversized"), nullptr);
-  EXPECT_EQ(find_lock("runtime-thunkless"), nullptr);
+  // Not a roster name: no lookup path resolves it.
+  EXPECT_EQ(find_lock("embedder-test-tas"), nullptr);
+  EXPECT_EQ(LockFactory::instance().info("embedder-test-tas"), nullptr);
 }
 
 // ----------------------------------------------- shim/factory sets --

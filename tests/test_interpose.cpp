@@ -718,15 +718,21 @@ TEST(ShimRwLock, MixedReadersWritersAreExact) {
   ShimRwLock::shim_destroy(&rw);
 }
 
-// The rwlock overlay's telemetry row, folded over every thread: one
-// "rwlock:<algorithm>" row serves every interposed rwlock.
-telemetry::Counters rwlock_row() {
+// An overlay's telemetry row, folded over every thread: one
+// "<kind>:<algorithm>" row serves every interposed object of its kind.
+telemetry::Counters overlay_row(std::string_view kind, const LockVTable& vt) {
   const std::string name =
-      "rwlock:" + std::string(selected_rwlock().info.name);
+      std::string(kind) + ":" + std::string(vt.info.name);
   for (const telemetry::LockTelemetry& row : telemetry::collect().locks) {
     if (row.name == name) return row;
   }
   return {};
+}
+telemetry::Counters rwlock_row() {
+  return overlay_row("rwlock", selected_rwlock());
+}
+telemetry::Counters mutex_row() {
+  return overlay_row("mutex", selected_lock());
 }
 
 // `ms` milliseconds from now on `clock`.
@@ -812,6 +818,98 @@ TEST(ShimRwLock, TimedLocksHonorDeadlinesAndEinval) {
   ShimRwLock::shim_destroy(&rw);
 }
 
+// ===================================================================
+// Timed mutex acquires (pthread_mutex_timedlock / clocklock): the
+// overlay core's deadline-polled body, as the rwlock's timed calls.
+// ===================================================================
+
+// Each call is one attempt in the mutex row: an acquire on success,
+// one try failure on timeout, nothing on EINVAL.
+void expect_mutex_counted(const telemetry::Counters& from,
+                          std::uint64_t acquires, std::uint64_t failures) {
+  if (!HEMLOCK_TELEMETRY_ENABLED) return;
+  const telemetry::Counters now = mutex_row();
+  EXPECT_EQ(now.acquires - from.acquires, acquires);
+  EXPECT_EQ(now.try_failures - from.try_failures, failures);
+}
+
+TEST(ShimMutex, TimedLocksTakeAFreeMutex) {
+  pthread_mutex_t m = PTHREAD_MUTEX_INITIALIZER;
+  const telemetry::Counters before = mutex_row();
+  struct timespec soon = deadline_in(CLOCK_REALTIME, 1000);
+  EXPECT_EQ(ShimMutex::shim_timedlock(&m, &soon), 0);
+  EXPECT_EQ(ShimMutex::shim_unlock(&m), 0);
+  soon = deadline_in(CLOCK_MONOTONIC, 1000);
+  EXPECT_EQ(ShimMutex::shim_clocklock(&m, CLOCK_MONOTONIC, &soon), 0);
+  EXPECT_EQ(ShimMutex::shim_unlock(&m), 0);
+  // A free mutex is taken even past the deadline: POSIX never times
+  // out a lock that can be had at once.
+  struct timespec past;
+  clock_gettime(CLOCK_REALTIME, &past);
+  past.tv_sec -= 1;
+  EXPECT_EQ(ShimMutex::shim_timedlock(&m, &past), 0);
+  EXPECT_EQ(ShimMutex::shim_unlock(&m), 0);
+  expect_mutex_counted(before, 3, 0);
+  ShimMutex::shim_destroy(&m);
+}
+
+TEST(ShimMutex, TimedLocksTimeOutNoEarlierThanTheDeadline) {
+  if (!selected_lock().info.has_trylock) {
+    GTEST_SKIP() << selected_lock().info.name
+                 << " has no native try path: its timed calls block";
+  }
+  pthread_mutex_t m = PTHREAD_MUTEX_INITIALIZER;
+  std::atomic<int> phase{0};
+  std::thread holder([&] {
+    EXPECT_EQ(ShimMutex::shim_lock(&m), 0);
+    phase.store(1);
+    while (phase.load() != 2) std::this_thread::yield();
+    EXPECT_EQ(ShimMutex::shim_unlock(&m), 0);
+  });
+  while (phase.load() != 1) std::this_thread::yield();
+  const telemetry::Counters before = mutex_row();
+  for (const clockid_t clock : {CLOCK_REALTIME, CLOCK_MONOTONIC}) {
+    const struct timespec deadline = deadline_in(clock, 50);
+    const int rc = clock == CLOCK_REALTIME
+                       ? ShimMutex::shim_timedlock(&m, &deadline)
+                       : ShimMutex::shim_clocklock(&m, clock, &deadline);
+    struct timespec now;
+    clock_gettime(clock, &now);
+    EXPECT_EQ(rc, ETIMEDOUT);
+    EXPECT_TRUE(now.tv_sec > deadline.tv_sec ||
+                (now.tv_sec == deadline.tv_sec &&
+                 now.tv_nsec >= deadline.tv_nsec))
+        << "timed out before the deadline";
+  }
+  expect_mutex_counted(before, 0, 2);
+  phase.store(2);
+  holder.join();
+  // Once the holder leaves, a timed call acquires.
+  const struct timespec later = deadline_in(CLOCK_MONOTONIC, 1000);
+  EXPECT_EQ(ShimMutex::shim_clocklock(&m, CLOCK_MONOTONIC, &later), 0);
+  EXPECT_EQ(ShimMutex::shim_unlock(&m), 0);
+  ShimMutex::shim_destroy(&m);
+}
+
+TEST(ShimMutex, TimedLocksRejectBadArgumentsBeforeAnyStateChange) {
+  pthread_mutex_t m = PTHREAD_MUTEX_INITIALIZER;
+  const telemetry::Counters before = mutex_row();
+  struct timespec bad = deadline_in(CLOCK_REALTIME, 100);
+  bad.tv_nsec = 1000000000L;
+  EXPECT_EQ(ShimMutex::shim_timedlock(&m, &bad), EINVAL);
+  bad.tv_nsec = -1;
+  EXPECT_EQ(ShimMutex::shim_clocklock(&m, CLOCK_MONOTONIC, &bad), EINVAL);
+  const struct timespec ok = deadline_in(CLOCK_REALTIME, 100);
+  EXPECT_EQ(ShimMutex::shim_clocklock(&m, CLOCK_PROCESS_CPUTIME_ID, &ok),
+            EINVAL);
+  EXPECT_EQ(ShimMutex::shim_timedlock(&m, nullptr), EINVAL);
+  EXPECT_EQ(ShimMutex::shim_timedlock(nullptr, &ok), EINVAL);
+  expect_mutex_counted(before, 0, 0);
+  // Still unadopted: no call got as far as the hosted lock.
+  EXPECT_NE(reinterpret_cast<ShimMutex*>(&m)->magic.load(), ShimMutex::kReady);
+  ShimMutex::shim_destroy(&m);
+}
+
 TEST(ShimRwLock, NullIsEinval) {
   EXPECT_EQ(ShimRwLock::shim_rdlock(nullptr), EINVAL);
   EXPECT_EQ(ShimRwLock::shim_wrlock(nullptr), EINVAL);
@@ -853,6 +951,37 @@ TEST(ForeignRouting, PsharedMutexRoutesToGlibc) {
   }
   for (auto& t : ts) t.join();
   EXPECT_EQ(counter, 4000);
+  EXPECT_EQ(ShimMutex::shim_destroy(&m), 0);
+  EXPECT_FALSE(ForeignRegistry::contains(&m));
+  pthread_mutexattr_destroy(&attr);
+}
+
+// A pshared mutex's timed calls go to glibc too: they acquire and time
+// out there, and the hosted mutex row never sees them.
+TEST(ForeignRouting, PsharedMutexTimedLocksForwardToGlibc) {
+  if (!real_pthread().resolved) {
+    GTEST_SKIP() << "real pthread symbols not resolvable";
+  }
+  pthread_mutexattr_t attr;
+  ASSERT_EQ(pthread_mutexattr_init(&attr), 0);
+  ASSERT_EQ(pthread_mutexattr_setpshared(&attr, PTHREAD_PROCESS_SHARED), 0);
+  pthread_mutex_t m;
+  ASSERT_EQ(ShimMutex::shim_init(&m, &attr), 0);
+  ASSERT_TRUE(ForeignRegistry::contains(&m));
+  const telemetry::Counters before = mutex_row();
+  const struct timespec soon = deadline_in(CLOCK_REALTIME, 1000);
+  EXPECT_EQ(ShimMutex::shim_timedlock(&m, &soon), 0);
+  std::thread([&] {
+    struct timespec brief = deadline_in(CLOCK_REALTIME, 20);
+    EXPECT_EQ(ShimMutex::shim_timedlock(&m, &brief), ETIMEDOUT);
+    if (real_pthread().mutex_clocklock != nullptr) {
+      brief = deadline_in(CLOCK_MONOTONIC, 20);
+      EXPECT_EQ(ShimMutex::shim_clocklock(&m, CLOCK_MONOTONIC, &brief),
+                ETIMEDOUT);
+    }
+  }).join();
+  EXPECT_EQ(ShimMutex::shim_unlock(&m), 0);
+  expect_mutex_counted(before, 0, 0);
   EXPECT_EQ(ShimMutex::shim_destroy(&m), 0);
   EXPECT_FALSE(ForeignRegistry::contains(&m));
   pthread_mutexattr_destroy(&attr);

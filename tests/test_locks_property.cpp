@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <stdexcept>
@@ -22,6 +21,7 @@
 #include "locks/lockable.hpp"
 #include "runtime/barrier.hpp"
 #include "runtime/cacheline.hpp"
+#include "stats/telemetry.hpp"
 
 namespace hemlock {
 namespace {
@@ -48,8 +48,9 @@ using AllLockTypes = ::testing::Types<
     McsK42Lock, ClhLock, TicketLock, TasLock, TtasLock, TtasBackoffLock,
     AndersonLock<64>, McsYieldLock, McsParkLock, McsGovernedLock,
     ClhYieldLock, ClhParkLock, ClhGovernedLock, TicketYieldLock,
-    TicketParkLock, TicketGovernedLock, AndersonYieldDefault,
-    AndersonParkDefault, AndersonGovernedDefault, PthreadMutex>;
+    TicketParkLock, TicketGovernedLock, AndersonDefaultT<QueueYieldWaiting>,
+    AndersonDefaultT<SpinThenParkWaiting>,
+    AndersonDefaultT<GovernedWaiting>, PthreadMutex>;
 
 class LockNames {
  public:
@@ -290,11 +291,26 @@ TYPED_TEST(LockProperty, HandOverHandChainWalk) {
 // ---------------------------------------------------------------------------
 // FIFO admission (Theorem 8) for FIFO algorithms: waiters that
 // demonstrably enqueued in a known order must enter the critical
-// section in that order. Orderly enqueueing is arranged by spacing
-// arrivals with generous sleeps while the lock is held.
+// section in that order. The enqueue order is observed, not arranged
+// by sleeps: every FIFO roster lock counts a waiting acquisition as
+// contended once, after its doorstep, and these locks are unattributed,
+// so the "(unattributed)" telemetry row's count rising by one shows
+// that the waiter just released has queued. Only then may the next one
+// start its doorstep.
+
+/// The "(unattributed)" row's contended count, folded over every thread.
+std::uint64_t unattributed_contended() {
+  for (const telemetry::LockTelemetry& row : telemetry::collect().locks) {
+    if (row.name == "(unattributed)") return row.contended;
+  }
+  return 0;
+}
+
 TYPED_TEST(LockProperty, FifoAdmission) {
   if constexpr (!lock_traits<TypeParam>::is_fifo) {
     GTEST_SKIP() << lock_traits<TypeParam>::name << " is not FIFO";
+  } else if constexpr (!HEMLOCK_TELEMETRY_ENABLED) {
+    GTEST_SKIP() << "the enqueue order is observed through telemetry";
   } else {
     constexpr int kWaiters = 5;
     constexpr int kRounds = 6;
@@ -303,18 +319,17 @@ TYPED_TEST(LockProperty, FifoAdmission) {
       std::vector<int> entry_order;
       std::mutex order_mu;
       std::atomic<int> go{-1};
-      std::atomic<int> arrived{-1};
 
       lock.value.lock();  // pen the waiters
+      const std::uint64_t queued_before = unattributed_contended();
       std::vector<std::thread> ts;
       for (int w = 0; w < kWaiters; ++w) {
         ts.emplace_back([&, w] {
-          // Arrive strictly in index order: waiter w starts its
-          // doorstep only when the driver has advanced `go` to w.
+          // Waiter w starts its doorstep only when the main thread has
+          // advanced `go` to w.
           while (go.load(std::memory_order_acquire) < w) {
             std::this_thread::yield();
           }
-          arrived.store(w, std::memory_order_release);
           lock.value.lock();
           {
             std::lock_guard<std::mutex> g(order_mu);
@@ -323,17 +338,13 @@ TYPED_TEST(LockProperty, FifoAdmission) {
           lock.value.unlock();
         });
       }
-      // Release arrivals one at a time; the inter-arrival gap dwarfs
-      // the doorstep's cost (one atomic op), so enqueue order matches
-      // index order with overwhelming probability. The gap starts once
-      // waiter w is observed running at its doorstep, so a loaded host
-      // delays only that op, not the waiter's wakeup.
+      // Release arrivals one at a time, each once the previous waiter's
+      // contended count shows it queued behind the held lock.
       for (int w = 0; w < kWaiters; ++w) {
         go.store(w, std::memory_order_release);
-        while (arrived.load(std::memory_order_acquire) < w) {
-          std::this_thread::yield();
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        const std::uint64_t queued =
+            queued_before + static_cast<std::uint64_t>(w) + 1;
+        while (unattributed_contended() < queued) std::this_thread::yield();
       }
       lock.value.unlock();
       for (auto& t : ts) t.join();
