@@ -181,7 +181,8 @@ int main(int argc, char** argv) {
             << st.epoch_gets - st.table_gets << " answered by the memtable, "
             << st.table_gets << " by tables; block cache "
             << sharded.cache_hits() << " hits, " << sharded.cache_misses()
-            << " misses; " << st.flushes << " flushes, " << st.compactions
+            << " misses, " << sharded.cache_declined() << " declined; "
+            << st.flushes << " flushes, " << st.compactions
             << " compactions; reclamation: " << st.reclaim.freed
             << " freed, " << st.reclaim.pending << " pending, "
             << st.reclaim.advance_blocked << " blocked advances)\n";

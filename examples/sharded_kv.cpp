@@ -105,6 +105,7 @@ int main(int argc, char** argv) {
             << st.epoch_gets + st.locked_gets - st.table_gets
             << ", by tables: " << st.table_gets << "\n"
             << "block cache: " << db.cache_hits() << " hits, "
-            << db.cache_misses() << " misses\n";
+            << db.cache_misses() << " misses, " << db.cache_declined()
+            << " declined\n";
   return 0;
 }

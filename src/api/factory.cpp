@@ -96,9 +96,12 @@ const LockVTable* find_lock(std::string_view name) noexcept {
   // constant-initialized statics; this is pure name comparison.
   if (const LockVTable* found = find_exact(name)) return found;
   // "-spin" is the explicit spelling of the default pure-spin tier:
-  // one strip, then an exact lookup only, so suffixes never chain.
+  // one strip, then an exact lookup only, so suffixes never chain, and
+  // only a spin-tier entry answers to it ("mcs-park-spin" names none).
   if (name.size() > kSpinAlias.size() && name.ends_with(kSpinAlias)) {
-    return find_exact(name.substr(0, name.size() - kSpinAlias.size()));
+    const LockVTable* base =
+        find_exact(name.substr(0, name.size() - kSpinAlias.size()));
+    if (base != nullptr && base->info.tier == LockTier::kSpin) return base;
   }
   return nullptr;
 }

@@ -34,9 +34,11 @@ class LockFactory {
   /// find_lock() answers the same question without touching the
   /// factory singleton — allocation-free, for the interposition
   /// shim's lock path.) A "-spin" suffix canonicalizes to the base
-  /// name: the bare queue-lock names ARE the pure-spin tier, so
-  /// "mcs-spin" resolves to "mcs" (completing the -spin/-yield/-park/
-  /// -adaptive waiting-tier vocabulary of core/waiting.hpp).
+  /// name when that entry is in the spin tier: the bare queue-lock
+  /// names ARE the pure-spin tier, so "mcs-spin" resolves to "mcs"
+  /// (completing the -spin/-yield/-park/-adaptive waiting-tier
+  /// vocabulary of core/waiting.hpp), while "mcs-park-spin" and
+  /// "pthread-spin" name nothing.
   const LockVTable* find(std::string_view name) const noexcept;
 
   /// Construct the named algorithm as an AnyLock. Throws

@@ -282,9 +282,11 @@ class ShardedDB {
     return n;
   }
 
-  /// Block cache statistics.
+  /// Block cache statistics; a declined miss is one the cache's
+  /// admission left uncached (cache.hpp).
   std::uint64_t cache_hits() const { return cache_.hits(); }
   std::uint64_t cache_misses() const { return cache_.misses(); }
+  std::uint64_t cache_declined() const { return cache_.declined(); }
 
   /// Operation + reclamation counters, exact once operations quiesce.
   ShardedDbStats stats() const {

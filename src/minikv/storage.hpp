@@ -11,14 +11,20 @@
 //    table search of a point lookup. They take no lock, and the caller
 //    holds an EpochGuard on the cache's domain, which keeps every
 //    cached block it reaches alive (cache.hpp). A hit returns the
-//    cached block itself. A miss copies the table's block into a
-//    recycled cache entry, and only when the cache bypasses the insert
-//    does it allocate a copy of its own (read_block). search_tables
-//    probes each table's hash directory with the key's hash, newest
-//    table first, reads exactly the candidate's block and compares one
-//    key (table.hpp); it hands the found value to a visitor while its
-//    block is pinned, so a point lookup through the tables allocates
-//    nothing.
+//    cached block itself. A miss copies the table's block (the
+//    deliberate "decode" cost) either into a recycled cache entry or
+//    into a buffer the reader owns. A point lookup passes its thread's
+//    buffer (reader_block()) and asks the cache to admit the miss
+//    first: a full cache shard caches one miss in eight, and a
+//    declined miss, like a bypassed one, is copied into that buffer,
+//    touching nothing shared. Scans pass no buffer, because merge_scan
+//    pins several blocks at once: they cache every miss, and only a
+//    bypassed one allocates a copy of its own (read_block).
+//    search_tables probes each table's hash directory with the key's
+//    hash, newest table first, reads exactly the candidate's block and
+//    compares one key (table.hpp); it hands the found value to a
+//    visitor while its block is pinned, so a point lookup through the
+//    tables allocates nothing, on a miss either.
 //  * flush_to_version: the one fold behind every flush and full-merge
 //    compaction (under the writer's lock).
 #pragma once
@@ -38,12 +44,13 @@
 namespace hemlock::minikv {
 
 /// A table block pinned for reading: a cached block, valid while the
-/// caller's EpochGuard on the cache's domain lasts, or the reader's own
-/// copy when the cache bypassed the miss.
+/// caller's EpochGuard on the cache's domain lasts; the reader's own
+/// buffer, valid until the reader next fills it; or, for a bypassed
+/// miss without a buffer, a copy this ref owns.
 class BlockRef {
  public:
   BlockRef() = default;
-  explicit BlockRef(const Block* cached) : block_(cached) {}
+  explicit BlockRef(const Block* pinned) : block_(pinned) {}
   explicit BlockRef(std::shared_ptr<Block> copy)
       : block_(copy.get()), copy_(std::move(copy)) {}
 
@@ -56,33 +63,49 @@ class BlockRef {
 };
 
 /// Block `idx` of `table` through `cache`. A miss copies the block's
-/// buffer (the deliberate "decode" cost) into a recycled cache entry at
-/// its charge(); when the cache bypasses that insert, the copy is the
-/// reader's own (read_block), as every miss was before recycling.
+/// buffer (the deliberate "decode" cost). Without `own`, every miss is
+/// inserted: the copy goes into a recycled cache entry at its charge(),
+/// and when the cache bypasses that insert, into a copy of the
+/// reader's own (read_block). With a reader-owned `own`, the cache
+/// admits the miss first (cache.hpp), and a declined or bypassed miss
+/// is copied into *own, whose buffer the reader reuses: no allocation
+/// once it has grown to the table's largest block.
 /// REQUIRES: an EpochGuard on cache.domain() (cache.hpp).
 inline BlockRef read_block_cached(ShardedLruCache<Block>& cache,
                                   const ImmutableTable& table,
-                                  std::size_t idx) {
+                                  std::size_t idx, Block* own = nullptr) {
   const BlockKey bkey{table.id(), static_cast<std::uint32_t>(idx)};
   if (const Block* hit = cache.lookup(bkey)) return BlockRef(hit);
   const Block& stored = table.block(idx);
-  if (const Block* cached = cache.insert(bkey, stored, stored.charge())) {
-    return BlockRef(cached);
+  if (own == nullptr || cache.admit(bkey)) {
+    if (const Block* cached = cache.insert(bkey, stored, stored.charge())) {
+      return BlockRef(cached);
+    }
+    if (own == nullptr) return BlockRef(table.read_block(idx));
   }
-  return BlockRef(table.read_block(idx));
+  *own = stored;  // declined or bypassed: the reader's own copy
+  return BlockRef(own);
+}
+
+/// The calling thread's buffer for point lookups' uncached misses.
+inline Block& reader_block() {
+  thread_local Block block;
+  return block;
 }
 
 /// Point lookup over a version's tables, newest first, through
 /// `cache`; `hash` is detail::hash_key(key). Stops at the first table
 /// holding `key` and calls found(value) while the value's block is
-/// pinned; returns whether it did. REQUIRES: an EpochGuard on
-/// cache.domain().
+/// pinned; returns whether it did. A block the cache does not keep is
+/// read into reader_block(), so `found` must not search again.
+/// REQUIRES: an EpochGuard on cache.domain().
 template <typename Found>
 bool search_tables(ShardedLruCache<Block>& cache, const TableVersion& version,
                    const Slice& key, std::uint64_t hash, Found&& found) {
   for (const auto& table : version.tables) {  // newest first
     const bool hit = table->probe(hash, [&](std::size_t b, std::size_t e) {
-      const BlockRef block = read_block_cached(cache, *table, b);
+      const BlockRef block =
+          read_block_cached(cache, *table, b, &reader_block());
       if (block->key(e) != key) return false;  // a fingerprint collision
       found(block->value(e));
       return true;

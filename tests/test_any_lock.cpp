@@ -174,6 +174,13 @@ TEST(LockFactory, SpinSuffixCanonicalizesToTheBaseEntry) {
   EXPECT_EQ(factory.find("-spin"), nullptr);
   EXPECT_EQ(factory.find("mcs-spin-spin"), nullptr);
   EXPECT_EQ(find_lock("mcs-spin-spin"), nullptr);
+  // Only a spin-tier entry answers to the alias: a parking, adaptive or
+  // kernel-blocking base is not a pure-spin request.
+  for (const char* alias :
+       {"mcs-park-spin", "anderson-adaptive-spin", "pthread-spin"}) {
+    EXPECT_EQ(factory.find(alias), nullptr) << alias;
+    EXPECT_EQ(find_lock(alias), nullptr) << alias;
+  }
 }
 
 // ---------------------------------------------- embedders' locks --

@@ -163,7 +163,9 @@ TEST(Governor, ParkDiagBalancesAfterGovernedParkWorkload) {
     std::atomic<std::uint32_t> word{1};
     std::thread waiter(
         [&] { GovernedWaiting::wait_until(word, std::uint32_t{0}); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // Publish once the waiter has entered the word's parked census: it
+    // then either sleeps or aborts in the return-to-baseline window.
+    while (gov.parked(&word) == 0) std::this_thread::yield();
     GovernedWaiting::publish(word, std::uint32_t{0});
     waiter.join();
   }
@@ -181,11 +183,10 @@ TEST(Governor, ParkDiagBalancesAfterGovernedParkWorkload) {
   // Each of the 8 publishes resolved its wake decision one way or the
   // other (other suites' teardown can add to either side, never remove).
   EXPECT_GE(syscalls + skips, 8u);
-  // Park attempts either really slept or aborted in the
-  // return-to-baseline window. Not one-per-round: a late-scheduled
-  // waiter can find the word already published and never park, so
-  // only the aggregate is asserted.
-  EXPECT_GE(sleeps + retries, 1u);
+  // Every round's waiter registered a park before its publish, and that
+  // park either really slept or aborted in the return-to-baseline
+  // window.
+  EXPECT_GE(sleeps + retries, 8u);
   // diag() reads the same totals.
   EXPECT_EQ(gov.diag().park_sleeps.load(std::memory_order_relaxed),  // mo: test read
             after.park_sleeps);

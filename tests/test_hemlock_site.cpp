@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -14,6 +16,9 @@
 #include "runtime/barrier.hpp"
 #include "runtime/cacheline.hpp"
 #include "runtime/thread_rec.hpp"
+#include "stats/telemetry.hpp"
+
+#include "observed_enqueue.hpp"
 
 namespace hemlock {
 namespace {
@@ -100,22 +105,29 @@ TEST(HemlockSite, MixedUsageWithPlainHemlock) {
   EXPECT_EQ(counter, 24000u);
 }
 
+// Waiters that demonstrably queued in a known order are handed the
+// lock in that order. As in LockProperty.FifoAdmission, the order is
+// observed, not arranged by sleeps: waiter w+1 starts its doorstep
+// only once the contended count shows waiter w queued. A HemlockSite
+// waiter counts once, after its doorstep swap, when it starts waiting
+// on its predecessor's slot (CtrCasWaiting::wait_and_consume).
 TEST(HemlockSite, FifoHandThrough) {
-  // Same staggered-arrival protocol as the generic FIFO test.
+  if (!HEMLOCK_TELEMETRY_ENABLED) {
+    GTEST_SKIP() << "the enqueue order is observed through telemetry";
+  }
   for (int round = 0; round < 5; ++round) {
     CacheAligned<HemlockSite> lock;
     std::vector<int> order;
     std::mutex order_mu;
     std::atomic<int> go{-1};
-    std::atomic<int> arrived{-1};
     auto holder = std::make_unique<HemlockSite::Guard>(lock.value);
+    const std::uint64_t queued_before = unattributed_contended();
     std::vector<std::thread> ts;
     for (int w = 0; w < 4; ++w) {
       ts.emplace_back([&, w] {
         while (go.load(std::memory_order_acquire) < w) {
           std::this_thread::yield();
         }
-        arrived.store(w, std::memory_order_release);
         HemlockSite::Guard g(lock.value);
         std::lock_guard<std::mutex> og(order_mu);
         order.push_back(w);
@@ -123,13 +135,9 @@ TEST(HemlockSite, FifoHandThrough) {
     }
     for (int w = 0; w < 4; ++w) {
       go.store(w, std::memory_order_release);
-      // Waiter w is observed running at its doorstep before the gap
-      // starts, so a loaded host delays only its one-instruction swap,
-      // not its wakeup from the yield loop.
-      while (arrived.load(std::memory_order_acquire) < w) {
-        std::this_thread::yield();
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const std::uint64_t queued =
+          queued_before + static_cast<std::uint64_t>(w) + 1;
+      while (unattributed_contended() < queued) std::this_thread::yield();
     }
     holder.reset();  // release; pen opens
     for (auto& t : ts) t.join();

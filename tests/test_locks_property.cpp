@@ -23,6 +23,8 @@
 #include "runtime/cacheline.hpp"
 #include "stats/telemetry.hpp"
 
+#include "observed_enqueue.hpp"
+
 namespace hemlock {
 namespace {
 
@@ -292,19 +294,8 @@ TYPED_TEST(LockProperty, HandOverHandChainWalk) {
 // FIFO admission (Theorem 8) for FIFO algorithms: waiters that
 // demonstrably enqueued in a known order must enter the critical
 // section in that order. The enqueue order is observed, not arranged
-// by sleeps: every FIFO roster lock counts a waiting acquisition as
-// contended once, after its doorstep, and these locks are unattributed,
-// so the "(unattributed)" telemetry row's count rising by one shows
-// that the waiter just released has queued. Only then may the next one
-// start its doorstep.
-
-/// The "(unattributed)" row's contended count, folded over every thread.
-std::uint64_t unattributed_contended() {
-  for (const telemetry::LockTelemetry& row : telemetry::collect().locks) {
-    if (row.name == "(unattributed)") return row.contended;
-  }
-  return 0;
-}
+// by sleeps (observed_enqueue.hpp): the next waiter starts its doorstep
+// only once the one just released shows up as queued.
 
 TYPED_TEST(LockProperty, FifoAdmission) {
   if constexpr (!lock_traits<TypeParam>::is_fifo) {

@@ -40,9 +40,10 @@
 #include "minikv/table.hpp"
 #include "reclaim/epoch.hpp"
 
-// Allocation counting for CacheTest.WarmMissesNeitherAllocateNorFree:
-// while a thread arms it, the replaced global operator new / delete
-// count that thread's calls.
+// Allocation counting for CacheTest.WarmMissesNeitherAllocateNorFree
+// and CacheAdmission.DeclinedAndBypassedMissesAllocateNothing: while a
+// thread arms it, the replaced global operator new / delete count that
+// thread's calls.
 namespace {
 thread_local bool t_count_allocs = false;
 thread_local std::size_t t_news = 0;
@@ -818,6 +819,189 @@ TEST(CacheTest, StalledReaderBoundsOwnedEntries) {
       (cache.misses() - misses0) - (cache.bypassed() - bypassed0);
   EXPECT_GT(cached, kCacheSpareBound);
   EXPECT_EQ(bad.load(), 0);
+}
+
+// ------------------------------------------------- Cache admission --
+// Point lookups pass a buffer of their own, and the cache admits their
+// misses: every miss while a shard has room, one in kAdmitEvery of a
+// thread's misses on full shards. The rest are declined and copied
+// into the buffer.
+
+/// One point-lookup read of block `b` through `cache` into `own`;
+/// whether it returned block `b`, whole.
+bool read_into(Cache& cache, const StressTable& st, std::size_t b, Block* own) {
+  reclaim::EpochGuard g(cache.domain());
+  const BlockRef got = read_block_cached(cache, *st.table, b, own);
+  return st.holds(*got, b);
+}
+
+TEST(CacheAdmission, FullShardsCacheOneMissInEight) {
+  reclaim::EpochDomain domain;
+  const StressTable st;
+  Cache cache(64 << 10, domain);  // ~3 blocks a shard, ~25 map to each
+  Block own;
+  // Every block once: each shard sees its ~25 and fills.
+  for (std::size_t b = 0; b < StressTable::kBlocks; ++b) {
+    ASSERT_TRUE(read_into(cache, st, b, &own));
+  }
+  ASSERT_EQ(cache.footprint().full_shards, Cache::kNumShards);
+  // Every miss from here on is a full-shard miss, and an admitted one
+  // evicts as it links, so the shard stays full. Any kAdmitEvery * K
+  // consecutive full-shard misses of one thread hold exactly K admitted
+  // ones, whatever the thread's count was on entry.
+  constexpr std::uint64_t kAdmitted = 500;
+  const std::uint64_t misses0 = cache.misses();
+  const std::uint64_t declined0 = cache.declined();
+  const std::uint64_t bypassed0 = cache.bypassed();
+  const std::uint64_t evictions0 = cache.evictions();
+  Xoshiro256 rng(5);
+  bool ok = true;
+  while (cache.misses() - misses0 < Cache::kAdmitEvery * kAdmitted) {
+    ok = read_into(cache, st, rng.below(StressTable::kBlocks), &own) && ok;
+  }
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(cache.declined() - declined0, (Cache::kAdmitEvery - 1) * kAdmitted);
+  EXPECT_EQ(cache.bypassed() - bypassed0, 0u);
+  EXPECT_EQ(cache.evictions() - evictions0, kAdmitted);  // one per insert
+  EXPECT_EQ(cache.footprint().full_shards, Cache::kNumShards);
+}
+
+// A declined miss copies into the reader's buffer, and so does a
+// bypassed one: neither allocates nor frees once the buffer has grown.
+// Admitted misses recycle entries; only a shard still growing toward
+// its spare bound allocates (an entry and its buffer).
+TEST(CacheAdmission, DeclinedAndBypassedMissesAllocateNothing) {
+  reclaim::EpochDomain domain;
+  const StressTable st;
+  Cache cache(64 << 10, domain);
+  Block own;
+  Xoshiro256 rng(7);
+  auto churn = [&](int ops) {
+    bool ok = true;
+    for (int i = 0; i < ops; ++i) {
+      ok = read_into(cache, st, rng.below(StressTable::kBlocks), &own) && ok;
+    }
+    return ok;
+  };
+  ASSERT_TRUE(churn(20000));  // warm the pools and the buffer
+
+  // Declined misses.
+  std::uint64_t declined0 = cache.declined();
+  const std::uint64_t allocated0 = cache.footprint().allocated;
+  t_news = t_deletes = 0;
+  t_count_allocs = true;
+  bool ok = churn(20000);
+  t_count_allocs = false;
+  EXPECT_TRUE(ok);
+  EXPECT_GT(cache.declined() - declined0, 10000u);  // most of the misses
+  EXPECT_LE(t_news, 2 * (cache.footprint().allocated - allocated0));
+  EXPECT_EQ(t_deletes, 0u);
+
+  // Bypassed misses: a stalled reader pins every batch retired after
+  // it entered, so admitted misses grow the shards to their bound and
+  // are then bypassed.
+  std::atomic<bool> pinned{false}, release{false};
+  std::thread reader([&] {
+    reclaim::EpochGuard g(domain);
+    pinned.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!pinned.load()) std::this_thread::yield();
+  Cache::Footprint f = cache.footprint();
+  for (int round = 0; round < 100 && f.owned < f.live + kCacheSpareBound;
+       ++round) {
+    ok = churn(2000) && ok;
+    f = cache.footprint();
+  }
+  ASSERT_EQ(f.owned, f.live + kCacheSpareBound);
+  const std::uint64_t bypassed0 = cache.bypassed();
+  declined0 = cache.declined();
+  t_news = t_deletes = 0;
+  t_count_allocs = true;
+  ok = churn(20000) && ok;
+  t_count_allocs = false;
+  release.store(true);
+  reader.join();
+  EXPECT_TRUE(ok);
+  EXPECT_GT(cache.bypassed() - bypassed0, 0u);
+  EXPECT_GT(cache.declined() - declined0, 0u);
+  EXPECT_EQ(cache.footprint().allocated, f.allocated);
+  EXPECT_EQ(t_news, 0u);
+  EXPECT_EQ(t_deletes, 0u);
+}
+
+TEST(CacheAdmission, CacheLargerThanTheTableDeclinesNothing) {
+  reclaim::EpochDomain domain;
+  const StressTable st;
+  Cache cache(1 << 20, domain);  // ~2.5x the table
+  Block own;
+  Xoshiro256 rng(9);
+  bool ok = true;
+  for (int i = 0; i < 20000; ++i) {
+    ok = read_into(cache, st, rng.below(StressTable::kBlocks), &own) && ok;
+  }
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(cache.declined(), 0u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_LE(cache.misses(), StressTable::kBlocks);  // each block once
+  EXPECT_EQ(cache.footprint().full_shards, 0u);
+}
+
+// ConcurrentLookupOrInsertStress through the reader-buffer path: the
+// admission reads of the "full" words race the inserts that store them.
+// (TSan in CI checks the memory-model side.)
+TEST(CacheAdmission, ConcurrentReaderBufferStress) {
+  reclaim::EpochDomain domain;
+  const StressTable st;
+  Cache cache(64 << 10, domain);
+  constexpr int kThreads = 3;
+  constexpr int kOpsEach = 30000;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Xoshiro256 rng(t + 11);
+      Block own;
+      for (int i = 0; i < kOpsEach; ++i) {
+        if (!read_into(cache, st, rng.below(StressTable::kBlocks), &own)) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(cache.hits() + cache.misses(),
+            static_cast<std::uint64_t>(kThreads) * kOpsEach);
+  EXPECT_GT(cache.declined(), 0u);
+  EXPECT_LT(cache.declined(), cache.misses());
+  const Cache::Footprint f = cache.footprint();
+  EXPECT_LE(f.owned, f.live + kCacheSpareBound);
+}
+
+// ShardedDB's gets read tables through the admission path, and it
+// reports the declines beside the hits and misses.
+TEST(CacheAdmission, ShardedDbCountsDeclinedPointLookups) {
+  ShardedDbOptions opt;
+  opt.num_shards = 4;
+  opt.block_cache_bytes = 64 * 1024;
+  ShardedDB<> db(opt);
+  constexpr std::uint64_t kKeys = 4000;
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    db.put(bench_key(k), "value-" + std::to_string(k));
+  }
+  db.flush();
+  std::string v;
+  Xoshiro256 rng(13);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t k = rng.below64(kKeys);
+    ASSERT_TRUE(db.get(bench_key(k), &v).is_ok()) << k;
+    ASSERT_EQ(v, "value-" + std::to_string(k));
+  }
+  EXPECT_GT(db.cache_declined(), 0u);
+  EXPECT_LT(db.cache_declined(), db.cache_misses());
+  // At least one block lookup per get (more on a fingerprint collision).
+  EXPECT_GE(db.cache_hits() + db.cache_misses(), db.stats().table_gets);
 }
 
 // --------------------------------------------------------------- DB --
