@@ -179,7 +179,8 @@ int main(int argc, char** argv) {
                "scan counts as one request.)\n"
             << "(sharded backend: " << st.epoch_gets << " epoch gets, "
             << st.epoch_gets - st.table_gets << " answered by the memtable, "
-            << st.table_gets << " by tables; block cache "
+            << st.table_gets << " by tables, " << st.promotions
+            << " rows promoted; block cache "
             << sharded.cache_hits() << " hits, " << sharded.cache_misses()
             << " misses, " << sharded.cache_declined() << " declined; "
             << st.flushes << " flushes, " << st.compactions

@@ -23,6 +23,12 @@
 // The Guard's destructor must fully drain the handover (successor's
 // acknowledgement) before returning — the slot dies with the frame,
 // so the Overlap deferral is structurally impossible here.
+//
+// Like HemlockBase, the lock takes its Grant-word waiting policy as a
+// template parameter: HemlockSite is the paper's CTR spin form, and
+// HemlockSiteBase<GovernedGrantWaiting> escalates to yielding and
+// parking when waiters outnumber the CPUs. The hand-off goes through
+// the policy's publish, which wakes a parked successor.
 #pragma once
 
 #include <atomic>
@@ -36,26 +42,28 @@
 namespace hemlock {
 
 /// Hemlock with per-acquisition on-stack Grant slots. One word of
-/// lock body; acquisition only via HemlockSite::Guard.
-class HEMLOCK_CAPABILITY("mutex") HemlockSite {
+/// lock body; acquisition only via Guard. `Waiting` is a Grant-word
+/// policy (core/waiting.hpp), as for HemlockBase.
+template <typename Waiting = CtrCasWaiting>
+class HEMLOCK_CAPABILITY("mutex") HemlockSiteBase {
  public:
-  HemlockSite() = default;
-  HemlockSite(const HemlockSite&) = delete;
-  HemlockSite& operator=(const HemlockSite&) = delete;
+  HemlockSiteBase() = default;
+  HemlockSiteBase(const HemlockSiteBase&) = delete;
+  HemlockSiteBase& operator=(const HemlockSiteBase&) = delete;
 
   /// On-stack queue element: the Grant slot lives inside the guard.
   class HEMLOCK_SCOPED_CAPABILITY [[nodiscard]] Guard {
    public:
     /// Acquire `lock` (blocking).
-    explicit Guard(HemlockSite& lock) HEMLOCK_ACQUIRE(lock) : lock_(lock) {
+    explicit Guard(HemlockSiteBase& lock) HEMLOCK_ACQUIRE(lock)
+        : lock_(lock) {
       // mo: acq_rel doorstep SWAP — release publishes our slot,
       // acquire orders us after the predecessor's enqueue.
       Slot* pred = lock_.tail_.exchange(&slot_, std::memory_order_acq_rel);
       if (pred != nullptr) {
         // CTR consume on the predecessor's *slot* — guaranteed to be
         // the only thread polling that word (slot-per-acquisition).
-        CtrCasWaiting::wait_and_consume(pred->grant.value,
-                                        lock_.lock_word());
+        Waiting::wait_and_consume(pred->grant.value, lock_.lock_word());
       }
     }
 
@@ -69,11 +77,11 @@ class HEMLOCK_CAPABILITY("mutex") HemlockSite {
       if (!lock_.tail_.compare_exchange_strong(expected, nullptr,
                                                std::memory_order_release,
                                                std::memory_order_relaxed)) {
-        // mo: release hand-off — critical section happens-before the
-        // successor's acquiring consume of this slot.
-        slot_.grant.value.store(lock_.lock_word(),
-                                std::memory_order_release);
-        CtrCasWaiting::wait_until_empty(slot_.grant.value);
+        // The policy's release publish: the critical section
+        // happens-before the successor's acquiring consume of this
+        // slot, and a successor parked on the slot is woken.
+        Waiting::publish(slot_.grant.value, lock_.lock_word());
+        Waiting::wait_until_empty(slot_.grant.value);
       }
     }
 
@@ -81,12 +89,12 @@ class HEMLOCK_CAPABILITY("mutex") HemlockSite {
     Guard& operator=(const Guard&) = delete;
 
    private:
-    friend class HemlockSite;
+    friend class HemlockSiteBase;
     struct Slot {
       CacheAligned<std::atomic<GrantWord>> grant{kGrantEmpty};
     };
 
-    HemlockSite& lock_;
+    HemlockSiteBase& lock_;
     Slot slot_;
   };
 
@@ -98,7 +106,7 @@ class HEMLOCK_CAPABILITY("mutex") HemlockSite {
   }
 
  private:
-  using Slot = Guard::Slot;
+  using Slot = typename Guard::Slot;
 
   GrantWord lock_word() const noexcept {
     return reinterpret_cast<GrantWord>(this);
@@ -106,6 +114,9 @@ class HEMLOCK_CAPABILITY("mutex") HemlockSite {
 
   std::atomic<Slot*> tail_{nullptr};
 };
+
+/// The paper's form: CTR CAS polling on the spin tier.
+using HemlockSite = HemlockSiteBase<CtrCasWaiting>;
 static_assert(sizeof(HemlockSite) == sizeof(void*));
 
 template <>

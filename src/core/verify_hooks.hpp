@@ -20,6 +20,13 @@
 //    per marker outside a scenario; inside a scenario, a full
 //    cooperative context hand-off to the harness scheduler.
 //
+// Planted mutants. A check whose removal a scenario must catch is
+// written `check || HEMLOCK_VERIFY_MUTANT("family:name")`: a scenario
+// row naming that mutant (Scenario::mutant) runs the code as if the
+// check always passed and expects a violation, as the `broken` toy
+// lock does for the harness itself. Normal builds expand the macro to
+// `false`, so the check is all that is compiled.
+//
 // This header is deliberately dependency-free: it is included by the
 // hottest lock headers (core/waiting.hpp, core/hemlock.hpp,
 // locks/rwlock.hpp, runtime/futex.hpp) and must never pull harness
@@ -48,6 +55,9 @@ namespace detail {
 /// participant of an active verify run. Defined in src/verify/
 /// hooks.cpp (compiled into hemlock_core only under HEMLOCK_VERIFY).
 extern thread_local ThreadHook* tl_hook;
+/// The planted mutant of the running scenario row, or nullptr. Set by
+/// the harness before its workers start and cleared after they stop.
+extern const char* g_mutant;
 }  // namespace detail
 
 /// True when the calling thread is a logical thread of an active
@@ -64,12 +74,24 @@ inline void yield_point(const char* tag) noexcept {
   if (h != nullptr) h->yield(h->engine, h->id, tag);
 }
 
+/// Whether the running scenario plants the mutant `name`.
+inline bool mutant(const char* name) noexcept {
+  const char* m = detail::g_mutant;
+  if (m == nullptr) return false;
+  while (*m != '\0' && *m == *name) {
+    ++m;
+    ++name;
+  }
+  return *m == *name;
+}
+
 /// Install/clear the calling thread's hook (harness internals only).
 void set_thread_hook(ThreadHook* hook) noexcept;
 
 }  // namespace hemlock::verify
 
 #define HEMLOCK_VERIFY_YIELD(tag) ::hemlock::verify::yield_point(tag)
+#define HEMLOCK_VERIFY_MUTANT(name) ::hemlock::verify::mutant(name)
 
 #else  // !HEMLOCK_VERIFY
 
@@ -77,5 +99,7 @@ void set_thread_hook(ThreadHook* hook) noexcept;
 // ((void)0) — tools/check_verify_off.py asserts no verifier residue
 // survives preprocessing or codegen in uninstrumented builds.
 #define HEMLOCK_VERIFY_YIELD(tag) ((void)0)
+// No mutant is ever planted: the guarded check is unconditional.
+#define HEMLOCK_VERIFY_MUTANT(name) false
 
 #endif  // HEMLOCK_VERIFY

@@ -9,8 +9,8 @@
 // the arena so the flush threshold counts it) finds slots by the low
 // bits of the key's hash (detail::hash_key, slice.hpp, which the DBs
 // compute once per operation), so a point get walks one short chain.
-// A skiplist holding one node per slot keeps the keys ordered for
-// cursors, merge scans, flushes and compactions.
+// A skiplist holding one node per written slot keeps the written keys
+// ordered for cursors, merge scans, flushes and compactions.
 //
 // Only the newest version of a key is kept. leveldb::MemTable keeps
 // every version, ordered by sequence number, because its snapshots can
@@ -18,6 +18,21 @@
 // read only the newest version, so an overwrite swings the slot's entry
 // pointer instead of inserting a node: only a new key pays for a
 // skiplist insert.
+//
+// Written and clean rows. add() makes a *written* row: a value the
+// owner's tables do not hold yet. promote() makes a *clean* row: a copy
+// of the value the owner's tables already hold for a key, put here by
+// a get that found it there (ShardedDB's read promotion), so the next
+// get of the key stops at the memtable. get() finds both kinds. A clean
+// row is not linked into the ordered index and not counted by
+// entries(); the first add() of its key overwrites it and links it, as
+// a written row. So cursors, merge scans and flushes see only written
+// rows, and a table built from a memtable holds only what was written
+// to it. The bytes promote() takes are counted apart from the written
+// rows' footprint, written_memory_usage(), which the owner flushes on,
+// so read traffic never moves a flush; they are capped at an eighth of
+// the write budget, so a memtable's footprint stays within about 9/8
+// of it.
 //
 // Publication contract: one writer at a time, serialized by the owner
 // (a DB's central mutex or a shard lock), and any number of lock-free
@@ -120,6 +135,10 @@ class MemTable {
     /// and never changed.
     Slot* const next;
     const std::uint64_t hash;
+    /// Linked into the ordered index: set by the key's first add(). A
+    /// clean (promoted) row stays unlinked until then. Only the writer
+    /// reads or writes it.
+    bool written = false;
   };
 
   /// Orders slots by key; also compares a slot against a bare key,
@@ -139,11 +158,13 @@ class MemTable {
   /// The DBs' default write budget (DbOptions, ShardedDbOptions).
   static constexpr std::size_t kDefaultWriteBufferBytes = std::size_t{1} << 20;
 
-  /// A memtable its owner flushes once approximate_memory_usage()
-  /// reaches `write_buffer_bytes`. The budget sizes the bucket array:
-  /// one bucket per KiB, as a power of two in [16, 2^20].
+  /// A memtable its owner flushes once written_memory_usage() reaches
+  /// `write_buffer_bytes`. The budget sizes the bucket array (one
+  /// bucket per KiB, as a power of two in [16, 2^20]) and caps the
+  /// clean rows at an eighth of it.
   explicit MemTable(std::size_t write_buffer_bytes = kDefaultWriteBufferBytes)
       : index_(SlotOrder{}, &arena_),
+        clean_budget_(write_buffer_bytes / 8),
         mask_(bucket_count(write_buffer_bytes) - 1),
         buckets_(new_buckets(arena_, mask_ + 1)) {}
   MemTable(const MemTable&) = delete;
@@ -151,37 +172,47 @@ class MemTable {
 
   /// Make `value` the newest value of `key`, whose detail::hash_key()
   /// is `hash`: the caller hashes the key once per operation, and the
-  /// bucket array takes the hash's low bits.
+  /// bucket array takes the hash's low bits. The row is written: a
+  /// clean row of the key becomes written here.
   void add(const Slice& key, std::uint64_t hash, const Slice& value) {
-    const std::size_t klen = key.size();
-    const std::size_t vlen = value.size();
-    const std::size_t bytes = detail::varint32_length(klen) + klen +
-                              detail::varint32_length(vlen) + vlen;
-    char* buf = arena_.allocate(bytes);
-    char* p = detail::encode_varint32(buf, static_cast<std::uint32_t>(klen));
-    std::memcpy(p, key.data(), klen);
-    p += klen;
-    p = detail::encode_varint32(p, static_cast<std::uint32_t>(vlen));
-    std::memcpy(p, value.data(), vlen);
-
+    const char* entry = encode(key, value);
     std::atomic<Slot*>& bucket = buckets_[hash & mask_];
-    if (Slot* s = find(bucket, hash, key)) {
+    Slot* s = find(bucket, hash, key);
+    if (s != nullptr) {
       // mo: release — publishes the new entry's bytes to readers that
       // acquire it through Slot::newest().
-      s->entry.store(buf, std::memory_order_release);
+      s->entry.store(entry, std::memory_order_release);
     } else {
-      // mo: relaxed — only this (serialized) writer stores bucket heads.
-      Slot* head = bucket.load(std::memory_order_relaxed);
-      Slot* slot =
-          new (arena_.allocate_aligned(sizeof(Slot))) Slot(buf, head, hash);
-      // mo: release — publishes the slot's fields and its entry to
-      // get()'s acquire walk of the chain.
-      bucket.store(slot, std::memory_order_release);
-      index_.insert(slot);
+      s = link(bucket, entry, hash);
+    }
+    if (!s->written) {  // a new key, or a clean row's first write
+      s->written = true;
+      index_.insert(s);
     }
     // mo: relaxed — a count for stats and the empty-flush skip, not a
     // publication point; the stores above publish the entry.
     entries_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Publish `value` as a clean row of `key`, whose detail::hash_key()
+  /// is `hash`: the value the owner's tables hold for the key, copied
+  /// here so get() finds it. Returns false, publishing nothing, when
+  /// the memtable already has a row for `key` (a written row is newer
+  /// than the tables, and a clean one is already there) or the clean
+  /// rows would pass an eighth of the write budget. Same writer
+  /// serialization as add().
+  bool promote(const Slice& key, std::uint64_t hash, const Slice& value) {
+    std::atomic<Slot*>& bucket = buckets_[hash & mask_];
+    if (find(bucket, hash, key) != nullptr) return false;
+    const std::size_t bytes = encoded_size(key, value) + sizeof(Slot);
+    // mo: relaxed — stored only by this serialized writer.
+    const std::size_t clean = clean_bytes_.load(std::memory_order_relaxed);
+    if (clean + bytes > clean_budget_) return false;
+    // mo: relaxed — read by written_memory_usage(), an approximate
+    // footprint; link() publishes the row.
+    clean_bytes_.store(clean + bytes, std::memory_order_relaxed);
+    link(bucket, encode(key, value), hash);
+    return true;
   }
 
   /// As above, hashing `key` here. `seq` is the writer's sequence
@@ -209,11 +240,12 @@ class MemTable {
     return true;
   }
 
-  /// Forward cursor over the keys, ascending, starting from the first
-  /// key >= `start`, each with its newest value as of when the cursor
-  /// reached it. Safe concurrently with one writer: keys inserted after
-  /// a position was taken may or may not be observed, which is the
-  /// usual "scan concurrent with writes" semantics.
+  /// Forward cursor over the written keys (clean rows are not in the
+  /// ordered index), ascending, starting from the first key >= `start`,
+  /// each with its newest value as of when the cursor reached it. Safe
+  /// concurrently with one writer: keys inserted after a position was
+  /// taken may or may not be observed, which is the usual "scan
+  /// concurrent with writes" semantics.
   class Cursor {
    public:
     Cursor(const MemTable& mem, const Slice& start) : it_(&mem.index_) {
@@ -238,14 +270,22 @@ class MemTable {
     const char* entry_ = nullptr;
   };
 
-  /// Adds applied, overwrites included.
+  /// Adds applied, overwrites included; promotions are not adds.
   std::size_t entries() const {
     return entries_.load(std::memory_order_relaxed);  // mo: stats
   }
-  /// Approximate heap footprint (flush threshold input), bucket array
-  /// included.
+  /// Approximate heap footprint, bucket array included.
   std::size_t approximate_memory_usage() const {
     return arena_.memory_usage();
+  }
+  /// The footprint less the bytes promote() took (at most an eighth of
+  /// the write budget): the written rows' share, the flush threshold
+  /// input. Equal to approximate_memory_usage() while nothing was
+  /// promoted.
+  std::size_t written_memory_usage() const {
+    // mo: relaxed — an approximate footprint, as memory_usage() is.
+    return arena_.memory_usage() -
+           clean_bytes_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -268,6 +308,38 @@ class MemTable {
     return buckets;
   }
 
+  static std::size_t encoded_size(const Slice& key, const Slice& value) {
+    return detail::varint32_length(static_cast<std::uint32_t>(key.size())) +
+           key.size() +
+           detail::varint32_length(static_cast<std::uint32_t>(value.size())) +
+           value.size();
+  }
+
+  /// (key, value) encoded into the arena as one entry.
+  const char* encode(const Slice& key, const Slice& value) {
+    char* buf = arena_.allocate(encoded_size(key, value));
+    char* p =
+        detail::encode_varint32(buf, static_cast<std::uint32_t>(key.size()));
+    std::memcpy(p, key.data(), key.size());
+    p += key.size();
+    p = detail::encode_varint32(p, static_cast<std::uint32_t>(value.size()));
+    std::memcpy(p, value.data(), value.size());
+    return buf;
+  }
+
+  /// A new slot for `entry`, published at the head of `bucket`'s chain.
+  Slot* link(std::atomic<Slot*>& bucket, const char* entry,
+             std::uint64_t hash) {
+    // mo: relaxed — only this (serialized) writer stores bucket heads.
+    Slot* head = bucket.load(std::memory_order_relaxed);
+    Slot* slot =
+        new (arena_.allocate_aligned(sizeof(Slot))) Slot(entry, head, hash);
+    // mo: release — publishes the slot's fields and its entry to
+    // get()'s acquire walk of the chain.
+    bucket.store(slot, std::memory_order_release);
+    return slot;
+  }
+
   /// The slot for `key` in `bucket`'s chain, or nullptr.
   static Slot* find(const std::atomic<Slot*>& bucket, std::uint64_t h,
                     const Slice& key) {
@@ -283,6 +355,8 @@ class MemTable {
   Arena arena_;
   Index index_;
   std::atomic<std::size_t> entries_{0};
+  std::atomic<std::size_t> clean_bytes_{0};  ///< what promote() took
+  const std::size_t clean_budget_;           ///< promote()'s limit
   // Read by every get() and written only by the constructor, so kept
   // off the lines the writer's adds dirty (arena cursor, skiplist
   // state, count).

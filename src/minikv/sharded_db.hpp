@@ -7,7 +7,8 @@
 // built on the same storage shape looks like: the keyspace is hash-
 // partitioned across shards, each shard is a miniature LevelDB
 // (memtable + immutable table version + shared block cache) guarded
-// by its own lock, and the default Get() path holds NO lock at all:
+// by its own lock, and the default Get() path never waits to acquire
+// a lock (it may try_lock to promote a row, below):
 //
 //   * Writers (put/del/flush/compact) hold the shard lock. They
 //     replace the shard's memtable/version by PUBLISHING new pointers
@@ -39,6 +40,30 @@
 // that reaches a table copies the found value, tag stripped, straight
 // out of the pinned block into the caller's string.
 //
+// Read promotion. A lock-free get that misses the memtable and finds a
+// live value in the tables also copies that row into the shard's
+// memtable as a *clean* row (memtable.hpp), so the key's next get stops
+// at the memtable instead of walking the version, the table's hash
+// directory and the block cache. The get takes the shard lock only
+// through try_lock — one CAS on a Hemlock lock's Tail (paper §2) — and
+// skips the promotion when a writer holds it, so gets never wait to
+// acquire. Releasing is another matter: a writer that queued behind
+// the promotion makes the get's unlock() wait for that writer to
+// acknowledge the hand-off (Hemlock's non-wait-free unlock, §2), and
+// a parking shard lock makes the get send the wake; writers, in turn,
+// can queue behind a promotion, which may allocate an arena block.
+// The get promotes only if the shard still publishes the (memtable,
+// version) pair it searched and that memtable still lacks the key: a
+// put or flush that raced the search always wins. Tombstones are never
+// promoted, the locked tier never promotes, and neither does a shard
+// lock with no native try path (CLH's try_lock never succeeds). Clean
+// rows are never flushed (the tables hold them already) and do not
+// count toward the write budget the shard flushes on, so read traffic
+// never moves a flush; the memtable caps them at an eighth of that
+// budget. With most gets answered by the memtable, the block cache
+// inserts that used to drive the epoch forward became rare, so the
+// write path drains the epoch domain itself (write()).
+//
 // Every operation hashes its key once (detail::hash_key, slice.hpp):
 // the router picks the shard from the hash's top bits by multiply-
 // shift, so any shard count works, and the memtable's buckets and the
@@ -61,6 +86,7 @@
 #include <vector>
 
 #include "api/any_lock.hpp"
+#include "core/verify_hooks.hpp"
 #include "locks/lockable.hpp"
 #include "minikv/cache.hpp"
 #include "minikv/memtable.hpp"
@@ -104,6 +130,9 @@ struct ShardedDbStats {
   /// Gets (either tier) the memtable did not answer: they searched the
   /// tables, through the block cache.
   std::uint64_t table_gets = 0;
+  /// Rows table gets copied into their shard's memtable (read
+  /// promotion; epoch tier only).
+  std::uint64_t promotions = 0;
   std::uint64_t scans = 0;
   std::uint64_t puts = 0;
   std::uint64_t deletes = 0;
@@ -198,10 +227,12 @@ class ShardedDB {
     return write(key, Slice(tomb, 1));
   }
 
-  /// Point lookup. Default: lock-free under epoch protection — the
-  /// shard lock is untouched, writers retire rather than free, and
-  /// the epoch guard keeps every structure this thread can reach
-  /// alive. Fallback (epoch_reads=false): shard lock, shared mode.
+  /// Point lookup. Default: lock-free under epoch protection — writers
+  /// retire rather than free, and the epoch guard keeps every
+  /// structure this thread can reach alive; a get answered by the
+  /// tables may try_lock the shard to promote its row, and never waits
+  /// to acquire (file header). Fallback (epoch_reads=false): shard
+  /// lock, shared mode.
   Status get(const Slice& key, std::string* value) {
     const std::uint64_t hash = detail::hash_key(key);
     Shard& s = shard_for(hash);
@@ -294,6 +325,7 @@ class ShardedDB {
     st.epoch_gets = ops_.sum(kEpochGets);
     st.locked_gets = ops_.sum(kLockedGets);
     st.table_gets = ops_.sum(kTableGets);
+    st.promotions = ops_.sum(kPromotions);
     st.scans = ops_.sum(kScans);
     st.puts = ops_.sum(kPuts);
     st.deletes = ops_.sum(kDeletes);
@@ -335,6 +367,11 @@ class ShardedDB {
     return *shards_[((hash >> 32) * shards_.size()) >> 32];
   }
 
+  /// Writes per thread between the epoch drains write() runs without a
+  /// flush (file header: promotion left gets few cache inserts to
+  /// advance the epoch).
+  static constexpr std::uint32_t kDrainEveryWrites = 16;
+
   Status write(const Slice& key, const Slice& tagged) {
     const std::uint64_t hash = detail::hash_key(key);
     Shard& s = shard_for(hash);
@@ -345,15 +382,18 @@ class ShardedDB {
       // under mu) swings this pointer.
       MemTable* mem = s.mem.load(std::memory_order_relaxed);
       mem->add(key, hash, tagged);
-      if (mem->approximate_memory_usage() >= options_.write_buffer_bytes) {
+      if (mem->written_memory_usage() >= options_.write_buffer_bytes) {
         flush_shard_locked(s);
         flushed = true;
       }
     }
     // Reclamation piggybacks on the writes that generate garbage,
     // outside the shard lock and bounded, so a put() pays at most
-    // EpochDomain::kDefaultDrainBatch deleter calls.
-    if (flushed) domain_->drain();
+    // EpochDomain::kDefaultDrainBatch deleter calls: after a flush, and
+    // on every kDrainEveryWrites-th write of the thread, which keeps
+    // the epoch moving so retired memtables do not linger.
+    thread_local std::uint32_t writes = 0;
+    if (flushed || ++writes % kDrainEveryWrites == 0) domain_->drain();
     return Status::ok();
   }
 
@@ -363,7 +403,9 @@ class ShardedDB {
   /// is loaded FIRST (see the publication-order comment at the top). A
   /// hit is a view into the memtable or a pinned table block, copied
   /// here while the caller's epoch guard (or shard lock, plus a guard
-  /// for the blocks) keeps it alive.
+  /// for the blocks) keeps it alive. In the epoch tier, a live value
+  /// found in the tables is promoted into the memtable while its block
+  /// is still pinned.
   Status search_shard(Shard& s, const Slice& key, std::uint64_t hash,
                       std::string* value) {
     // mo: acquire — pairs with the release publish in
@@ -374,7 +416,14 @@ class ShardedDB {
     if (mem->get(key, hash, &tagged)) return unwrap(tagged, value);
     ops_.add(kTableGets);
     Status st = Status::not_found();
-    auto found = [&](const Slice& t) { st = unwrap(t, value); };
+    auto found = [&](const Slice& t) {
+      st = unwrap(t, value);
+      if constexpr (TryLockable<ShardLock>) {
+        if (options_.epoch_reads && st.is_ok()) {
+          promote(s, mem, version, key, hash, t);
+        }
+      }
+    };
     if (options_.epoch_reads) {
       search_tables(cache_, *version, key, hash, found);  // get()'s guard pins
     } else {
@@ -382,6 +431,32 @@ class ShardedDB {
       search_tables(cache_, *version, key, hash, found);
     }
     return st;
+  }
+
+  /// Read promotion (file header): copy the live row `tagged`, which
+  /// a get found for `key` in `version`'s tables after missing `mem`,
+  /// into the shard's memtable. Never waits to acquire: one try_lock,
+  /// given up while a writer holds the shard (the unlock may wait for
+  /// a writer queued since, file header). The row is published only
+  /// if the shard still publishes (mem, version) and mem still lacks
+  /// the key, so a put or flush since the search wins. REQUIRES: the
+  /// caller's epoch guard, which keeps mem and version alive — a
+  /// pointer match cannot be a recycled address.
+  void promote(Shard& s, const MemTable* mem, const TableVersion* version,
+               const Slice& key, std::uint64_t hash, const Slice& tagged) {
+    HEMLOCK_VERIFY_YIELD("promote:table-read");
+    if (!s.mu.value.try_lock()) return;
+    HEMLOCK_VERIFY_YIELD("promote:locked");
+    // mo: relaxed ×2 — mu is held; only flush_shard_locked (also
+    // under mu) swings these pointers.
+    MemTable* current = s.mem.load(std::memory_order_relaxed);
+    const bool unchanged =  // mo: relaxed, as above
+        current == mem && s.version.load(std::memory_order_relaxed) == version;
+    if ((unchanged || HEMLOCK_VERIFY_MUTANT("promote:skip-recheck")) &&
+        current->promote(key, hash, tagged)) {
+      ops_.add(kPromotions);
+    }
+    s.mu.value.unlock();
   }
 
   /// A stored value's payload, tag stripped, into *value; a tombstone
@@ -469,6 +544,7 @@ class ShardedDB {
     kEpochGets,
     kLockedGets,
     kTableGets,
+    kPromotions,
     kScans,
     kPuts,
     kDeletes,

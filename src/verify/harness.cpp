@@ -187,6 +187,7 @@ std::uint64_t Engine::trace_hash() const {
 
 int Engine::run() {
   g_engine = this;
+  detail::g_mutant = sc_.mutant;  // before the workers start
   start_workers();
   int rc = 0;
 
@@ -241,6 +242,7 @@ int Engine::run() {
   }
 
   stop_workers();
+  detail::g_mutant = nullptr;
 
   if (sc_.expect_fail) {
     // The broken scenario's whole point is to trip VERIFY_ASSERT

@@ -15,6 +15,7 @@ namespace hemlock::verify {
 
 namespace detail {
 thread_local ThreadHook* tl_hook = nullptr;
+const char* g_mutant = nullptr;
 }  // namespace detail
 
 void set_thread_hook(ThreadHook* hook) noexcept { detail::tl_hook = hook; }

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstring>
 #include <new>
+#include <string>
 #include <type_traits>
 
 #include "core/hemlock.hpp"
@@ -24,6 +25,8 @@
 #include "locks/mcs.hpp"
 #include "locks/rwlock.hpp"
 #include "locks/ticket.hpp"
+#include "minikv/sharded_db.hpp"
+#include "reclaim/epoch.hpp"
 #include "runtime/governor.hpp"
 #include "runtime/thread_rec.hpp"
 #include "verify/verify.hpp"
@@ -331,6 +334,55 @@ using RwWR = RwScenario<1>;   // writer vs reader (2 threads)
 using RwRRR = RwScenario<0>;  // readers only (3 threads, overlap check)
 
 // ---------------------------------------------------------------------
+// MiniKV read promotion (minikv/sharded_db.hpp). Thread 0 gets a key
+// the memtable lacks, so the get reads it from the tables and tries to
+// promote the row; thread 1 overwrites the key and flushes. The
+// promotion's yield points sit after the table read and after its
+// try_lock, so the put and the flush can land between the read and the
+// promotion. Whatever the schedule, the put's value must be the one
+// the store serves afterwards: a stale row promoted into the fresh
+// memtable would shadow the flushed table. The `-mutant` row drops the
+// (memtable, version) recheck and must be caught.
+// ---------------------------------------------------------------------
+
+struct PromoteScenario {
+  using Db = minikv::ShardedDB<Hemlock>;
+  static inline reclaim::EpochDomain* domain = nullptr;
+  static inline Db* db = nullptr;
+
+  static void init() {
+    domain = new reclaim::EpochDomain();
+    minikv::ShardedDbOptions o;
+    o.num_shards = 1;
+    o.block_cache_bytes = 64 << 10;
+    db = new Db(o, domain);
+    db->put("k", "old");
+    db->flush();
+  }
+
+  static void exec(std::uint32_t id) {
+    if (id == 0) {
+      std::string v;
+      VERIFY_ASSERT(db->get("k", &v).is_ok());
+      VERIFY_ASSERT(v == "old" || v == "new");
+    } else {
+      db->put("k", "new");
+      db->flush();
+    }
+  }
+
+  static void fini() {
+    std::string v;
+    VERIFY_ASSERT(db->get("k", &v).is_ok());
+    VERIFY_ASSERT(v == "new");  // the last write wins
+    delete db;
+    delete domain;
+    db = nullptr;
+    domain = nullptr;
+  }
+};
+
+// ---------------------------------------------------------------------
 // The deliberately-broken toy lock: test-and-set with the test and
 // the set split by a yield point — the textbook lost-update race. The
 // harness must catch it within the bounded depth; this regression-
@@ -455,6 +507,15 @@ const Scenario kScenarios[] = {
     {"rwlock-readers", "rwlock: three readers (overlap must occur)", 3,
      &RwRRR::init, &RwRRR::exec, &RwRRR::fini, &RwRRR::post_all_readers,
      false},
+    {"memtable-promote",
+     "MiniKV read promotion vs. a put-then-flush of the same key", 2,
+     &PromoteScenario::init, &PromoteScenario::exec, &PromoteScenario::fini,
+     nullptr, false},
+    {"memtable-promote-mutant",
+     "read promotion without its (memtable, version) recheck — must be "
+     "caught",
+     2, &PromoteScenario::init, &PromoteScenario::exec,
+     &PromoteScenario::fini, nullptr, true, "promote:skip-recheck"},
     {"broken", "deliberately racy test-and-set — must be caught", 2,
      &MutexScenario<BrokenTas>::init, &MutexScenario<BrokenTas>::exec,
      &MutexScenario<BrokenTas>::fini, nullptr, true},

@@ -59,6 +59,9 @@ struct Scenario {
   /// The broken-toy-lock regression proof: the harness expects a
   /// VERIFY_ASSERT violation and inverts the exit code.
   bool expect_fail;
+  /// The HEMLOCK_VERIFY_MUTANT the row plants in the code under test
+  /// (core/verify_hooks.hpp), or nullptr. A mutant row is expect_fail.
+  const char* mutant = nullptr;
 };
 
 /// The scenario table (scenarios.cpp).

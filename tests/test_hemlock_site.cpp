@@ -1,7 +1,10 @@
 // test_hemlock_site.cpp — the §2.3 on-stack Grant variant: exclusion,
 // FIFO hand-through, multi-lock independence, and the structural
 // claim that it never touches the thread-local Grant word (so a
-// thread's Self mailbox stays empty throughout).
+// thread's Self mailbox stays empty throughout). The two contended
+// cases run more threads than a 4-CPU host has, so they use the
+// governed (adaptive) waiting tier, which yields and parks once
+// waiters outnumber the CPUs instead of convoying on pure spins.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,6 +26,8 @@
 namespace hemlock {
 namespace {
 
+using GovernedSite = HemlockSiteBase<GovernedGrantWaiting>;
+
 TEST(HemlockSite, UncontendedGuardRoundTrips) {
   CacheAligned<HemlockSite> lock;
   for (int i = 0; i < 10000; ++i) {
@@ -32,7 +37,7 @@ TEST(HemlockSite, UncontendedGuardRoundTrips) {
 }
 
 TEST(HemlockSite, MutualExclusionUnderContention) {
-  CacheAligned<HemlockSite> lock;
+  CacheAligned<GovernedSite> lock;
   std::uint64_t counter = 0;
   std::atomic<int> in_cs{0};
   std::atomic<bool> violation{false};
@@ -42,7 +47,7 @@ TEST(HemlockSite, MutualExclusionUnderContention) {
     ts.emplace_back([&] {
       start.arrive_and_wait();
       for (int i = 0; i < 5000; ++i) {
-        HemlockSite::Guard g(lock.value);
+        GovernedSite::Guard g(lock.value);
         if (in_cs.fetch_add(1) != 0) violation = true;
         ++counter;
         in_cs.fetch_sub(1);
@@ -85,8 +90,8 @@ TEST(HemlockSite, MixedUsageWithPlainHemlock) {
   // Site-by-site opt-in (§2.3): the same thread can hold plain
   // Hemlock locks (thread-local Grant) and HemlockSite locks
   // (on-stack Grant) simultaneously.
-  CacheAligned<Hemlock> plain;
-  CacheAligned<HemlockSite> site;
+  CacheAligned<HemlockAdaptive> plain;
+  CacheAligned<GovernedSite> site;
   std::uint64_t counter = 0;
   SpinBarrier start(6);
   std::vector<std::thread> ts;
@@ -95,7 +100,7 @@ TEST(HemlockSite, MixedUsageWithPlainHemlock) {
       start.arrive_and_wait();
       for (int i = 0; i < 4000; ++i) {
         plain.value.lock();
-        HemlockSite::Guard g(site.value);
+        GovernedSite::Guard g(site.value);
         ++counter;
         plain.value.unlock();  // release order interleaved with guard
       }
@@ -110,7 +115,7 @@ TEST(HemlockSite, MixedUsageWithPlainHemlock) {
 // observed, not arranged by sleeps: waiter w+1 starts its doorstep
 // only once the contended count shows waiter w queued. A HemlockSite
 // waiter counts once, after its doorstep swap, when it starts waiting
-// on its predecessor's slot (CtrCasWaiting::wait_and_consume).
+// on its predecessor's slot (the policy's wait_and_consume).
 TEST(HemlockSite, FifoHandThrough) {
   if (!HEMLOCK_TELEMETRY_ENABLED) {
     GTEST_SKIP() << "the enqueue order is observed through telemetry";

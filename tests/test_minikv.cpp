@@ -1,11 +1,12 @@
 // test_minikv.cpp — unit and integration tests for the MiniKV
 // substrate (the Figure-8 LevelDB substitute): slice, varint
 // encoding, arena, skiplist, memtable, the block format, immutable
-// tables, the epoch-protected block cache, and the DB facade with its
-// pluggable central mutex.
+// tables, the epoch-protected block cache, the DB facade with its
+// pluggable central mutex, and ShardedDB's read promotion.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -22,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/factory.hpp"
 #include "core/hemlock.hpp"
 #include "locks/mcs.hpp"
 #include "locks/std_adapter.hpp"
@@ -1152,6 +1154,286 @@ TEST(NewestFirstModel, ShardedDbOverwritesAndTombstones) {
   EXPECT_GT(st.deletes, 0u);
   EXPECT_GT(st.table_gets, 0u);
   EXPECT_LE(st.table_gets, st.epoch_gets);
+}
+
+// --------------------------------------------------- Read promotion --
+// A lock-free ShardedDB get that finds a live row in the tables copies
+// it into the shard's memtable as a clean row (sharded_db.hpp,
+// memtable.hpp).
+
+std::vector<std::pair<std::string, std::string>> cursor_rows(const MemTable& mem) {
+  std::vector<std::pair<std::string, std::string>> rows;
+  for (MemTable::Cursor c(mem, Slice()); c.valid(); c.next()) {
+    rows.emplace_back(c.key().to_string(), c.value().to_string());
+  }
+  return rows;
+}
+
+bool promote(MemTable& mem, const std::string& key, const std::string& value) {
+  return mem.promote(key, detail::hash_key(key), value);
+}
+
+// A clean row answers get() but stays out of the ordered index and the
+// entry count until an add() of its key writes it; a key the memtable
+// already has is never promoted over.
+TEST(ReadPromotion, CleanRowsAreFoundButNotOrderedOrCounted) {
+  MemTable mem;
+  EXPECT_TRUE(promote(mem, "b", "clean-b"));
+  EXPECT_TRUE(promote(mem, "c", "clean-c"));
+  EXPECT_FALSE(promote(mem, "b", "again"));  // already clean
+  mem.add(1, "a", "va");
+  EXPECT_FALSE(promote(mem, "a", "stale"));  // a written row is newer
+  std::string v;
+  ASSERT_TRUE(mem.get("a", &v));
+  EXPECT_EQ(v, "va");
+  ASSERT_TRUE(mem.get("b", &v));
+  EXPECT_EQ(v, "clean-b");
+  EXPECT_EQ(mem.entries(), 1u);
+  using Rows = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(cursor_rows(mem), (Rows{{"a", "va"}}));
+  mem.add(2, "b", "vb");  // writes the clean row, linking it
+  EXPECT_EQ(mem.entries(), 2u);
+  EXPECT_EQ(cursor_rows(mem), (Rows{{"a", "va"}, {"b", "vb"}}));
+  ASSERT_TRUE(mem.get("c", &v));
+  EXPECT_EQ(v, "clean-c");
+}
+
+// A table built from a memtable holding clean rows holds only the rows
+// written to it, and ShardedDB scans answer the same with promotion as
+// without it (the locked tier never promotes).
+TEST(ReadPromotion, TablesAndScansHoldOnlyWrittenRows) {
+  MemTable mem;
+  for (std::uint64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(promote(mem, bench_key(k), "clean"));
+  }
+  for (std::uint64_t k = 0; k < 100; k += 10) mem.add(k, bench_key(k), "written");
+  mem.add(100, bench_key(1000), "written");
+  const TableVersion none;
+  TableVersion next;
+  flush_to_version(mem, none, 1, 16, 8, [](const Slice&) { return true; }, &next);
+  ASSERT_EQ(next.tables.size(), 1u);
+  EXPECT_EQ(next.tables[0]->num_entries(), 11u);
+  const MemTable empty;
+  std::size_t rows = 0;
+  merge_scan(empty, next, Slice(),
+             [](const ImmutableTable& t, std::size_t b) { return &t.block(b); },
+             [&](const Slice&, const Slice& v) {
+               EXPECT_EQ(v.to_string(), "written");
+               ++rows;
+               return true;
+             });
+  EXPECT_EQ(rows, 11u);
+
+  ShardedDbOptions opt;
+  opt.num_shards = 4;
+  opt.write_buffer_bytes = 16 * 1024;
+  opt.block_fanout = 4;
+  opt.compaction_trigger = 3;
+  opt.block_cache_bytes = 64 * 1024;
+  ShardedDB<> promoting(opt);
+  opt.epoch_reads = false;
+  ShardedDB<> plain(opt);
+  constexpr std::uint64_t kKeys = 600;
+  std::mt19937 rng(0x5EED26);
+  std::string v1, v2;
+  std::vector<std::pair<std::string, std::string>> a, b;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string key = bench_key(rng() % kKeys);
+    const unsigned roll = rng() % 100;
+    if (roll < 8) {
+      const std::string value = "v" + std::to_string(i);
+      promoting.put(key, value);
+      plain.put(key, value);
+    } else if (roll < 10) {
+      promoting.del(key);
+      plain.del(key);
+    } else if (roll < 12) {
+      const std::size_t limit = 1 + rng() % 40;
+      promoting.scan(key, limit, &a);
+      plain.scan(key, limit, &b);
+      ASSERT_EQ(a, b) << "scan from " << key << " at op " << i;
+    } else {
+      ASSERT_EQ(promoting.get(key, &v1).is_ok(), plain.get(key, &v2).is_ok());
+      ASSERT_EQ(v1, v2);
+      v1.clear();
+      v2.clear();
+    }
+  }
+  promoting.scan(Slice(), kKeys, &a);
+  plain.scan(Slice(), kKeys, &b);
+  EXPECT_EQ(a, b);
+  EXPECT_GT(a.size(), kKeys / 2);
+  EXPECT_GT(promoting.stats().promotions, 0u);
+  EXPECT_GT(promoting.stats().flushes, 0u);
+  EXPECT_EQ(plain.stats().promotions, 0u);
+}
+
+// Writers put strictly increasing versions of a few hot keys, each
+// round followed by a flush, while readers get them. A get that starts
+// after the put of version n returned must see n or newer: a promotion
+// that lost its race with that put, or with the flush after it, would
+// serve an older one.
+TEST(ReadPromotion, GetsNeverSeeAVersionOlderThanACompletedPut) {
+  ShardedDbOptions opt;
+  opt.num_shards = 2;
+  opt.write_buffer_bytes = 16 * 1024;
+  opt.compaction_trigger = 4;
+  opt.block_cache_bytes = 64 * 1024;
+  ShardedDB<> db(opt);
+  constexpr std::size_t kKeys = 4;
+  constexpr std::size_t kWriters = 2;  // writer w owns keys w, w + 2
+  constexpr std::uint64_t kVersions = 4000;
+  std::array<std::atomic<std::uint64_t>, kKeys> done{};
+  std::vector<std::string> keys;
+  for (std::size_t k = 0; k < kKeys; ++k) keys.push_back(bench_key(k));
+  for (const std::string& key : keys) db.put(key, "0");
+  db.flush();
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> stale{0}, gets{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Xoshiro256 prng(r + 31);
+      std::string v;
+      std::uint64_t n = 0;
+      while (!stop.load(std::memory_order_acquire)) {
+        const std::size_t k = prng.below(kKeys);
+        const std::uint64_t floor = done[k].load(std::memory_order_acquire);
+        if (!db.get(keys[k], &v).is_ok() || std::stoull(v) < floor) {
+          stale.fetch_add(1);
+        }
+        ++n;
+      }
+      gets.fetch_add(n);
+    });
+  }
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (std::uint64_t ver = 1; ver <= kVersions; ++ver) {
+        for (std::size_t k = w; k < kKeys; k += kWriters) {
+          db.put(keys[k], std::to_string(ver));
+          done[k].store(ver, std::memory_order_release);
+        }
+        db.flush();
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(stale.load(), 0u) << "of " << gets.load() << " gets";
+  const ShardedDbStats st = db.stats();
+  EXPECT_GT(st.flushes, kVersions);
+  EXPECT_GT(st.promotions, 0u);
+  std::string v;
+  for (const std::string& key : keys) {
+    ASSERT_TRUE(db.get(key, &v).is_ok());
+    EXPECT_EQ(v, std::to_string(kVersions));
+  }
+}
+
+// One put per 1000 gets over more keys than the clean-row cap holds:
+// promotion stops at an eighth of the write budget, and clean rows do
+// not count toward the budget the shard flushes on, so the gets add no
+// flush to the same puts.
+TEST(ReadPromotion, CleanRowsAreCappedAndAddNoFlushes) {
+  constexpr std::size_t kBudget = 64 * 1024;
+  constexpr std::uint64_t kKeys = 2000;  // ~300 KiB of rows
+  constexpr int kPuts = 3000;
+  std::vector<std::string> keys;
+  for (std::uint64_t k = 0; k < kKeys; ++k) keys.push_back(bench_key(k));
+  const std::string value(100, 'c');
+  MemTable mem(kBudget);
+  std::size_t refused = 0;
+  for (const std::string& key : keys) refused += !promote(mem, key, value);
+  EXPECT_GT(refused, 0u);
+  const std::size_t clean =
+      mem.approximate_memory_usage() - mem.written_memory_usage();
+  EXPECT_LE(clean, kBudget / 8);
+  EXPECT_GT(clean, kBudget / 16);
+
+  auto run = [&](bool gets) {
+    ShardedDbOptions opt;
+    opt.num_shards = 1;
+    opt.write_buffer_bytes = kBudget;
+    opt.compaction_trigger = 1000;
+    ShardedDB<> db(opt);
+    for (const std::string& key : keys) db.put(key, value);
+    db.flush();
+    const std::uint64_t flushes0 = db.stats().flushes;
+    Xoshiro256 put_keys(7), get_keys(8);  // the same puts in both runs
+    std::string v;
+    for (int p = 0; p < kPuts; ++p) {
+      for (int g = 0; gets && g < 1000; ++g) {
+        EXPECT_TRUE(db.get(keys[get_keys.below64(kKeys)], &v).is_ok());
+      }
+      db.put(keys[put_keys.below64(kKeys)], value);
+    }
+    const ShardedDbStats st = db.stats();
+    EXPECT_EQ(st.promotions > 0, gets);
+    return st.flushes - flushes0;
+  };
+  const std::uint64_t baseline = run(false);
+  const std::uint64_t promoted = run(true);
+  EXPECT_GT(baseline, 0u);
+  EXPECT_LE(promoted, baseline) << "put-only baseline " << baseline;
+  EXPECT_GE(promoted + 1, baseline) << "put-only baseline " << baseline;
+}
+
+// What a get found must be a live row for it to be promoted; gets in
+// the locked tier, and over a shard lock with no native try path, never
+// promote, so every repeat of them searches the tables again.
+TEST(ReadPromotion, TombstonesAreNeverPromoted) {
+  ShardedDbOptions opt;
+  opt.num_shards = 1;
+  ShardedDB<> db(opt);
+  db.put("live", "v");
+  db.put("gone", "v");
+  db.flush();
+  db.del("gone");
+  db.flush();  // the tombstone sits in the newer table
+  std::string v;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(db.get("gone", &v).is_not_found());
+    EXPECT_TRUE(db.get("live", &v).is_ok());
+  }
+  const ShardedDbStats st = db.stats();
+  EXPECT_EQ(st.promotions, 1u);  // "live", once
+  EXPECT_EQ(st.table_gets, 4u);  // every "gone", the first "live"
+}
+
+void expect_no_promotion(ShardedDB<>& db) {
+  db.put("k", "v");
+  db.flush();
+  std::string v;
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(db.get("k", &v).is_ok());
+  const ShardedDbStats st = db.stats();
+  EXPECT_EQ(st.promotions, 0u);
+  EXPECT_EQ(st.table_gets, 3u);
+}
+
+TEST(ReadPromotion, LockedTierNeverPromotes) {
+  ShardedDbOptions opt;
+  opt.num_shards = 1;
+  opt.epoch_reads = false;
+  ShardedDB<> db(opt);
+  expect_no_promotion(db);
+}
+
+TEST(ReadPromotion, ShardLockWithoutTryPathNeverPromotes) {
+  ShardedDbOptions opt;
+  opt.num_shards = 1;
+  ShardedDB<> db(opt, "clh");
+  ASSERT_FALSE(LockFactory::instance().info("clh")->has_trylock);
+  expect_no_promotion(db);
+  ShardedDB<> hemlock(opt, "hemlock");  // the same gets do promote
+  hemlock.put("k", "v");
+  hemlock.flush();
+  std::string v;
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(hemlock.get("k", &v).is_ok());
+  EXPECT_EQ(hemlock.stats().promotions, 1u);
+  EXPECT_EQ(hemlock.stats().table_gets, 1u);
 }
 
 TEST(DbTest, CacheServesRepeatedReads) {

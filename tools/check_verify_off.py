@@ -27,7 +27,8 @@ import tempfile
 from pathlib import Path
 
 # Residue markers: a few per-family yield tags (string literals land in
-# .rodata of the -S output) plus the verifier's thread-local.
+# .rodata of the -S output), a planted-mutant name, plus the verifier's
+# thread-local.
 RESIDUE = [
     "hemlock:queued",
     "hemlock:handover",
@@ -44,6 +45,8 @@ RESIDUE = [
     "rwlock:announced",
     "rwlock:gate-closed",
     "queue:published",
+    "promote:table-read",
+    "promote:skip-recheck",
     "tl_hook",
 ]
 

@@ -14,8 +14,16 @@
 #include "locks/mcs.hpp"
 #include "locks/rwlock.hpp"
 #include "locks/ticket.hpp"
+#include "minikv/sharded_db.hpp"
 
 namespace probe {
+
+// MiniKV's read promotion: its yield points and its planted-mutant
+// switch (HEMLOCK_VERIFY_MUTANT) must both compile out.
+bool sharded_get(hemlock::minikv::ShardedDB<hemlock::Hemlock>& db,
+                 std::string* value) {
+  return db.get("k", value).is_ok();
+}
 
 void hemlock_cycle(hemlock::Hemlock& l) {
   l.lock();
