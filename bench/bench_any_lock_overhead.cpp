@@ -14,17 +14,9 @@
 //
 // Flags: --iters (pairs per measurement, default 2000000)
 //        --runs  (median-of-N, default 3)  --csv
-//        --json=<path>    hemlock-bench-v1 trajectory (unit
-//                         pairs_per_sec; series <lock>@direct,
-//                         <lock>@anylock, <lock>@anylock-telemetry)
-//        --max-tax-pct=<p>  exit non-zero when the median telemetry
-//                         tax across the roster exceeds p percent of
-//                         the anylock baseline (CI perf-smoke's gate)
-#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "runtime/timing.hpp"
@@ -55,9 +47,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(opts.get_int("iters", 2'000'000));
   const int runs = static_cast<int>(opts.get_int("runs", 3));
   const bool csv = opts.has("csv");
-  const std::string json_path = opts.get_string("json", "");
-  const double max_tax_pct =
-      static_cast<double>(opts.get_int("max-tax-pct", -1));
   bench::reject_unknown(opts);
 
   std::cout << "=== AnyLock type-erasure tax: uncontended acquire/release "
@@ -68,11 +57,6 @@ int main(int argc, char** argv) {
 
   Table table({"lock", "direct ns/pair", "anylock ns/pair", "erasure ns",
                "telemetry ns/pair", "tm tax ns"});
-
-  bench::BenchSeries series;
-  series.threads.push_back(1);
-  std::vector<std::optional<double>> row;
-  std::vector<double> tax_pcts;
 
   for_each_lock_type<AllLockTags>([&](auto tag) {
     using L = typename decltype(tag)::type;
@@ -102,15 +86,7 @@ int main(int argc, char** argv) {
     table.add_row({name, Table::fmt(d, 2), Table::fmt(e, 2),
                    Table::fmt(e - d, 2), Table::fmt(t, 2),
                    Table::fmt(t - e, 2)});
-    series.locks.push_back(std::string(name) + "@direct");
-    series.locks.push_back(std::string(name) + "@anylock");
-    series.locks.push_back(std::string(name) + "@anylock-telemetry");
-    row.emplace_back(1e9 / d);
-    row.emplace_back(1e9 / e);
-    row.emplace_back(1e9 / t);
-    tax_pcts.push_back((t - e) / e * 100.0);
   });
-  series.values.push_back(std::move(row));
 
   if (csv) {
     table.print_csv(std::cout);
@@ -122,27 +98,5 @@ int main(int argc, char** argv) {
                "per-lock metrics handle. The erasure tax buys runtime "
                "algorithm selection; the telemetry tax buys the per-lock "
                "counters of docs/OBSERVABILITY.md.)\n";
-
-  if (!json_path.empty()) {
-    if (!bench::write_bench_json(json_path, "any_lock_overhead",
-                                 "pairs_per_sec", 0, runs, series)) {
-      return 1;
-    }
-    std::cout << "(JSON trajectory written to " << json_path << ")\n";
-  }
-
-  if (max_tax_pct >= 0 && !tax_pcts.empty()) {
-    // Gate on the roster-wide median: single-lock numbers at ~10 ns
-    // per pair are noisy on shared CI hosts, the median is stable.
-    std::nth_element(tax_pcts.begin(), tax_pcts.begin() + tax_pcts.size() / 2,
-                     tax_pcts.end());
-    const double med = tax_pcts[tax_pcts.size() / 2];
-    std::printf("\nmedian telemetry tax: %.1f%% (gate: %.0f%%)\n", med,
-                max_tax_pct);
-    if (med > max_tax_pct) {
-      std::fprintf(stderr, "telemetry tax gate FAILED\n");
-      return 1;
-    }
-  }
   return 0;
 }

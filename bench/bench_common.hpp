@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -20,7 +19,6 @@
 #include "harness/options.hpp"
 #include "harness/runner.hpp"
 #include "harness/table.hpp"
-#include "runtime/topology.hpp"
 
 namespace hemlock::bench {
 
@@ -31,106 +29,20 @@ struct FigureArgs {
   std::uint32_t max_threads;
   bool csv;
   std::uint64_t seed;
-  /// --json=<path>: additionally write the sweep as a BENCH_*.json
-  /// trajectory file (schema "hemlock-bench-v1"); empty = off. CI's
-  /// perf-smoke job uploads these as artifacts so the bench
-  /// trajectory accumulates across PRs.
-  std::string json_path;
   /// --lock=<name>[,<name>...]: run these factory algorithms through
   /// the runtime AnyLock path instead of the default compile-time
   /// figure roster. Empty = paper-fidelity templated sweep.
   std::vector<std::string> locks;
 };
 
-/// A figure sweep in machine-readable form: one row per thread count,
-/// one column per lock; absent cells (e.g. Anderson past its
-/// waiting-array capacity) are nullopt and serialize as JSON null.
+/// A figure sweep: one row per thread count, one column per lock;
+/// absent cells (e.g. Anderson past its waiting-array capacity) are
+/// nullopt and render as "-".
 struct BenchSeries {
   std::vector<std::string> locks;      ///< column names
   std::vector<std::uint32_t> threads;  ///< row keys
   std::vector<std::vector<std::optional<double>>> values;  ///< [row][col]
 };
-
-/// Minimal JSON string escaping (quotes/backslashes/control chars) —
-/// enough for lock names and CPU model strings.
-inline std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-/// Write the sweep as a BENCH_*.json trajectory file. Schema
-/// "hemlock-bench-v1": bench id, unit, host, budget, then one series
-/// per lock with {threads, value} points. `extra_json`, when
-/// non-empty, is a pre-serialized JSON value emitted as a top-level
-/// "telemetry" member (benches pass telemetry::to_json() through
-/// here); consumers keyed on "series" — bench_compare.py — ignore it
-/// by construction. Returns false (with a stderr report) when the
-/// file cannot be written; callers exit non-zero so CI fails loudly
-/// on malformed/unwritable output.
-inline bool write_bench_json(const std::string& path,
-                             const std::string& bench_id,
-                             const std::string& unit,
-                             std::int64_t duration_ms, int runs,
-                             const BenchSeries& series,
-                             const std::string& extra_json = {}) {
-  std::ofstream os(path);
-  if (!os) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  const Topology& topo = topology();
-  os << "{\n"
-     << "  \"schema\": \"hemlock-bench-v1\",\n"
-     << "  \"bench\": \"" << json_escape(bench_id) << "\",\n"
-     << "  \"unit\": \"" << json_escape(unit) << "\",\n"
-     << "  \"host\": {\"logical_cpus\": " << topo.logical_cpus
-     << ", \"model\": \"" << json_escape(topo.model_name) << "\"},\n"
-     << "  \"duration_ms\": " << duration_ms << ",\n"
-     << "  \"runs\": " << runs << ",\n"
-     << "  \"series\": [";
-  for (std::size_t c = 0; c < series.locks.size(); ++c) {
-    os << (c == 0 ? "\n" : ",\n");
-    os << "    {\"lock\": \"" << json_escape(series.locks[c])
-       << "\", \"points\": [";
-    for (std::size_t r = 0; r < series.threads.size(); ++r) {
-      os << (r == 0 ? "" : ", ");
-      os << "{\"threads\": " << series.threads[r] << ", \"value\": ";
-      if (series.values[r][c].has_value()) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.6g", *series.values[r][c]);
-        os << buf;
-      } else {
-        os << "null";
-      }
-      os << "}";
-    }
-    os << "]}";
-  }
-  os << "\n  ]";
-  if (!extra_json.empty()) {
-    os << ",\n  \"telemetry\": " << extra_json;
-  }
-  os << "\n}\n";
-  os.flush();
-  if (!os) {
-    std::fprintf(stderr, "write to %s failed\n", path.c_str());
-    return false;
-  }
-  return true;
-}
 
 /// Validate --lock names against the factory; exits (listing the
 /// roster) on unknown names so typos fail loudly like other flags.
@@ -165,7 +77,6 @@ inline FigureArgs parse_figure_args(const Options& opts,
       "max-threads", default_max_threads(oversubscribe)));
   a.csv = opts.has("csv");
   a.seed = static_cast<std::uint64_t>(opts.get_int("seed", 0x5EED));
-  a.json_path = opts.get_string("json", "");
   a.locks = opts.get_string_list("lock");
   if (opts.has("lock") && a.locks.empty()) {
     // Fail loudly, like unknown names: a bare/empty --lock= silently
@@ -247,14 +158,8 @@ inline void reject_unknown(const Options& opts) {
   }
 }
 
-/// Render a collected sweep: aligned table (or CSV), plus the
-/// --json trajectory file when requested. Exits non-zero when the
-/// JSON file cannot be written, so CI perf-smoke fails loudly.
-/// `extra_json` rides into the trajectory file as its "telemetry"
-/// member (see write_bench_json).
-inline void render_series(const char* bench_id, const char* unit,
-                          const FigureArgs& args, const BenchSeries& series,
-                          const std::string& extra_json = {}) {
+/// Render a collected sweep as an aligned table (or CSV).
+inline void render_series(const FigureArgs& args, const BenchSeries& series) {
   Table table([&] {
     std::vector<std::string> headers{"threads"};
     headers.insert(headers.end(), series.locks.begin(), series.locks.end());
@@ -270,13 +175,6 @@ inline void render_series(const char* bench_id, const char* unit,
   } else {
     table.print(std::cout);
   }
-  if (!args.json_path.empty()) {
-    if (!write_bench_json(args.json_path, bench_id, unit, args.duration_ms,
-                          args.runs, series, extra_json)) {
-      std::exit(1);
-    }
-    std::cout << "\n(JSON trajectory written to " << args.json_path << ")\n";
-  }
 }
 
 /// Run a MutexBench sweep and print the table. `cs_steps`/`ncs_steps`
@@ -285,9 +183,8 @@ inline void render_series(const char* bench_id, const char* unit,
 /// (zero-dispatch) path. With --lock=<names>: the named factory
 /// algorithms via the runtime AnyLock path — any roster member,
 /// chosen at run time, exactly like the paper's LD_PRELOAD protocol.
-inline void run_figure_bench(const char* bench_id, const char* title,
-                             const char* note, std::uint32_t cs_steps,
-                             std::uint32_t ncs_steps,
+inline void run_figure_bench(const char* title, const char* note,
+                             std::uint32_t cs_steps, std::uint32_t ncs_steps,
                              const FigureArgs& args) {
   std::cout << title << "\n" << note << "\n" << host_banner() << "\n"
             << "duration=" << args.duration_ms << "ms runs=" << args.runs
@@ -319,7 +216,7 @@ inline void run_figure_bench(const char* bench_id, const char* title,
     series.values.push_back(std::move(row));
   }
 
-  render_series(bench_id, "msteps_per_sec", args, series);
+  render_series(args, series);
   std::cout << "\n(Y values: aggregate throughput, M steps/sec — the "
                "paper's figure axis.)\n";
 }

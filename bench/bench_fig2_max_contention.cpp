@@ -14,7 +14,6 @@
 // than or equal to CLH/MCS; Hemlock (CTR) above Hemlock-.
 //
 // Flags: --duration-ms --runs --max-threads --oversubscribe --csv --seed
-//        --json=<path> (BENCH_*.json trajectory for CI perf-smoke)
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
@@ -22,7 +21,6 @@ int main(int argc, char** argv) {
   const auto args = hemlock::bench::parse_figure_args(opts);
   hemlock::bench::reject_unknown(opts);
   hemlock::bench::run_figure_bench(
-      "fig2",
       "=== Figure 2: MutexBench, maximum contention ===",
       "(empty critical and non-critical sections; Figures 4/6 = same "
       "workload on SPARC/AMD — use --oversubscribe for thread counts "

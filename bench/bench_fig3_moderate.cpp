@@ -18,7 +18,6 @@ int main(int argc, char** argv) {
   const auto args = hemlock::bench::parse_figure_args(opts);
   hemlock::bench::reject_unknown(opts);
   hemlock::bench::run_figure_bench(
-      "fig3",
       "=== Figure 3: MutexBench, moderate contention ===",
       "(CS: 5 steps of a shared std::mt19937; NCS: uniform [0,400) "
       "steps of a thread-local std::mt19937; Figures 5/7 = same "

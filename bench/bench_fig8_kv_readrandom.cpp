@@ -13,8 +13,8 @@
 // on the Hemlock run.
 //
 // Flags: --duration-ms --runs --max-threads --oversubscribe --csv
-//        --json=<path> --keys --profile --lock=<name>[,...] (factory
-//        algorithms as the central mutex, via the runtime AnyLock path)
+//        --keys --profile --lock=<name>[,...] (factory algorithms as
+//        the central mutex, via the runtime AnyLock path)
 #include <cstdio>
 #include <iostream>
 #include <map>
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
     }
     series.values.push_back(std::move(row));
   }
-  render_series("fig8", "mops_per_sec", args, series);
+  render_series(args, series);
   std::cout << "\n(Y values: millions of reads per second — Figure 8's "
                "axis.)\n";
 

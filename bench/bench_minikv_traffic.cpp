@@ -22,7 +22,7 @@
 // default hemlock).
 //
 // Flags: --duration-ms --runs --max-threads --oversubscribe --csv
-//        --json=<path> --seed --lock=<name> --keys --shards --batch
+//        --seed --lock=<name> --keys --shards --batch
 //        --scenario=<name>[,...]
 #include <cstdio>
 #include <iostream>
@@ -36,7 +36,6 @@
 #include "minikv/db_bench.hpp"
 #include "minikv/sharded_db.hpp"
 #include "minikv/traffic.hpp"
-#include "stats/telemetry.hpp"
 
 namespace {
 
@@ -168,11 +167,7 @@ int main(int argc, char** argv) {
     }
     series.values.push_back(std::move(row));
   }
-  // The per-lock counters the sweep accumulated ride along in the
-  // trajectory file ("telemetry" block, schema hemlock-telemetry-v1);
-  // bench_compare.py reads only "series" and ignores it.
-  render_series("minikv_traffic", "mops_per_sec", args, series,
-                telemetry::to_json(telemetry::collect()));
+  render_series(args, series);
 
   const auto st = sharded.stats();
   std::cout << "\n(Y values: millions of client operations per second; a "

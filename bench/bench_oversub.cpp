@@ -15,7 +15,6 @@
 // small factor of the 1x row.
 //
 // Flags: --duration-ms --runs --multipliers=1,4,16 --csv --seed
-//        --json=<path> (BENCH_*.json trajectory for CI perf-smoke)
 //        --lock=<name>[,...] (default: mcs/clh/ticket spin vs park vs
 //        adaptive, plus hemlock and its futex tier, plus pthread)
 #include <cstdlib>
@@ -91,7 +90,7 @@ int main(int argc, char** argv) {
     series.values.push_back(std::move(row));
   }
 
-  render_series("oversub", "msteps_per_sec", args, series);
+  render_series(args, series);
   std::cout << "\n(Y values: aggregate throughput, M steps/sec. Rows are "
                "1x/4x/16x the host's " << cpus << " logical CPUs; compare "
                "each spin column's collapse against its -park sibling.)\n";

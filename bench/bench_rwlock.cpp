@@ -14,8 +14,6 @@
 //
 // Flags: --duration-ms --runs --max-threads --csv --seed
 //        --read-ratios=50,90,99 (percent; one table per ratio)
-//        --json=<path> (BENCH_*.json trajectory for CI perf-smoke;
-//        series are named "<lock>@r<pct>")
 //        --lock=<name>[,...] (default: the rwlock tiers, the compact
 //        variant, and the hemlock/pthread exclusive baselines)
 #include <cstdlib>
@@ -142,32 +140,18 @@ int main(int argc, char** argv) {
             << "duration=" << args.duration_ms << "ms runs=" << args.runs
             << "\n\n";
 
-  // One table per read ratio; one JSON series per (lock, ratio) so the
-  // perf gate keys on both.
-  BenchSeries series;
-  for (const std::uint32_t pct : ratios_pct) {
-    for (const auto& name : args.locks) {
-      series.locks.push_back(name + "@r" + std::to_string(pct));
-    }
-  }
-
+  // One table per read ratio.
   const auto sweep = figure_thread_sweep(args.max_threads);
-  for (const std::uint32_t t : sweep) series.threads.push_back(t);
-  series.values.assign(sweep.size(), {});
-
-  for (std::size_t ri = 0; ri < ratios_pct.size(); ++ri) {
-    const std::uint32_t pct = ratios_pct[ri];
+  for (const std::uint32_t pct : ratios_pct) {
     Table table([&] {
       std::vector<std::string> headers{"threads"};
       for (const auto& name : args.locks) headers.push_back(name);
       return headers;
     }());
-    for (std::size_t row = 0; row < sweep.size(); ++row) {
-      std::vector<std::string> cells{std::to_string(sweep[row])};
+    for (const std::uint32_t t : sweep) {
+      std::vector<std::string> cells{std::to_string(t)};
       for (const auto& name : args.locks) {
-        const auto v = rwbench_median(name, sweep[row], args, pct * 10);
-        series.values[row].push_back(v);
-        cells.push_back(value_cell(v));
+        cells.push_back(value_cell(rwbench_median(name, t, args, pct * 10)));
       }
       table.add_row(std::move(cells));
     }
@@ -180,14 +164,6 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  if (!args.json_path.empty()) {
-    if (!write_bench_json(args.json_path, "rwlock_readratio",
-                          "msteps_per_sec", args.duration_ms, args.runs,
-                          series)) {
-      return 1;
-    }
-    std::cout << "(JSON trajectory written to " << args.json_path << ")\n";
-  }
   std::cout << "(Y values: aggregate lock+unlock iterations, M steps/sec; "
                "compare the rwlock columns against the hemlock/pthread "
                "exclusive baselines as the read ratio grows.)\n";

@@ -194,23 +194,36 @@ class MemTable {
     entries_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  /// Whether the clean rows have room for a row of `key` and `value`
+  /// within an eighth of the write budget: promote()'s cap. Callable
+  /// without the writer's serialization, so a reader can skip taking
+  /// the owner's lock for a row promote() would refuse.
+  bool has_clean_room(const Slice& key, const Slice& value) const {
+    // mo: relaxed — the count only grows, so a stale read admits at
+    // worst a row promote() then refuses under the writer's lock.
+    return clean_bytes_.load(std::memory_order_relaxed) +
+               clean_row_bytes(key, value) <=
+           clean_budget_;
+  }
+
   /// Publish `value` as a clean row of `key`, whose detail::hash_key()
   /// is `hash`: the value the owner's tables hold for the key, copied
   /// here so get() finds it. Returns false, publishing nothing, when
   /// the memtable already has a row for `key` (a written row is newer
-  /// than the tables, and a clean one is already there) or the clean
-  /// rows would pass an eighth of the write budget. Same writer
-  /// serialization as add().
+  /// than the tables, and a clean one is already there) or has no
+  /// clean room for it (has_clean_room()). Same writer serialization as
+  /// add().
   bool promote(const Slice& key, std::uint64_t hash, const Slice& value) {
     std::atomic<Slot*>& bucket = buckets_[hash & mask_];
-    if (find(bucket, hash, key) != nullptr) return false;
-    const std::size_t bytes = encoded_size(key, value) + sizeof(Slot);
-    // mo: relaxed — stored only by this serialized writer.
-    const std::size_t clean = clean_bytes_.load(std::memory_order_relaxed);
-    if (clean + bytes > clean_budget_) return false;
-    // mo: relaxed — read by written_memory_usage(), an approximate
-    // footprint; link() publishes the row.
-    clean_bytes_.store(clean + bytes, std::memory_order_relaxed);
+    if (find(bucket, hash, key) != nullptr || !has_clean_room(key, value)) {
+      return false;
+    }
+    // mo: relaxed ×2 — stored only by this serialized writer, read by
+    // written_memory_usage(), an approximate footprint; link()
+    // publishes the row.
+    clean_bytes_.store(clean_bytes_.load(std::memory_order_relaxed) +
+                           clean_row_bytes(key, value),
+                       std::memory_order_relaxed);
     link(bucket, encode(key, value), hash);
     return true;
   }
@@ -313,6 +326,10 @@ class MemTable {
            key.size() +
            detail::varint32_length(static_cast<std::uint32_t>(value.size())) +
            value.size();
+  }
+  /// The footprint a clean row of `key` and `value` adds.
+  static std::size_t clean_row_bytes(const Slice& key, const Slice& value) {
+    return encoded_size(key, value) + sizeof(Slot);
   }
 
   /// (key, value) encoded into the arena as one entry.

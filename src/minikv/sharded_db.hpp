@@ -437,15 +437,16 @@ class ShardedDB {
   /// a get found for `key` in `version`'s tables after missing `mem`,
   /// into the shard's memtable. Never waits to acquire: one try_lock,
   /// given up while a writer holds the shard (the unlock may wait for
-  /// a writer queued since, file header). The row is published only
-  /// if the shard still publishes (mem, version) and mem still lacks
-  /// the key, so a put or flush since the search wins. REQUIRES: the
-  /// caller's epoch guard, which keeps mem and version alive — a
-  /// pointer match cannot be a recycled address.
+  /// a writer queued since, file header), and not even tried once mem
+  /// has no clean room for the row. The row is published only if the
+  /// shard still publishes (mem, version) and mem still lacks the key,
+  /// so a put or flush since the search wins. REQUIRES: the caller's
+  /// epoch guard, which keeps mem and version alive — a pointer match
+  /// cannot be a recycled address.
   void promote(Shard& s, const MemTable* mem, const TableVersion* version,
                const Slice& key, std::uint64_t hash, const Slice& tagged) {
     HEMLOCK_VERIFY_YIELD("promote:table-read");
-    if (!s.mu.value.try_lock()) return;
+    if (!mem->has_clean_room(key, tagged) || !s.mu.value.try_lock()) return;
     HEMLOCK_VERIFY_YIELD("promote:locked");
     // mo: relaxed ×2 — mu is held; only flush_shard_locked (also
     // under mu) swings these pointers.

@@ -30,9 +30,9 @@
 // The flight recorder is a fixed-size per-thread TSC-stamped event
 // ring, enabled only via HEMLOCK_TRACE=<path>, dumped at exit as
 // Chrome trace-event JSON (loadable in Perfetto / chrome://tracing).
-// Exporters: HEMLOCK_STATS=report|json[:path] atexit dump, SIGUSR1
-// on-demand report, and telemetry blocks in bench JSON. See
-// docs/OBSERVABILITY.md for the full metric inventory.
+// Exporters: HEMLOCK_STATS=report|json[:path] atexit dump and SIGUSR1
+// on-demand report. See docs/OBSERVABILITY.md for the full metric
+// inventory.
 #pragma once
 
 #include <atomic>

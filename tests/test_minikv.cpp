@@ -1381,6 +1381,43 @@ TEST(ReadPromotion, CleanRowsAreCappedAndAddNoFlushes) {
   EXPECT_GE(promoted + 1, baseline) << "put-only baseline " << baseline;
 }
 
+// A Hemlock shard lock that counts its try_lock calls (one test at a
+// time uses it, from one thread).
+struct TryCountingHemlock : Hemlock {
+  bool try_lock() noexcept HEMLOCK_TRY_ACQUIRE(true)
+      HEMLOCK_NO_THREAD_SAFETY_ANALYSIS {
+    ++tries;
+    return Hemlock::try_lock();
+  }
+  static inline std::uint64_t tries = 0;
+};
+
+// Once a memtable's clean rows reach their cap, a get the tables answer
+// asks the memtable for room and leaves the shard lock alone: no
+// try_lock, no unlock on the word the writers use.
+TEST(ReadPromotion, GetsPastTheCapLeaveTheShardLockAlone) {
+  constexpr std::uint64_t kKeys = 200;  // ~30 KiB of rows, a 2 KiB cap
+  std::vector<std::string> keys;
+  for (std::uint64_t k = 0; k < kKeys; ++k) keys.push_back(bench_key(k));
+  const std::string value(100, 'v');
+  ShardedDbOptions opt;
+  opt.num_shards = 1;
+  opt.write_buffer_bytes = 16 * 1024;
+  ShardedDB<TryCountingHemlock> db(opt);
+  for (const std::string& key : keys) db.put(key, value);
+  db.flush();
+  TryCountingHemlock::tries = 0;
+  std::string v;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const std::string& key : keys) ASSERT_TRUE(db.get(key, &v).is_ok());
+  }
+  const ShardedDbStats st = db.stats();
+  EXPECT_GT(st.promotions, 0u);
+  EXPECT_LT(st.promotions, kKeys);  // the cap refused the rest
+  EXPECT_EQ(st.table_gets, 2 * kKeys - st.promotions);
+  EXPECT_EQ(TryCountingHemlock::tries, st.promotions);
+}
+
 // What a get found must be a live row for it to be promoted; gets in
 // the locked tier, and over a shard lock with no native try path, never
 // promote, so every repeat of them searches the tables again.

@@ -1,19 +1,13 @@
 #!/usr/bin/env python3
 """Schema validator for hemlock-telemetry-v1 JSON documents.
 
-Validates the telemetry snapshot exported by HEMLOCK_STATS=json[:path]
-and the "telemetry" block bench_minikv_traffic embeds in its
-hemlock-bench-v1 trajectory file. CI's perf-smoke job runs this over
-the uploaded artifacts so a malformed exporter fails the build, not
-the downstream dashboard.
+Validates the telemetry snapshot exported by HEMLOCK_STATS=json[:path].
+CI's LD_PRELOAD telemetry smoke runs it over the shim's export, so a
+malformed exporter fails the build, not the downstream dashboard.
 
 Usage:
   validate_telemetry.py <file.json> [<file.json> ...]
   validate_telemetry.py --self-test
-
-A hemlock-bench-v1 input is accepted when it carries a "telemetry"
-member (which is then validated); a bare hemlock-telemetry-v1 document
-is validated directly.
 """
 
 import json
@@ -120,10 +114,6 @@ def validate_telemetry(doc):
 def validate_file(path):
     with open(path) as f:
         doc = json.load(f)
-    if isinstance(doc, dict) and doc.get("schema") == "hemlock-bench-v1":
-        if "telemetry" not in doc:
-            return [f"{path}: hemlock-bench-v1 without a telemetry block"]
-        doc = doc["telemetry"]
     return [f"{path}: {e}" for e in validate_telemetry(doc)]
 
 
