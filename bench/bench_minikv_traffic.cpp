@@ -175,7 +175,8 @@ int main(int argc, char** argv) {
             << "(sharded backend: " << st.epoch_gets << " epoch gets, "
             << st.epoch_gets - st.table_gets << " answered by the memtable, "
             << st.table_gets << " by tables, " << st.promotions
-            << " rows promoted; block cache "
+            << " rows promoted; " << st.recycled
+            << " writes reused a dead memtable entry; block cache "
             << sharded.cache_hits() << " hits, " << sharded.cache_misses()
             << " misses, " << sharded.cache_declined() << " declined; "
             << st.flushes << " flushes, " << st.compactions

@@ -10,7 +10,9 @@
 // versions alive until in-flight readers exit; a get answered by the
 // tables try_locks its shard to promote the row into the memtable),
 // and the same binary can flip to shared-mode locked reads for
-// comparison.
+// comparison. An overwrite's dead memtable entry is reused by a later
+// write of its size once the epoch has passed it, so the memtables
+// flush only when new keys fill them.
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
@@ -107,6 +109,8 @@ int main(int argc, char** argv) {
             << st.epoch_gets + st.locked_gets - st.table_gets
             << ", by tables: " << st.table_gets << "\n"
             << "rows promoted into the memtable: " << st.promotions << "\n"
+            << "writes that reused a dead memtable entry: " << st.recycled
+            << "\n"
             << "block cache: " << db.cache_hits() << " hits, "
             << db.cache_misses() << " misses, " << db.cache_declined()
             << " declined\n";

@@ -3,9 +3,10 @@
 //
 // Mirrors leveldb::Arena: allocation is a pointer bump within 4KB
 // blocks; memory is reclaimed wholesale when the memtable is dropped.
-// Entries allocated here are immutable once published to readers, and
-// nothing is freed while the memtable lives, which is what lets Get()
-// run outside the DB's central mutex.
+// Nothing is freed while the memtable lives, which is what lets Get()
+// run outside the DB's central mutex; the memtable rewrites an entry
+// an overwrite replaced only once the epoch has passed every reader
+// that could hold it (memtable.hpp).
 #pragma once
 
 #include <atomic>

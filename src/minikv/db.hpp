@@ -22,9 +22,16 @@
 //    for tests; the flush is off the readrandom hot path anyway).
 //
 // The block cache, table search, flush and compaction are the storage
-// core (minikv/storage.hpp) it shares with ShardedDB. Its table reads
-// run inside an EpochGuard on the cache's domain (the process-global
-// one), which keeps the cached blocks they reach alive.
+// core (minikv/storage.hpp) it shares with ShardedDB. A get or scan
+// runs its whole search, memtable included, inside an EpochGuard on
+// the cache's domain (the process-global one). The guard keeps the
+// cached blocks it reaches alive, and the memtable's entries too: the
+// memtable is ShardedDB's, with the same row lifecycle (memtable.hpp).
+// A put's written row replaces the key's entry, which dies, and a
+// later put of its size reuses the dead entry once the cache's domain
+// has passed it. DB's puts do not drain that domain; its block cache
+// and its other users do, so a DB whose domain never moves bump-
+// allocates every entry, as it did before reuse.
 #pragma once
 
 #include <cstdint>
@@ -77,7 +84,7 @@ class DB {
   explicit DB(DbOptions options = DbOptions{})
       : options_(checked(options)),
         cache_(options.block_cache_bytes),
-        mem_(std::make_shared<MemTable>(options.write_buffer_bytes)),
+        mem_(new_memtable()),
         version_(std::make_shared<TableVersion>()) {}
 
   /// As above, forwarding `lock_args` to the central mutex's
@@ -89,7 +96,7 @@ class DB {
       : options_(checked(options)),
         mu_(std::forward<LockArgs>(lock_args)...),
         cache_(options.block_cache_bytes),
-        mem_(std::make_shared<MemTable>(options.write_buffer_bytes)),
+        mem_(new_memtable()),
         version_(std::make_shared<TableVersion>()) {}
 
   DB(const DB&) = delete;
@@ -127,12 +134,14 @@ class DB {
       version = version_;
     }
     auto found = [&](const Slice& v) { value->assign(v.data(), v.size()); };
+    // The memtable's entries (a put may reuse a dead one) and the
+    // blocks read below.
+    reclaim::EpochGuard pin(cache_.domain());
     Slice v;
     if (mem->get(key, hash, &v)) {
       found(v);
       return Status::ok();
     }
-    reclaim::EpochGuard pin(cache_.domain());  // the blocks read below
     return search_tables(cache_, *version, key, hash, found)
                ? Status::ok()
                : Status::not_found();
@@ -161,7 +170,8 @@ class DB {
     auto fetch = [this](const ImmutableTable& t, std::size_t b) {
       return read_block_cached(cache_, t, b);
     };
-    reclaim::EpochGuard pin(cache_.domain());  // the blocks fetched below
+    // The memtable's entries and the blocks fetched below.
+    reclaim::EpochGuard pin(cache_.domain());
     merge_scan(*mem, *version, start, fetch,
                [&](const Slice& k, const Slice& v) {
                  out->emplace_back(k.to_string(), v.to_string());
@@ -220,7 +230,14 @@ class DB {
       ++compactions_;
     }
     version_ = std::move(next);
-    mem_ = std::make_shared<MemTable>(options_.write_buffer_bytes);
+    mem_ = new_memtable();
+  }
+
+  /// A memtable reusing its dead entries by the cache's domain, the one
+  /// get() and scan() pin.
+  std::shared_ptr<MemTable> new_memtable() const {
+    return std::make_shared<MemTable>(options_.write_buffer_bytes,
+                                      cache_.domain());
   }
 
   DbOptions options_;

@@ -19,7 +19,7 @@
 // pointer instead of inserting a node: only a new key pays for a
 // skiplist insert.
 //
-// Written and clean rows. add() makes a *written* row: a value the
+// The row lifecycle. add() makes a *written* row: a value the
 // owner's tables do not hold yet. promote() makes a *clean* row: a copy
 // of the value the owner's tables already hold for a key, put here by
 // a get that found it there (ShardedDB's read promotion), so the next
@@ -28,20 +28,38 @@
 // entries(); the first add() of its key overwrites it and links it, as
 // a written row. So cursors, merge scans and flushes see only written
 // rows, and a table built from a memtable holds only what was written
-// to it. The bytes promote() takes are counted apart from the written
-// rows' footprint, written_memory_usage(), which the owner flushes on,
-// so read traffic never moves a flush; they are capped at an eighth of
-// the write budget, so a memtable's footprint stays within about 9/8
-// of it.
+// to it. The bytes of the live clean rows are counted apart from the
+// written rows' footprint, written_memory_usage(), which the owner
+// flushes on, so read traffic never moves a flush; they are capped at
+// an eighth of the write budget, so a memtable's footprint stays within
+// about 9/8 of it. A clean row that add() overwrites leaves the cap:
+// its bytes count as written from then on.
+//
+// The entry an overwrite replaces is *dead*: no slot points to it any
+// more, but a reader that loaded it before the overwrite may still be
+// copying it. add() stamps it with the memtable's epoch domain
+// (EpochDomain::stamp(), as retire() stamps) and lists it by its
+// encoded size. A later entry of the same size is *reused*: encoded
+// into the oldest dead entry of its size once the domain's epoch has
+// passed that entry's stamp (EpochDomain::expired(), the rule drain()
+// frees by), and into fresh arena bytes otherwise. So a key overwritten
+// with values of one size holds about one entry, plus the few written
+// in the last two epochs, and its memtable flushes only when new keys
+// fill it. A stalled reader only stops the reuse: overwrites then grow
+// the footprint and the memtable flushes as it would without reuse.
 //
 // Publication contract: one writer at a time, serialized by the owner
 // (a DB's central mutex or a shard lock), and any number of lock-free
 // readers. The writer fills entry bytes and slot fields before the
 // release store that publishes them — the bucket head for a new slot,
 // the slot's entry pointer for an overwrite, the skiplist links for
-// the ordered view — and readers acquire-load those pointers. Arena
-// memory lives as long as the memtable, so an entry a reader loaded
-// stays readable after an overwrite replaces it.
+// the ordered view — and readers acquire-load those pointers. Slots,
+// buckets and index nodes live as long as the memtable. An entry does
+// too, unless an overwrite kills it and a later write reuses it; so
+// every lock-free reader (get(), Cursor) runs inside an EpochGuard on
+// the memtable's domain, and a reader that excludes the writer (holds
+// the owner's lock) needs none. Nothing here advances the epoch: a
+// memtable whose domain nobody drains reuses nothing.
 #pragma once
 
 #include <atomic>
@@ -50,9 +68,11 @@
 #include <new>
 #include <string>
 
+#include "core/verify_hooks.hpp"
 #include "minikv/arena.hpp"
 #include "minikv/skiplist.hpp"
 #include "minikv/slice.hpp"
+#include "reclaim/epoch.hpp"
 #include "runtime/cacheline.hpp"
 
 namespace hemlock::minikv {
@@ -110,11 +130,18 @@ inline Slice entry_value(const char* entry) {
   return Slice(p, vlen);
 }
 
+/// Encoded size of an entry: its key's and value's varints and bytes.
+inline std::size_t entry_size(const char* entry) {
+  const Slice v = entry_value(entry);
+  return static_cast<std::size_t>(v.data() + v.size() - entry);
+}
+
 }  // namespace detail
 
 /// In-memory write buffer holding the newest value of each key. Writers
 /// must be serialized externally (the DB's central mutex or a shard
-/// lock); get() and Cursor are safe concurrently with one writer.
+/// lock); get() and Cursor are safe concurrently with one writer inside
+/// an EpochGuard on the memtable's domain (file header).
 class MemTable {
  private:
   // Declared up front: Cursor (below) embeds an Index::Iterator.
@@ -161,10 +188,15 @@ class MemTable {
   /// A memtable its owner flushes once written_memory_usage() reaches
   /// `write_buffer_bytes`. The budget sizes the bucket array (one
   /// bucket per KiB, as a power of two in [16, 2^20]) and caps the
-  /// clean rows at an eighth of it.
-  explicit MemTable(std::size_t write_buffer_bytes = kDefaultWriteBufferBytes)
+  /// clean rows at an eighth of it. Dead entries are reused by
+  /// `domain`'s epoch, which every lock-free reader of the memtable
+  /// pins (file header).
+  explicit MemTable(
+      std::size_t write_buffer_bytes = kDefaultWriteBufferBytes,
+      reclaim::EpochDomain& domain = reclaim::EpochDomain::global())
       : index_(SlotOrder{}, &arena_),
         clean_budget_(write_buffer_bytes / 8),
+        domain_(domain),
         mask_(bucket_count(write_buffer_bytes) - 1),
         buckets_(new_buckets(arena_, mask_ + 1)) {}
   MemTable(const MemTable&) = delete;
@@ -173,15 +205,28 @@ class MemTable {
   /// Make `value` the newest value of `key`, whose detail::hash_key()
   /// is `hash`: the caller hashes the key once per operation, and the
   /// bucket array takes the hash's low bits. The row is written: a
-  /// clean row of the key becomes written here.
-  void add(const Slice& key, std::uint64_t hash, const Slice& value) {
-    const char* entry = encode(key, value);
+  /// clean row of the key becomes written here. The entry an overwrite
+  /// replaces is dead, kept for reuse (file header). Returns whether
+  /// the new entry reused a dead one.
+  bool add(const Slice& key, std::uint64_t hash, const Slice& value) {
+    bool reused = false;
+    const char* entry = encode(key, value, &reused);
     std::atomic<Slot*>& bucket = buckets_[hash & mask_];
     Slot* s = find(bucket, hash, key);
     if (s != nullptr) {
+      // mo: relaxed — only this serialized writer stores the pointer.
+      const char* dead = s->entry.load(std::memory_order_relaxed);
       // mo: release — publishes the new entry's bytes to readers that
       // acquire it through Slot::newest().
       s->entry.store(entry, std::memory_order_release);
+      if (!s->written) {  // the clean row leaves the cap, dead entry too
+        // mo: relaxed ×2 — stored only by this serialized writer; see
+        // promote().
+        clean_bytes_.store(clean_bytes_.load(std::memory_order_relaxed) -
+                               detail::entry_size(dead) - sizeof(Slot),
+                           std::memory_order_relaxed);
+      }
+      kill(dead);
     } else {
       s = link(bucket, entry, hash);
     }
@@ -192,6 +237,7 @@ class MemTable {
     // mo: relaxed — a count for stats and the empty-flush skip, not a
     // publication point; the stores above publish the entry.
     entries_.fetch_add(1, std::memory_order_relaxed);
+    return reused;
   }
 
   /// Whether the clean rows have room for a row of `key` and `value`
@@ -199,8 +245,8 @@ class MemTable {
   /// without the writer's serialization, so a reader can skip taking
   /// the owner's lock for a row promote() would refuse.
   bool has_clean_room(const Slice& key, const Slice& value) const {
-    // mo: relaxed — the count only grows, so a stale read admits at
-    // worst a row promote() then refuses under the writer's lock.
+    // mo: relaxed — a stale read admits at worst a row promote() then
+    // refuses under the writer's lock, or skips one promotion.
     return clean_bytes_.load(std::memory_order_relaxed) +
                clean_row_bytes(key, value) <=
            clean_budget_;
@@ -224,20 +270,23 @@ class MemTable {
     clean_bytes_.store(clean_bytes_.load(std::memory_order_relaxed) +
                            clean_row_bytes(key, value),
                        std::memory_order_relaxed);
-    link(bucket, encode(key, value), hash);
+    bool reused = false;
+    link(bucket, encode(key, value, &reused), hash);
     return true;
   }
 
   /// As above, hashing `key` here. `seq` is the writer's sequence
   /// number; the writer applies adds in order and only the newest value
   /// is kept, so it is not stored.
-  void add(std::uint64_t /*seq*/, const Slice& key, const Slice& value) {
-    add(key, detail::hash_key(key), value);
+  bool add(std::uint64_t /*seq*/, const Slice& key, const Slice& value) {
+    return add(key, detail::hash_key(key), value);
   }
 
   /// Newest value for `key`, whose detail::hash_key() is `hash`, if
-  /// present, as a view into the memtable's arena: valid while the
-  /// memtable lives.
+  /// present, as a view into the memtable's arena. The view stays valid
+  /// while the caller's EpochGuard on the memtable's domain lasts, or
+  /// while the caller excludes the writer: after that an overwrite's
+  /// reuse may rewrite its bytes (file header).
   bool get(const Slice& key, std::uint64_t hash, Slice* value) const {
     const Slot* s = find(buckets_[hash & mask_], hash, key);
     if (s == nullptr) return false;
@@ -245,7 +294,8 @@ class MemTable {
     return true;
   }
 
-  /// Newest value for key, if present, copied into *value.
+  /// Newest value for key, if present, copied into *value. Same reader
+  /// contract as above.
   bool get(const Slice& key, std::string* value) const {
     Slice found;
     if (!get(key, detail::hash_key(key), &found)) return false;
@@ -256,9 +306,10 @@ class MemTable {
   /// Forward cursor over the written keys (clean rows are not in the
   /// ordered index), ascending, starting from the first key >= `start`,
   /// each with its newest value as of when the cursor reached it. Safe
-  /// concurrently with one writer: keys inserted after a position was
-  /// taken may or may not be observed, which is the usual "scan
-  /// concurrent with writes" semantics.
+  /// concurrently with one writer while the cursor's owner stays inside
+  /// an EpochGuard on the memtable's domain, as get() is: keys inserted
+  /// after a position was taken may or may not be observed, which is
+  /// the usual "scan concurrent with writes" semantics.
   class Cursor {
    public:
     Cursor(const MemTable& mem, const Slice& start) : it_(&mem.index_) {
@@ -287,14 +338,15 @@ class MemTable {
   std::size_t entries() const {
     return entries_.load(std::memory_order_relaxed);  // mo: stats
   }
-  /// Approximate heap footprint, bucket array included.
+  /// Approximate heap footprint, bucket array and dead entries
+  /// included.
   std::size_t approximate_memory_usage() const {
     return arena_.memory_usage();
   }
-  /// The footprint less the bytes promote() took (at most an eighth of
-  /// the write budget): the written rows' share, the flush threshold
-  /// input. Equal to approximate_memory_usage() while nothing was
-  /// promoted.
+  /// The footprint less the live clean rows' bytes (at most an eighth
+  /// of the write budget): the written rows' share, dead entries
+  /// included, the flush threshold input. Equal to
+  /// approximate_memory_usage() while nothing was promoted.
   std::size_t written_memory_usage() const {
     // mo: relaxed — an approximate footprint, as memory_usage() is.
     return arena_.memory_usage() -
@@ -303,6 +355,9 @@ class MemTable {
 
  private:
   static constexpr std::size_t kMinBuckets = 16;
+  /// Buckets of the dead lists, by encoded size: a memtable sees few
+  /// distinct entry sizes, so a bucket's chain is mostly one list.
+  static constexpr std::size_t kDeadBuckets = 16;
   static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
   static constexpr std::size_t kBytesPerBucket = 1024;
 
@@ -332,9 +387,14 @@ class MemTable {
     return encoded_size(key, value) + sizeof(Slot);
   }
 
-  /// (key, value) encoded into the arena as one entry.
-  const char* encode(const Slice& key, const Slice& value) {
-    char* buf = arena_.allocate(encoded_size(key, value));
+  /// (key, value) encoded as one entry: into the oldest dead entry of
+  /// its size once the epoch has passed it (setting *reused), else
+  /// into fresh arena bytes.
+  const char* encode(const Slice& key, const Slice& value, bool* reused) {
+    const std::size_t n = encoded_size(key, value);
+    char* buf = take_expired(n);
+    *reused = buf != nullptr;
+    if (buf == nullptr) buf = arena_.allocate(n);
     char* p =
         detail::encode_varint32(buf, static_cast<std::uint32_t>(key.size()));
     std::memcpy(p, key.data(), key.size());
@@ -342,6 +402,70 @@ class MemTable {
     p = detail::encode_varint32(p, static_cast<std::uint32_t>(value.size()));
     std::memcpy(p, value.data(), value.size());
     return buf;
+  }
+
+  /// An entry an overwrite replaced, awaiting reuse.
+  struct Dead {
+    char* entry;
+    std::uint64_t stamp;  ///< the domain's stamp() after the overwrite
+    Dead* next;           ///< the next younger dead entry of its size
+  };
+  /// The dead entries of one encoded size, oldest first.
+  struct DeadList {
+    DeadList(std::size_t n, DeadList* next) : size(n), next_size(next) {}
+    const std::size_t size;
+    Dead* oldest = nullptr;
+    Dead* newest = nullptr;
+    DeadList* const next_size;  ///< another size of the same dead_ bucket
+  };
+
+  /// The dead list of entries of `n` bytes, or nullptr.
+  DeadList* dead_list(std::size_t n) const {
+    DeadList* l = dead_[n % kDeadBuckets];
+    while (l != nullptr && l->size != n) l = l->next_size;
+    return l;
+  }
+
+  /// List `entry`, which an overwrite has just unlinked, as dead: stamp
+  /// it after the unlink, as EpochDomain::retire() stamps.
+  void kill(const char* entry) {
+    const std::size_t n = detail::entry_size(entry);
+    DeadList* l = dead_list(n);
+    if (l == nullptr) {
+      DeadList*& head = dead_[n % kDeadBuckets];
+      l = new (arena_.allocate_aligned(sizeof(DeadList))) DeadList(n, head);
+      head = l;
+    }
+    Dead* d = spare_;
+    if (d != nullptr) {
+      spare_ = d->next;
+    } else {
+      d = new (arena_.allocate_aligned(sizeof(Dead))) Dead;
+    }
+    *d = Dead{const_cast<char*>(entry), domain_.stamp(), nullptr};
+    if (l->newest != nullptr) {
+      l->newest->next = d;
+    } else {
+      l->oldest = d;
+    }
+    l->newest = d;
+  }
+
+  /// The oldest dead entry of `n` bytes if every reader that could
+  /// still hold it has left its epoch, taken off its list; or nullptr.
+  char* take_expired(std::size_t n) {
+    DeadList* l = dead_list(n);
+    if (l == nullptr || l->oldest == nullptr) return nullptr;
+    Dead* d = l->oldest;
+    if (!domain_.expired(d->stamp) &&
+        !HEMLOCK_VERIFY_MUTANT("memtable:recycle-early")) {
+      return nullptr;
+    }
+    l->oldest = d->next;
+    if (l->oldest == nullptr) l->newest = nullptr;
+    d->next = spare_;  // the record serves the next kill()
+    spare_ = d;
+    return d->entry;
   }
 
   /// A new slot for `entry`, published at the head of `bucket`'s chain.
@@ -372,8 +496,11 @@ class MemTable {
   Arena arena_;
   Index index_;
   std::atomic<std::size_t> entries_{0};
-  std::atomic<std::size_t> clean_bytes_{0};  ///< what promote() took
+  std::atomic<std::size_t> clean_bytes_{0};  ///< the live clean rows' bytes
   const std::size_t clean_budget_;           ///< promote()'s limit
+  reclaim::EpochDomain& domain_;             ///< stamps and expires dead entries
+  DeadList* dead_[kDeadBuckets] = {};        ///< writer-only
+  Dead* spare_ = nullptr;  ///< records of reused entries; writer-only
   // Read by every get() and written only by the constructor, so kept
   // off the lines the writer's adds dirty (arena cursor, skiplist
   // state, count).

@@ -64,6 +64,18 @@
 // inserts that used to drive the epoch forward became rare, so the
 // write path drains the epoch domain itself (write()).
 //
+// The row lifecycle (memtable.hpp). A put makes a *written* row; read
+// promotion makes a *clean* one, which the key's next put turns into a
+// written row. The entry a put replaces is *dead*, and a later write of
+// its size *reuses* it once this DB's epoch domain has passed it: every
+// shard's memtable stamps and expires its dead entries by the domain
+// its lock-free readers pin, and a locked-tier reader excludes the
+// writer. So an overwrite-heavy skewed workload holds about one entry
+// per live key, a memtable flushes only when new keys fill it, and a
+// stalled reader only holds the reuse back (the memtable then fills and
+// flushes as it did without reuse). ShardedDbStats::recycled counts
+// the writes that reused a dead entry.
+//
 // Every operation hashes its key once (detail::hash_key, slice.hpp):
 // the router picks the shard from the hash's top bits by multiply-
 // shift, so any shard count works, and the memtable's buckets and the
@@ -133,6 +145,10 @@ struct ShardedDbStats {
   /// Rows table gets copied into their shard's memtable (read
   /// promotion; epoch tier only).
   std::uint64_t promotions = 0;
+  /// Writes whose memtable entry reused a dead one: an entry an
+  /// earlier overwrite replaced, once the epoch had passed it
+  /// (memtable.hpp).
+  std::uint64_t recycled = 0;
   std::uint64_t scans = 0;
   std::uint64_t puts = 0;
   std::uint64_t deletes = 0;
@@ -157,7 +173,8 @@ class ShardedDB {
         cache_(options.block_cache_bytes, *domain_) {
     shards_.reserve(options_.num_shards);
     for (std::size_t i = 0; i < options_.num_shards; ++i) {
-      shards_.push_back(std::make_unique<Shard>(options_.write_buffer_bytes));
+      shards_.push_back(
+          std::make_unique<Shard>(options_.write_buffer_bytes, *domain_));
     }
   }
 
@@ -175,8 +192,8 @@ class ShardedDB {
         cache_(options.block_cache_bytes, *domain_) {
     shards_.reserve(options_.num_shards);
     for (std::size_t i = 0; i < options_.num_shards; ++i) {
-      shards_.push_back(
-          std::make_unique<Shard>(options_.write_buffer_bytes, lock_args...));
+      shards_.push_back(std::make_unique<Shard>(options_.write_buffer_bytes,
+                                                *domain_, lock_args...));
     }
   }
 
@@ -326,6 +343,7 @@ class ShardedDB {
     st.locked_gets = ops_.sum(kLockedGets);
     st.table_gets = ops_.sum(kTableGets);
     st.promotions = ops_.sum(kPromotions);
+    st.recycled = ops_.sum(kRecycled);
     st.scans = ops_.sum(kScans);
     st.puts = ops_.sum(kPuts);
     st.deletes = ops_.sum(kDeletes);
@@ -353,9 +371,10 @@ class ShardedDB {
     std::atomic<TableVersion*> version;
 
     template <typename... Args>
-    explicit Shard(std::size_t write_buffer_bytes, const Args&... args)
+    Shard(std::size_t write_buffer_bytes, reclaim::EpochDomain& domain,
+          const Args&... args)
         : mu(args...),
-          mem(new MemTable(write_buffer_bytes)),
+          mem(new MemTable(write_buffer_bytes, domain)),
           version(new TableVersion()) {}
     ~Shard() = default;  // mem/version freed by ShardedDB's destructor
   };
@@ -381,7 +400,7 @@ class ShardedDB {
       // mo: relaxed — mu is held; only flush_shard_locked (also
       // under mu) swings this pointer.
       MemTable* mem = s.mem.load(std::memory_order_relaxed);
-      mem->add(key, hash, tagged);
+      if (mem->add(key, hash, tagged)) ops_.add(kRecycled);
       if (mem->written_memory_usage() >= options_.write_buffer_bytes) {
         flush_shard_locked(s);
         flushed = true;
@@ -391,7 +410,8 @@ class ShardedDB {
     // outside the shard lock and bounded, so a put() pays at most
     // EpochDomain::kDefaultDrainBatch deleter calls: after a flush, and
     // on every kDrainEveryWrites-th write of the thread, which keeps
-    // the epoch moving so retired memtables do not linger.
+    // the epoch moving so retired memtables do not linger and dead
+    // memtable entries become reusable.
     thread_local std::uint32_t writes = 0;
     if (flushed || ++writes % kDrainEveryWrites == 0) domain_->drain();
     return Status::ok();
@@ -413,7 +433,10 @@ class ShardedDB {
     MemTable* mem = s.mem.load(std::memory_order_acquire);
     TableVersion* version = s.version.load(std::memory_order_acquire);
     Slice tagged;
-    if (mem->get(key, hash, &tagged)) return unwrap(tagged, value);
+    if (mem->get(key, hash, &tagged)) {
+      HEMLOCK_VERIFY_YIELD("memtable:hit");
+      return unwrap(tagged, value);
+    }
     ops_.add(kTableGets);
     Status st = Status::not_found();
     auto found = [&](const Slice& t) {
@@ -517,7 +540,7 @@ class ShardedDB {
             next)) {
       compactions_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
     }
-    auto* fresh = new MemTable(options_.write_buffer_bytes);
+    auto* fresh = new MemTable(options_.write_buffer_bytes, *domain_);
     // mo: release ×2 — publish version THEN empty memtable; readers
     // acquire-load mem first, so seeing the new (empty) memtable
     // implies seeing the version that holds the flushed table.
@@ -546,6 +569,7 @@ class ShardedDB {
     kLockedGets,
     kTableGets,
     kPromotions,
+    kRecycled,
     kScans,
     kPuts,
     kDeletes,

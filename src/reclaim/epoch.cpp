@@ -96,6 +96,19 @@ bool EpochDomain::in_epoch() const noexcept {
   return self().epoch_depth[slot_] != 0;
 }
 
+std::uint64_t EpochDomain::stamp() const noexcept {
+  // The caller's unlink store must be globally visible before the
+  // epoch is read: a stale load yields a SMALLER stamp, which expires
+  // EARLIER — a reader pinned at that stale epoch + 1 could still hold
+  // the pre-unlink pointer. The seq_cst fence + load mirror enter()'s
+  // announce/recheck pairing and force the store->load ordering plain
+  // acquire does not give on TSO.
+  // mo: seq_cst fence + load — Dekker-style store->load ordering
+  // described above; the stamp must not be read early.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  return epoch_.load(std::memory_order_seq_cst);
+}
+
 void EpochDomain::retire(void* p, void (*deleter)(void*)) {
   auto* box = new BoxedRetiree;
   box->ptr = p;
@@ -108,18 +121,8 @@ void EpochDomain::retire(void* p, void (*deleter)(void*)) {
 }
 
 void EpochDomain::retire(RetireNode* node, void (*reclaim)(RetireNode*)) {
-  // The caller's unlink/publication stores must be globally visible
-  // before the stamp is read: a stale load yields a SMALLER stamp,
-  // which frees EARLIER — a reader pinned at that stale epoch + 1 can
-  // still hold the pre-unlink pointer when drain() frees p. The
-  // seq_cst fence + load mirror enter()'s announce/recheck pairing and
-  // force the store->load ordering plain acquire does not give on TSO.
-  // mo: seq_cst fence + load — Dekker-style store->load ordering
-  // described above; the stamp must not be read early.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
   node->reclaim = reclaim;
-  // mo: seq_cst stamp (fence pairing above)
-  node->epoch = epoch_.load(std::memory_order_seq_cst);
+  node->epoch = stamp();  // the caller has unlinked it
   RawSpinGuard g(limbo_lock_);
   node->next = limbo_head_;
   limbo_head_ = node;
@@ -167,9 +170,6 @@ bool EpochDomain::try_advance() noexcept {
 
 std::size_t EpochDomain::drain(std::size_t max_frees) {
   try_advance();
-  // mo: acquire — orders our stamp comparisons after the advance
-  // (possibly another thread's) that made `safe` current.
-  const std::uint64_t safe = epoch_.load(std::memory_order_acquire);
   RetireNode* to_free = nullptr;
   std::size_t taken = 0;
   {
@@ -177,7 +177,7 @@ std::size_t EpochDomain::drain(std::size_t max_frees) {
     RetireNode** pp = &limbo_head_;
     while (*pp != nullptr && taken < max_frees) {
       RetireNode* n = *pp;
-      if (n->epoch + 2 <= safe) {  // every possible observer has exited
+      if (expired(n->epoch)) {  // every possible observer has exited
         *pp = n->next;
         n->next = to_free;
         to_free = n;
@@ -193,7 +193,9 @@ std::size_t EpochDomain::drain(std::size_t max_frees) {
     to_free = n->next;  // before the hook: it may free or reuse n
     n->reclaim(n);
   }
-  freed_.fetch_add(taken, std::memory_order_relaxed);  // mo: stats
+  if (taken != 0) {
+    freed_.fetch_add(taken, std::memory_order_relaxed);  // mo: stats
+  }
   return taken;
 }
 

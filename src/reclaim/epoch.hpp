@@ -46,6 +46,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "runtime/cacheline.hpp"
 #include "runtime/raw_spinlock.hpp"
 #include "runtime/thread_rec.hpp"
 
@@ -131,6 +132,20 @@ class EpochDomain {
     return epoch_.load(std::memory_order_relaxed);
   }
 
+  /// The grace rule, in two halves. stamp() is the epoch to stamp on
+  /// something the caller has just unlinked: call it after the unlink
+  /// store. expired(stamp) says whether every reader that could have
+  /// reached it before the unlink has exited: the epoch has advanced
+  /// twice since. retire() stamps and drain() frees by exactly this
+  /// rule; MemTable reuses its overwritten entries by it too.
+  std::uint64_t stamp() const noexcept;
+  bool expired(std::uint64_t stamp) const noexcept {
+    // mo: acquire — pairs with the advancing CAS, which came after the
+    // advancer saw every pinned reader's release exit: what the caller
+    // does with the expired object happens after those readers' reads.
+    return stamp + 2 <= epoch_.load(std::memory_order_acquire);
+  }
+
   /// Current counters (pending/freed/advances are exact; epoch is a
   /// racy snapshot by nature).
   DomainStats stats() const;
@@ -142,13 +157,15 @@ class EpochDomain {
   static constexpr std::size_t kDefaultDrainBatch = 64;
 
  private:
-  std::uint32_t slot_;  ///< index into ThreadRec::epochs
+  // Every enter() reads these two, so they get a line of their own:
+  // the limbo list and the counters below are written by every drain.
+  alignas(kCacheLineSize) std::uint32_t slot_;  ///< index into ThreadRec::epochs
   std::atomic<std::uint64_t> epoch_{1};  ///< 0 is reserved for "quiescent"
 
   /// Guards the limbo list (retire/drain are rare, off the read fast
   /// path; the raw spinlock keeps this header free of the locks the
   /// library itself implements).
-  mutable RawSpinLock limbo_lock_;
+  alignas(kCacheLineSize) mutable RawSpinLock limbo_lock_;
   RetireNode* limbo_head_ = nullptr;  ///< under limbo_lock_
   std::uint64_t pending_ = 0;      ///< under limbo_lock_
   std::atomic<std::uint64_t> freed_{0};

@@ -383,6 +383,63 @@ struct PromoteScenario {
 };
 
 // ---------------------------------------------------------------------
+// MiniKV memtable recycling (minikv/memtable.hpp). Thread 0 gets key
+// `a`, which the memtable holds, and stops between the memtable hit
+// and the copy of the value it found. Thread 1 overwrites `a` (its old
+// entry dies), drains the domain twice, then writes a new key `b` of
+// the same encoded size, whose entry reuses the oldest dead entry of
+// that size once the epoch has passed it: `a`'s old one. Whatever the
+// schedule, the reader must copy one of `a`'s values; thread 0's epoch
+// guard keeps the epoch from passing the entry it holds. Thread 1
+// yields between its steps, so the get can also start after the
+// overwrite or after the drains. The `-mutant`
+// row reuses dead entries without the epoch check and must be caught.
+// ---------------------------------------------------------------------
+
+struct RecycleScenario {
+  using Db = minikv::ShardedDB<Hemlock>;
+  static inline reclaim::EpochDomain* domain = nullptr;
+  static inline Db* db = nullptr;
+  static inline std::string got;
+
+  static void init() {
+    domain = new reclaim::EpochDomain();
+    minikv::ShardedDbOptions o;
+    o.num_shards = 1;
+    o.block_cache_bytes = 64 << 10;
+    db = new Db(o, domain);
+    db->put("a", "a0");
+    got.clear();
+  }
+
+  static void exec(std::uint32_t id) {
+    if (id == 0) {
+      std::string v;
+      VERIFY_ASSERT(db->get("a", &v).is_ok());
+      got = v;
+    } else {
+      db->put("a", "a1");
+      yield_point("recycle:step");
+      db->reclaim_drain(~std::size_t{0});
+      yield_point("recycle:step");
+      db->reclaim_drain(~std::size_t{0});
+      yield_point("recycle:step");
+      db->put("b", "b0");  // the size of `a`'s entries
+    }
+  }
+
+  static void fini() {
+    VERIFY_ASSERT(got == "a0" || got == "a1");
+    std::string v;
+    VERIFY_ASSERT(db->get("b", &v).is_ok() && v == "b0");
+    delete db;
+    delete domain;
+    db = nullptr;
+    domain = nullptr;
+  }
+};
+
+// ---------------------------------------------------------------------
 // The deliberately-broken toy lock: test-and-set with the test and
 // the set split by a yield point — the textbook lost-update race. The
 // harness must catch it within the bounded depth; this regression-
@@ -516,6 +573,15 @@ const Scenario kScenarios[] = {
      "caught",
      2, &PromoteScenario::init, &PromoteScenario::exec,
      &PromoteScenario::fini, nullptr, true, "promote:skip-recheck"},
+    {"memtable-recycle",
+     "MiniKV memtable hit vs. an overwrite whose dead entry a new key "
+     "reuses",
+     2, &RecycleScenario::init, &RecycleScenario::exec,
+     &RecycleScenario::fini, nullptr, false},
+    {"memtable-recycle-mutant",
+     "memtable reuse without the epoch check — must be caught", 2,
+     &RecycleScenario::init, &RecycleScenario::exec, &RecycleScenario::fini,
+     nullptr, true, "memtable:recycle-early"},
     {"broken", "deliberately racy test-and-set — must be caught", 2,
      &MutexScenario<BrokenTas>::init, &MutexScenario<BrokenTas>::exec,
      &MutexScenario<BrokenTas>::fini, nullptr, true},

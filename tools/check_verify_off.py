@@ -47,6 +47,8 @@ RESIDUE = [
     "queue:published",
     "promote:table-read",
     "promote:skip-recheck",
+    "memtable:hit",
+    "memtable:recycle-early",
     "tl_hook",
 ]
 

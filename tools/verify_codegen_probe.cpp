@@ -18,11 +18,17 @@
 
 namespace probe {
 
-// MiniKV's read promotion: its yield points and its planted-mutant
-// switch (HEMLOCK_VERIFY_MUTANT) must both compile out.
+// MiniKV's read promotion and memtable hit: their yield points and
+// their planted-mutant switches (HEMLOCK_VERIFY_MUTANT) must all
+// compile out.
 bool sharded_get(hemlock::minikv::ShardedDB<hemlock::Hemlock>& db,
                  std::string* value) {
   return db.get("k", value).is_ok();
+}
+
+// A put's memtable add, whose dead-entry reuse plants a mutant.
+bool sharded_put(hemlock::minikv::ShardedDB<hemlock::Hemlock>& db) {
+  return db.put("k", "v").is_ok();
 }
 
 void hemlock_cycle(hemlock::Hemlock& l) {
