@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
             << " rows promoted; " << st.recycled
             << " writes reused a dead memtable entry; block cache "
             << sharded.cache_hits() << " hits, " << sharded.cache_misses()
-            << " misses, " << sharded.cache_declined() << " declined; "
+            << " misses; "
             << st.flushes << " flushes, " << st.compactions
             << " compactions; reclamation: " << st.reclaim.freed
             << " freed, " << st.reclaim.pending << " pending, "

@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
             << "writes that reused a dead memtable entry: " << st.recycled
             << "\n"
             << "block cache: " << db.cache_hits() << " hits, "
-            << db.cache_misses() << " misses, " << db.cache_declined()
-            << " declined\n";
+            << db.cache_misses() << " misses\n";
   return 0;
 }

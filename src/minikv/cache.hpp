@@ -26,49 +26,29 @@
 //    whose bit is clear (after a full sweep, the hand's entry goes
 //    unconditionally). An evicted or erased entry is unlinked from its
 //    chain, and a lookup already standing on it walks on through its
-//    unchanged next pointer. It then joins the shard's filling batch.
-//  * Recycling. A batch of kBatch entries goes through the domain's
-//    allocation-free retire(). Once the grace period is over, the
-//    batch's reclaim hook returns its entries to the shard's pool
-//    instead of freeing them. An insert copies the value into a pooled
-//    entry, reusing that entry's buffer, so a warm miss neither
-//    allocates nor frees.
-//  * The bound. Per shard, the entries the cache owns (live, filling,
-//    retired and pooled) stay within the live ones plus kMaxBatches
-//    batches. When the pool is empty, an insert first runs a bounded
-//    drain() of the domain (which may run any retiree's reclaim hook,
-//    the DB's memtable and version deleters too). If the shard is
-//    still at its bound (a stalled reader pins its retired batches),
-//    the insert is bypassed: it returns nullptr, the caller keeps a
-//    copy of its own, and bypassed() counts it. A drain that brings
-//    nothing back while the epoch stays put means a reader refused the
-//    advance; the shard then skips drains until the epoch moves,
-//    retrying once per kBatch inserts, so a stalled reader does not
-//    turn every miss into a registry scan and a limbo walk. A retired
-//    batch shares ownership of its pool, so a batch drained after the
-//    cache is destroyed still frees its entries.
-//  * Admission. A shard is full when a block of the charge it last
-//    linked or unlinked would not fit: an insert there has to evict.
-//    Each shard keeps that as one word beside the fields lookups load,
-//    stored under the mutex only when it flips, so in steady state it
-//    costs lookups nothing. A caller that can keep a miss's copy itself
-//    asks admit() first: a miss on a shard with room is cached, and on
-//    a full shard only every kAdmitEvery-th such miss of the calling
-//    thread is. The rest are declined (declined() counts them): the
-//    caller copies the block into its own buffer, so a declined miss
-//    takes no mutex, evicts, retires and allocates nothing, and writes
-//    no shared line. A cache that turns over every few milliseconds
-//    would otherwise evict, on most misses, a block that would have
-//    hit again; caching one full-shard miss in eight keeps the hit
-//    ratio (a kv-zipf trace replay reads 0.565 against 0.548 for
-//    caching every miss, and less from one in 16 on) at an eighth of
-//    the inserts.
+//    unchanged next pointer.
+//  * Recycling, by the rule MiniKV's memtable rows follow
+//    (memtable.hpp). The unlinked entry is *dead*: kill() stamps it
+//    with the domain's stamp() and appends it to the shard's dead
+//    list. An insert copies its value into the oldest dead entry once
+//    expired() passes that entry's stamp, reusing the entry's buffer,
+//    so a warm miss neither allocates nor frees.
+//  * The bound. A shard owns at most its live entries plus kSpareBound
+//    dead ones, allocating an entry only below it. At the bound an
+//    insert makes one try_advance() and looks again; if a reader still
+//    pins the oldest dead entry, the insert is bypassed: it returns
+//    nullptr, the caller keeps a copy of its own, and bypassed()
+//    counts it. After a refused advance the shard stops trying until
+//    the epoch moves, retrying every kRetryEvery-th insert at the
+//    bound, so a stalled reader does not turn every miss into a
+//    registry scan.
+//  * Readers never reclaim. The cache retires nothing into the domain
+//    and never drains it; an advance attempt at the bound is all a
+//    miss does to the domain (reclaim/epoch.hpp).
 //
 // The DBs cache whole table blocks (ShardedLruCache<Block>; layout in
 // table.hpp) at Block::charge(): the Block object plus its buffer's
-// bytes. minikv/storage.hpp holds the miss path: point lookups admit
-// and keep declined copies in a per-thread buffer, scans insert every
-// miss.
+// bytes, through the one miss path of minikv/storage.hpp.
 #pragma once
 
 #include <algorithm>
@@ -80,6 +60,7 @@
 #include <mutex>
 #include <utility>
 
+#include "core/verify_hooks.hpp"
 #include "reclaim/epoch.hpp"
 #include "runtime/cacheline.hpp"
 #include "runtime/striped_counters.hpp"
@@ -114,13 +95,11 @@ template <typename V>
 class ShardedLruCache {
  public:
   static constexpr std::size_t kNumShards = 16;
-  /// Evicted entries retired per retire() call.
-  static constexpr std::size_t kBatch = 16;
-  /// Spare entries a shard may own beyond its live ones, in batches.
-  static constexpr std::size_t kMaxBatches = 4;
-  /// A thread caches one of every kAdmitEvery of its misses on full
-  /// shards (admit()).
-  static constexpr std::uint32_t kAdmitEvery = 8;
+  /// Dead entries a shard may own beyond its live ones.
+  static constexpr std::size_t kSpareBound = 64;
+  /// After a refused advance, a shard at its bound tries again on every
+  /// kRetryEvery-th insert until the epoch moves.
+  static constexpr std::size_t kRetryEvery = 16;
 
   /// Total capacity in bytes, split evenly across shards; lookups are
   /// protected by EpochGuards on `domain`.
@@ -129,12 +108,6 @@ class ShardedLruCache {
       reclaim::EpochDomain& domain = reclaim::EpochDomain::global())
       : ShardedLruCache(capacity_bytes / kNumShards + 1, domain,
                         std::make_index_sequence<kNumShards>{}) {}
-
-  /// Requires that no thread uses the cache. Frees the live and pooled
-  /// entries; a retired batch keeps its pool alive until it drains.
-  ~ShardedLruCache() {
-    for (int i = 0; i < 2; ++i) domain_.drain(kNumShards * kMaxBatches);
-  }
 
   ShardedLruCache(const ShardedLruCache&) = delete;
   ShardedLruCache& operator=(const ShardedLruCache&) = delete;
@@ -146,18 +119,6 @@ class ShardedLruCache {
     const V* v = shard(h).lookup(key, h);
     counts_.add(v != nullptr ? kHits : kMisses);
     return v;
-  }
-
-  /// Whether to cache a miss on `key`: always while its shard has
-  /// room, and on a full shard (file comment) every kAdmitEvery-th such
-  /// miss of the calling thread. false counts a declined miss; the
-  /// caller then keeps its own copy and must not insert it.
-  bool admit(const BlockKey& key) {
-    if (!shard(BlockKeyHash{}(key)).full()) return true;
-    thread_local std::uint32_t full_misses = 0;
-    if (++full_misses % kAdmitEvery == 0) return true;
-    counts_.add(kDeclined);
-    return false;
   }
 
   /// Cache a copy of `value` under `key` at `charge` bytes, replacing
@@ -185,26 +146,21 @@ class ShardedLruCache {
   /// The domain whose EpochGuards protect lookups.
   reclaim::EpochDomain& domain() const { return domain_; }
 
-  /// Lookups that hit / missed, misses admit() declined, and inserts
-  /// that were bypassed.
+  /// Lookups that hit / missed, and inserts that were bypassed.
   std::uint64_t hits() const { return counts_.sum(kHits); }
   std::uint64_t misses() const { return counts_.sum(kMisses); }
-  std::uint64_t declined() const { return counts_.sum(kDeclined); }
   std::uint64_t bypassed() const { return counts_.sum(kBypassed); }
 
-  /// Entries the cache holds: `live` are cached, `owned` adds the
-  /// spares (filling, retired and pooled; each shard's stay within
-  /// kMaxBatches * kBatch), `allocated` counts every entry ever
-  /// allocated. `usage` is the bytes cached, `evictions` the entries
-  /// the CLOCK hand evicted, `full_shards` the shards admit() reads as
-  /// full.
+  /// Entries the cache holds: `live` are cached, `owned` adds the dead
+  /// ones (each shard's stay within kSpareBound), `allocated` counts
+  /// every entry ever allocated. `usage` is the bytes cached,
+  /// `evictions` the entries the CLOCK hand evicted.
   struct Footprint {
     std::size_t live = 0;
     std::size_t owned = 0;
     std::uint64_t allocated = 0;
     std::size_t usage = 0;
     std::uint64_t evictions = 0;
-    std::size_t full_shards = 0;
   };
   Footprint footprint() const {
     Footprint f;
@@ -215,46 +171,20 @@ class ShardedLruCache {
   std::uint64_t evictions() const { return footprint().evictions; }
 
  private:
-  enum Count : std::size_t {
-    kHits,
-    kMisses,
-    kDeclined,
-    kBypassed,
-    kNumCounts
-  };
-  static constexpr std::size_t kSpareBound = kMaxBatches * kBatch;
-
-  struct Pool;
+  enum Count : std::size_t { kHits, kMisses, kBypassed, kNumCounts };
 
   /// A cached value with its chain link (read by lookups) and its
-  /// writer-side state (under the shard's mutex). The RetireNode base
-  /// carries a retired batch through the domain; batch_pool keeps the
-  /// batch's pool alive until its reclaim hook has run.
-  struct Entry : reclaim::EpochDomain::RetireNode {
+  /// writer-side state (under the shard's mutex).
+  struct Entry {
     std::atomic<Entry*> chain{nullptr};  ///< next in the bucket chain
     BlockKey key{};
     std::atomic<bool> referenced{false};
     V value{};
     std::size_t hash = 0;
     std::size_t charge = 0;
+    std::uint64_t stamp = 0;     ///< the domain's stamp() at kill()
     Entry* ring_prev = nullptr;  ///< CLOCK ring, while live
-    Entry* ring_next = nullptr;  ///< CLOCK ring; else batch or pool link
-    std::shared_ptr<Pool> batch_pool;
-  };
-
-  /// Spare entries that have served their grace period, and the
-  /// shard's mutex. Shared by the shard and its retired batches.
-  struct Pool {
-    std::mutex mu;
-    Entry* free = nullptr;     ///< under mu
-    std::size_t retired = 0;   ///< entries in retired batches; under mu
-
-    Pool() = default;
-    Pool(const Pool&) = delete;
-    Pool& operator=(const Pool&) = delete;
-    ~Pool() {
-      while (free != nullptr) delete std::exchange(free, free->ring_next);
-    }
+    Entry* ring_next = nullptr;  ///< CLOCK ring; while dead, the next younger
   };
 
   class alignas(kCacheLineSize) Shard {
@@ -265,13 +195,15 @@ class ShardedLruCache {
               bucket_count(capacity))),
           mask_(bucket_count(capacity) - 1) {}
 
+    /// Requires that no thread uses the cache: frees the live and dead
+    /// entries.
     ~Shard() {
       if (hand_ != nullptr) {
         hand_->ring_prev->ring_next = nullptr;  // open the ring
         while (hand_ != nullptr) delete std::exchange(hand_, hand_->ring_next);
       }
-      while (filling_ != nullptr) {
-        delete std::exchange(filling_, filling_->ring_next);
+      while (oldest_dead_ != nullptr) {
+        delete std::exchange(oldest_dead_, oldest_dead_->ring_next);
       }
     }
 
@@ -297,57 +229,26 @@ class ShardedLruCache {
       return nullptr;
     }
 
-    /// Whether an insert here would have to evict (file comment).
-    bool full() const {
-      // mo: relaxed — an admission hint: a stale read caches or
-      // declines one miss more, and inserts recheck under the mutex.
-      return full_.load(std::memory_order_relaxed);
-    }
-
     const V* insert(const BlockKey& key, std::size_t hash, const V& value,
                     std::size_t charge, reclaim::EpochDomain& domain) {
       if (charge > capacity_) return nullptr;
-      std::unique_lock<std::mutex> lock(pool_->mu);
-      if (pool_->free == nullptr && pool_->retired > 0 &&
-          drain_may_help(domain)) {
-        // A bounded drain may hand retired batches back to the pool.
-        const std::uint64_t before = domain.epoch();
-        lock.unlock();
-        const std::size_t freed = domain.drain(kMaxBatches);
-        lock.lock();
-        // Nothing came back, nothing else was left to free, and the
-        // epoch did not move: a reader in an older epoch refused the
-        // advance, so no drain can help before the epoch moves.
-        const bool stuck = pool_->free == nullptr && freed < kMaxBatches &&
-                           domain.epoch() == before;
-        stuck_epoch_ = stuck ? before : 0;
-        stuck_skips_ = 0;
-      }
-      Entry* e = pool_->free;
-      if (e != nullptr) {
-        pool_->free = e->ring_next;
-      } else if (owned_ - live_ < kSpareBound) {
-        e = new Entry;
-        ++owned_;
-        ++allocations_;
-      } else {
-        return nullptr;  // at the bound: bypass
-      }
-      if (Entry* old = find(key, hash)) retire_entry(old, domain);
-      // Make room. Each eviction adds a spare, and linking e takes one
-      // away, so evicting only while spares are within the bound keeps
-      // the shard within it once e is linked.
+      std::lock_guard<std::mutex> lock(mu_);
+      Entry* e = take_spare(domain);
+      if (e == nullptr) return nullptr;  // at the bound: bypass
+      if (Entry* old = find(key, hash)) kill(old, domain);
+      // Make room. Each eviction adds a dead entry, and linking e takes
+      // a spare away, so evicting only while spares are within the
+      // bound keeps the shard within it once e is linked.
       while (usage_ + charge > capacity_ && owned_ - live_ <= kSpareBound) {
         ++evictions_;
-        retire_entry(clock_victim(), domain);
+        kill(clock_victim(), domain);
       }
       if (usage_ + charge > capacity_) {
         // The loop stopped one spare past the bound without making room
-        // (larger blocks were evicting smaller ones): drop e, back to the
-        // bound, and bypass.
+        // (larger blocks were evicting smaller ones): drop e, which no
+        // reader can reach, back to the bound, and bypass.
         delete e;
         --owned_;
-        note_room(charge);
         return nullptr;
       }
       e->key = key;
@@ -355,28 +256,22 @@ class ShardedLruCache {
       e->charge = charge;
       e->value = value;
       link(e);
-      note_room(charge);
       return &e->value;
     }
 
     void erase(const BlockKey& key, std::size_t hash,
                reclaim::EpochDomain& domain) {
-      std::lock_guard<std::mutex> lock(pool_->mu);
-      if (Entry* e = find(key, hash)) {
-        const std::size_t charge = e->charge;
-        retire_entry(e, domain);  // may hand e to the domain
-        note_room(charge);
-      }
+      std::lock_guard<std::mutex> lock(mu_);
+      if (Entry* e = find(key, hash)) kill(e, domain);
     }
 
     void add_footprint(Footprint* f) const {
-      std::lock_guard<std::mutex> lock(pool_->mu);
+      std::lock_guard<std::mutex> lock(mu_);
       f->live += live_;
       f->owned += owned_;
       f->allocated += allocations_;
       f->usage += usage_;
       f->evictions += evictions_;
-      f->full_shards += full() ? 1 : 0;
     }
 
    private:
@@ -390,25 +285,43 @@ class ShardedLruCache {
       return buckets_[(hash / kNumShards) & mask_];
     }
 
-    // ---- under pool_->mu ---------------------------------------------
+    // ---- under mu_ ---------------------------------------------------
 
-    /// Whether a drain is worth its advance attempt and limbo walk.
-    /// After a stuck drain, the next waits for the epoch to move, or
-    /// for kBatch inserts that would have drained, in case the reader
-    /// that refused the advance has left.
-    bool drain_may_help(const reclaim::EpochDomain& domain) {
-      return domain.epoch() != stuck_epoch_ || ++stuck_skips_ % kBatch == 0;
+    /// The entry an insert fills: the oldest dead one once the epoch
+    /// has passed it; else a new one while the shard is below its
+    /// bound; else, after one advance attempt, the oldest dead one if
+    /// that attempt let it expire. nullptr: bypass.
+    Entry* take_spare(reclaim::EpochDomain& domain) {
+      if (Entry* e = take_expired(domain)) return e;
+      if (owned_ - live_ < kSpareBound) {
+        ++owned_;
+        ++allocations_;
+        return new Entry;
+      }
+      // After a refused advance (a reader in an older epoch), none can
+      // succeed before the epoch moves: wait for that, retrying every
+      // kRetryEvery-th insert in case the reader has left.
+      const std::uint64_t epoch = domain.epoch();
+      if (epoch == stuck_epoch_ && ++stuck_skips_ % kRetryEvery != 0) {
+        return nullptr;
+      }
+      stuck_epoch_ = domain.try_advance() ? 0 : epoch;
+      stuck_skips_ = 0;
+      return take_expired(domain);
     }
 
-    /// After usage_ changed by a block of `charge`: the shard is full
-    /// while another such block would not fit. Stored only when that
-    /// flips, so lookups keep this line shared.
-    void note_room(std::size_t charge) {
-      const bool full = usage_ + charge > capacity_;
-      // mo: relaxed — the mutex orders the writers; full() is a hint.
-      if (full_.load(std::memory_order_relaxed) != full) {
-        full_.store(full, std::memory_order_relaxed);  // mo: as above
+    /// The oldest dead entry, taken off the dead list, if every reader
+    /// that could still hold it has left its epoch; or nullptr.
+    Entry* take_expired(const reclaim::EpochDomain& domain) {
+      Entry* e = oldest_dead_;
+      if (e == nullptr) return nullptr;
+      if (!domain.expired(e->stamp) &&
+          !HEMLOCK_VERIFY_MUTANT("cache:recycle-early")) {
+        return nullptr;
       }
+      oldest_dead_ = e->ring_next;
+      if (oldest_dead_ == nullptr) newest_dead_ = nullptr;
+      return e;
     }
 
     Entry* find(const BlockKey& key, std::size_t hash) {
@@ -456,9 +369,9 @@ class ShardedLruCache {
       return hand_;
     }
 
-    /// Unlink e from its chain and the ring, and add it to the filling
-    /// batch, retiring the batch once it is full.
-    void retire_entry(Entry* e, reclaim::EpochDomain& domain) {
+    /// Unlink e from its chain and the ring, stamp it after the unlink,
+    /// as EpochDomain::retire() stamps, and append it to the dead list.
+    void kill(Entry* e, reclaim::EpochDomain& domain) {
       std::atomic<Entry*>* link = &bucket(e->hash);
       // mo: relaxed — the mutex orders every store to the chains.
       while (link->load(std::memory_order_relaxed) != e) {
@@ -478,45 +391,30 @@ class ShardedLruCache {
       }
       --live_;
       usage_ -= e->charge;
-      e->ring_next = filling_;
-      filling_ = e;
-      if (++filling_count_ < kBatch) return;
-      filling_->batch_pool = pool_;
-      pool_->retired += kBatch;
-      domain.retire(std::exchange(filling_, nullptr), &recycle);
-      filling_count_ = 0;
+      e->stamp = domain.stamp();
+      e->ring_next = nullptr;
+      if (newest_dead_ != nullptr) {
+        newest_dead_->ring_next = e;
+      } else {
+        oldest_dead_ = e;
+      }
+      newest_dead_ = e;
     }
-
-    /// A retired batch's reclaim hook: its grace period is over, so no
-    /// lookup can still reach its entries; back to the pool with them.
-    static void recycle(reclaim::EpochDomain::RetireNode* node) {
-      Entry* head = static_cast<Entry*>(node);
-      const std::shared_ptr<Pool> pool = std::move(head->batch_pool);
-      Entry* tail = head;
-      while (tail->ring_next != nullptr) tail = tail->ring_next;
-      std::lock_guard<std::mutex> lock(pool->mu);
-      tail->ring_next = pool->free;
-      pool->free = head;
-      pool->retired -= kBatch;
-    }  // the last batch of a destroyed cache frees the pool here
 
     // Read by every lookup; written only by the constructor.
     const std::size_t capacity_;
     const std::unique_ptr<std::atomic<Entry*>[]> buckets_;
     const std::size_t mask_;
-    // Read by misses; stored under pool_->mu when it flips (note_room).
-    std::atomic<bool> full_{false};
 
-    // Written by inserts and erases, under pool_->mu.
-    alignas(kCacheLineSize) const std::shared_ptr<Pool> pool_ =
-        std::make_shared<Pool>();
-    Entry* hand_ = nullptr;     ///< CLOCK hand on the ring of live entries
-    Entry* filling_ = nullptr;  ///< evicted entries not yet retired
-    std::size_t filling_count_ = 0;
-    std::uint64_t stuck_epoch_ = 0;  ///< epoch of the last stuck drain; 0: none
-    std::size_t stuck_skips_ = 0;    ///< drains skipped since
+    // Written by inserts and erases, under mu_.
+    alignas(kCacheLineSize) mutable std::mutex mu_;
+    Entry* hand_ = nullptr;         ///< CLOCK hand on the ring of live entries
+    Entry* oldest_dead_ = nullptr;  ///< the dead list, oldest first
+    Entry* newest_dead_ = nullptr;
+    std::uint64_t stuck_epoch_ = 0;  ///< epoch of the last refused advance; 0: none
+    std::size_t stuck_skips_ = 0;    ///< advances skipped since
     std::size_t live_ = 0;
-    std::size_t owned_ = 0;  ///< live + spares (filling, retired, pooled)
+    std::size_t owned_ = 0;  ///< live + dead
     std::size_t usage_ = 0;
     std::uint64_t evictions_ = 0;
     std::uint64_t allocations_ = 0;

@@ -29,9 +29,10 @@
 // memtable is ShardedDB's, with the same row lifecycle (memtable.hpp).
 // A put's written row replaces the key's entry, which dies, and a
 // later put of its size reuses the dead entry once the cache's domain
-// has passed it. DB's puts do not drain that domain; its block cache
-// and its other users do, so a DB whose domain never moves bump-
-// allocates every entry, as it did before reuse.
+// has passed it. DB's puts do not drain that domain, and its block
+// cache only advances it (on a miss at a shard's entry bound,
+// cache.hpp); the domain's other users drain it. A DB whose domain
+// never moves bump-allocates every entry, as it did before reuse.
 #pragma once
 
 #include <cstdint>

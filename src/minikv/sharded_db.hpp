@@ -60,9 +60,14 @@
 // rows are never flushed (the tables hold them already) and do not
 // count toward the write budget the shard flushes on, so read traffic
 // never moves a flush; the memtable caps them at an eighth of that
-// budget. With most gets answered by the memtable, the block cache
-// inserts that used to drive the epoch forward became rare, so the
-// write path drains the epoch domain itself (write()).
+// budget.
+//
+// Readers never reclaim. A get pins the epoch, and a block-cache miss
+// at its shard's entry bound may try to advance it (cache.hpp); a get
+// frees nothing. Retired memtables and versions are freed by the write
+// path's drains (write()), flush() and the destructor. So in a read-
+// only phase after a flush, that flush's retirees stay pending until
+// the next write.
 //
 // The row lifecycle (memtable.hpp). A put makes a *written* row; read
 // promotion makes a *clean* one, which the key's next put turns into a
@@ -330,11 +335,9 @@ class ShardedDB {
     return n;
   }
 
-  /// Block cache statistics; a declined miss is one the cache's
-  /// admission left uncached (cache.hpp).
+  /// Block cache statistics.
   std::uint64_t cache_hits() const { return cache_.hits(); }
   std::uint64_t cache_misses() const { return cache_.misses(); }
-  std::uint64_t cache_declined() const { return cache_.declined(); }
 
   /// Operation + reclamation counters, exact once operations quiesce.
   ShardedDbStats stats() const {
@@ -387,8 +390,7 @@ class ShardedDB {
   }
 
   /// Writes per thread between the epoch drains write() runs without a
-  /// flush (file header: promotion left gets few cache inserts to
-  /// advance the epoch).
+  /// flush (file header: readers never reclaim).
   static constexpr std::uint32_t kDrainEveryWrites = 16;
 
   Status write(const Slice& key, const Slice& tagged) {

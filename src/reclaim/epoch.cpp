@@ -12,12 +12,6 @@ namespace {
 /// EpochDomain, process-wide.
 std::atomic<std::uint32_t> g_domain_slots{0};
 
-/// retire(p, deleter)'s limbo node, allocated per call.
-struct BoxedRetiree : EpochDomain::RetireNode {
-  void* ptr;
-  void (*deleter)(void*);
-};
-
 }  // namespace
 
 EpochDomain::EpochDomain() {
@@ -50,10 +44,11 @@ EpochDomain::EpochDomain() {
 EpochDomain::~EpochDomain() {
   // Contract: quiesced (no reader in-epoch, no concurrent calls), so
   // every retiree is safe regardless of its stamp.
-  RetireNode* n = limbo_head_;
+  Retiree* n = limbo_head_;
   while (n != nullptr) {
-    RetireNode* next = n->next;
-    n->reclaim(n);
+    Retiree* next = n->next;
+    n->deleter(n->ptr);
+    delete n;
     n = next;
   }
   limbo_head_ = nullptr;
@@ -110,19 +105,7 @@ std::uint64_t EpochDomain::stamp() const noexcept {
 }
 
 void EpochDomain::retire(void* p, void (*deleter)(void*)) {
-  auto* box = new BoxedRetiree;
-  box->ptr = p;
-  box->deleter = deleter;
-  retire(box, [](RetireNode* n) {
-    auto* b = static_cast<BoxedRetiree*>(n);
-    b->deleter(b->ptr);
-    delete b;
-  });
-}
-
-void EpochDomain::retire(RetireNode* node, void (*reclaim)(RetireNode*)) {
-  node->reclaim = reclaim;
-  node->epoch = stamp();  // the caller has unlinked it
+  auto* node = new Retiree{p, deleter, stamp(), nullptr};  // p is unlinked
   RawSpinGuard g(limbo_lock_);
   node->next = limbo_head_;
   limbo_head_ = node;
@@ -170,13 +153,13 @@ bool EpochDomain::try_advance() noexcept {
 
 std::size_t EpochDomain::drain(std::size_t max_frees) {
   try_advance();
-  RetireNode* to_free = nullptr;
+  Retiree* to_free = nullptr;
   std::size_t taken = 0;
   {
     RawSpinGuard g(limbo_lock_);
-    RetireNode** pp = &limbo_head_;
+    Retiree** pp = &limbo_head_;
     while (*pp != nullptr && taken < max_frees) {
-      RetireNode* n = *pp;
+      Retiree* n = *pp;
       if (expired(n->epoch)) {  // every possible observer has exited
         *pp = n->next;
         n->next = to_free;
@@ -188,10 +171,11 @@ std::size_t EpochDomain::drain(std::size_t max_frees) {
     }
     pending_ -= taken;
   }
-  while (to_free != nullptr) {  // reclaim hooks run outside the limbo lock
-    RetireNode* n = to_free;
-    to_free = n->next;  // before the hook: it may free or reuse n
-    n->reclaim(n);
+  while (to_free != nullptr) {  // deleters run outside the limbo lock
+    Retiree* n = to_free;
+    to_free = n->next;
+    n->deleter(n->ptr);
+    delete n;
   }
   if (taken != 0) {
     freed_.fetch_add(taken, std::memory_order_relaxed);  // mo: stats

@@ -17,10 +17,7 @@
 //     on shared reclamation state.
 //   * Writers retire(ptr, deleter) garbage after unlinking it. The
 //     object is stamped with the current global epoch and parked on
-//     the domain's limbo list. An object that embeds a RetireNode is
-//     parked through that node instead, with no allocation, and its
-//     reclaim hook may recycle it rather than free it (the block
-//     cache's entry batches, minikv/cache.hpp).
+//     the domain's limbo list.
 //   * Anyone may try_advance(): the global epoch moves from E to E+1
 //     only when every thread announcing an epoch announces exactly E
 //     (a thread still at E-1 could hold references unlinked two
@@ -28,12 +25,18 @@
 //     global epoch reaches R+2 — by then every reader that could have
 //     observed the object has exited.
 //   * drain(max) bounds reclamation work per call: one advance
-//     attempt, one walk of the limbo list, at most `max` reclaims (an
-//     unbounded free storm would turn the caller's operation into a
-//     latency cliff). The serving layer drains from its write paths,
-//     and the block cache from a miss that finds its shard's entry
-//     pool empty, so a get may run any retiree's reclaim hook —
-//     memtable and table-version deleters included.
+//     attempt, one walk of the limbo list, at most `max` deleter calls
+//     (an unbounded free storm would turn the caller's operation into
+//     a latency cliff).
+//   * Readers never reclaim. A get pins the epoch and, on a block-cache
+//     miss at its shard's entry bound, may try to advance it
+//     (minikv/cache.hpp); it frees nothing. Retired memtables and table
+//     versions are freed by writers' drains, flush() and destructors
+//     (minikv/sharded_db.hpp), so in a read-only phase after a flush,
+//     that flush's retirees stay pending until the next write. Entries
+//     that are recycled rather than freed (the block cache's, the
+//     memtable's dead rows) never enter the limbo list: their owners
+//     stamp them with stamp() and reuse them once expired() says so.
 //
 // A stalled reader never deadlocks the domain: advance attempts
 // simply fail (counted in DomainStats::advance_blocked) and garbage
@@ -88,23 +91,10 @@ class EpochDomain {
   /// Whether the calling thread is currently inside this domain.
   bool in_epoch() const noexcept;
 
-  /// A limbo-list link embedded in a retired object, so that retiring
-  /// it allocates nothing (retire(p, deleter) allocates one).
-  struct RetireNode {
-    void (*reclaim)(RetireNode*) = nullptr;
-    std::uint64_t epoch = 0;  ///< global epoch at retire time
-    RetireNode* next = nullptr;
-  };
-
   /// Defer `deleter(p)` until no reader can still hold a reference.
   /// Call AFTER unlinking `p` from the shared structure. Never frees
   /// inline; never blocks on readers.
   void retire(void* p, void (*deleter)(void*));
-
-  /// Allocation-free retire: defer `reclaim(node)` likewise. The node
-  /// (and whatever embeds it) belongs to the domain until reclaim runs,
-  /// which may free or recycle it.
-  void retire(RetireNode* node, void (*reclaim)(RetireNode*));
 
   /// Typed convenience: defers `delete static_cast<T*>(p)`.
   template <typename T>
@@ -121,7 +111,7 @@ class EpochDomain {
   /// Advance if possible, then free up to `max_frees` safe retirees
   /// (retired two or more epochs ago). Returns the number freed.
   /// Bounded: a single call never does more than one advance attempt,
-  /// one walk of the limbo list and `max_frees` reclaim invocations.
+  /// one walk of the limbo list and `max_frees` deleter calls.
   std::size_t drain(std::size_t max_frees = kDefaultDrainBatch);
 
   /// The current global epoch, for callers that pace their drains by
@@ -137,7 +127,8 @@ class EpochDomain {
   /// store. expired(stamp) says whether every reader that could have
   /// reached it before the unlink has exited: the epoch has advanced
   /// twice since. retire() stamps and drain() frees by exactly this
-  /// rule; MemTable reuses its overwritten entries by it too.
+  /// rule; MemTable reuses its overwritten entries by it, and the block
+  /// cache its evicted ones.
   std::uint64_t stamp() const noexcept;
   bool expired(std::uint64_t stamp) const noexcept {
     // mo: acquire — pairs with the advancing CAS, which came after the
@@ -157,6 +148,14 @@ class EpochDomain {
   static constexpr std::size_t kDefaultDrainBatch = 64;
 
  private:
+  /// A retired object on the limbo list.
+  struct Retiree {
+    void* ptr;
+    void (*deleter)(void*);
+    std::uint64_t epoch;  ///< stamp() at retire time
+    Retiree* next;
+  };
+
   // Every enter() reads these two, so they get a line of their own:
   // the limbo list and the counters below are written by every drain.
   alignas(kCacheLineSize) std::uint32_t slot_;  ///< index into ThreadRec::epochs
@@ -166,8 +165,8 @@ class EpochDomain {
   /// path; the raw spinlock keeps this header free of the locks the
   /// library itself implements).
   alignas(kCacheLineSize) mutable RawSpinLock limbo_lock_;
-  RetireNode* limbo_head_ = nullptr;  ///< under limbo_lock_
-  std::uint64_t pending_ = 0;      ///< under limbo_lock_
+  Retiree* limbo_head_ = nullptr;  ///< under limbo_lock_
+  std::uint64_t pending_ = 0;     ///< under limbo_lock_
   std::atomic<std::uint64_t> freed_{0};
   std::atomic<std::uint64_t> advances_{0};
   std::atomic<std::uint64_t> advance_blocked_{0};

@@ -17,6 +17,8 @@
 #include <new>
 #include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "core/hemlock.hpp"
 #include "core/hemlock_chain.hpp"
@@ -440,6 +442,91 @@ struct RecycleScenario {
 };
 
 // ---------------------------------------------------------------------
+// MiniKV block-cache recycling (minikv/cache.hpp). The cache's shards
+// hold one block each, and blocks b0, b1 and b2 map to one shard, b0
+// cached. Thread 0, inside an EpochGuard, reads b0 and stops at
+// `cache:hit`, between the hit and the return of its block; it then
+// records whether every key and value it reads is b0's. Thread 1
+// inserts b1, which evicts b0 (its entry dies), makes two advance
+// attempts and inserts b2, which reuses the oldest dead entry, b0's,
+// once the epoch has passed it. Thread 0's guard keeps the epoch from
+// passing the entry it holds, so b2 then takes a new one. Thread 1
+// yields between its steps, so the read can also start after any of
+// them. The `-mutant` row reuses dead entries without the epoch check
+// and must be caught.
+// ---------------------------------------------------------------------
+
+struct CacheRecycleScenario {
+  using Cache = minikv::ShardedLruCache<minikv::Block>;
+  static inline reclaim::EpochDomain* domain = nullptr;
+  static inline minikv::ImmutableTable* table = nullptr;
+  static inline Cache* cache = nullptr;
+  static inline std::size_t b[3] = {};  ///< three blocks of one shard
+  static inline bool whole = false;
+
+  static void insert(std::size_t idx) {
+    const minikv::Block& block = table->block(idx);
+    cache->insert({table->id(), static_cast<std::uint32_t>(idx)}, block,
+                  block.charge());
+  }
+
+  static void init() {
+    domain = new reclaim::EpochDomain();
+    std::vector<std::pair<std::string, std::string>> rows;
+    for (int i = 0; i < 100; ++i) {  // one entry a block, every block alike
+      const std::string n = std::to_string(100 + i);
+      rows.emplace_back("k" + n, "v" + n);
+    }
+    table = new minikv::ImmutableTable(1, rows, 1);
+    auto shard_of = [](std::size_t idx) {
+      return minikv::BlockKeyHash{}({1, static_cast<std::uint32_t>(idx)}) %
+             Cache::kNumShards;
+    };
+    std::size_t found = 0;
+    for (std::size_t i = 0; found < 3 && i < table->num_blocks(); ++i) {
+      if (shard_of(i) == shard_of(0)) b[found++] = i;
+    }
+    VERIFY_ASSERT(found == 3);
+    // A shard's capacity is a 16th of the cache's, plus one byte.
+    cache = new Cache(Cache::kNumShards * table->block(0).charge(), *domain);
+    insert(b[0]);
+    whole = false;
+  }
+
+  static void exec(std::uint32_t id) {
+    if (id == 0) {
+      reclaim::EpochGuard g(*domain);
+      const minikv::BlockRef got =
+          minikv::read_block_cached(*cache, *table, b[0]);
+      const minikv::Block& want = table->block(b[0]);
+      bool same = got->size() == want.size();
+      for (std::size_t i = 0; same && i < want.size(); ++i) {
+        same = got->key(i) == want.key(i) && got->value(i) == want.value(i);
+      }
+      whole = same;
+    } else {
+      insert(b[1]);  // evicts b0
+      yield_point("recycle:step");
+      domain->try_advance();
+      yield_point("recycle:step");
+      domain->try_advance();
+      yield_point("recycle:step");
+      insert(b[2]);  // evicts b1, into b0's entry if the epoch passed it
+    }
+  }
+
+  static void fini() {
+    VERIFY_ASSERT(whole);  // thread 0 read b0, whole
+    delete cache;
+    delete table;
+    delete domain;
+    cache = nullptr;
+    table = nullptr;
+    domain = nullptr;
+  }
+};
+
+// ---------------------------------------------------------------------
 // The deliberately-broken toy lock: test-and-set with the test and
 // the set split by a yield point — the textbook lost-update race. The
 // harness must catch it within the bounded depth; this regression-
@@ -582,6 +669,15 @@ const Scenario kScenarios[] = {
      "memtable reuse without the epoch check — must be caught", 2,
      &RecycleScenario::init, &RecycleScenario::exec, &RecycleScenario::fini,
      nullptr, true, "memtable:recycle-early"},
+    {"cache-recycle",
+     "MiniKV block-cache hit vs. an eviction whose dead entry an insert "
+     "reuses",
+     2, &CacheRecycleScenario::init, &CacheRecycleScenario::exec,
+     &CacheRecycleScenario::fini, nullptr, false},
+    {"cache-recycle-mutant",
+     "block-cache reuse without the epoch check — must be caught", 2,
+     &CacheRecycleScenario::init, &CacheRecycleScenario::exec,
+     &CacheRecycleScenario::fini, nullptr, true, "cache:recycle-early"},
     {"broken", "deliberately racy test-and-set — must be caught", 2,
      &MutexScenario<BrokenTas>::init, &MutexScenario<BrokenTas>::exec,
      &MutexScenario<BrokenTas>::fini, nullptr, true},

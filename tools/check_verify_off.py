@@ -49,6 +49,8 @@ RESIDUE = [
     "promote:skip-recheck",
     "memtable:hit",
     "memtable:recycle-early",
+    "cache:hit",
+    "cache:recycle-early",
     "tl_hook",
 ]
 

@@ -31,6 +31,14 @@ bool sharded_put(hemlock::minikv::ShardedDB<hemlock::Hemlock>& db) {
   return db.put("k", "v").is_ok();
 }
 
+// A block-cache read: its hit's yield point, and the insert whose
+// dead-entry reuse plants a mutant.
+std::size_t cached_block_read(
+    hemlock::minikv::ShardedLruCache<hemlock::minikv::Block>& cache,
+    const hemlock::minikv::ImmutableTable& table) {
+  return hemlock::minikv::read_block_cached(cache, table, 0)->size();
+}
+
 void hemlock_cycle(hemlock::Hemlock& l) {
   l.lock();
   l.unlock();
