@@ -4,19 +4,11 @@
 // Where Figure 8 shows the central-lock collapse on uniform
 // readrandom, this bench sweeps the four serving scenarios
 // (minikv/traffic.hpp: read-heavy, scan-heavy, hot-key, write-burst)
-// across three backends built on the SAME storage engine:
+// across two backends built on the SAME storage engine:
 //
-//   central@<scenario>         DB<AnyLock>: one central mutex
-//   sharded@<scenario>         ShardedDB: per-shard locks, Get()/Scan()
-//                              lock-free under epoch reclamation
-//   sharded-locked@<scenario>  ShardedDB with epoch_reads=false:
-//                              same sharding, reads take the shard
-//                              lock in shared mode — isolating "what
-//                              does QSBR buy over a shared-mode lock"
-//                              for the memtable and table version.
-//                              Both sharded tiers read cached blocks
-//                              under the DB's epoch domain, which
-//                              recycles them (minikv/cache.hpp).
+//   central@<scenario>  DB<AnyLock>: one central mutex
+//   sharded@<scenario>  ShardedDB: per-shard locks, Get()/Scan()
+//                       lock-free under epoch reclamation
 //
 // The shard/central lock algorithm is runtime-chosen (--lock=<name>,
 // default hemlock).
@@ -117,9 +109,9 @@ int main(int argc, char** argv) {
   // One warmed instance per backend, shared across scenarios and
   // thread counts (the Figure-8 reuse protocol; writes stay inside
   // the pre-filled keyspace, so the working set is stationary). Each
-  // backend carries a telemetry name — the sharded backends share one
-  // handle across their shard locks, so the per-lock table reports
-  // one row per backend, not one per shard.
+  // backend carries a telemetry name — the sharded backend shares one
+  // handle across its shard locks, so the per-lock table reports one
+  // row per backend, not one per shard.
   minikv::DB<AnyLock> central(minikv::DbOptions{},
                               std::string_view(cfg.lock_name),
                               std::string_view("minikv:central"));
@@ -127,19 +119,12 @@ int main(int argc, char** argv) {
   sharded_opts.num_shards = cfg.shards;
   minikv::ShardedDB<> sharded(sharded_opts, std::string_view(cfg.lock_name),
                               std::string_view("minikv:sharded"));
-  minikv::ShardedDbOptions locked_opts = sharded_opts;
-  locked_opts.epoch_reads = false;
-  minikv::ShardedDB<> sharded_locked(
-      locked_opts, std::string_view(cfg.lock_name),
-      std::string_view("minikv:sharded-locked"));
 
   minikv::CentralBackend<AnyLock> central_kv(central);
   minikv::ShardedBackend<> sharded_kv(sharded);
-  minikv::ShardedBackend<> sharded_locked_kv(sharded_locked);
   const std::pair<const char*, minikv::KvBackend*> backends[] = {
       {"central", &central_kv},
       {"sharded", &sharded_kv},
-      {"sharded-locked", &sharded_locked_kv},
   };
   for (const auto& [name, kv] : backends) {
     (void)name;

@@ -9,10 +9,10 @@
 // acquire one (quiescent-state reclamation keeps retired memtables/
 // versions alive until in-flight readers exit; a get answered by the
 // tables try_locks its shard to promote the row into the memtable),
-// and the same binary can flip to shared-mode locked reads for
-// comparison. An overwrite's dead memtable entry is reused by a later
-// write of its size once the epoch has passed it, so the memtables
-// flush only when new keys fill them.
+// and a scan merges every shard in one pass. An overwrite's dead
+// memtable entry is reused by a later write of its size once the
+// epoch has passed it, so the memtables flush only when new keys fill
+// them.
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
@@ -96,8 +96,8 @@ int main(int argc, char** argv) {
             << "aggregate ops: " << ops.load() << " ("
             << static_cast<double>(ops.load()) / seconds / 1e6
             << " M ops/sec)\n"
-            << "gets: " << st.epoch_gets << " epoch-protected, "
-            << st.locked_gets << " locked; scans: " << st.scans << "\n"
+            << "gets: " << st.epoch_gets << " epoch-protected; scans: "
+            << st.scans << "\n"
             << "flushes: " << st.flushes << ", compactions: "
             << st.compactions << ", tables now: " << db.num_tables() << "\n"
             << "reclamation: epoch " << st.reclaim.epoch << ", "
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
             << st.reclaim.advance_blocked << " blocked by in-flight "
             << "readers)\n"
             << "gets answered by the memtable: "
-            << st.epoch_gets + st.locked_gets - st.table_gets
+            << st.epoch_gets - st.table_gets
             << ", by tables: " << st.table_gets << "\n"
             << "rows promoted into the memtable: " << st.promotions << "\n"
             << "writes that reused a dead memtable entry: " << st.recycled

@@ -1,13 +1,14 @@
-// scan.hpp — newest-wins merge scan over one (memtable, version)
-// snapshot.
+// scan.hpp — newest-wins merge scan over (memtable, version)
+// snapshots.
 //
-// Both DB<Lock>::scan() and ShardedDB's per-shard scan leg walk the
-// same shape of snapshot: one mutable memtable plus a newest-first
-// list of immutable tables, each individually sorted and de-duplicated.
-// merge_scan() is the single k-way merge over those sources: ascending
-// key order, and where several sources carry the same key the newest
-// source wins (memtable, then tables in version order) — the scan
-// twin of the point-lookup search order.
+// DB<Lock>::scan() reads one snapshot: a mutable memtable plus a
+// newest-first list of immutable tables, each individually sorted and
+// de-duplicated. ShardedDB::scan() reads one such snapshot per shard,
+// and shards partition the keyspace, so the snapshots' key sets are
+// disjoint. merge_scan() is the single k-way merge over all of them:
+// ascending key order, and where several sources of one snapshot carry
+// the same key the newest source wins (memtable, then tables in
+// version order) — the scan twin of the point-lookup search order.
 //
 // The caller supplies the block fetch (so table blocks flow through
 // the owning DB's block cache) and a visitor that returns false to
@@ -17,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -81,35 +83,52 @@ class TableCursor {
 
 }  // namespace detail
 
-/// Merge-scan the snapshot (mem, version) from the first key >=
-/// `start`, ascending, invoking fn(key, value) for the NEWEST version
-/// of each key until fn returns false or the snapshot is exhausted.
-/// `fetch(table, block_idx)` materializes table blocks: normally a
-/// BlockRef through the DB's block cache, with the caller inside an
-/// EpochGuard on the cache's domain; a fold that holds the tables alive
-/// may return `const Block*` instead (table.block()).
+/// One (memtable, version) pair a scan reads: a DB's, or a shard's.
+struct ScanSnapshot {
+  const MemTable* mem;
+  const TableVersion* version;
+};
+
+/// Merge-scan `snapshots`, whose key sets are disjoint, from the first
+/// key >= `start`, ascending, invoking fn(key, value) for the NEWEST
+/// version of each key until fn returns false or every snapshot is
+/// exhausted. `fetch(table, block_idx)` materializes table blocks:
+/// normally a BlockRef through the DB's block cache, with the caller
+/// inside an EpochGuard on the cache's domain; a fold that holds the
+/// tables alive may return `const Block*` instead (table.block()).
 ///
 /// Values are handed through verbatim — a layer that encodes
 /// tombstones in its values (ShardedDB) filters them in its visitor,
 /// where a suppressed key still consumed its older versions here.
 template <typename Fetch, typename Fn>
-void merge_scan(const MemTable& mem, const TableVersion& version,
-                const Slice& start, Fetch&& fetch, Fn&& fn) {
-  MemTable::Cursor mem_cursor(mem, start);
+void merge_scan(std::span<const ScanSnapshot> snapshots, const Slice& start,
+                Fetch&& fetch, Fn&& fn) {
+  // Sources in tie-break order: every memtable, then each snapshot's
+  // tables newest first. A key lives in one snapshot only, so the
+  // memtable-before-tables order that matters is the one within it.
+  std::vector<MemTable::Cursor> mem_cursors;
+  mem_cursors.reserve(snapshots.size());
+  std::size_t num_tables = 0;
+  for (const ScanSnapshot& s : snapshots) {
+    mem_cursors.emplace_back(*s.mem, start);
+    num_tables += s.version->tables.size();
+  }
   // Fetch deduces as an lvalue reference for lvalue hooks; the cursor
   // stores a pointer, so strip the reference.
   std::vector<detail::TableCursor<std::remove_reference_t<Fetch>>>
       table_cursors;
-  table_cursors.reserve(version.tables.size());
-  for (const auto& t : version.tables) {  // newest first
-    table_cursors.emplace_back(*t, start, fetch);
+  table_cursors.reserve(num_tables);
+  for (const ScanSnapshot& s : snapshots) {
+    for (const auto& t : s.version->tables) {  // newest first
+      table_cursors.emplace_back(*t, start, fetch);
+    }
   }
 
   std::string yielded;  // reused owning copy of the key being advanced past
   for (;;) {
     // Minimum key across sources; among equal keys the first source
-    // in (mem, tables newest-first) order is the newest version —
-    // strict < keeps the first-seen winner on ties.
+    // in tie-break order is the newest version — strict < keeps the
+    // first-seen winner on ties.
     Slice best_key, best_value;
     bool have = false;
     auto consider = [&](Slice k, Slice v) {
@@ -119,7 +138,9 @@ void merge_scan(const MemTable& mem, const TableVersion& version,
         have = true;
       }
     };
-    if (mem_cursor.valid()) consider(mem_cursor.key(), mem_cursor.value());
+    for (auto& c : mem_cursors) {
+      if (c.valid()) consider(c.key(), c.value());
+    }
     for (auto& c : table_cursors) {
       if (c.valid()) consider(c.key(), c.value());
     }
@@ -131,11 +152,21 @@ void merge_scan(const MemTable& mem, const TableVersion& version,
     // into.
     yielded.assign(best_key.data(), best_key.size());
     const Slice done(yielded);
-    if (mem_cursor.valid() && mem_cursor.key() == done) mem_cursor.next();
+    for (auto& c : mem_cursors) {
+      if (c.valid() && c.key() == done) c.next();
+    }
     for (auto& c : table_cursors) {
       if (c.valid() && c.key() == done) c.next();
     }
   }
+}
+
+/// merge_scan over the one snapshot (mem, version).
+template <typename Fetch, typename Fn>
+void merge_scan(const MemTable& mem, const TableVersion& version,
+                const Slice& start, Fetch&& fetch, Fn&& fn) {
+  const ScanSnapshot one{&mem, &version};
+  merge_scan(std::span(&one, 1), start, fetch, std::forward<Fn>(fn));
 }
 
 }  // namespace hemlock::minikv

@@ -7,8 +7,8 @@
 // built on the same storage shape looks like: the keyspace is hash-
 // partitioned across shards, each shard is a miniature LevelDB
 // (memtable + immutable table version + shared block cache) guarded
-// by its own lock, and the default Get() path never waits to acquire
-// a lock (it may try_lock to promote a row, below):
+// by its own lock, and the Get() path never waits to acquire a lock
+// (it may try_lock to promote a row, below):
 //
 //   * Writers (put/del/flush/compact) hold the shard lock. They
 //     replace the shard's memtable/version by PUBLISHING new pointers
@@ -20,13 +20,9 @@
 //     readers load the memtable BEFORE the version — so a reader that
 //     observes the post-flush (empty) memtable is guaranteed to
 //     observe the version holding the flushed table, and no key ever
-//     vanishes mid-flush.
-//   * A locked fallback (ShardedDbOptions::epoch_reads = false) takes
-//     the shard lock in shared mode instead — the direct comparison
-//     point for "when does QSBR beat a shared-mode lock" (README).
-//     Its table reads still enter the epoch: the block cache's entries
-//     are recycled through this DB's domain, so every holder of a
-//     cached block is inside an EpochGuard (minikv/cache.hpp).
+//     vanishes mid-flush. The same guard pins the blocks a reader
+//     holds: the block cache recycles its entries through this DB's
+//     domain (minikv/cache.hpp).
 //
 // Deletes exist at this layer (the central DB has none) via a 1-byte
 // value tag: 'V' + payload for live values, 'T' for tombstones. The
@@ -40,7 +36,7 @@
 // that reaches a table copies the found value, tag stripped, straight
 // out of the pinned block into the caller's string.
 //
-// Read promotion. A lock-free get that misses the memtable and finds a
+// Read promotion. A get that misses the memtable and finds a
 // live value in the tables also copies that row into the shard's
 // memtable as a *clean* row (memtable.hpp), so the key's next get stops
 // at the memtable instead of walking the version, the table's hash
@@ -55,12 +51,11 @@
 // The get promotes only if the shard still publishes the (memtable,
 // version) pair it searched and that memtable still lacks the key: a
 // put or flush that raced the search always wins. Tombstones are never
-// promoted, the locked tier never promotes, and neither does a shard
-// lock with no native try path (CLH's try_lock never succeeds). Clean
-// rows are never flushed (the tables hold them already) and do not
-// count toward the write budget the shard flushes on, so read traffic
-// never moves a flush; the memtable caps them at an eighth of that
-// budget.
+// promoted, and neither is anything over a shard lock with no native
+// try path (CLH's try_lock never succeeds). Clean rows are never
+// flushed (the tables hold them already) and do not count toward the
+// write budget the shard flushes on, so read traffic never moves a
+// flush; the memtable caps them at an eighth of that budget.
 //
 // Readers never reclaim. A get pins the epoch, and a block-cache miss
 // at its shard's entry bound may try to advance it (cache.hpp); a get
@@ -74,12 +69,11 @@
 // written row. The entry a put replaces is *dead*, and a later write of
 // its size *reuses* it once this DB's epoch domain has passed it: every
 // shard's memtable stamps and expires its dead entries by the domain
-// its lock-free readers pin, and a locked-tier reader excludes the
-// writer. So an overwrite-heavy skewed workload holds about one entry
-// per live key, a memtable flushes only when new keys fill it, and a
-// stalled reader only holds the reuse back (the memtable then fills and
-// flushes as it did without reuse). ShardedDbStats::recycled counts
-// the writes that reused a dead entry.
+// its readers pin. So an overwrite-heavy skewed workload holds about
+// one entry per live key, a memtable flushes only when new keys fill
+// it, and a stalled reader only holds the reuse back (the memtable then
+// fills and flushes as it did without reuse). ShardedDbStats::recycled
+// counts the writes that reused a dead entry.
 //
 // Every operation hashes its key once (detail::hash_key, slice.hpp):
 // the router picks the shard from the hash's top bits by multiply-
@@ -87,13 +81,13 @@
 // tables' hash directories read its low bits, which the router leaves
 // free within a shard.
 //
-// Cross-shard Scan() enters/exits the epoch once per shard, collects
-// each shard's bounded prefix with the same merge_scan the central DB
-// uses, then merges — shards partition the keyspace, so the global
-// result is a sort of disjoint per-shard results.
+// Cross-shard Scan() enters the epoch once, loads every shard's
+// (memtable, version) pair and makes one merge_scan pass over them all
+// (scan.hpp): shards partition the keyspace, so the snapshots' key sets
+// are disjoint and one newest-wins merge orders the whole result. Only
+// the rows it returns are copied.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -134,21 +128,16 @@ struct ShardedDbOptions {
   std::size_t block_fanout = ImmutableTable::kDefaultBlockFanout;
   /// Per-shard full-merge compaction trigger (table count).
   std::size_t compaction_trigger = 8;
-  /// true: Get()/Scan() run lock-free under epoch protection (the
-  /// point of this layer). false: they take the shard lock in shared
-  /// mode instead — the comparison baseline.
-  bool epoch_reads = true;
 };
 
 /// Operation counters + the reclamation domain's view.
 struct ShardedDbStats {
-  std::uint64_t epoch_gets = 0;   ///< lock-free gets served
-  std::uint64_t locked_gets = 0;  ///< shared-mode fallback gets
-  /// Gets (either tier) the memtable did not answer: they searched the
-  /// tables, through the block cache.
+  std::uint64_t epoch_gets = 0;  ///< gets served (all lock-free)
+  /// Gets the memtable did not answer: they searched the tables,
+  /// through the block cache.
   std::uint64_t table_gets = 0;
   /// Rows table gets copied into their shard's memtable (read
-  /// promotion; epoch tier only).
+  /// promotion).
   std::uint64_t promotions = 0;
   /// Writes whose memtable entry reused a dead one: an entry an
   /// earlier overwrite replaced, once the epoch had passed it
@@ -249,61 +238,49 @@ class ShardedDB {
     return write(key, Slice(tomb, 1));
   }
 
-  /// Point lookup. Default: lock-free under epoch protection — writers
-  /// retire rather than free, and the epoch guard keeps every
-  /// structure this thread can reach alive; a get answered by the
-  /// tables may try_lock the shard to promote its row, and never waits
-  /// to acquire (file header). Fallback (epoch_reads=false): shard
-  /// lock, shared mode.
+  /// Point lookup, lock-free under epoch protection: writers retire
+  /// rather than free, and the epoch guard keeps every structure this
+  /// thread can reach alive; a get answered by the tables may try_lock
+  /// the shard to promote its row, and never waits to acquire (file
+  /// header).
   Status get(const Slice& key, std::string* value) {
     const std::uint64_t hash = detail::hash_key(key);
-    Shard& s = shard_for(hash);
-    if (options_.epoch_reads) {
-      ops_.add(kEpochGets);
-      reclaim::EpochGuard g(*domain_);
-      return search_shard(s, key, hash, value);
-    }
-    ops_.add(kLockedGets);
-    if constexpr (SharedLockable<ShardLock>) {
-      SharedLockGuard<ShardLock> g(s.mu.value);
-      return search_shard(s, key, hash, value);
-    } else {  // exclusive-only algorithm: readers serialize
-      LockGuard<ShardLock> g(s.mu.value);
-      return search_shard(s, key, hash, value);
-    }
+    ops_.add(kEpochGets);
+    reclaim::EpochGuard g(*domain_);
+    return search_shard(shard_for(hash), key, hash, value);
   }
 
   /// Range scan: up to `limit` live entries with key >= `start`,
-  /// ascending across the whole keyspace. Enters/exits the epoch (and
-  /// in the locked tier the shard lock) once per shard; shards
-  /// partition the keyspace, so the merged result is the sorted union
-  /// of bounded per-shard prefixes.
+  /// ascending across the whole keyspace. One EpochGuard covers the
+  /// whole merge: every shard's (memtable, version) pair is loaded
+  /// under it and merged in one newest-wins pass; tombstones are
+  /// dropped in the visitor, and only the returned rows are copied.
   std::size_t scan(const Slice& start, std::size_t limit,
                    std::vector<std::pair<std::string, std::string>>* out) {
     out->clear();
     if (limit == 0) return 0;
     ops_.add(kScans);
-    std::vector<std::pair<std::string, std::string>> all;
-    for (auto& sp : shards_) {
-      Shard& s = *sp;
-      if (options_.epoch_reads) {
-        reclaim::EpochGuard g(*domain_);
-        collect_shard(s, start, limit, &all);
-      } else if constexpr (SharedLockable<ShardLock>) {
-        SharedLockGuard<ShardLock> g(s.mu.value);
-        reclaim::EpochGuard pin(*domain_);  // the leg's cached blocks
-        collect_shard(s, start, limit, &all);
-      } else {
-        LockGuard<ShardLock> g(s.mu.value);
-        reclaim::EpochGuard pin(*domain_);  // the leg's cached blocks
-        collect_shard(s, start, limit, &all);
-      }
+    reclaim::EpochGuard g(*domain_);
+    std::vector<ScanSnapshot> snapshots;
+    snapshots.reserve(shards_.size());
+    for (const auto& sp : shards_) {
+      // mo: acquire ×2 — pairs with flush_shard_locked's release
+      // publish; mem FIRST (publication-order invariant, file header).
+      const MemTable* mem = sp->mem.load(std::memory_order_acquire);
+      const TableVersion* version = sp->version.load(std::memory_order_acquire);
+      snapshots.push_back({mem, version});
     }
-    std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-      return Slice(a.first).compare(Slice(b.first)) < 0;
-    });
-    if (all.size() > limit) all.resize(limit);
-    *out = std::move(all);
+    auto fetch = [this](const ImmutableTable& t, std::size_t b) {
+      return read_block_cached(cache_, t, b);
+    };
+    merge_scan(snapshots, start, fetch,
+               [&](const Slice& k, const Slice& v) {
+                 if (!v.empty() && v[0] == kValueTag) {
+                   out->emplace_back(k.to_string(),
+                                     std::string(v.data() + 1, v.size() - 1));
+                 }
+                 return out->size() < limit;
+               });
     return out->size();
   }
 
@@ -343,7 +320,6 @@ class ShardedDB {
   ShardedDbStats stats() const {
     ShardedDbStats st;
     st.epoch_gets = ops_.sum(kEpochGets);
-    st.locked_gets = ops_.sum(kLockedGets);
     st.table_gets = ops_.sum(kTableGets);
     st.promotions = ops_.sum(kPromotions);
     st.recycled = ops_.sum(kRecycled);
@@ -419,15 +395,15 @@ class ShardedDB {
     return Status::ok();
   }
 
-  /// Lock-free (or locked) search of one shard for `key`, whose hash
-  /// is `hash`: a live value is copied, tag stripped, into *value. The
-  /// acquire loads pair with flush_shard_locked's release stores; mem
-  /// is loaded FIRST (see the publication-order comment at the top). A
+  /// Lock-free search of one shard for `key`, whose hash is `hash`: a
+  /// live value is copied, tag stripped, into *value. The acquire
+  /// loads pair with flush_shard_locked's release stores; mem is
+  /// loaded FIRST (see the publication-order comment at the top). A
   /// hit is a view into the memtable or a pinned table block, copied
-  /// here while the caller's epoch guard (or shard lock, plus a guard
-  /// for the blocks) keeps it alive. In the epoch tier, a live value
+  /// here while the caller's epoch guard keeps it alive. A live value
   /// found in the tables is promoted into the memtable while its block
   /// is still pinned.
+  /// REQUIRES: an EpochGuard on domain_.
   Status search_shard(Shard& s, const Slice& key, std::uint64_t hash,
                       std::string* value) {
     // mo: acquire — pairs with the release publish in
@@ -441,20 +417,12 @@ class ShardedDB {
     }
     ops_.add(kTableGets);
     Status st = Status::not_found();
-    auto found = [&](const Slice& t) {
+    search_tables(cache_, *version, key, hash, [&](const Slice& t) {
       st = unwrap(t, value);
       if constexpr (TryLockable<ShardLock>) {
-        if (options_.epoch_reads && st.is_ok()) {
-          promote(s, mem, version, key, hash, t);
-        }
+        if (st.is_ok()) promote(s, mem, version, key, hash, t);
       }
-    };
-    if (options_.epoch_reads) {
-      search_tables(cache_, *version, key, hash, found);  // get()'s guard pins
-    } else {
-      reclaim::EpochGuard pin(*domain_);  // the shard lock pins no block
-      search_tables(cache_, *version, key, hash, found);
-    }
+    });
     return st;
   }
 
@@ -493,30 +461,6 @@ class ShardedDB {
     }
     value->assign(tagged.data() + 1, tagged.size() - 1);
     return Status::ok();
-  }
-
-  /// Bounded per-shard scan leg: first `limit` LIVE entries >= start.
-  /// Tombstones are filtered here but still suppress older versions
-  /// inside merge_scan (newest-wins saw them first).
-  void collect_shard(Shard& s, const Slice& start, std::size_t limit,
-                     std::vector<std::pair<std::string, std::string>>* all) {
-    // mo: acquire — pairs with flush_shard_locked's release publish;
-    // mem FIRST (publication-order invariant, file header).
-    MemTable* mem = s.mem.load(std::memory_order_acquire);
-    TableVersion* version = s.version.load(std::memory_order_acquire);
-    auto fetch = [this](const ImmutableTable& t, std::size_t b) {
-      return read_block_cached(cache_, t, b);
-    };
-    std::size_t taken = 0;
-    merge_scan(*mem, *version, start, fetch,
-               [&](const Slice& k, const Slice& v) {
-                 if (v.size() >= 1 && v.data()[0] == kValueTag) {
-                   all->emplace_back(k.to_string(),
-                                     std::string(v.data() + 1, v.size() - 1));
-                   ++taken;
-                 }
-                 return taken < limit;
-               });
   }
 
   /// REQUIRES: s.mu held. Freeze the memtable into a table (a full-
@@ -568,7 +512,6 @@ class ShardedDB {
   /// them exactly.
   enum OpCount : std::size_t {
     kEpochGets,
-    kLockedGets,
     kTableGets,
     kPromotions,
     kRecycled,

@@ -63,8 +63,8 @@ const std::vector<TrafficScenario>& default_traffic_scenarios() {
       // 95% point reads / 5% writes, uniform keys: the classic serving
       // mix where epoch-protected lock-free reads should dominate.
       {.name = "read-heavy", .put_pct = 5},
-      // Range-scan heavy: scans hold the epoch (or shard lock) far
-      // longer than a point get — the reclamation-pressure scenario.
+      // Range-scan heavy: scans hold the epoch far longer than a
+      // point get — the reclamation-pressure scenario.
       {.name = "scan-heavy", .scan_pct = 30, .put_pct = 10,
        .scan_limit = 32},
       // YCSB-default Zipfian skew: a handful of hot keys, so a central

@@ -8,8 +8,7 @@
 // header defines:
 //
 //   * KvBackend — a thin virtual surface (get/put/del/scan) so ONE
-//     driver measures DB<Lock>, ShardedDB<Lock> with epoch reads, and
-//     ShardedDB with shared-mode locked reads, whatever the lock
+//     driver measures DB<Lock> and ShardedDB<Lock>, whatever the lock
 //     algorithm (the adapters below erase the template).
 //   * TrafficScenario — an operation mix (percentages, Zipfian skew,
 //     scan depth, periodic write bursts) plus the four named
@@ -88,8 +87,7 @@ class CentralBackend final : public KvBackend {
   DB<L>& db_;
 };
 
-/// Sharded serving layer as a traffic target (epoch or locked reads,
-/// per the ShardedDB's own options).
+/// Sharded serving layer as a traffic target.
 template <BasicLockable L = AnyLock>
 class ShardedBackend final : public KvBackend {
  public:

@@ -42,8 +42,8 @@
 #include "minikv/table.hpp"
 #include "reclaim/epoch.hpp"
 
-// Allocation counting for CacheTest.WarmMissesNeitherAllocateNorFree:
-// while a thread arms it, the replaced global operator new / delete
+// Allocation counting for CacheTest.WarmMissesNeitherAllocateNorFree
+// and DbTest.ShardedScanCopiesOnlyItsResults: while a thread arms it, the replaced global operator new / delete
 // count that thread's calls. They stay out of line: where GCC inlines this
 // malloc-backed new and free-backed delete into one caller (a
 // std::string temporary), it warns -Wmismatched-new-delete, which
@@ -918,13 +918,18 @@ TEST(DbTest, CompactionKeepsNewestVersionOnce) {
 // while the newest sits in a newer one or the memtable. After every
 // flush each key's get must match a std::map model: a directory that
 // answered from an older table, or a tombstone that stopped shadowing,
-// fails it. `flushed()` says whether the last write flushed.
+// fails it. So must one bounded scan, from a random key with a random
+// limit: a merge that let an older source win a key, kept a shadowed
+// value, or lost the order across shards fails it. `flushed()` says
+// whether the last write flushed.
 template <typename Db, typename Flushed>
 void check_newest_first(Db& db, std::uint32_t seed, Flushed&& flushed,
                         std::size_t* checks, std::size_t* max_tables) {
   constexpr std::uint64_t kKeys = 64;  // plus 8 never written
   std::mt19937 rng(seed);
+  std::mt19937 scan_rng(seed + 1);  // leaves the writes' sequence alone
   std::map<std::string, std::string> model;
+  std::vector<std::pair<std::string, std::string>> rows;
   std::string v;
   for (int i = 0; i < 4000; ++i) {
     const std::string key = bench_key(rng() % kKeys);
@@ -953,6 +958,14 @@ void check_newest_first(Db& db, std::uint32_t seed, Flushed&& flushed,
         ASSERT_EQ(v, it->second) << probe << " after write " << i;
       }
     }
+    const std::string start = bench_key(scan_rng() % (kKeys + 8));
+    const std::size_t limit = 1 + scan_rng() % 80;
+    std::vector<std::pair<std::string, std::string>> want(
+        model.lower_bound(start), model.end());
+    if (want.size() > limit) want.resize(limit);
+    ASSERT_EQ(db.scan(start, limit, &rows), want.size())
+        << "scan from " << start << " after write " << i;
+    ASSERT_EQ(rows, want) << "scan from " << start << " after write " << i;
   }
 }
 
@@ -1041,7 +1054,7 @@ TEST(ReadPromotion, CleanRowsAreFoundButNotOrderedOrCounted) {
 
 // A table built from a memtable holding clean rows holds only the rows
 // written to it, and ShardedDB scans answer the same with promotion as
-// without it (the locked tier never promotes).
+// without it (a CLH shard lock has no try path, so it never promotes).
 TEST(ReadPromotion, TablesAndScansHoldOnlyWrittenRows) {
   MemTable mem;
   for (std::uint64_t k = 0; k < 100; ++k) {
@@ -1072,8 +1085,7 @@ TEST(ReadPromotion, TablesAndScansHoldOnlyWrittenRows) {
   opt.compaction_trigger = 3;
   opt.block_cache_bytes = 64 * 1024;
   ShardedDB<> promoting(opt);
-  opt.epoch_reads = false;
-  ShardedDB<> plain(opt);
+  ShardedDB<> plain(opt, "clh");
   constexpr std::uint64_t kKeys = 600;
   std::mt19937 rng(0x5EED26);
   std::string v1, v2;
@@ -1290,9 +1302,9 @@ TEST(ReadPromotion, GetsPastTheCapLeaveTheShardLockAlone) {
   EXPECT_EQ(TryCountingHemlock::tries, st.promotions);
 }
 
-// What a get found must be a live row for it to be promoted; gets in
-// the locked tier, and over a shard lock with no native try path, never
-// promote, so every repeat of them searches the tables again.
+// What a get found must be a live row for it to be promoted; gets over
+// a shard lock with no native try path never promote, so every repeat
+// of them searches the tables again.
 TEST(ReadPromotion, TombstonesAreNeverPromoted) {
   ShardedDbOptions opt;
   opt.num_shards = 1;
@@ -1320,14 +1332,6 @@ void expect_no_promotion(ShardedDB<>& db) {
   const ShardedDbStats st = db.stats();
   EXPECT_EQ(st.promotions, 0u);
   EXPECT_EQ(st.table_gets, 3u);
-}
-
-TEST(ReadPromotion, LockedTierNeverPromotes) {
-  ShardedDbOptions opt;
-  opt.num_shards = 1;
-  opt.epoch_reads = false;
-  ShardedDB<> db(opt);
-  expect_no_promotion(db);
 }
 
 TEST(ReadPromotion, ShardLockWithoutTryPathNeverPromotes) {
@@ -1606,6 +1610,40 @@ TEST(DbTest, ShardedGetsNeverReclaim) {
     ASSERT_TRUE(db.put(bench_key(k), "value-" + std::to_string(k)).is_ok());
   }
   EXPECT_EQ(domain.stats().pending, 0u);
+}
+
+// A cross-shard scan copies only the rows it returns. With every block
+// it reads cached, a 32-row scan over 16 shards into a reserved vector
+// allocates each row's key and value (16-byte keys and 100-byte values,
+// both past the short-string buffer) and the merge's few cursor arrays:
+// a small multiple of the limit. Copying every shard's bounded prefix
+// to sort the union would make about a thousand.
+TEST(DbTest, ShardedScanCopiesOnlyItsResults) {
+  ShardedDbOptions opt;
+  ASSERT_EQ(opt.num_shards, 16u);
+  ShardedDB<> db(opt);
+  constexpr std::uint64_t kKeys = 4000;
+  constexpr std::size_t kLimit = 32;
+  std::vector<std::string> keys;
+  for (std::uint64_t k = 0; k < kKeys; ++k) keys.push_back(bench_key(k));
+  const std::string value(100, 'v');
+  for (const std::string& key : keys) ASSERT_TRUE(db.put(key, value).is_ok());
+  db.flush();
+  const Slice start(keys[kKeys / 2]);
+  std::vector<std::pair<std::string, std::string>> warm;
+  ASSERT_EQ(db.scan(start, kLimit, &warm), kLimit);  // caches the blocks
+  const std::uint64_t misses0 = db.cache_misses();
+  std::vector<std::pair<std::string, std::string>> rows;
+  rows.reserve(kLimit);
+  t_news = 0;
+  t_count_allocs = true;
+  const std::size_t n = db.scan(start, kLimit, &rows);
+  t_count_allocs = false;
+  EXPECT_EQ(n, kLimit);
+  EXPECT_EQ(rows, warm);
+  EXPECT_EQ(rows.front().first, keys[kKeys / 2]);
+  EXPECT_EQ(db.cache_misses(), misses0);  // every block was cached
+  EXPECT_LE(t_news, 4 * kLimit);
 }
 
 TEST(DbTest, CacheServesRepeatedReads) {

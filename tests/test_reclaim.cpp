@@ -9,8 +9,8 @@
 //   * a stalled reader blocks epoch advance — observable in
 //     DomainStats — but never deadlocks writers or drains;
 //   * ShardedDB get/put/del/scan stay linearizable under concurrent
-//     mixed traffic across flushes and compactions, in BOTH read
-//     tiers (epoch-protected lock-free and shared-mode locked).
+//     mixed traffic across flushes and compactions, and every scan
+//     stays bounded and ascending from its start.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -231,23 +231,20 @@ TEST(EpochDomain, ConcurrentPublishRetireStress) {
 
 // ------------------------------------------------ sharded serving --
 
-ShardedDbOptions small_db_options(bool epoch_reads) {
+ShardedDbOptions small_db_options() {
   ShardedDbOptions o;
   o.num_shards = 4;
   o.write_buffer_bytes = 4 << 10;  // tiny: force frequent flushes
   o.compaction_trigger = 3;        // ...and compactions
   o.block_cache_bytes = 32 << 10;  // a few blocks per cache shard: each
                                    // flush's new table ids evict and
-                                   // recycle entries in both read tiers
-  o.epoch_reads = epoch_reads;
+                                   // recycle entries
   return o;
 }
 
-class ShardedDbTiers : public ::testing::TestWithParam<bool> {};
-
-TEST_P(ShardedDbTiers, GetPutDeleteRoundTrip) {
+TEST(ShardedDb, GetPutDeleteRoundTrip) {
   EpochDomain domain;
-  ShardedDB<AnyLock> db(small_db_options(GetParam()), &domain);
+  ShardedDB<AnyLock> db(small_db_options(), &domain);
   std::string v;
   EXPECT_TRUE(db.get("absent", &v).is_not_found());
   ASSERT_TRUE(db.put("k1", "v1").is_ok());
@@ -270,9 +267,9 @@ TEST_P(ShardedDbTiers, GetPutDeleteRoundTrip) {
   EXPECT_EQ(v, "back");
 }
 
-TEST_P(ShardedDbTiers, TombstonesSurviveFlushAndCompaction) {
+TEST(ShardedDb, TombstonesSurviveFlushAndCompaction) {
   EpochDomain domain;
-  ShardedDB<AnyLock> db(small_db_options(GetParam()), &domain);
+  ShardedDB<AnyLock> db(small_db_options(), &domain);
   constexpr std::uint64_t kKeys = 2000;
   const std::string value(64, 'v');
   for (std::uint64_t k = 0; k < kKeys; ++k) {
@@ -299,9 +296,9 @@ TEST_P(ShardedDbTiers, TombstonesSurviveFlushAndCompaction) {
   }
 }
 
-TEST_P(ShardedDbTiers, ScanMergesShardsSortedAndElidesTombstones) {
+TEST(ShardedDb, ScanMergesShardsSortedAndElidesTombstones) {
   EpochDomain domain;
-  ShardedDB<AnyLock> db(small_db_options(GetParam()), &domain);
+  ShardedDB<AnyLock> db(small_db_options(), &domain);
   constexpr std::uint64_t kKeys = 500;
   for (std::uint64_t k = 0; k < kKeys; ++k) {
     ASSERT_TRUE(db.put(bench_key(k), "v" + std::to_string(k)).is_ok());
@@ -331,11 +328,13 @@ TEST_P(ShardedDbTiers, ScanMergesShardsSortedAndElidesTombstones) {
 // Linearizability under concurrent mixed traffic: per-key monotone
 // version counters — a reader may see any PREVIOUSLY written version
 // (or miss during a delete window) but never an older value after a
-// newer one was confirmed absent, and never torn data. Runs across
-// flush/compaction churn; TSan in CI checks the memory model side.
-TEST_P(ShardedDbTiers, ConcurrentMixedTrafficStress) {
+// newer one was confirmed absent, and never torn data; a scan returns
+// at most its limit of keys, strictly ascending, none below its start.
+// Runs across flush/compaction churn; TSan in CI checks the memory
+// model side.
+TEST(ShardedDb, ConcurrentMixedTrafficStress) {
   EpochDomain domain;
-  ShardedDB<AnyLock> db(small_db_options(GetParam()), &domain);
+  ShardedDB<AnyLock> db(small_db_options(), &domain);
   constexpr int kWriters = 2;
   constexpr int kReaders = 3;
   constexpr std::uint64_t kKeys = 64;  // few keys: maximize collisions
@@ -363,7 +362,9 @@ TEST_P(ShardedDbTiers, ConcurrentMixedTrafficStress) {
     });
   }
   // Readers: values parse back as integers in [1, kWritesEach] —
-  // torn or freed-under-us data would fail the parse or the range.
+  // torn or freed-under-us data would fail the parse or the range —
+  // and a scan's keys are ascending from its start: a merge that
+  // yielded a key twice, out of order or before start fails here.
   for (int r = 0; r < kReaders; ++r) {
     threads.emplace_back([&, r] {
       start.arrive_and_wait();
@@ -373,8 +374,17 @@ TEST_P(ShardedDbTiers, ConcurrentMixedTrafficStress) {
       while (!stop.load(std::memory_order_relaxed)) {
         k = (k + 1) % kKeys;
         if (k % 16 == 0) {
-          db.scan(bench_key(k), 8, &out);
-          for (const auto& [sk, sv] : out) {
+          constexpr std::size_t kLimit = 8;
+          const std::string from = bench_key(k);
+          const std::size_t n = db.scan(from, kLimit, &out);
+          ASSERT_EQ(n, out.size());
+          ASSERT_LE(n, kLimit);
+          for (std::size_t i = 0; i < out.size(); ++i) {
+            const auto& [sk, sv] = out[i];
+            ASSERT_GE(Slice(sk).compare(Slice(from)), 0) << sk;
+            if (i > 0) {
+              ASSERT_LT(Slice(out[i - 1].first).compare(Slice(sk)), 0) << sk;
+            }
             ASSERT_FALSE(sv.empty()) << sk;
             const int n = std::stoi(sv);
             ASSERT_GE(n, 1);
@@ -397,24 +407,12 @@ TEST_P(ShardedDbTiers, ConcurrentMixedTrafficStress) {
   const auto st = db.stats();
   EXPECT_GT(st.flushes, 0u);  // the churn actually exercised reclamation
   EXPECT_GT(db.cache_hits(), 0u);  // ...and table reads the block cache
-  if (GetParam()) {
-    EXPECT_GT(st.epoch_gets, 0u);
-    EXPECT_EQ(st.locked_gets, 0u);
-  } else {
-    EXPECT_GT(st.locked_gets, 0u);
-    EXPECT_EQ(st.epoch_gets, 0u);
-  }
+  EXPECT_GT(st.epoch_gets, 0u);
+  EXPECT_GT(st.scans, 0u);
   // Whatever is still pending drains once everyone is quiescent.
   for (int i = 0; i < 3; ++i) db.reclaim_drain(~std::size_t{0});
   EXPECT_EQ(db.stats().reclaim.pending, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(ReadTiers, ShardedDbTiers,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "epoch_reads"
-                                             : "locked_reads";
-                         });
 
 // Runtime-chosen shard locks reach the shards through the factory
 // name, like every AnyLock consumer.
@@ -435,7 +433,7 @@ TEST(Traffic, BackendsAgreeOnBasicOps) {
   minikv::DB<AnyLock> central;
   minikv::CentralBackend<AnyLock> central_kv(central);
   EpochDomain domain;
-  ShardedDB<AnyLock> sharded(small_db_options(true), &domain);
+  ShardedDB<AnyLock> sharded(small_db_options(), &domain);
   minikv::ShardedBackend<AnyLock> sharded_kv(sharded);
   for (minikv::KvBackend* kv :
        {static_cast<minikv::KvBackend*>(&central_kv),
@@ -474,7 +472,7 @@ TEST(Traffic, ZipfianIsSkewedAndInRange) {
 
 TEST(Traffic, RunTrafficCountsEveryOperation) {
   EpochDomain domain;
-  ShardedDB<AnyLock> db(small_db_options(true), &domain);
+  ShardedDB<AnyLock> db(small_db_options(), &domain);
   minikv::ShardedBackend<AnyLock> kv(db);
   minikv::fill_backend(kv, 512, 32);
   const auto* scenario = minikv::find_traffic_scenario("write-burst");
