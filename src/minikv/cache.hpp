@@ -33,18 +33,24 @@
 //    list. An insert copies its value into the oldest dead entry once
 //    expired() passes that entry's stamp, reusing the entry's buffer,
 //    so a warm miss neither allocates nor frees.
+//  * Reuse before allocating. An insert makes one try_advance() before
+//    it looks when its shard's oldest dead entry has not expired, or
+//    when the newest died in the current epoch (the insert's victim
+//    would share its stamp). A shard's dead entries then carry distinct
+//    epochs, and a single reader's miss stream moves the epoch itself:
+//    a shard owns its live entries plus the last two misses' victims
+//    instead of allocating up to its bound.
 //  * The bound. A shard owns at most its live entries plus kSpareBound
-//    dead ones, allocating an entry only below it. At the bound an
-//    insert makes one try_advance() and looks again; if a reader still
-//    pins the oldest dead entry, the insert is bypassed: it returns
-//    nullptr, the caller keeps a copy of its own, and bypassed()
-//    counts it. After a refused advance the shard stops trying until
-//    the epoch moves, retrying every kRetryEvery-th insert at the
-//    bound, so a stalled reader does not turn every miss into a
-//    registry scan.
+//    dead ones, allocating an entry only below it. At the bound, if a
+//    reader still pins the oldest dead entry after the advance attempt,
+//    the insert is bypassed: it returns nullptr, the caller keeps a
+//    copy of its own, and bypassed() counts it. After a refused advance
+//    the shard stops trying until the epoch moves, retrying every
+//    kRetryEvery-th insert, so a stalled reader does not turn every
+//    miss into a registry scan.
 //  * Readers never reclaim. The cache retires nothing into the domain
-//    and never drains it; an advance attempt at the bound is all a
-//    miss does to the domain (reclaim/epoch.hpp).
+//    and never drains it; an advance attempt on an insert is all a miss
+//    does to the domain (reclaim/epoch.hpp).
 //
 // The DBs cache whole table blocks (ShardedLruCache<Block>; layout in
 // table.hpp) at Block::charge(): the Block object plus its buffer's
@@ -288,26 +294,39 @@ class ShardedLruCache {
     // ---- under mu_ ---------------------------------------------------
 
     /// The entry an insert fills: the oldest dead one once the epoch
-    /// has passed it; else a new one while the shard is below its
-    /// bound; else, after one advance attempt, the oldest dead one if
-    /// that attempt let it expire. nullptr: bypass.
+    /// has passed it, else a new one while the shard is below its
+    /// bound; nullptr: bypass. It looks after one advance attempt when
+    /// the oldest dead entry has not expired, or when the newest died
+    /// in the current epoch (this insert's victim would share its
+    /// stamp): a shard's dead entries then carry distinct epochs.
     Entry* take_spare(reclaim::EpochDomain& domain) {
+      if (oldest_dead_ != nullptr &&
+          (!domain.expired(oldest_dead_->stamp) ||
+           newest_dead_->stamp == domain.epoch())) {
+        try_advance(domain);
+      }
       if (Entry* e = take_expired(domain)) return e;
       if (owned_ - live_ < kSpareBound) {
         ++owned_;
         ++allocations_;
         return new Entry;
       }
-      // After a refused advance (a reader in an older epoch), none can
-      // succeed before the epoch moves: wait for that, retrying every
-      // kRetryEvery-th insert in case the reader has left.
+      return nullptr;
+    }
+
+    /// One advance attempt, paced: after a refused advance (a reader in
+    /// an older epoch), none can succeed before the epoch moves, so wait
+    /// for that, retrying every kRetryEvery-th call in case the reader
+    /// has left. Returns whether the epoch moved.
+    bool try_advance(reclaim::EpochDomain& domain) {
       const std::uint64_t epoch = domain.epoch();
       if (epoch == stuck_epoch_ && ++stuck_skips_ % kRetryEvery != 0) {
-        return nullptr;
+        return false;
       }
-      stuck_epoch_ = domain.try_advance() ? 0 : epoch;
+      const bool moved = domain.try_advance();
+      stuck_epoch_ = moved ? 0 : epoch;
       stuck_skips_ = 0;
-      return take_expired(domain);
+      return moved;
     }
 
     /// The oldest dead entry, taken off the dead list, if every reader

@@ -30,7 +30,7 @@
 // A put's written row replaces the key's entry, which dies, and a
 // later put of its size reuses the dead entry once the cache's domain
 // has passed it. DB's puts do not drain that domain, and its block
-// cache only advances it (on a miss at a shard's entry bound,
+// cache only advances it (on a miss whose shard holds dead entries,
 // cache.hpp); the domain's other users drain it. A DB whose domain
 // never moves bump-allocates every entry, as it did before reuse.
 #pragma once
@@ -134,16 +134,19 @@ class DB {
       mem = mem_;
       version = version_;
     }
-    auto found = [&](const Slice& v) { value->assign(v.data(), v.size()); };
     // The memtable's entries (a put may reuse a dead one) and the
     // blocks read below.
     reclaim::EpochGuard pin(cache_.domain());
     Slice v;
     if (mem->get(key, hash, &v)) {
-      found(v);
+      value->assign(v.data(), v.size());
       return Status::ok();
     }
-    return search_tables(cache_, *version, key, hash, found)
+    return search_tables(cache_, *version, key, hash,
+                         [&](const char* row) {
+                           const Slice found = detail::entry_value(row);
+                           value->assign(found.data(), found.size());
+                         })
                ? Status::ok()
                : Status::not_found();
   }

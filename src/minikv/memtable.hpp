@@ -1,16 +1,17 @@
 // memtable.hpp — in-memory write buffer: one slot per key, found by
 // hash, ordered by a skiplist.
 //
-// Entries are encoded into arena storage as
+// Entries are encoded into arena storage as rows (row.hpp):
 //   varint32 key_size | key bytes | varint32 value_size | value bytes
-// Each distinct key owns one slot: an atomic pointer to the key's
-// newest entry plus the link of its hash chain. A bucket array sized
-// from the owner's write budget (about one bucket per KiB, carved from
-// the arena so the flush threshold counts it) finds slots by the low
-// bits of the key's hash (detail::hash_key, slice.hpp, which the DBs
-// compute once per operation), so a point get walks one short chain.
-// A skiplist holding one node per written slot keeps the written keys
-// ordered for cursors, merge scans, flushes and compactions.
+// the same bytes a table block stores. Each distinct key owns one
+// slot: an atomic pointer to the key's newest row plus the link of its
+// hash chain. A bucket array sized from the owner's write budget (about
+// one bucket per KiB, carved from the arena so the flush threshold
+// counts it) finds slots by the low bits of the key's hash
+// (detail::hash_key, slice.hpp, which the DBs compute once per
+// operation), so a point get walks one short chain. A skiplist holding
+// one node per written slot keeps the written keys ordered for
+// cursors, merge scans, flushes and compactions.
 //
 // Only the newest version of a key is kept. leveldb::MemTable keeps
 // every version, ordered by sequence number, because its snapshots can
@@ -20,33 +21,39 @@
 // skiplist insert.
 //
 // The row lifecycle. add() makes a *written* row: a value the
-// owner's tables do not hold yet. promote() makes a *clean* row: a copy
-// of the value the owner's tables already hold for a key, put here by
-// a get that found it there (ShardedDB's read promotion), so the next
-// get of the key stops at the memtable. get() finds both kinds. A clean
-// row is not linked into the ordered index and not counted by
-// entries(); the first add() of its key overwrites it and links it, as
-// a written row. So cursors, merge scans and flushes see only written
-// rows, and a table built from a memtable holds only what was written
-// to it. The bytes of the live clean rows are counted apart from the
-// written rows' footprint, written_memory_usage(), which the owner
-// flushes on, so read traffic never moves a flush; they are capped at
-// an eighth of the write budget, so a memtable's footprint stays within
-// about 9/8 of it. A clean row that add() overwrites leaves the cap:
-// its bytes count as written from then on.
+// owner's tables do not hold yet, encoded into the arena. promote()
+// makes a *clean* row: a slot pointing at the row the owner's table
+// already holds for a key, put here by a get that found it there
+// (ShardedDB's read promotion), so the next get of the key stops at the
+// memtable. Nothing is copied: the row's bytes stay the table's, and
+// the owner keeps that table alive as long as this memtable can be read
+// (ShardedDB retires the two together, sharded_db.hpp). get() finds
+// both kinds. A clean row is not linked into the ordered index and not
+// counted by entries(); the first add() of its key points the slot at a
+// new arena entry and links it, as a written row. So cursors, merge
+// scans and flushes see only written rows, and a table built from a
+// memtable holds only what was written to it. The live clean rows'
+// slots are counted apart from the written rows' footprint,
+// written_memory_usage(), which the owner flushes on, so read traffic
+// never moves a flush; they are capped at an eighth of the write
+// budget, so a memtable's footprint stays within about 9/8 of it. A
+// clean row that add() overwrites leaves the cap: its slot counts as
+// written from then on.
 //
-// The entry an overwrite replaces is *dead*: no slot points to it any
-// more, but a reader that loaded it before the overwrite may still be
-// copying it. add() stamps it with the memtable's epoch domain
-// (EpochDomain::stamp(), as retire() stamps) and lists it by its
-// encoded size. A later entry of the same size is *reused*: encoded
-// into the oldest dead entry of its size once the domain's epoch has
-// passed that entry's stamp (EpochDomain::expired(), the rule drain()
-// frees by), and into fresh arena bytes otherwise. So a key overwritten
-// with values of one size holds about one entry, plus the few written
-// in the last two epochs, and its memtable flushes only when new keys
-// fill it. A stalled reader only stops the reuse: overwrites then grow
-// the footprint and the memtable flushes as it would without reuse.
+// The entry an overwrite of a written row replaces is *dead*: no slot
+// points to it any more, but a reader that loaded it before the
+// overwrite may still be copying it. add() stamps it with the
+// memtable's epoch domain (EpochDomain::stamp(), as retire() stamps)
+// and lists it by its encoded size. A later entry of the same size is
+// *reused*: encoded into the oldest dead entry of its size once the
+// domain's epoch has passed that entry's stamp (EpochDomain::expired(),
+// the rule drain() frees by), and into fresh arena bytes otherwise. So
+// a key overwritten with values of one size holds about one entry, plus
+// the few written in the last two epochs, and its memtable flushes only
+// when new keys fill it. A stalled reader only stops the reuse:
+// overwrites then grow the footprint and the memtable flushes as it
+// would without reuse. The row a clean slot pointed at never dies here:
+// it is the table's, so add() neither lists nor reuses it.
 //
 // Publication contract: one writer at a time, serialized by the owner
 // (a DB's central mutex or a shard lock), and any number of lock-free
@@ -64,79 +71,18 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <new>
 #include <string>
 
 #include "core/verify_hooks.hpp"
 #include "minikv/arena.hpp"
+#include "minikv/row.hpp"
 #include "minikv/skiplist.hpp"
 #include "minikv/slice.hpp"
 #include "reclaim/epoch.hpp"
 #include "runtime/cacheline.hpp"
 
 namespace hemlock::minikv {
-
-namespace detail {
-
-/// Varint32 encode (LevelDB wire format); returns past-the-end.
-inline char* encode_varint32(char* dst, std::uint32_t v) {
-  auto* ptr = reinterpret_cast<std::uint8_t*>(dst);
-  static constexpr int kMsb = 128;
-  while (v >= kMsb) {
-    *(ptr++) = static_cast<std::uint8_t>(v | kMsb);
-    v >>= 7;
-  }
-  *(ptr++) = static_cast<std::uint8_t>(v);
-  return reinterpret_cast<char*>(ptr);
-}
-
-/// Varint32 decode; advances *p.
-inline std::uint32_t decode_varint32(const char** p) {
-  const auto* ptr = reinterpret_cast<const std::uint8_t*>(*p);
-  std::uint32_t result = 0;
-  for (int shift = 0; shift <= 28; shift += 7) {
-    const std::uint32_t byte = *ptr++;
-    result |= (byte & 127) << shift;
-    if ((byte & 128) == 0) break;
-  }
-  *p = reinterpret_cast<const char*>(ptr);
-  return result;
-}
-
-/// Bytes needed to varint32-encode v.
-inline std::size_t varint32_length(std::uint32_t v) {
-  std::size_t len = 1;
-  while (v >= 128) {
-    v >>= 7;
-    ++len;
-  }
-  return len;
-}
-
-/// Key view of an encoded entry.
-inline Slice entry_key(const char* entry) {
-  const char* p = entry;
-  const std::uint32_t klen = decode_varint32(&p);
-  return Slice(p, klen);
-}
-
-/// Value view of an encoded entry.
-inline Slice entry_value(const char* entry) {
-  const char* p = entry;
-  const std::uint32_t klen = decode_varint32(&p);
-  p += klen;
-  const std::uint32_t vlen = decode_varint32(&p);
-  return Slice(p, vlen);
-}
-
-/// Encoded size of an entry: its key's and value's varints and bytes.
-inline std::size_t entry_size(const char* entry) {
-  const Slice v = entry_value(entry);
-  return static_cast<std::size_t>(v.data() + v.size() - entry);
-}
-
-}  // namespace detail
 
 /// In-memory write buffer holding the newest value of each key. Writers
 /// must be serialized externally (the DB's central mutex or a shard
@@ -206,8 +152,8 @@ class MemTable {
   /// is `hash`: the caller hashes the key once per operation, and the
   /// bucket array takes the hash's low bits. The row is written: a
   /// clean row of the key becomes written here. The entry an overwrite
-  /// replaces is dead, kept for reuse (file header). Returns whether
-  /// the new entry reused a dead one.
+  /// of a written row replaces is dead, kept for reuse (file header).
+  /// Returns whether the new entry reused a dead one.
   bool add(const Slice& key, std::uint64_t hash, const Slice& value) {
     bool reused = false;
     const char* entry = encode(key, value, &reused);
@@ -219,14 +165,17 @@ class MemTable {
       // mo: release — publishes the new entry's bytes to readers that
       // acquire it through Slot::newest().
       s->entry.store(entry, std::memory_order_release);
-      if (!s->written) {  // the clean row leaves the cap, dead entry too
+      if (!s->written) {  // the clean row's slot leaves the cap
         // mo: relaxed ×2 — stored only by this serialized writer; see
         // promote().
-        clean_bytes_.store(clean_bytes_.load(std::memory_order_relaxed) -
-                               detail::entry_size(dead) - sizeof(Slot),
-                           std::memory_order_relaxed);
+        clean_bytes_.store(
+            clean_bytes_.load(std::memory_order_relaxed) - sizeof(Slot),
+            std::memory_order_relaxed);
       }
-      kill(dead);
+      // A clean row's entry is its table's row: only a written one dies.
+      if (s->written || HEMLOCK_VERIFY_MUTANT("memtable:kill-clean")) {
+        kill(dead);
+      }
     } else {
       s = link(bucket, entry, hash);
     }
@@ -240,38 +189,39 @@ class MemTable {
     return reused;
   }
 
-  /// Whether the clean rows have room for a row of `key` and `value`
-  /// within an eighth of the write budget: promote()'s cap. Callable
-  /// without the writer's serialization, so a reader can skip taking
-  /// the owner's lock for a row promote() would refuse.
-  bool has_clean_room(const Slice& key, const Slice& value) const {
+  /// Whether the clean rows have room for one more slot within an
+  /// eighth of the write budget: promote()'s cap. Callable without the
+  /// writer's serialization, so a reader can skip taking the owner's
+  /// lock for a row promote() would refuse.
+  bool has_clean_room() const {
     // mo: relaxed — a stale read admits at worst a row promote() then
     // refuses under the writer's lock, or skips one promotion.
-    return clean_bytes_.load(std::memory_order_relaxed) +
-               clean_row_bytes(key, value) <=
+    return clean_bytes_.load(std::memory_order_relaxed) + sizeof(Slot) <=
            clean_budget_;
   }
 
-  /// Publish `value` as a clean row of `key`, whose detail::hash_key()
-  /// is `hash`: the value the owner's tables hold for the key, copied
-  /// here so get() finds it. Returns false, publishing nothing, when
-  /// the memtable already has a row for `key` (a written row is newer
-  /// than the tables, and a clean one is already there) or has no
-  /// clean room for it (has_clean_room()). Same writer serialization as
-  /// add().
-  bool promote(const Slice& key, std::uint64_t hash, const Slice& value) {
+  /// Publish `row`, a row of the owner's table (row.hpp) whose key's
+  /// detail::hash_key() is `hash`, as a clean row: a slot pointing at
+  /// the row where the table stores it, so get() finds it here without
+  /// a copy. The row must stay valid while this memtable can be read:
+  /// the owner retires the table no earlier than the memtable (file
+  /// header). Returns false, publishing nothing, when the memtable
+  /// already has a row for the key (a written row is newer than the
+  /// tables, and a clean one is already there) or has no clean room for
+  /// it (has_clean_room()). Same writer serialization as add().
+  bool promote(const char* row, std::uint64_t hash) {
     std::atomic<Slot*>& bucket = buckets_[hash & mask_];
-    if (find(bucket, hash, key) != nullptr || !has_clean_room(key, value)) {
+    if (!has_clean_room() ||
+        find(bucket, hash, detail::entry_key(row)) != nullptr) {
       return false;
     }
     // mo: relaxed ×2 — stored only by this serialized writer, read by
     // written_memory_usage(), an approximate footprint; link()
     // publishes the row.
-    clean_bytes_.store(clean_bytes_.load(std::memory_order_relaxed) +
-                           clean_row_bytes(key, value),
-                       std::memory_order_relaxed);
-    bool reused = false;
-    link(bucket, encode(key, value, &reused), hash);
+    clean_bytes_.store(
+        clean_bytes_.load(std::memory_order_relaxed) + sizeof(Slot),
+        std::memory_order_relaxed);
+    link(bucket, row, hash);
     return true;
   }
 
@@ -283,7 +233,8 @@ class MemTable {
   }
 
   /// Newest value for `key`, whose detail::hash_key() is `hash`, if
-  /// present, as a view into the memtable's arena. The view stays valid
+  /// present, as a view into the memtable's arena (a written row) or
+  /// into the owner's table (a clean one). The view stays valid
   /// while the caller's EpochGuard on the memtable's domain lasts, or
   /// while the caller excludes the writer: after that an overwrite's
   /// reuse may rewrite its bytes (file header).
@@ -339,11 +290,11 @@ class MemTable {
     return entries_.load(std::memory_order_relaxed);  // mo: stats
   }
   /// Approximate heap footprint, bucket array and dead entries
-  /// included.
+  /// included; a clean row adds its slot (kSlotBytes) and no row bytes.
   std::size_t approximate_memory_usage() const {
     return arena_.memory_usage();
   }
-  /// The footprint less the live clean rows' bytes (at most an eighth
+  /// The footprint less the live clean rows' slots (at most an eighth
   /// of the write budget): the written rows' share, dead entries
   /// included, the flush threshold input. Equal to
   /// approximate_memory_usage() while nothing was promoted.
@@ -352,6 +303,9 @@ class MemTable {
     return arena_.memory_usage() -
            clean_bytes_.load(std::memory_order_relaxed);
   }
+
+  /// The bytes a key's slot takes, and all a clean row adds.
+  static constexpr std::size_t kSlotBytes = sizeof(Slot);
 
  private:
   static constexpr std::size_t kMinBuckets = 16;
@@ -376,31 +330,15 @@ class MemTable {
     return buckets;
   }
 
-  static std::size_t encoded_size(const Slice& key, const Slice& value) {
-    return detail::varint32_length(static_cast<std::uint32_t>(key.size())) +
-           key.size() +
-           detail::varint32_length(static_cast<std::uint32_t>(value.size())) +
-           value.size();
-  }
-  /// The footprint a clean row of `key` and `value` adds.
-  static std::size_t clean_row_bytes(const Slice& key, const Slice& value) {
-    return encoded_size(key, value) + sizeof(Slot);
-  }
-
   /// (key, value) encoded as one entry: into the oldest dead entry of
   /// its size once the epoch has passed it (setting *reused), else
   /// into fresh arena bytes.
   const char* encode(const Slice& key, const Slice& value, bool* reused) {
-    const std::size_t n = encoded_size(key, value);
+    const std::size_t n = detail::encoded_size(key, value);
     char* buf = take_expired(n);
     *reused = buf != nullptr;
     if (buf == nullptr) buf = arena_.allocate(n);
-    char* p =
-        detail::encode_varint32(buf, static_cast<std::uint32_t>(key.size()));
-    std::memcpy(p, key.data(), key.size());
-    p += key.size();
-    p = detail::encode_varint32(p, static_cast<std::uint32_t>(value.size()));
-    std::memcpy(p, value.data(), value.size());
+    detail::encode_entry(buf, key, value);
     return buf;
   }
 
@@ -496,7 +434,7 @@ class MemTable {
   Arena arena_;
   Index index_;
   std::atomic<std::size_t> entries_{0};
-  std::atomic<std::size_t> clean_bytes_{0};  ///< the live clean rows' bytes
+  std::atomic<std::size_t> clean_bytes_{0};  ///< the live clean rows' slots
   const std::size_t clean_budget_;           ///< promote()'s limit
   reclaim::EpochDomain& domain_;             ///< stamps and expires dead entries
   DeadList* dead_[kDeadBuckets] = {};        ///< writer-only

@@ -34,35 +34,46 @@
 // The block cache, table search, flush and compaction are the storage
 // core (minikv/storage.hpp) this layer shares with DB<Lock>. A get
 // that reaches a table copies the found value, tag stripped, straight
-// out of the pinned block into the caller's string.
+// out of the table's row into the caller's string.
 //
 // Read promotion. A get that misses the memtable and finds a
-// live value in the tables also copies that row into the shard's
-// memtable as a *clean* row (memtable.hpp), so the key's next get stops
-// at the memtable instead of walking the version, the table's hash
-// directory and the block cache. The get takes the shard lock only
-// through try_lock — one CAS on a Hemlock lock's Tail (paper §2) — and
-// skips the promotion when a writer holds it, so gets never wait to
-// acquire. Releasing is another matter: a writer that queued behind
-// the promotion makes the get's unlock() wait for that writer to
-// acknowledge the hand-off (Hemlock's non-wait-free unlock, §2), and
-// a parking shard lock makes the get send the wake; writers, in turn,
-// can queue behind a promotion, which may allocate an arena block.
-// The get promotes only if the shard still publishes the (memtable,
-// version) pair it searched and that memtable still lacks the key: a
-// put or flush that raced the search always wins. Tombstones are never
+// live value in the tables also links that row into the shard's
+// memtable as a *clean* row (memtable.hpp): a 32-byte slot pointing at
+// the row where the table stores it, so the key's next get stops at the
+// memtable instead of walking the version, the table's hash directory
+// and the block cache. The get takes the shard lock only through
+// try_lock — one CAS on a Hemlock lock's Tail (paper §2) — and skips
+// the promotion when a writer holds it, so gets never wait to acquire.
+// Releasing is another matter: a writer that queued behind the
+// promotion makes the get's unlock() wait for that writer to
+// acknowledge the hand-off (Hemlock's non-wait-free unlock, §2), and a
+// parking shard lock makes the get send the wake; writers, in turn, can
+// queue behind a promotion, which may allocate an arena block. The get
+// promotes only if the shard still publishes the (memtable, version)
+// pair it searched and that memtable still lacks the key: a put or
+// flush that raced the search always wins. Tombstones are never
 // promoted, and neither is anything over a shard lock with no native
 // try path (CLH's try_lock never succeeds). Clean rows are never
 // flushed (the tables hold them already) and do not count toward the
 // write budget the shard flushes on, so read traffic never moves a
-// flush; the memtable caps them at an eighth of that budget.
+// flush; the memtable caps their slots at an eighth of that budget.
+//
+// A clean row's lifetime. Its bytes are a row of a table in the
+// version the shard published together with the memtable, and the
+// shard swaps the two only together: the flush that replaces the
+// memtable replaces the version in the same critical section and
+// retires both. The table outlives that version only if a newer one
+// still holds it; if a compaction dropped it, it goes when the retired
+// version is freed. Both retirees are stamped after both unlinks, so
+// the epoch passes them together: no reader can still reach the
+// memtable, and so its clean rows, once the version may be freed.
 //
 // Readers never reclaim. A get pins the epoch, and a block-cache miss
-// at its shard's entry bound may try to advance it (cache.hpp); a get
-// frees nothing. Retired memtables and versions are freed by the write
-// path's drains (write()), flush() and the destructor. So in a read-
-// only phase after a flush, that flush's retirees stay pending until
-// the next write.
+// may try to advance it (cache.hpp); a get frees nothing. Retired
+// memtables and versions are freed by the write path's drains
+// (write()), flush() and the destructor. flush() frees what it retired
+// unless a reader pins an older epoch; then its retirees stay pending
+// until the next writes' drains.
 //
 // The row lifecycle (memtable.hpp). A put makes a *written* row; read
 // promotion makes a *clean* one, which the key's next put turns into a
@@ -72,8 +83,10 @@
 // its readers pin. So an overwrite-heavy skewed workload holds about
 // one entry per live key, a memtable flushes only when new keys fill
 // it, and a stalled reader only holds the reuse back (the memtable then
-// fills and flushes as it did without reuse). ShardedDbStats::recycled
-// counts the writes that reused a dead entry.
+// fills and flushes as it did without reuse). A clean row's table row
+// is never dead to the memtable: a put of its key leaves it to the
+// table. ShardedDbStats::recycled counts the writes that reused a dead
+// entry.
 //
 // Every operation hashes its key once (detail::hash_key, slice.hpp):
 // the router picks the shard from the hash's top bits by multiply-
@@ -284,13 +297,24 @@ class ShardedDB {
     return out->size();
   }
 
-  /// Force every shard's memtable into an immutable table.
+  /// Force every shard's memtable into an immutable table, then free
+  /// what that retired: drain until the epoch has passed the retirees'
+  /// stamps (two advances), stopping at the first refused advance (a
+  /// reader pins an older epoch; the next writes' drains free them),
+  /// and at most the destructor's three drains.
   void flush() {
     for (auto& sp : shards_) {
       LockGuard<ShardLock> g(sp->mu.value);
       flush_shard_locked(*sp);
     }
-    domain_->drain();
+    // Every retire above stamped at most this epoch.
+    const std::uint64_t expires = domain_->epoch() + 2;
+    for (int i = 0; i < 3; ++i) {
+      const std::uint64_t before = domain_->epoch();
+      domain_->drain(~std::size_t{0});
+      const std::uint64_t after = domain_->epoch();
+      if (after >= expires || after == before) break;
+    }
   }
 
   /// Bounded reclamation step (also runs automatically after flushes
@@ -399,10 +423,9 @@ class ShardedDB {
   /// live value is copied, tag stripped, into *value. The acquire
   /// loads pair with flush_shard_locked's release stores; mem is
   /// loaded FIRST (see the publication-order comment at the top). A
-  /// hit is a view into the memtable or a pinned table block, copied
-  /// here while the caller's epoch guard keeps it alive. A live value
-  /// found in the tables is promoted into the memtable while its block
-  /// is still pinned.
+  /// hit is a view into the memtable or a table row, copied here while
+  /// the caller's epoch guard keeps it alive. A live row found in the
+  /// tables is promoted into the memtable.
   /// REQUIRES: an EpochGuard on domain_.
   Status search_shard(Shard& s, const Slice& key, std::uint64_t hash,
                       std::string* value) {
@@ -417,29 +440,30 @@ class ShardedDB {
     }
     ops_.add(kTableGets);
     Status st = Status::not_found();
-    search_tables(cache_, *version, key, hash, [&](const Slice& t) {
-      st = unwrap(t, value);
+    search_tables(cache_, *version, key, hash, [&](const char* row) {
+      st = unwrap(detail::entry_value(row), value);
       if constexpr (TryLockable<ShardLock>) {
-        if (st.is_ok()) promote(s, mem, version, key, hash, t);
+        if (st.is_ok()) promote(s, mem, version, hash, row);
       }
     });
     return st;
   }
 
-  /// Read promotion (file header): copy the live row `tagged`, which
-  /// a get found for `key` in `version`'s tables after missing `mem`,
-  /// into the shard's memtable. Never waits to acquire: one try_lock,
+  /// Read promotion (file header): link `row`, the live row a get
+  /// found in `version`'s tables after missing `mem`, into the shard's
+  /// memtable as a clean row. Never waits to acquire: one try_lock,
   /// given up while a writer holds the shard (the unlock may wait for
   /// a writer queued since, file header), and not even tried once mem
-  /// has no clean room for the row. The row is published only if the
-  /// shard still publishes (mem, version) and mem still lacks the key,
-  /// so a put or flush since the search wins. REQUIRES: the caller's
-  /// epoch guard, which keeps mem and version alive — a pointer match
-  /// cannot be a recycled address.
+  /// has no clean room. The row is published only if the shard still
+  /// publishes (mem, version) and mem still lacks the key, so a put or
+  /// flush since the search wins, and the row's table lives as long as
+  /// mem (file header). REQUIRES: the caller's epoch guard, which keeps
+  /// mem and version alive — a pointer match cannot be a recycled
+  /// address.
   void promote(Shard& s, const MemTable* mem, const TableVersion* version,
-               const Slice& key, std::uint64_t hash, const Slice& tagged) {
+               std::uint64_t hash, const char* row) {
     HEMLOCK_VERIFY_YIELD("promote:table-read");
-    if (!mem->has_clean_room(key, tagged) || !s.mu.value.try_lock()) return;
+    if (!mem->has_clean_room() || !s.mu.value.try_lock()) return;
     HEMLOCK_VERIFY_YIELD("promote:locked");
     // mo: relaxed ×2 — mu is held; only flush_shard_locked (also
     // under mu) swings these pointers.
@@ -447,7 +471,7 @@ class ShardedDB {
     const bool unchanged =  // mo: relaxed, as above
         current == mem && s.version.load(std::memory_order_relaxed) == version;
     if ((unchanged || HEMLOCK_VERIFY_MUTANT("promote:skip-recheck")) &&
-        current->promote(key, hash, tagged)) {
+        current->promote(row, hash)) {
       ops_.add(kPromotions);
     }
     s.mu.value.unlock();
@@ -470,6 +494,8 @@ class ShardedDB {
   /// empty, so no older version of an elided key survives anywhere),
   /// publish the new version THEN the new memtable (release order
   /// readers rely on), retire the old structures to the epoch domain.
+  /// The two are always swapped and retired together: the memtable's
+  /// clean rows live in the old version's tables (file header).
   void flush_shard_locked(Shard& s) HEMLOCK_REQUIRES(s.mu.value) {
     // mo: relaxed — mu is held; this function is the only writer.
     MemTable* old_mem = s.mem.load(std::memory_order_relaxed);

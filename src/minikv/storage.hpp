@@ -12,9 +12,12 @@
 //    lookup. They take no lock; the caller holds an EpochGuard on the
 //    cache's domain, which keeps every cached block it reaches alive
 //    (cache.hpp). search_tables probes each table's hash directory
-//    with the key's hash, newest table first, reads exactly the
-//    candidate's block and compares one key (table.hpp), and hands the
-//    found value to a visitor while its block is pinned.
+//    with the key's hash, newest table first, looks exactly the
+//    candidate's block up in the cache (a miss pays the copy), and
+//    compares one key in the table's own block (table.hpp), whose row
+//    it hands the visitor: never the cache's copy, which a later miss
+//    may recycle, nor a bypassed miss's copy, which the get frees. A
+//    lookup thus reads one copy of its row.
 //  * flush_to_version: the one fold behind every flush and full-merge
 //    compaction (under the writer's lock).
 #pragma once
@@ -74,17 +77,19 @@ inline BlockRef read_block_cached(ShardedLruCache<Block>& cache,
 
 /// Point lookup over a version's tables, newest first, through
 /// `cache`; `hash` is detail::hash_key(key). Stops at the first table
-/// holding `key` and calls found(value) while the value's block is
-/// pinned; returns whether it did.
+/// holding `key` and calls found(row) with the key's row (row.hpp) in
+/// that table's own block, valid while the table lives; returns
+/// whether it did.
 /// REQUIRES: an EpochGuard on cache.domain().
 template <typename Found>
 bool search_tables(ShardedLruCache<Block>& cache, const TableVersion& version,
                    const Slice& key, std::uint64_t hash, Found&& found) {
   for (const auto& table : version.tables) {  // newest first
     const bool hit = table->probe(hash, [&](std::size_t b, std::size_t e) {
-      const BlockRef block = read_block_cached(cache, *table, b);
-      if (block->key(e) != key) return false;  // a fingerprint collision
-      found(block->value(e));
+      read_block_cached(cache, *table, b);  // a hit, or a miss's copy
+      const char* row = table->block(b).row(e);
+      if (detail::entry_key(row) != key) return false;  // fingerprint collision
+      found(row);
       return true;
     });
     if (hit) return true;

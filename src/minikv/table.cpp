@@ -23,24 +23,25 @@ std::size_t Block::lower_bound(const Slice& key) const {
 
 void Block::Builder::add(const Slice& key, const Slice& value) {
   // The whole buffer, offsets included, must stay 32-bit addressable.
-  const std::size_t tail = 4 * (offsets_.size() + 3);
-  if (key.size() + value.size() + tail >
-      std::numeric_limits<std::uint32_t>::max() - payload_.size()) {
+  const std::size_t row = detail::encoded_size(key, value);
+  const std::size_t tail = 4 * (offsets_.size() + 1);
+  if (row + tail > std::numeric_limits<std::uint32_t>::max() - payload_.size()) {
     throw std::length_error("minikv: block exceeds 4 GiB");
   }
-  offsets_.push_back(static_cast<std::uint32_t>(payload_.size()));
-  payload_.append(key.data(), key.size());
-  offsets_.push_back(static_cast<std::uint32_t>(payload_.size()));
-  payload_.append(value.data(), value.size());
+  const std::size_t at = payload_.size();
+  offsets_.push_back(static_cast<std::uint32_t>(at));
+  payload_.resize(at + row);
+  detail::encode_entry(payload_.data() + at, key, value);
 }
 
 Block Block::Builder::finish() {
   const auto n = static_cast<std::uint32_t>(size());
-  offsets_.push_back(static_cast<std::uint32_t>(payload_.size()));
   const std::size_t offset_bytes = offsets_.size() * sizeof(std::uint32_t);
   std::string rep(payload_.size() + offset_bytes, '\0');
-  std::memcpy(rep.data(), payload_.data(), payload_.size());
-  std::memcpy(rep.data() + payload_.size(), offsets_.data(), offset_bytes);
+  if (n != 0) {
+    std::memcpy(rep.data(), payload_.data(), payload_.size());
+    std::memcpy(rep.data() + payload_.size(), offsets_.data(), offset_bytes);
+  }
   payload_.clear();
   offsets_.clear();
   return Block(std::move(rep), n);

@@ -25,16 +25,19 @@
 //
 // Block layout. As in LevelDB, a block is ONE contiguous byte buffer:
 //
-//   key_0 value_0 key_1 value_1 ... key_{n-1} value_{n-1} | off_0 ... off_2n
+//   row_0 row_1 ... row_{n-1} | off_0 ... off_{n-1}
 //
-// Keys and values are raw bytes, back to back (NUL bytes and empty
-// values are fine). The tail is 2n+1 native-endian 32-bit offsets into
-// the buffer: key i spans [off_2i, off_2i+1), its value
-// [off_2i+1, off_2i+2). Blocks live only in memory, so the offsets are
-// never byte-swapped. A block-cache miss copies that one buffer into a
-// recycled cache entry; read_block's standalone copy costs two
-// allocations, the shared Block and its buffer, whatever the block's
-// entry count.
+// Each row is encoded as a memtable entry is (row.hpp): varint key
+// length, key, varint value length, value (NUL bytes, the empty key and
+// empty values are fine). The tail is n native-endian 32-bit offsets
+// into the buffer, one per row; a row's own varints give its extent.
+// Blocks live only in memory, so the offsets are never byte-swapped. A
+// point lookup hands out row(i)'s address in the table's own block,
+// which read promotion links into a memtable slot without copying
+// (memtable.hpp): the row stays valid while the table lives. A
+// block-cache miss copies the whole buffer into a recycled cache entry;
+// read_block's standalone copy costs two allocations, the shared Block
+// and its buffer, whatever the block's entry count.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include "minikv/row.hpp"
 #include "minikv/slice.hpp"
 
 namespace hemlock::minikv {
@@ -60,34 +64,31 @@ class Block {
 
   /// Number of entries.
   std::size_t size() const { return n_; }
+  /// Row i (i < size()), encoded as row.hpp describes; points into
+  /// this block.
+  const char* row(std::size_t i) const {
+    std::uint32_t off;
+    std::memcpy(&off, rep_.data() + offsets_at_ + 4 * i, sizeof(off));
+    return rep_.data() + off;
+  }
   /// Key of entry i (i < size()); points into this block.
-  Slice key(std::size_t i) const { return span(2 * i); }
+  Slice key(std::size_t i) const { return detail::entry_key(row(i)); }
   /// Value of entry i (i < size()); points into this block.
-  Slice value(std::size_t i) const { return span(2 * i + 1); }
+  Slice value(std::size_t i) const { return detail::entry_value(row(i)); }
 
   /// Index of the first entry whose key is >= `key` (size() if none):
   /// the binary search of seeks and scans.
   std::size_t lower_bound(const Slice& key) const;
 
   /// Cache charge: the bytes this block holds, i.e. the Block object
-  /// plus its buffer (payload and offsets).
+  /// plus its buffer (rows and offsets).
   std::size_t charge() const { return sizeof(Block) + rep_.size(); }
 
  private:
   Block(std::string rep, std::uint32_t n)
       : rep_(std::move(rep)),
         n_(n),
-        offsets_at_(static_cast<std::uint32_t>(rep_.size() - 4 * (2 * n + 1))) {}
-
-  std::uint32_t offset(std::size_t j) const {
-    std::uint32_t off;
-    std::memcpy(&off, rep_.data() + offsets_at_ + 4 * j, sizeof(off));
-    return off;
-  }
-  Slice span(std::size_t j) const {
-    const std::uint32_t begin = offset(j);
-    return Slice(rep_.data() + begin, offset(j + 1) - begin);
-  }
+        offsets_at_(static_cast<std::uint32_t>(rep_.size() - 4 * n)) {}
 
   std::string rep_;
   std::uint32_t n_ = 0;
@@ -101,7 +102,7 @@ class Block::Builder {
   /// Append one entry; keys must arrive in strictly ascending order.
   void add(const Slice& key, const Slice& value);
   /// Entries added since the last finish().
-  std::size_t size() const { return offsets_.size() / 2; }
+  std::size_t size() const { return offsets_.size(); }
   /// Seal the added entries into a block (exactly sized, one buffer)
   /// and start over empty.
   Block finish();
@@ -171,8 +172,9 @@ class ImmutableTable {
   std::shared_ptr<Block> read_block(std::size_t idx) const;
 
   /// The table's own block `idx`, read in place (no copy, no cache):
-  /// for folds that hold the table alive while they read it, and the
-  /// source of a cache miss's copy.
+  /// for folds that hold the table alive while they read it, the
+  /// source of a cache miss's copy, and the rows a point lookup hands
+  /// out (storage.hpp).
   const Block& block(std::size_t idx) const { return blocks_[idx]; }
 
   /// `block_fanout`, or std::invalid_argument when it is 0 (the block

@@ -29,11 +29,11 @@
 //     (an unbounded free storm would turn the caller's operation into
 //     a latency cliff).
 //   * Readers never reclaim. A get pins the epoch and, on a block-cache
-//     miss at its shard's entry bound, may try to advance it
-//     (minikv/cache.hpp); it frees nothing. Retired memtables and table
-//     versions are freed by writers' drains, flush() and destructors
-//     (minikv/sharded_db.hpp), so in a read-only phase after a flush,
-//     that flush's retirees stay pending until the next write. Entries
+//     miss, may try to advance it (minikv/cache.hpp); it frees nothing.
+//     Retired memtables and table versions are freed by writers'
+//     drains, flush() and destructors (minikv/sharded_db.hpp): a flush
+//     frees its own retirees unless a reader pins an older epoch, and
+//     those then stay pending until the next write's drain. Entries
 //     that are recycled rather than freed (the block cache's, the
 //     memtable's dead rows) never enter the limbo list: their owners
 //     stamp them with stamp() and reuse them once expired() says so.

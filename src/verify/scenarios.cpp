@@ -336,47 +336,86 @@ using RwWR = RwScenario<1>;   // writer vs reader (2 threads)
 using RwRRR = RwScenario<0>;  // readers only (3 threads, overlap check)
 
 // ---------------------------------------------------------------------
-// MiniKV read promotion (minikv/sharded_db.hpp). Thread 0 gets a key
-// the memtable lacks, so the get reads it from the tables and tries to
-// promote the row; thread 1 overwrites the key and flushes. The
-// promotion's yield points sit after the table read and after its
-// try_lock, so the put and the flush can land between the read and the
-// promotion. Whatever the schedule, the put's value must be the one
-// the store serves afterwards: a stale row promoted into the fresh
-// memtable would shadow the flushed table. The `-mutant` row drops the
-// (memtable, version) recheck and must be caught.
+// MiniKV read promotion (minikv/sharded_db.hpp). The store holds `k`
+// and `m` in one table. Thread 0 gets `k` twice: a get misses the
+// memtable, reads the row from the tables and tries to promote it (a
+// slot linked to the table's row, memtable.hpp), and a later get may
+// stop at `memtable:hit` holding that row. Thread 1 overwrites `k`,
+// makes a compacting flush (the promoted rows' table goes with the
+// retired memtable), drains twice and puts `k` again, the same encoded
+// size: a clean row of `k` in the fresh memtable then leaves the cap,
+// its table row left to the table. The promotion's yield points sit
+// after the table read and after its try_lock, so the put and the flush
+// can land between the read and the promotion. Whatever the schedule, a
+// get returns a version no older than the last put that completed
+// before it started: a stale row promoted into the fresh memtable would
+// shadow the flushed table. `fini` then drains twice and puts `z`, also
+// of that size, so a table row add() had wrongly listed as dead would
+// be reused and overwritten; a compacting flush folds the table's own
+// blocks (a scan alone would read the cache's copy), and a full scan
+// must return every key once, in order. The `-mutant` row
+// drops the (memtable, version) recheck; `-kill-clean` lets add() list a
+// clean row's table row as dead. Both must be caught.
 // ---------------------------------------------------------------------
 
 struct PromoteScenario {
   using Db = minikv::ShardedDB<Hemlock>;
   static inline reclaim::EpochDomain* domain = nullptr;
   static inline Db* db = nullptr;
+  /// Ghost: how many of thread 1's puts have returned.
+  static inline int puts_done = 0;
+
+  /// Version order of the values thread 1 writes: old < new < nw2.
+  static int rank(const std::string& v) {
+    return v == "old" ? 0 : v == "new" ? 1 : v == "nw2" ? 2 : -1;
+  }
 
   static void init() {
     domain = new reclaim::EpochDomain();
     minikv::ShardedDbOptions o;
     o.num_shards = 1;
     o.block_cache_bytes = 64 << 10;
+    o.compaction_trigger = 1;  // every flush over a table compacts
     db = new Db(o, domain);
     db->put("k", "old");
+    db->put("m", "mid");
     db->flush();
+    puts_done = 0;
   }
 
   static void exec(std::uint32_t id) {
     if (id == 0) {
-      std::string v;
-      VERIFY_ASSERT(db->get("k", &v).is_ok());
-      VERIFY_ASSERT(v == "old" || v == "new");
+      for (int i = 0; i < 2; ++i) {
+        const int floor = puts_done;
+        std::string v;
+        VERIFY_ASSERT(db->get("k", &v).is_ok());
+        VERIFY_ASSERT(rank(v) >= floor);
+      }
     } else {
       db->put("k", "new");
-      db->flush();
+      puts_done = 1;
+      yield_point("recycle:step");
+      db->flush();  // compacts
+      yield_point("recycle:step");
+      db->reclaim_drain(~std::size_t{0});
+      yield_point("recycle:step");
+      db->reclaim_drain(~std::size_t{0});
+      yield_point("recycle:step");
+      db->put("k", "nw2");  // the size of every row here
+      puts_done = 2;
     }
   }
 
   static void fini() {
-    std::string v;
-    VERIFY_ASSERT(db->get("k", &v).is_ok());
-    VERIFY_ASSERT(v == "new");  // the last write wins
+    db->reclaim_drain(~std::size_t{0});
+    db->reclaim_drain(~std::size_t{0});
+    db->put("z", "zzz");  // would reuse a table row listed as dead
+    db->flush();          // folds the table's own blocks
+    std::vector<std::pair<std::string, std::string>> rows;
+    db->scan("", 10, &rows);
+    const std::vector<std::pair<std::string, std::string>> want = {
+        {"k", "nw2"}, {"m", "mid"}, {"z", "zzz"}};
+    VERIFY_ASSERT(rows == want);  // the last write wins, tables intact
     delete db;
     delete domain;
     db = nullptr;
@@ -652,7 +691,9 @@ const Scenario kScenarios[] = {
      &RwRRR::init, &RwRRR::exec, &RwRRR::fini, &RwRRR::post_all_readers,
      false},
     {"memtable-promote",
-     "MiniKV read promotion vs. a put-then-flush of the same key", 2,
+     "MiniKV read promotion vs. a put, a compacting flush, two drains and "
+     "a same-size put of the same key",
+     2,
      &PromoteScenario::init, &PromoteScenario::exec, &PromoteScenario::fini,
      nullptr, false},
     {"memtable-promote-mutant",
@@ -660,6 +701,10 @@ const Scenario kScenarios[] = {
      "caught",
      2, &PromoteScenario::init, &PromoteScenario::exec,
      &PromoteScenario::fini, nullptr, true, "promote:skip-recheck"},
+    {"memtable-promote-kill-clean",
+     "a put that lists a clean row's table row as dead — must be caught", 2,
+     &PromoteScenario::init, &PromoteScenario::exec, &PromoteScenario::fini,
+     nullptr, true, "memtable:kill-clean"},
     {"memtable-recycle",
      "MiniKV memtable hit vs. an overwrite whose dead entry a new key "
      "reuses",

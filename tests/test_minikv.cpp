@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <iterator>
 #include <map>
 #include <new>
@@ -370,8 +371,12 @@ TEST(BlockTest, AccessorsOverOneBuffer) {
   EXPECT_EQ(blk.lower_bound("b"), 1u);
   EXPECT_EQ(blk.lower_bound("c"), 2u);
   EXPECT_EQ(blk.lower_bound("e"), 3u);
-  // 9 payload bytes (keys 1+3+1, values 1+0+3), then 7 offsets.
-  EXPECT_EQ(blk.charge(), sizeof(Block) + 9 + 7 * sizeof(std::uint32_t));
+  // Rows are encoded as memtable entries are: 4 + 5 + 6 bytes (each
+  // key and value plus two 1-byte varints), then one offset per row.
+  EXPECT_EQ(blk.charge(), sizeof(Block) + 15 + 3 * sizeof(std::uint32_t));
+  std::string entry(detail::encoded_size("d", Slice("x\0y", 3)), '\0');
+  detail::encode_entry(entry.data(), "d", Slice("x\0y", 3));
+  EXPECT_EQ(Slice(blk.row(2), detail::entry_size(blk.row(2))), Slice(entry));
   // The builder starts over empty after finish().
   EXPECT_EQ(b.size(), 0u);
   EXPECT_EQ(b.finish().size(), 0u);
@@ -847,6 +852,37 @@ TEST(CacheTest, CacheLargerThanTheTableNeverEvicts) {
   EXPECT_LE(cache.misses(), StressTable::kBlocks);  // each block once
 }
 
+// One reader missing through a cache smaller than its table moves the
+// epoch itself: an insert whose oldest dead entry has not expired makes
+// one advance attempt before it allocates, so a shard owns its live
+// entries plus the last two misses' victims, not kSpareBound spares.
+// kv-zipf's shape: a 1 MiB cache over 20,000 rows of 16-byte keys and
+// 101-byte values, about 2.5 MiB of blocks.
+TEST(CacheTest, SingleReaderMissStreamReusesDeadEntries) {
+  reclaim::EpochDomain domain;
+  std::vector<std::pair<std::string, std::string>> rows;
+  for (std::uint64_t k = 0; k < 20000; ++k) {
+    rows.emplace_back(bench_key(k), "V" + std::string(100, 'a' + k % 26));
+  }
+  const ImmutableTable table(1, rows, ImmutableTable::kDefaultBlockFanout);
+  Cache cache(1 << 20, domain);
+  Xoshiro256 rng(5);
+  bool ok = true;
+  for (int i = 0; i < 20000; ++i) {
+    const std::size_t b = rng.below(static_cast<std::uint32_t>(table.num_blocks()));
+    reclaim::EpochGuard g(domain);
+    const BlockRef got = read_block_cached(cache, table, b);
+    ok = got->size() == table.block(b).size() &&
+         got->key(0) == table.block(b).key(0) && ok;
+  }
+  EXPECT_TRUE(ok);
+  EXPECT_GT(cache.evictions(), 0u);
+  EXPECT_EQ(cache.bypassed(), 0u);
+  const Cache::Footprint f = cache.footprint();
+  EXPECT_LE(f.owned, f.live + 2 * Cache::kNumShards) << f.live << " live";
+  EXPECT_EQ(f.allocated, f.owned);  // nothing is freed while the cache lives
+}
+
 // --------------------------------------------------------------- DB --
 TEST(DbTest, PutGetAcrossFlushes) {
   DbOptions opt;
@@ -1023,8 +1059,14 @@ std::vector<std::pair<std::string, std::string>> cursor_rows(const MemTable& mem
   return rows;
 }
 
+/// Promote (key, value) into `mem` as a table would hand it over: a
+/// row encoded as row.hpp describes, here kept for the whole test
+/// program (a deque never moves its strings), so it outlives `mem`.
 bool promote(MemTable& mem, const std::string& key, const std::string& value) {
-  return mem.promote(key, detail::hash_key(key), value);
+  static std::deque<std::string> rows;
+  std::string& row = rows.emplace_back(detail::encoded_size(key, value), '\0');
+  detail::encode_entry(row.data(), key, value);
+  return mem.promote(row.data(), detail::hash_key(key));
 }
 
 // A clean row answers get() but stays out of the ordered index and the
@@ -1050,6 +1092,74 @@ TEST(ReadPromotion, CleanRowsAreFoundButNotOrderedOrCounted) {
   EXPECT_EQ(cursor_rows(mem), (Rows{{"a", "va"}, {"b", "vb"}}));
   ASSERT_TRUE(mem.get("c", &v));
   EXPECT_EQ(v, "clean-c");
+}
+
+// A promoted row is a slot pointing at the table's own row: it adds
+// MemTable::kSlotBytes to the clean rows' footprint and copies none of
+// the row's bytes, so get() answers with a view into the table. Through
+// ShardedDB the slot must not point at the block cache's copy, which
+// later misses recycle, and the key must still read right after a
+// compacting flush retires the memtable and its table together and
+// three drains free them (the ASan legs run this test).
+TEST(ReadPromotion, PromotedRowsAreSlots) {
+  constexpr std::size_t kRows = 4096, kFanout = 16;
+  std::vector<std::pair<std::string, std::string>> rows;
+  for (std::uint64_t k = 0; k < kRows; ++k) {
+    rows.emplace_back(bench_key(k), std::string(100, 'a' + k % 26));
+  }
+  std::vector<std::pair<std::string, std::string>> tagged = rows;
+  for (auto& [k, v] : tagged) v.insert(0, "V");  // as ShardedDB stores them
+  const ImmutableTable table(1, tagged, kFanout);
+  MemTable mem;
+  const std::size_t footprint0 = mem.approximate_memory_usage();
+  constexpr std::size_t kPromoted = 256;
+  for (std::size_t i = 0; i < kPromoted; ++i) {
+    const Block& block = table.block(i / kFanout);
+    const std::uint64_t hash = detail::hash_key(rows[i].first);
+    ASSERT_TRUE(mem.promote(block.row(i % kFanout), hash));
+    EXPECT_EQ(mem.approximate_memory_usage() - mem.written_memory_usage(),
+              (i + 1) * MemTable::kSlotBytes);
+    Slice v;
+    ASSERT_TRUE(mem.get(rows[i].first, hash, &v));
+    EXPECT_EQ(v.data(), block.value(i % kFanout).data());  // no copy
+  }
+  // The arena grew by the slots (in whole arena blocks): copies of the
+  // 119-byte rows would have taken five times as much.
+  EXPECT_LT(mem.approximate_memory_usage() - footprint0,
+            kPromoted * 2 * MemTable::kSlotBytes);
+
+  // A cache shard holds one block of the DB's 256, so the first pass
+  // misses every block once and recycles every shard's entries.
+  reclaim::EpochDomain domain;
+  ShardedDbOptions opt;
+  opt.num_shards = 1;
+  opt.compaction_trigger = 1;  // every flush folds every table into one
+  opt.block_cache_bytes = Cache::kNumShards * 2500;
+  ShardedDB<> db(opt, &domain);
+  for (const auto& [k, v] : rows) ASSERT_TRUE(db.put(k, v).is_ok());
+  db.flush();
+  std::string got;
+  for (int pass = 0; pass < 2; ++pass) {  // the first promotes every row
+    for (const auto& [k, v] : rows) {
+      ASSERT_TRUE(db.get(k, &got).is_ok());
+      ASSERT_EQ(got, v);
+    }
+  }
+  ShardedDbStats st = db.stats();
+  EXPECT_EQ(st.promotions, kRows);
+  EXPECT_EQ(st.table_gets, kRows);
+  EXPECT_EQ(db.cache_misses(), kRows / kFanout);
+  ASSERT_TRUE(db.put(rows[1].first, "new").is_ok());
+  db.flush();  // compacts: the promoted rows' table goes with the memtable
+  for (int i = 0; i < 3; ++i) db.reclaim_drain(~std::size_t{0});
+  EXPECT_EQ(domain.stats().pending, 0u);
+  ASSERT_TRUE(db.get(rows[0].first, &got).is_ok());
+  EXPECT_EQ(got, rows[0].second);
+  ASSERT_TRUE(db.get(rows[1].first, &got).is_ok());
+  EXPECT_EQ(got, "new");
+  st = db.stats();
+  EXPECT_EQ(st.compactions, 1u);
+  EXPECT_EQ(st.promotions, kRows + 2);  // both again, from the new table
 }
 
 // A table built from a memtable holding clean rows holds only the rows
@@ -1575,9 +1685,38 @@ TEST(DbTest, ShardedTableGetsLookUpTheCache) {
   EXPECT_GE(db.cache_hits() + db.cache_misses(), db.stats().table_gets);
 }
 
+/// A thread parked in an EpochGuard on `domain` from construction until
+/// leave(): a reader that could still hold anything unlinked meanwhile.
+class PinnedReader {
+ public:
+  explicit PinnedReader(reclaim::EpochDomain& domain)
+      : thread_([this, &domain] {
+          reclaim::EpochGuard g(domain);
+          pinned_.store(true, std::memory_order_release);
+          while (!leave_.load(std::memory_order_acquire)) {
+            std::this_thread::yield();
+          }
+        }) {
+    while (!pinned_.load(std::memory_order_acquire)) std::this_thread::yield();
+  }
+  ~PinnedReader() { leave(); }
+  PinnedReader(const PinnedReader&) = delete;
+  PinnedReader& operator=(const PinnedReader&) = delete;
+
+  void leave() {
+    leave_.store(true, std::memory_order_release);
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  std::atomic<bool> pinned_{false}, leave_{false};
+  std::thread thread_;
+};
+
 // Readers never reclaim: gets pin the epoch and may advance it, but
-// free nothing, so the retirees of a flush stay pending through a
-// read-only phase, and the next writes' drains free them.
+// free nothing. A reader pinned across the second flush holds that
+// flush's retirees back; they stay pending through a read-only phase
+// after it leaves, and the next writes' drains free them.
 TEST(DbTest, ShardedGetsNeverReclaim) {
   reclaim::EpochDomain domain;
   ShardedDbOptions opt;
@@ -1587,10 +1726,14 @@ TEST(DbTest, ShardedGetsNeverReclaim) {
   constexpr std::uint64_t kKeys = 4000;
   for (std::uint64_t k = 0; k < kKeys; ++k) {
     db.put(bench_key(k), "value-" + std::to_string(k));
-    if (k == kKeys / 2 - 1 || k == kKeys - 1) db.flush();
+    if (k == kKeys / 2 - 1) db.flush();
+  }
+  {
+    PinnedReader reader(domain);
+    db.flush();
   }
   // The second flush retired each shard's memtable and version, and
-  // its drain could not free them yet.
+  // its drains could not free them past the pinned reader.
   const reclaim::DomainStats before = domain.stats();
   ASSERT_EQ(before.pending, 2 * opt.num_shards);
   std::string v;
@@ -1610,6 +1753,50 @@ TEST(DbTest, ShardedGetsNeverReclaim) {
     ASSERT_TRUE(db.put(bench_key(k), "value-" + std::to_string(k)).is_ok());
   }
   EXPECT_EQ(domain.stats().pending, 0u);
+}
+
+// flush() frees what it retired: with no reader pinned, its drains
+// pass the retirees' stamps and nothing stays pending. A reader pinned
+// on another thread stops it at the first refused advance with every
+// shard's memtable and version pending, and a later flush frees them.
+// Either way it makes at most three advance attempts, one per drain.
+TEST(DbTest, FlushFreesWhatItRetired) {
+  reclaim::EpochDomain domain;
+  ShardedDbOptions opt;
+  opt.num_shards = 4;
+  opt.block_cache_bytes = 64 * 1024;
+  ShardedDB<> db(opt, &domain);
+  auto fill = [&](std::uint64_t from) {
+    for (std::uint64_t k = from; k < from + 400; ++k) {
+      ASSERT_TRUE(db.put(bench_key(k), "value").is_ok());
+    }
+  };
+  auto attempts = [](const reclaim::DomainStats& st) {
+    return st.advances + st.advance_blocked;
+  };
+  fill(0);
+  const reclaim::DomainStats s0 = domain.stats();
+  ASSERT_EQ(s0.pending, 0u);
+  db.flush();
+  const reclaim::DomainStats s1 = domain.stats();
+  EXPECT_EQ(s1.pending, 0u);
+  EXPECT_EQ(s1.freed - s0.freed, 2 * opt.num_shards);
+  EXPECT_LE(attempts(s1) - attempts(s0), 3u);
+
+  fill(400);
+  {
+    PinnedReader reader(domain);
+    const reclaim::DomainStats s2 = domain.stats();
+    db.flush();
+    const reclaim::DomainStats s3 = domain.stats();
+    EXPECT_EQ(s3.pending, 2 * opt.num_shards);
+    EXPECT_GT(s3.advance_blocked, s2.advance_blocked);
+    EXPECT_LE(attempts(s3) - attempts(s2), 3u);
+  }
+  fill(800);
+  db.flush();
+  EXPECT_EQ(domain.stats().pending, 0u);
+  EXPECT_EQ(db.stats().flushes, 3 * opt.num_shards);
 }
 
 // A cross-shard scan copies only the rows it returns. With every block

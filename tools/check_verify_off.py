@@ -49,6 +49,7 @@ RESIDUE = [
     "promote:skip-recheck",
     "memtable:hit",
     "memtable:recycle-early",
+    "memtable:kill-clean",
     "cache:hit",
     "cache:recycle-early",
     "tl_hook",

@@ -26,7 +26,8 @@ bool sharded_get(hemlock::minikv::ShardedDB<hemlock::Hemlock>& db,
   return db.get("k", value).is_ok();
 }
 
-// A put's memtable add, whose dead-entry reuse plants a mutant.
+// A put's memtable add, whose dead-entry reuse and clean-row overwrite
+// plant mutants.
 bool sharded_put(hemlock::minikv::ShardedDB<hemlock::Hemlock>& db) {
   return db.put("k", "v").is_ok();
 }
