@@ -29,6 +29,11 @@
 //    changes; the Tail word, the doorstep, try_lock and the §5.4 hooks
 //    are the body's, once.
 //
+// Every member of the family also demotes the lock's line on an
+// uncontended release that follows a contended episode (unlock(); the
+// paper's baselines do not), so a lock migrating between cores is
+// fetched from the shared cache instead of from its last owner's.
+//
 // Policy hooks (all static, W = the Waiting policy):
 //   arrive(mine, L):      lock entry, before the doorstep (line 6).
 //   may_try(mine, L):     try_lock's line 6 — may an attempt start now?
@@ -45,6 +50,7 @@
 #include "core/waiting.hpp"
 #include "locks/lock_traits.hpp"
 #include "runtime/annotations.hpp"
+#include "runtime/cacheline.hpp"
 #include "runtime/thread_rec.hpp"
 
 namespace hemlock {
@@ -329,6 +335,7 @@ class HEMLOCK_CAPABILITY("mutex") HemlockBase {
     // previous critical section is visible when we get pred == null.
     ThreadRec* pred = tail_.exchange(&me, std::memory_order_acq_rel);
     if (pred != nullptr) {
+      me.demote.shared(lock_word());
       // Queued but not yet watching the mailbox: the window where the
       // owner's unlock CAS has already failed against our SWAP and
       // its publish may land before our first poll.
@@ -367,6 +374,13 @@ class HEMLOCK_CAPABILITY("mutex") HemlockBase {
   /// acknowledgement so the mailbox can be reused). A thread that
   /// unlocks a lock it does not hold stalls here forever, which the
   /// paper considers a debuggability feature (§2).
+  ///
+  /// An uncontended release of a lock this thread recently saw shared
+  /// (DemoteHint) demotes the lock word's line to the shared cache:
+  /// the lock is free, its line Modified in our private cache, and the
+  /// next owner's doorstep SWAP is then served from the shared cache,
+  /// not by a snoop of ours. The hint neither reads nor writes the
+  /// line, so the lock may already be another thread's, or freed.
   void unlock() noexcept HEMLOCK_RELEASE() {
     ThreadRec& me = self();
     if (H::successor(tail_, me, lock_word())) {
@@ -374,6 +388,10 @@ class HEMLOCK_CAPABILITY("mutex") HemlockBase {
       // successor may already be polling.
       HEMLOCK_VERIFY_YIELD("hemlock:handover");
       H::pass(me.grant.value, lock_word());
+      me.demote.shared(lock_word());
+    } else if (me.demote.solo_release(lock_word())) {
+      demote_line(this);
+      HEMLOCK_TM_DEMOTION(me.telemetry_slab);
     }
     LockProfiler::on_release(me);
   }

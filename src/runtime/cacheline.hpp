@@ -4,7 +4,9 @@
 // occupant of a cache line (paper §2.3: "to avoid false sharing we
 // opted to sequester the Grant field as the sole occupant of a cache
 // line"). MCS/CLH queue nodes are padded the same way so that baseline
-// comparisons are fair, matching the paper's methodology.
+// comparisons are fair, matching the paper's methodology. One hint
+// moves lines the other way: demote_line() pushes a released lock's
+// line out to the shared cache for its next owner.
 #pragma once
 
 #include <cstddef>
@@ -55,6 +57,21 @@ constexpr std::size_t lines_for(std::size_t bytes) noexcept {
 /// in the paper reports lock footprints in words.
 constexpr std::size_t words_for(std::size_t bytes) noexcept {
   return (bytes + sizeof(void*) - 1) / sizeof(void*);
+}
+
+/// Hint that the line holding `p` should leave this core's private
+/// caches for the shared last-level cache, so the next core to touch
+/// it is served from there instead of by a snoop of ours. x86-64's
+/// CLDEMOTE; nothing on other targets. A hint only: it reads and
+/// writes nothing and does not fault, not even on an unmapped or
+/// PROT_NONE page, so `p` may already be freed. CPUs without CLDEMOTE
+/// run its encoding (0F 1C /0, hint-NOP space) as a NOP.
+inline void demote_line(const void* p) noexcept {
+#if defined(__x86_64__)
+  asm volatile("cldemote (%0)" : : "r"(p));
+#else
+  (void)p;
+#endif
 }
 
 }  // namespace hemlock

@@ -7,6 +7,9 @@
 // linkage, the thread's telemetry slab and the live multi-waiting
 // gauge of the §5.4 application characterization. The gauge is never
 // touched on lock fast paths unless profiling is explicitly enabled.
+// The two owner-only fields of the demotion predictor (DemoteHint)
+// are not part of the algorithm's Table 1 footprint: they only decide
+// whether a release demotes the lock's line.
 //
 // Lifetime rule (paper Appendix A): "When ultimately destroying a
 // thread, it is necessary to wait while the thread's Grant field
@@ -29,6 +32,31 @@ namespace hemlock {
 /// address with the low bit set (L|1, "successor certainly exists").
 using GrantWord = std::uintptr_t;
 inline constexpr GrantWord kGrantEmpty = 0;
+
+/// The release-side demotion predictor (core/hemlock.hpp). Demoting a
+/// lock's line on an uncontended release pays only when another core
+/// takes the lock next, so the thread remembers the last lock it saw
+/// shared (queued behind a predecessor on, or handed to a successor)
+/// and demotes only that lock's first kReleases uncontended releases
+/// after it. A lock the thread runs alone never demotes. Owner-only.
+struct DemoteHint {
+  static constexpr std::uint32_t kReleases = 64;
+  GrantWord lock = kGrantEmpty;     ///< the lock last seen shared
+  std::uint32_t solo_releases = 0;  ///< its uncontended releases since
+
+  /// This thread queued on `l` behind a predecessor, or passed it on.
+  void shared(GrantWord l) noexcept {
+    lock = l;
+    solo_releases = 0;
+  }
+
+  /// An uncontended release of `l`: true when it should demote.
+  bool solo_release(GrantWord l) noexcept {
+    if (l != lock || solo_releases == kReleases) return false;
+    ++solo_releases;
+    return true;
+  }
+};
 
 /// Per-thread locking record. Obtain the calling thread's record with
 /// self(); records are registered for the lifetime of the thread and
@@ -56,6 +84,10 @@ struct ThreadRec {
   /// nest enter() calls; only the outermost publishes/clears the
   /// announcement word), so plain integers on a cold line suffice.
   std::uint32_t epoch_depth[kMaxEpochDomains] = {};
+  /// The release-side demotion predictor: owner-only too, read on every
+  /// uncontended Hemlock release, so it shares neither the Grant line
+  /// nor grant_waiters' line.
+  DemoteHint demote;
 
   // ---- cold line(s): registry + profiling ------------------------------
   /// Intrusive registry link; managed by ThreadRegistry.
@@ -67,8 +99,9 @@ struct ThreadRec {
 
   /// Threads now waiting on this->grant (the §5.4 multi-waiting
   /// gauge), moved only while LockProfiler is enabled. Its waiters
-  /// write it, so unlike the slab it is a shared RMW.
-  std::atomic<std::uint32_t> grant_waiters{0};
+  /// write it, so unlike the slab it is a shared RMW, kept off the
+  /// owner-only line above.
+  alignas(kCacheLineSize) std::atomic<std::uint32_t> grant_waiters{0};
 
 #if HEMLOCK_TELEMETRY_ENABLED
   /// Per-lock telemetry counters for this thread (stats/telemetry.hpp).

@@ -112,7 +112,8 @@ inline constexpr unsigned kCensusBucketBits = 8;
   X(census_high_water, kCensus, "census-hw") /* most threads parked */   \
   X(nested_acquires, kSum, "nested")   /* §5.4: lock() holding another */ \
   X(max_held, kMax, "max-held")        /* §5.4: most locks held */       \
-  X(max_grant_waiters, kMax, "max-grant-w") /* §5.4: most on a Grant */
+  X(max_grant_waiters, kMax, "max-grant-w") /* §5.4: most on a Grant */ \
+  X(demotions, kSum, "demotions")      /* released lines demoted */
 
 /// Per-(thread, handle) counters. The table's counters are written by
 /// the owning thread with relaxed atomics (statistics, never
@@ -328,9 +329,10 @@ inline void on_unlock_end(TelemetryHandle) noexcept {}
 #endif  // HEMLOCK_TELEMETRY_ENABLED
 
 // ---------------------------------------------------------------------
-// Statement-position hook macros for the waiting layer and the epoch
-// domains. Under -DHEMLOCK_TELEMETRY=OFF these are literally ((void)0)
-// — the codegen tripwire's contract.
+// Statement-position hook macros for the waiting layer, the epoch
+// domains and the Hemlock release's line demotion. Under
+// -DHEMLOCK_TELEMETRY=OFF these are literally ((void)0) — the codegen
+// tripwire's contract.
 // ---------------------------------------------------------------------
 
 #if HEMLOCK_TELEMETRY_ENABLED
@@ -346,6 +348,11 @@ inline void on_unlock_end(TelemetryHandle) noexcept {}
 #define HEMLOCK_TM_EPOCH_ADVANCE(epoch)                          \
   ::hemlock::telemetry::trace(::hemlock::telemetry::Ev::kEpochAdvance, 0, \
                               static_cast<std::uint32_t>(epoch))
+/// A release demoted its lock's line: inline (it sits on an uncontended
+/// release, not a slow path), on the releasing thread's `slab`, in the
+/// slot the waiting-layer hooks use.
+#define HEMLOCK_TM_DEMOTION(slab) \
+  ::hemlock::telemetry::bump(::hemlock::telemetry::attr_slot(slab).demotions)
 #else
 #define HEMLOCK_TM_CONTENDED() ((void)0)
 #define HEMLOCK_TM_PARK(addr, parked) ((void)0)
@@ -355,6 +362,7 @@ inline void on_unlock_end(TelemetryHandle) noexcept {}
 #define HEMLOCK_TM_GATE_SKIP() ((void)0)
 #define HEMLOCK_TM_ESCALATE() ((void)0)
 #define HEMLOCK_TM_EPOCH_ADVANCE(epoch) ((void)0)
+#define HEMLOCK_TM_DEMOTION(slab) ((void)0)
 #endif
 
 // ---------------------------------------------------------------------

@@ -3,15 +3,18 @@
 // multi-waiting disambiguation (§2.2's Figure-1 scenario), the
 // fere-local spinning bound (Theorem 10) via the profiler, and the
 // per-variant quirks (Overlap's deferred drain, AH's speculative
-// store retraction, OHV1's advisory flag).
+// store retraction, OHV1's advisory flag), and the release-side line
+// demotion's predictor.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "api/any_lock.hpp"
 #include "core/hemlock.hpp"
 #include "core/hemlock_chain.hpp"
 #include "core/hemlock_cv.hpp"
@@ -263,6 +266,132 @@ TEST(HemlockSemantics, ProfileHeldGaugeSurvivesResetAndLateEnable) {
 
   LockProfiler::enable(false);
   telemetry::reset();
+}
+
+// ---------------------------------------------------------------------------
+// Release-side line demotion (DemoteHint): an uncontended release
+// demotes only after a contended episode on the same lock, and at most
+// DemoteHint::kReleases times. Counted on a named AnyLock's row. Every
+// lock runs on fresh threads, whose predictors start empty, so no
+// earlier test's lock at a reused address can arm them.
+constexpr const char* kDemotingLocks[] = {"hemlock", "hemlock-adaptive",
+                                          "hemlock-ohv2"};
+
+/// The named row's counters (all zero while the row is absent).
+telemetry::Counters row_counts(const std::string& name) {
+  for (const telemetry::LockTelemetry& row : telemetry::collect().locks) {
+    if (row.name == name) return row;
+  }
+  return {};
+}
+
+/// Yields until `done()` holds. Bounded, so a hook that never fires
+/// fails the test's counts instead of hanging it.
+template <typename F>
+void await(F done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+void solo_pairs(AnyLock& l, int n) {
+  for (int i = 0; i < n; ++i) {
+    l.lock();
+    l.unlock();
+  }
+}
+
+/// The holder's side of one forced contended hand-off: take `l`, let
+/// the waiter start, and release only once `row` counts the waiter as
+/// queued (it counts after its doorstep SWAP, so Tail is the waiter's
+/// and this release must pass the lock on).
+void hand_off_once(AnyLock& l, const std::string& row,
+                   std::atomic<bool>& held) {
+  const std::uint64_t queued = row_counts(row).contended + 1;
+  l.lock();
+  held.store(true);
+  await([&] { return row_counts(row).contended >= queued; });
+  l.unlock();
+}
+
+TEST(HemlockDemotion, LockRunAloneNeverDemotes) {
+  for (const char* algo : kDemotingLocks) {
+    const std::string row = std::string("demote-solo-") + algo;
+    AnyLock l(algo, row);
+    std::thread([&] { solo_pairs(l, 10000); }).join();
+    const telemetry::Counters c = row_counts(row);
+    EXPECT_EQ(c.acquires, 10000u) << algo;
+    EXPECT_EQ(c.demotions, 0u) << algo;
+  }
+}
+
+// After one hand-off, the waiter's release straight after its
+// acquisition and its next 99, then the holder's next 100, demote
+// exactly DemoteHint::kReleases times each.
+TEST(HemlockDemotion, HandOffArmsBothThreadsForBoundedReleases) {
+  static_assert(DemoteHint::kReleases == 64);
+  for (const char* algo : kDemotingLocks) {
+    const std::string row = std::string("demote-pair-") + algo;
+    AnyLock l(algo, row);
+    std::atomic<bool> held{false};
+    std::atomic<bool> waiter_done{false};
+    std::thread holder([&] {
+      hand_off_once(l, row, held);
+      await([&] { return waiter_done.load(); });
+      solo_pairs(l, 100);
+    });
+    std::thread waiter([&] {
+      await([&] { return held.load(); });
+      l.lock();  // queues behind the holder
+      l.unlock();
+      solo_pairs(l, 99);
+    });
+    waiter.join();
+    EXPECT_EQ(row_counts(row).contended, 1u) << algo;
+    EXPECT_EQ(row_counts(row).demotions, 64u) << algo;
+    waiter_done.store(true);
+    holder.join();
+    EXPECT_EQ(row_counts(row).demotions, 128u) << algo;
+  }
+}
+
+// A hand-off on a second lock moves both threads' predictors there:
+// the first lock's later solo releases stop demoting. Its one demotion
+// is the waiter's release straight after the first hand-off.
+TEST(HemlockDemotion, HandOffOnAnotherLockMovesThePredictor) {
+  for (const char* algo : kDemotingLocks) {
+    const std::string row1 = std::string("demote-first-") + algo;
+    const std::string row2 = std::string("demote-second-") + algo;
+    AnyLock first(algo, row1);
+    AnyLock second(algo, row2);
+    std::atomic<bool> held1{false};
+    std::atomic<bool> held2{false};
+    std::atomic<bool> waiter_done{false};
+    std::thread holder([&] {
+      hand_off_once(first, row1, held1);
+      hand_off_once(second, row2, held2);
+      await([&] { return waiter_done.load(); });
+      solo_pairs(first, 100);
+    });
+    std::thread waiter([&] {
+      await([&] { return held1.load(); });
+      first.lock();
+      first.unlock();
+      await([&] { return held2.load(); });
+      second.lock();
+      second.unlock();
+      solo_pairs(first, 100);
+      waiter_done.store(true);
+    });
+    waiter.join();
+    holder.join();
+    EXPECT_EQ(row_counts(row1).contended, 1u) << algo;
+    EXPECT_EQ(row_counts(row2).contended, 1u) << algo;
+    EXPECT_EQ(row_counts(row1).demotions, 1u) << algo;
+    EXPECT_EQ(row_counts(row2).demotions, 1u) << algo;
+  }
 }
 #endif  // HEMLOCK_TELEMETRY_ENABLED
 

@@ -1,7 +1,10 @@
 // test_runtime.cpp — unit tests for the runtime substrate: cache-line
-// geometry, PRNGs, barrier, timing, topology, and the ThreadRec /
-// registry machinery the Hemlock family depends on.
+// geometry and the line-demotion hint, PRNGs, barrier, timing,
+// topology, and the ThreadRec / registry machinery the Hemlock family
+// depends on.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
@@ -33,6 +36,26 @@ TEST(Cacheline, WordAndLineAccounting) {
   EXPECT_EQ(lines_for(1), 1u);
   EXPECT_EQ(lines_for(64), 1u);
   EXPECT_EQ(lines_for(65), 2u);
+}
+
+// The release-side demotion hint may name a lock that another thread
+// has freed since: the hint must not fault on any address a freed
+// lock's memory can become.
+TEST(Cacheline, DemoteLineNeverFaults) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  void* p = mmap(nullptr, page, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(p, MAP_FAILED);
+  auto* bytes = static_cast<unsigned char*>(p);
+  bytes[0] = 1;  // a line this core holds Modified
+  demote_line(bytes);
+  ASSERT_EQ(mprotect(p, page, PROT_NONE), 0);
+  demote_line(bytes);
+  demote_line(bytes + page - 1);
+  ASSERT_EQ(munmap(p, page), 0);
+  demote_line(bytes);
+  demote_line(bytes + page - 1);
+  SUCCEED() << "no signal";
 }
 
 TEST(Prng, SplitMixDeterministic) {
@@ -120,6 +143,22 @@ TEST(ThreadRec, GrantSequesteredOnOwnLine) {
   const auto next_addr = reinterpret_cast<std::uintptr_t>(&me.registry_next);
   EXPECT_EQ(grant_addr % kCacheLineSize, 0u);
   EXPECT_GE(next_addr - grant_addr, kCacheLineSize);
+
+  // The demotion predictor is read on every uncontended release: it
+  // shares neither the Grant line (successors write it) nor
+  // grant_waiters' line (waiters write it while the profiler is on).
+  const auto line = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) / kCacheLineSize;
+  };
+  const auto* hint = reinterpret_cast<const unsigned char*>(&me.demote);
+  const auto hint_first = line(hint);
+  const auto hint_last = line(hint + sizeof(me.demote) - 1);
+  const auto grant_line = line(&me.grant.value);
+  const auto waiters_line = line(&me.grant_waiters);
+  EXPECT_NE(hint_first, grant_line);
+  EXPECT_NE(hint_last, grant_line);
+  EXPECT_NE(hint_first, waiters_line);
+  EXPECT_NE(hint_last, waiters_line);
 }
 
 TEST(ThreadRec, SelfIsStablePerThreadAndDistinctAcrossThreads) {

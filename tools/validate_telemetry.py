@@ -24,6 +24,7 @@ LOCK_KEYS = {
     "wakes": int,
     "escalations": int,
     "shared_acquires": int,
+    "demotions": int,
     "wait_ns": dict,
     "hold_ns": dict,
 }
@@ -132,6 +133,7 @@ def minimal_doc():
                 "wakes": 1,
                 "escalations": 0,
                 "shared_acquires": 3,
+                "demotions": 4,
                 "wait_ns": dict(hist),
                 "hold_ns": dict(hist),
             }
