@@ -391,7 +391,9 @@ class HEMLOCK_CAPABILITY("mutex") HemlockBase {
       me.demote.shared(lock_word());
     } else if (me.demote.solo_release(lock_word())) {
       demote_line(this);
-      HEMLOCK_TM_DEMOTION(me.telemetry_slab);
+      // Counted inline, not through an out-of-line wl_* hook: this is
+      // the uncontended release, no slow path.
+      telemetry::bump(telemetry::attr_slot(me.telemetry_slab).demotions);
     }
     LockProfiler::on_release(me);
   }

@@ -91,7 +91,7 @@ class HEMLOCK_CAPABILITY("mutex") HemlockCv {
     // acquire orders us after the predecessor's enqueue.
     detail::CvRec* pred = tail_.exchange(&me, std::memory_order_acq_rel);
     if (pred != nullptr) {
-      HEMLOCK_TM_CONTENDED();  // queued behind a predecessor
+      telemetry::wl_contended();  // queued behind a predecessor
       std::unique_lock<std::mutex> lk(pred->mu);
       pred->cv.wait(lk, [&] {
         // mo: relaxed — read under mu, which orders it.

@@ -175,19 +175,19 @@ inline void park_on(const void* addr, const StillWaiting& still_waiting,
                     std::atomic<std::uint32_t>* word, std::uint32_t seen,
                     bool bounded) noexcept {
   auto& gov = ContentionGovernor::instance();
-  [[maybe_unused]] const std::uint32_t parked = gov.begin_park(addr);
+  const std::uint32_t parked = gov.begin_park(addr);
   // mo: seq_cst fence — the parker's half of the Dekker handshake above.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   if (still_waiting()) {
-    HEMLOCK_TM_PARK(addr, parked);
+    telemetry::wl_park(addr, parked);
     if (bounded) {
       futex_wait_for(word, seen, kWideWordParkNanos);
     } else {
       futex_wait(word, seen);
     }
-    HEMLOCK_TM_UNPARK();
+    telemetry::wl_unpark();
   } else {
-    HEMLOCK_TM_RETRY(addr, parked);
+    telemetry::wl_retry(addr, parked);
   }
   gov.end_park(addr);
 }
@@ -251,7 +251,7 @@ inline T wait_escalating_with(const Poll& poll, const ParkFn& park_once,
   T v{};
   for (std::uint32_t i = 0; i < kDoorstepSpins; ++i) {
     if (poll(v)) return v;
-    if (count && i == 0) HEMLOCK_TM_CONTENDED();
+    if (count && i == 0) telemetry::wl_contended();
     cpu_relax();
     HEMLOCK_VERIFY_YIELD("queue:doorstep");
   }
@@ -266,7 +266,7 @@ inline T wait_escalating_with(const Poll& poll, const ParkFn& park_once,
     const WaitTier round_tier = Rule::tier(round);
     if (round_tier != prev_tier) {
       prev_tier = round_tier;
-      HEMLOCK_TM_ESCALATE();
+      telemetry::wl_escalate();
     }
     bool got = false;
     switch (round_tier) {
@@ -301,10 +301,10 @@ inline T wait_escalating_with(const Poll& poll, const ParkFn& park_once,
 inline void wake_if_parked(const void* addr,
                            std::atomic<std::uint32_t>* word) noexcept {
   if (ContentionGovernor::instance().parked(addr) != 0) {
-    HEMLOCK_TM_WAKE();
+    telemetry::wl_wake();
     futex_wake_all(word);
   } else {
-    HEMLOCK_TM_GATE_SKIP();
+    telemetry::wl_gate_skip();
   }
 }
 
@@ -388,7 +388,7 @@ struct QueueSpinWaiting : WordWaits<QueueSpinWaiting> {
                 bool count) noexcept {
     T v{};
     if (poll(v)) return v;
-    if (count) HEMLOCK_TM_CONTENDED();
+    if (count) telemetry::wl_contended();
     do {
       cpu_relax();
       HEMLOCK_VERIFY_YIELD("queue:spin");
@@ -591,7 +591,7 @@ struct GrantWaiting {
   /// waiter alongside a fresh one.
   static void wait_and_consume(std::atomic<GrantWord>& g, GrantWord expect,
                                ThreadRec* pred = nullptr) noexcept {
-    HEMLOCK_TM_CONTENDED();  // only ever called behind a real predecessor
+    telemetry::wl_contended();  // only ever called behind a real predecessor
     const auto done = [expect](GrantWord v) { return v == expect; };
     if (pred != nullptr && LockProfiler::enabled()) {
       LockProfiler::on_wait_begin(*pred);

@@ -66,7 +66,7 @@ class HEMLOCK_CAPABILITY("mutex") McsK42Lock {
         // Relaxed on failure: the outer loop re-reads tail.
         if (tail_.compare_exchange_weak(prev, &me, std::memory_order_acq_rel,
                                         std::memory_order_relaxed)) {
-          HEMLOCK_TM_CONTENDED();
+          telemetry::wl_contended();
           // Queued. Link from predecessor: if prev is the lock's own
           // pseudo-node the owner has no waiters yet and the hand-off
           // hint lives in head_.

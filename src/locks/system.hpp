@@ -6,8 +6,6 @@
 // reference points.
 #pragma once
 
-#include <mutex>
-
 #include <pthread.h>
 
 #include "locks/lock_traits.hpp"
@@ -54,22 +52,6 @@ struct lock_traits<PthreadMutex> {
   /// glibc's default mutex blocks in the kernel (futex) under
   /// contention — the reference point the parking tiers are measured
   /// against.
-  static constexpr const char* waiting = "park";
-  static constexpr LockTier tier = LockTier::kPark;
-  static constexpr bool oversub_safe = true;
-};
-
-template <>
-struct lock_traits<std::mutex> {
-  static constexpr const char* name = "std-mutex";
-  static constexpr std::size_t lock_words = sizeof(std::mutex) / sizeof(void*);
-  static constexpr std::size_t held_words = 0;
-  static constexpr std::size_t wait_words = 0;
-  static constexpr std::size_t thread_words = 0;
-  static constexpr bool nontrivial_init = true;
-  static constexpr bool is_fifo = false;
-  static constexpr bool has_trylock = true;
-  static constexpr Spinning spinning = Spinning::kGlobal;
   static constexpr const char* waiting = "park";
   static constexpr LockTier tier = LockTier::kPark;
   static constexpr bool oversub_safe = true;

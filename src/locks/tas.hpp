@@ -25,7 +25,7 @@ class HEMLOCK_CAPABILITY("mutex") TasLock {
   /// failed attempt makes the acquisition a contended one.
   void lock() noexcept HEMLOCK_ACQUIRE() {
     if (attempt()) return;
-    HEMLOCK_TM_CONTENDED();
+    telemetry::wl_contended();
     do {
       cpu_relax();
     } while (!attempt());
@@ -60,7 +60,7 @@ class HEMLOCK_CAPABILITY("mutex") TtasLock {
   /// Acquire; a failed first attempt makes it a contended one.
   void lock() noexcept HEMLOCK_ACQUIRE() {
     if (attempt()) return;
-    HEMLOCK_TM_CONTENDED();
+    telemetry::wl_contended();
     do {
       cpu_relax();
     } while (!attempt());
@@ -94,7 +94,7 @@ class HEMLOCK_CAPABILITY("mutex") TtasBackoffLock {
   /// Acquire; a failed first attempt makes it a contended one.
   void lock() noexcept HEMLOCK_ACQUIRE() {
     if (attempt()) return;
-    HEMLOCK_TM_CONTENDED();
+    telemetry::wl_contended();
     std::uint32_t ceiling = kMinBackoff;
     do {
       for (std::uint32_t i = 0; i < ceiling; ++i) cpu_relax();

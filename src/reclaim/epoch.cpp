@@ -116,26 +116,17 @@ bool EpochDomain::try_advance() noexcept {
   // mo: seq_cst — part of the Dekker pair with enter()'s
   // announce/recheck: the scan below must be ordered after this read.
   const std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
-  struct Scan {
-    std::uint32_t slot;
-    std::uint64_t epoch;
-    bool blocked;
-  } scan{slot_, e, false};
-  // The raw walk: a std::function over this lambda's captures would
-  // allocate on every advance attempt.
-  ThreadRegistry::for_each_raw(
-      [](ThreadRec& rec, void* ctx) {
-        auto& sc = *static_cast<Scan*>(ctx);
-        // mo: seq_cst scan — sees every announcement that the epoch
-        // read above did not already supersede (enter()'s recheck).
-        const std::uint64_t a =
-            rec.epochs[sc.slot].value.load(std::memory_order_seq_cst);
-        // A thread announcing e is current; announcing an older epoch
-        // means it may still hold references unlinked two epochs back.
-        if (a != 0 && a != sc.epoch) sc.blocked = true;
-      },
-      &scan);
-  if (scan.blocked) {
+  bool blocked = false;
+  ThreadRegistry::for_each([slot = slot_, e, &blocked](ThreadRec& rec) {
+    // mo: seq_cst scan — sees every announcement that the epoch read
+    // above did not already supersede (enter()'s recheck).
+    const std::uint64_t a =
+        rec.epochs[slot].value.load(std::memory_order_seq_cst);
+    // A thread announcing e is current; announcing an older epoch
+    // means it may still hold references unlinked two epochs back.
+    if (a != 0 && a != e) blocked = true;
+  });
+  if (blocked) {
     advance_blocked_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
     return false;
   }
@@ -145,7 +136,8 @@ bool EpochDomain::try_advance() noexcept {
   if (epoch_.compare_exchange_strong(expected, e + 1,
                                      std::memory_order_seq_cst)) {
     advances_.fetch_add(1, std::memory_order_relaxed);  // mo: stats
-    HEMLOCK_TM_EPOCH_ADVANCE(e + 1);
+    telemetry::trace(telemetry::Ev::kEpochAdvance, 0,
+                     static_cast<std::uint32_t>(e + 1));
     return true;
   }
   return false;  // lost the race to a concurrent advancer

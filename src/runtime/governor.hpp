@@ -124,10 +124,10 @@ class ContentionGovernor {
   }
 
   /// The parking protocol's totals since the last telemetry::reset(),
-  /// read off the telemetry snapshot's governor block (zero with
-  /// telemetry compiled out). The counts themselves live in the
-  /// telemetry slabs; the governor keeps only its census. The fields
-  /// keep the atomic `.load(order)` interface benchmark code reads.
+  /// read off the telemetry snapshot's governor block. The counts
+  /// themselves live in the telemetry slabs; the governor keeps only
+  /// its census. The fields keep the atomic `.load(order)` interface
+  /// benchmark code reads.
   struct ParkTotals {
     std::atomic<std::uint64_t> escalations;
     std::atomic<std::uint64_t> park_sleeps;

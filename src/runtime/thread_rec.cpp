@@ -5,9 +5,7 @@
 
 namespace hemlock {
 
-#if HEMLOCK_TELEMETRY_ENABLED
 std::atomic<bool> LockProfiler::enabled_{false};
-#endif
 
 namespace {
 
@@ -70,27 +68,17 @@ void ThreadRegistry::deregister_rec(ThreadRec* rec) {
   while (*link != nullptr && *link != rec) link = &(*link)->registry_next;
   if (*link == rec) *link = rec->registry_next;
   --g_live;
-#if HEMLOCK_TELEMETRY_ENABLED
   // Preserve this thread's telemetry past its exit (the telemetry fold
   // takes its own accumulator lock; registry -> fold is the one
   // permitted nesting order).
   telemetry::on_thread_exit(rec->telemetry_slab);
-#endif
-}
-
-void ThreadRegistry::for_each(const std::function<void(ThreadRec&)>& fn) {
-  RawSpinGuard g(g_registry_mu);
-  for (ThreadRec* r = g_head; r != nullptr; r = r->registry_next) {
-    // mo: acquire — pairs with register_rec's release so the
-    // record's fields are visible for live entries.
-    if (r->live.load(std::memory_order_acquire)) fn(*r);
-  }
 }
 
 void ThreadRegistry::for_each_raw(void (*fn)(ThreadRec&, void*), void* ctx) {
   RawSpinGuard g(g_registry_mu);
   for (ThreadRec* r = g_head; r != nullptr; r = r->registry_next) {
-    // mo: acquire — as for_each.
+    // mo: acquire — pairs with register_rec's release so the
+    // record's fields are visible for live entries.
     if (r->live.load(std::memory_order_acquire)) fn(*r, ctx);
   }
 }

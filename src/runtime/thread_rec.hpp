@@ -20,7 +20,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 
 #include "runtime/cacheline.hpp"
 #include "stats/telemetry.hpp"
@@ -103,13 +102,11 @@ struct ThreadRec {
   /// owner-only line above.
   alignas(kCacheLineSize) std::atomic<std::uint32_t> grant_waiters{0};
 
-#if HEMLOCK_TELEMETRY_ENABLED
   /// Per-lock telemetry counters for this thread (stats/telemetry.hpp).
   /// Cold relative to the Grant line; written only by the owning
   /// thread, read by snapshot walks. Folded into the telemetry retired
   /// accumulator at deregistration.
   telemetry::Slab telemetry_slab;
-#endif
 
   ThreadRec() = default;
   ThreadRec(const ThreadRec&) = delete;
@@ -132,16 +129,20 @@ ThreadRec& self();
 /// path).
 class ThreadRegistry {
  public:
-  /// Invoke fn(rec) for every currently-live record. The registry
-  /// mutex is held for the whole walk, so records cannot be unlinked
+  /// Invoke fn(rec, ctx) for every currently-live record. The registry
+  /// lock is held for the whole walk, so records cannot be unlinked
   /// mid-traversal; fn must not register/deregister threads.
-  static void for_each(const std::function<void(ThreadRec&)>& fn);
-
-  /// As for_each, but through a plain function pointer — no
-  /// std::function, no potential allocation. Safe to call from the
-  /// telemetry SIGUSR1 report path and other no-allocation contexts
-  /// (same registry-lock rules as for_each).
   static void for_each_raw(void (*fn)(ThreadRec&, void*), void* ctx);
+
+  /// fn(rec) for every live record, through for_each_raw. Nothing
+  /// allocates, so the telemetry SIGUSR1 report and the epoch advance
+  /// may walk.
+  template <typename Fn>
+  static void for_each(Fn fn) {
+    for_each_raw(
+        [](ThreadRec& rec, void* ctx) { (*static_cast<Fn*>(ctx))(rec); },
+        &fn);
+  }
 
   /// Number of threads ever registered (monotone).
   static std::uint32_t ever_registered();
@@ -160,12 +161,9 @@ class ThreadRegistry {
 /// statistic lands in the telemetry slab of the thread that observes
 /// it: nested acquires and the most locks held under the lock being
 /// acquired, the most Grant waiters under the lock being waited for
-/// (telemetry::collect()'s `profile` folds them). With telemetry
-/// compiled out there is no slab: enabled() is constant false, so the
-/// hooks and the switch's check vanish from the lock paths.
+/// (telemetry::collect()'s `profile` folds them).
 class LockProfiler {
  public:
-#if HEMLOCK_TELEMETRY_ENABLED
   /// Enable/disable the §5.4 hooks globally.
   static void enable(bool on) noexcept {
     // mo: relaxed — profiling switch; counters are advisory stats.
@@ -210,14 +208,6 @@ class LockProfiler {
 
  private:
   static std::atomic<bool> enabled_;
-#else
-  static void enable(bool) noexcept {}
-  static constexpr bool enabled() noexcept { return false; }
-  static void on_acquire(ThreadRec&) noexcept {}
-  static void on_release(ThreadRec&) noexcept {}
-  static void on_wait_begin(ThreadRec&) noexcept {}
-  static void on_wait_end(ThreadRec&) noexcept {}
-#endif
 };
 
 }  // namespace hemlock

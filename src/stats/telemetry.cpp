@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -80,7 +81,25 @@ bool Counters::any() const noexcept {
   return false;
 }
 
-#if HEMLOCK_TELEMETRY_ENABLED
+std::uint64_t Log2Histogram::count() const noexcept {
+  std::uint64_t n = 0;
+  for (const std::uint64_t c : buckets) n += c;
+  return n;
+}
+
+std::uint64_t Log2Histogram::quantile(double q) const noexcept {
+  const std::uint64_t n = count();
+  if (n == 0) return 0;
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(
+             std::ceil(std::clamp(q, 0.0, 1.0) * static_cast<double>(n))));
+  std::uint64_t seen = 0;
+  for (unsigned b = 0; b < kHistBuckets; ++b) {
+    seen += buckets[b];
+    if (seen >= rank) return (2ull << b) - 1;
+  }
+  return 0;  // unreachable: seen ends at n >= rank
+}
 
 namespace {
 
@@ -102,8 +121,8 @@ HandleEntry g_handles[kMaxHandles];  // slot 0 = "(unattributed)"
 /// One handle's fold: its counters and its histograms' bucket counts.
 struct FoldRow {
   Counters c;
-  std::uint64_t wait_hist[kHistBuckets] = {};
-  std::uint64_t hold_hist[kHistBuckets] = {};
+  Log2Histogram wait;
+  Log2Histogram hold;
 };
 
 /// Counters folded in from exited threads, indexed like a slab.
@@ -142,8 +161,8 @@ void fold_slab(FoldRow* rows, const Slab& slab) noexcept {
       r.c.*c.value = fold(c.fold, r.c.*c.value, peek(s.*c.slot));
     }
     for (unsigned b = 0; b < kHistBuckets; ++b) {
-      r.wait_hist[b] += peek(s.wait_hist[b]);
-      r.hold_hist[b] += peek(s.hold_hist[b]);
+      r.wait.buckets[b] += peek(s.wait_hist[b]);
+      r.hold.buckets[b] += peek(s.hold_hist[b]);
     }
   }
 }
@@ -155,11 +174,8 @@ void fold_all(FoldRow* rows) noexcept {
     RawSpinGuard g(g_fold_mu);
     std::copy(g_retired, g_retired + kMaxHandles, rows);
   }
-  ThreadRegistry::for_each_raw(
-      [](ThreadRec& rec, void* ctx) {
-        fold_slab(static_cast<FoldRow*>(ctx), rec.telemetry_slab);
-      },
-      rows);
+  ThreadRegistry::for_each(
+      [rows](ThreadRec& rec) { fold_slab(rows, rec.telemetry_slab); });
   fold_slab(rows, g_late_slab);
 }
 
@@ -458,8 +474,6 @@ void trace_dump() {
 
 }  // namespace
 
-#endif  // HEMLOCK_TELEMETRY_ENABLED
-
 // ---------------------------------------------------------------------
 // Snapshot / export.
 // ---------------------------------------------------------------------
@@ -503,7 +517,6 @@ Snapshot collect() {
     snap.cond_present = true;
   }
   Counters total;
-#if HEMLOCK_TELEMETRY_ENABLED
   std::vector<FoldRow> rows(kMaxHandles);
   fold_all(rows.data());
   for (std::uint16_t i = 0; i < kMaxHandles; ++i) {
@@ -512,18 +525,11 @@ Snapshot collect() {
     static_cast<Counters&>(lt) = row.c;
     lt.name = i == 0 ? "(unattributed)" : std::string(handle_name({i}));
     if (i != 0 && lt.name.empty()) lt.name = "(released)";
-    for (unsigned b = 0; b < kHistBuckets; ++b) {
-      if (row.wait_hist[b] != 0) {
-        lt.wait_ns.record_n(1ull << b, row.wait_hist[b]);
-      }
-      if (row.hold_hist[b] != 0) {
-        lt.hold_ns.record_n(1ull << b, row.hold_hist[b]);
-      }
-    }
+    lt.wait_ns = row.wait;
+    lt.hold_ns = row.hold;
     total.add(row.c);
     if (!lt.empty()) snap.locks.push_back(std::move(lt));
   }
-#endif  // HEMLOCK_TELEMETRY_ENABLED
   snap.governor = governor_of(total);
   snap.profile.nested_acquires = total.nested_acquires;
   snap.profile.max_locks_held = static_cast<std::uint32_t>(total.max_held);
@@ -533,20 +539,11 @@ Snapshot collect() {
 }
 
 void reset() {
-#if HEMLOCK_TELEMETRY_ENABLED
   for (std::uint16_t i = 0; i < kMaxHandles; ++i) zero_slot_everywhere(i);
-#endif
 }
 
 std::string LockUsageProfile::describe() const {
   char buf[512];
-  if (!HEMLOCK_TELEMETRY_ENABLED) {
-    std::snprintf(buf, sizeof(buf),
-                  "lock-usage profile (cf. paper §5.4): not collected — it "
-                  "needs the telemetry slabs (built with "
-                  "-DHEMLOCK_TELEMETRY=OFF)\n");
-    return buf;
-  }
   std::snprintf(
       buf, sizeof(buf),
       "lock-usage profile (cf. paper §5.4):\n"
@@ -591,7 +588,7 @@ void append_fields(
   }
 }
 
-void append_hist(std::string& out, const char* key, const Histogram& h) {
+void append_hist(std::string& out, const char* key, const Log2Histogram& h) {
   out += ",\"";
   out += key;
   out += "\":{\"count\":";
@@ -702,27 +699,10 @@ struct FdSink {
   }
 };
 
-#if HEMLOCK_TELEMETRY_ENABLED
-/// Approximate quantile over a log2 bucket array: the upper edge of
-/// the bucket containing the q-th sample.
-std::uint64_t bucket_quantile(const std::uint64_t* hist, double q) {
-  std::uint64_t total = 0;
-  for (unsigned b = 0; b < kHistBuckets; ++b) total += hist[b];
-  if (total == 0) return 0;
-  const auto rank = static_cast<std::uint64_t>(q * static_cast<double>(total));
-  std::uint64_t seen = 0;
-  for (unsigned b = 0; b < kHistBuckets; ++b) {
-    seen += hist[b];
-    if (seen > rank) return (2ull << b) - 1;
-  }
-  return (2ull << (kHistBuckets - 1)) - 1;
-}
-
 /// A report column's width: its heading's, at least 8.
 int width(const Column& c) {
   return std::max(8, static_cast<int>(std::strlen(c.heading)));
 }
-#endif  // HEMLOCK_TELEMETRY_ENABLED
 
 }  // namespace
 
@@ -731,7 +711,6 @@ void report_to_fd(int fd) {
   out.add("[hemlock-telemetry] pid %d\n", static_cast<int>(getpid()));
   out.flush();
   Counters total;
-#if HEMLOCK_TELEMETRY_ENABLED
   static FoldRow rows[kMaxHandles];  // static: a signal handler's stack is small
   fold_all(rows);
   out.add("%-28s", "lock");
@@ -761,9 +740,8 @@ void report_to_fd(int fd) {
     for (std::size_t k = 0; k < std::size(kColumns); ++k) {
       const Column& c = kColumns[k];
       if (k == kFirstColumns) {
-        out.add(" %12" PRIu64 " %12" PRIu64,
-                bucket_quantile(row.wait_hist, 0.99),
-                bucket_quantile(row.hold_hist, 0.99));
+        out.add(" %12" PRIu64 " %12" PRIu64, row.wait.quantile(0.99),
+                row.hold.quantile(0.99));
       }
       const std::uint64_t v = row.c.*c.value;
       out.add(" %*" PRIu64, width(c),
@@ -772,7 +750,6 @@ void report_to_fd(int fd) {
     out.add("\n");
     out.flush();
   }
-#endif  // HEMLOCK_TELEMETRY_ENABLED
   const GovernorTelemetry g = governor_of(total);
   out.add("governor: cpus=%u waiters=%u parked=%u wake-syscalls=%" PRIu64
           " wake-gate-skips=%" PRIu64 " park-sleeps=%" PRIu64
@@ -832,6 +809,24 @@ void stats_atexit() {
 
 void sigusr1_handler(int) { report_to_fd(STDERR_FILENO); }
 
+/// Copy an environment-given export path into `dst`. A path that does
+/// not fit is refused with a notice, not truncated: a truncated path
+/// names a different file.
+template <std::size_t N>
+bool take_path(char (&dst)[N], std::string_view path, const char* var,
+               const char* instead) {
+  if (path.size() >= N) {
+    std::fprintf(stderr,
+                 "[hemlock-telemetry] %s path is %zu bytes, longer than "
+                 "%zu; refused, %s\n",
+                 var, path.size(), N - 1, instead);
+    return false;
+  }
+  std::memcpy(dst, path.data(), path.size());
+  dst[path.size()] = '\0';
+  return true;
+}
+
 }  // namespace
 
 void init_from_env() {
@@ -846,12 +841,8 @@ void init_from_env() {
     std::string_view mode = spec;
     if (const auto colon = spec.find(':'); colon != std::string_view::npos) {
       mode = spec.substr(0, colon);
-      const std::string_view path = spec.substr(colon + 1);
-      const std::size_t n = path.size() < sizeof(g_stats_path) - 1
-                                ? path.size()
-                                : sizeof(g_stats_path) - 1;
-      std::memcpy(g_stats_path, path.data(), n);
-      g_stats_path[n] = '\0';
+      (void)take_path(g_stats_path, spec.substr(colon + 1), "HEMLOCK_STATS",
+                      "the stats go to stderr");
     }
     if (mode == "report") {
       g_stats_mode = StatsMode::kReport;
@@ -873,14 +864,9 @@ void init_from_env() {
     }
   }
 
-#if HEMLOCK_TELEMETRY_ENABLED
   if (const char* trace = std::getenv("HEMLOCK_TRACE");
-      trace != nullptr && trace[0] != '\0') {
-    const std::size_t n = std::strlen(trace) < sizeof(g_trace_path) - 1
-                              ? std::strlen(trace)
-                              : sizeof(g_trace_path) - 1;
-    std::memcpy(g_trace_path, trace, n);
-    g_trace_path[n] = '\0';
+      trace != nullptr && trace[0] != '\0' &&
+      take_path(g_trace_path, trace, "HEMLOCK_TRACE", "tracing stays off")) {
     g_trace_pool = new TraceRing[kTraceThreads];
     g_cal_ticks0 = trace_ticks();
     g_cal_ns0 = now_ns();
@@ -890,7 +876,6 @@ void init_from_env() {
     // relaxed matches the hooks' relaxed reads.
     g_trace_on.store(true, std::memory_order_release);
   }
-#endif
 }
 
 namespace {

@@ -12,7 +12,8 @@
 // library's only counter mechanism: the snapshot's governor and §5.4
 // blocks are totals of its per-lock rows.
 //
-// Cost model (the subsystem is always compiled in by default):
+// Cost model (the subsystem is always compiled in; LockProfiler's §5.4
+// hooks are its one runtime switch):
 //  * Unattributed locks (handle id 0) pay one predicted branch per
 //    hook — the id check — and nothing else.
 //  * Attributed fast paths pay a handful of relaxed increments on a
@@ -23,9 +24,6 @@
 //    gate skips, escalations) are counted from inside the waiting slow
 //    paths, on the waiting or publishing thread's own slab — no shared
 //    cache line is written for a statistic.
-//  * -DHEMLOCK_TELEMETRY_DISABLED (CMake -DHEMLOCK_TELEMETRY=OFF)
-//    compiles every hook to ((void)0); tools/check_telemetry_off.py
-//    is the codegen tripwire proving no residue survives.
 //
 // The flight recorder is a fixed-size per-thread TSC-stamped event
 // ring, enabled only via HEMLOCK_TRACE=<path>, dumped at exit as
@@ -44,13 +42,10 @@
 #include <vector>
 
 #include "runtime/timing.hpp"
-#include "stats/histogram.hpp"
 
-#if defined(HEMLOCK_TELEMETRY_DISABLED)
-#define HEMLOCK_TELEMETRY_ENABLED 0
-#else
+/// Always 1: there is one build, with telemetry. Kept for the perfbench
+/// run fingerprint, which reports it.
 #define HEMLOCK_TELEMETRY_ENABLED 1
-#endif
 
 namespace hemlock::telemetry {
 
@@ -69,9 +64,7 @@ inline constexpr std::uint16_t kMaxHandles = 32;
 
 /// Log2-bucketed duration histograms: bucket i counts values in
 /// [2^i, 2^(i+1)) ns; the top bucket absorbs everything >= 2^39 ns
-/// (~9 min). Snapshots re-materialize these as stats/histogram
-/// Histograms (sub_bucket_bits = 0 is exactly this geometry) so
-/// quantile/summary rendering is shared, not re-implemented.
+/// (~9 min). Snapshots keep the buckets as they are (Log2Histogram).
 inline constexpr unsigned kHistBuckets = 40;
 
 /// The log2 bucket for a duration (0 maps to bucket 0).
@@ -143,8 +136,6 @@ struct Slab {
   /// would make that lock's release count below zero.
   std::uint32_t held = 0;
 };
-
-#if HEMLOCK_TELEMETRY_ENABLED
 
 /// Single-writer counter increment: slab slots belong to one thread,
 /// so a relaxed load+store — a plain `inc` in the asm — replaces the
@@ -312,66 +303,11 @@ void wl_wake() noexcept;       ///< a publisher issued a wake syscall
 void wl_gate_skip() noexcept;  ///< a publisher skipped it: none parked
 void wl_escalate() noexcept;   ///< an escalating wait changed tier
 
-#else  // !HEMLOCK_TELEMETRY_ENABLED
-
-// Telemetry compiled out: the handle type survives (embedders keep
-// compiling) and every hook is an empty inline the optimizer erases —
-// tools/check_telemetry_off.py proves no residue reaches the asm.
-inline void on_lock_begin(TelemetryHandle) noexcept {}
-inline void on_lock_acquired(TelemetryHandle) noexcept {}
-inline void on_try_acquired(TelemetryHandle) noexcept {}
-inline void on_try_failure(TelemetryHandle) noexcept {}
-inline void on_shared_begin(TelemetryHandle) noexcept {}
-inline void on_shared_acquired(TelemetryHandle) noexcept {}
-inline void on_unlock_begin(TelemetryHandle) noexcept {}
-inline void on_unlock_end(TelemetryHandle) noexcept {}
-
-#endif  // HEMLOCK_TELEMETRY_ENABLED
-
-// ---------------------------------------------------------------------
-// Statement-position hook macros for the waiting layer, the epoch
-// domains and the Hemlock release's line demotion. Under
-// -DHEMLOCK_TELEMETRY=OFF these are literally ((void)0) — the codegen
-// tripwire's contract.
-// ---------------------------------------------------------------------
-
-#if HEMLOCK_TELEMETRY_ENABLED
-#define HEMLOCK_TM_CONTENDED() ::hemlock::telemetry::wl_contended()
-#define HEMLOCK_TM_PARK(addr, parked) \
-  ::hemlock::telemetry::wl_park(addr, parked)
-#define HEMLOCK_TM_UNPARK() ::hemlock::telemetry::wl_unpark()
-#define HEMLOCK_TM_RETRY(addr, parked) \
-  ::hemlock::telemetry::wl_retry(addr, parked)
-#define HEMLOCK_TM_WAKE() ::hemlock::telemetry::wl_wake()
-#define HEMLOCK_TM_GATE_SKIP() ::hemlock::telemetry::wl_gate_skip()
-#define HEMLOCK_TM_ESCALATE() ::hemlock::telemetry::wl_escalate()
-#define HEMLOCK_TM_EPOCH_ADVANCE(epoch)                          \
-  ::hemlock::telemetry::trace(::hemlock::telemetry::Ev::kEpochAdvance, 0, \
-                              static_cast<std::uint32_t>(epoch))
-/// A release demoted its lock's line: inline (it sits on an uncontended
-/// release, not a slow path), on the releasing thread's `slab`, in the
-/// slot the waiting-layer hooks use.
-#define HEMLOCK_TM_DEMOTION(slab) \
-  ::hemlock::telemetry::bump(::hemlock::telemetry::attr_slot(slab).demotions)
-#else
-#define HEMLOCK_TM_CONTENDED() ((void)0)
-#define HEMLOCK_TM_PARK(addr, parked) ((void)0)
-#define HEMLOCK_TM_UNPARK() ((void)0)
-#define HEMLOCK_TM_RETRY(addr, parked) ((void)0)
-#define HEMLOCK_TM_WAKE() ((void)0)
-#define HEMLOCK_TM_GATE_SKIP() ((void)0)
-#define HEMLOCK_TM_ESCALATE() ((void)0)
-#define HEMLOCK_TM_EPOCH_ADVANCE(epoch) ((void)0)
-#define HEMLOCK_TM_DEMOTION(slab) ((void)0)
-#endif
-
 // ---------------------------------------------------------------------
 // Handle registry (cold paths; allocation-free, spinlock-guarded so
 // the shim may register its family handles from inside an interposed
 // pthread operation).
 // ---------------------------------------------------------------------
-
-#if HEMLOCK_TELEMETRY_ENABLED
 
 /// Register (or re-reference) the named handle. Handles are
 /// refcounted by name: two AnyLocks sharing a telemetry name share a
@@ -393,20 +329,9 @@ std::string_view handle_name(TelemetryHandle h) noexcept;
 /// deregister_rec on the exiting thread, under the registry lock.
 void on_thread_exit(Slab& slab) noexcept;
 
-#else
-
-inline TelemetryHandle register_handle(std::string_view) noexcept { return {}; }
-inline void release_handle(TelemetryHandle) noexcept {}
-inline std::string_view handle_name(TelemetryHandle) noexcept { return {}; }
-
-#endif  // HEMLOCK_TELEMETRY_ENABLED
-
 // ---------------------------------------------------------------------
 // Snapshot / export API (cold; may allocate — never called from lock
-// paths). Available in both build flavors: with telemetry compiled
-// out, snapshots still carry the governor's live census and the
-// epoch-domain stats, with an empty per-lock table (so every total
-// derived from it reads zero).
+// paths).
 // ---------------------------------------------------------------------
 
 /// One lock's counter-table values, folded over every slab.
@@ -421,13 +346,28 @@ struct Counters {
   bool any() const noexcept;
 };
 
-/// One per-lock row of a snapshot: counters folded over live threads
-/// plus the retired fold, histograms re-materialized as
-/// stats/histogram Histograms (log2 geometry, sub_bucket_bits = 0).
+/// One lock's folded duration histogram: bucket b counts the samples
+/// in [2^b, 2^(b+1)) ns (bucket 0 also holds 0, the top bucket
+/// everything past 2^39). Allocation-free, so the SIGUSR1 report reads
+/// its quantiles through the same code the JSON export does.
+struct Log2Histogram {
+  std::uint64_t buckets[kHistBuckets] = {};
+
+  /// Samples recorded.
+  std::uint64_t count() const noexcept;
+  /// The nearest-rank q-quantile, q in [0, 1], as the upper edge of the
+  /// bucket holding the ceil(q·count)-th smallest sample (0 if empty).
+  std::uint64_t quantile(double q) const noexcept;
+  /// The upper edge of the highest non-empty bucket (0 if empty).
+  std::uint64_t max() const noexcept { return quantile(1.0); }
+};
+
+/// One per-lock row of a snapshot: counters and histograms folded over
+/// live threads plus the retired fold.
 struct LockTelemetry : Counters {
   std::string name;
-  Histogram wait_ns{0};
-  Histogram hold_ns{0};
+  Log2Histogram wait_ns;
+  Log2Histogram hold_ns;
 
   /// True when every counter and both histograms are zero (rows like
   /// this are omitted from reports).
@@ -467,8 +407,7 @@ struct LockUsageProfile {
   /// True when the profile implies purely local spinning (§5.4).
   bool purely_local() const noexcept { return max_grant_waiters <= 1; }
 
-  /// Paper-style report block (with telemetry compiled out: a line
-  /// saying the profile needs it).
+  /// Paper-style report block.
   std::string describe() const;
 };
 

@@ -144,7 +144,6 @@ TEST(Governor, ParkedCensusIsPerAddressBucket) {
   EXPECT_EQ(gov.parked(a), a_before);
 }
 
-#if HEMLOCK_TELEMETRY_ENABLED
 // The parking protocol's counters must balance once every thread has
 // come home: a joined workload leaves no futex sleep without a return,
 // and every publish either issued the wake syscall or was gated off by
@@ -191,7 +190,6 @@ TEST(Governor, ParkDiagBalancesAfterGovernedParkWorkload) {
   EXPECT_EQ(gov.diag().park_sleeps.load(std::memory_order_relaxed),  // mo: test read
             after.park_sleeps);
 }
-#endif  // HEMLOCK_TELEMETRY_ENABLED
 
 // Parker and publisher agree on the bucket because they hash the same
 // address — the property the publish-side syscall gate relies on.

@@ -163,7 +163,6 @@ TEST(HemlockSemantics, MultiWaitingDisambiguationForwardRelease) {
 }
 
 // ---------------------------------------------------------------------------
-#if HEMLOCK_TELEMETRY_ENABLED
 // Fere-local spinning (Theorem 10): the number of threads spinning on
 // one Grant word never exceeds the number of locks its owner holds.
 // Reproduced via the profiler: with the leader holding K locks and one
@@ -393,7 +392,6 @@ TEST(HemlockDemotion, HandOffOnAnotherLockMovesThePredictor) {
     EXPECT_EQ(row_counts(row2).demotions, 1u) << algo;
   }
 }
-#endif  // HEMLOCK_TELEMETRY_ENABLED
 
 // ---------------------------------------------------------------------------
 // Overlap variant: unlock returns without waiting for the successor's

@@ -117,9 +117,6 @@ TEST(HemlockSite, MixedUsageWithPlainHemlock) {
 // waiter counts once, after its doorstep swap, when it starts waiting
 // on its predecessor's slot (the policy's wait_and_consume).
 TEST(HemlockSite, FifoHandThrough) {
-  if (!HEMLOCK_TELEMETRY_ENABLED) {
-    GTEST_SKIP() << "the enqueue order is observed through telemetry";
-  }
   for (int round = 0; round < 5; ++round) {
     CacheAligned<HemlockSite> lock;
     std::vector<int> order;

@@ -16,6 +16,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -754,7 +757,6 @@ TEST(ShimRwLock, TimedLocksHonorDeadlinesAndEinval) {
   const auto expect_counted = [](const telemetry::Counters& from,
                                  std::uint64_t acquires, std::uint64_t shared,
                                  std::uint64_t failures) {
-    if (!HEMLOCK_TELEMETRY_ENABLED) return;
     const telemetry::Counters now = rwlock_row();
     EXPECT_EQ(now.acquires - from.acquires, acquires);
     EXPECT_EQ(now.shared_acquires - from.shared_acquires, shared);
@@ -827,7 +829,6 @@ TEST(ShimRwLock, TimedLocksHonorDeadlinesAndEinval) {
 // one try failure on timeout, nothing on EINVAL.
 void expect_mutex_counted(const telemetry::Counters& from,
                           std::uint64_t acquires, std::uint64_t failures) {
-  if (!HEMLOCK_TELEMETRY_ENABLED) return;
   const telemetry::Counters now = mutex_row();
   EXPECT_EQ(now.acquires - from.acquires, acquires);
   EXPECT_EQ(now.try_failures - from.try_failures, failures);
@@ -1253,6 +1254,47 @@ TEST(PreloadIntegration, CondDemoRunsCorrectlyUnderEveryAlgorithm) {
                             demo + " > /dev/null";
     EXPECT_EQ(std::system(cmd.c_str()), 0) << "HEMLOCK_LOCK=" << algo;
   }
+#endif
+}
+
+// An export path longer than the library keeps (255 bytes) is refused,
+// not truncated: a truncated path names another file. The stats then
+// go to stderr and the trace stays off. Each path has two components
+// within NAME_MAX, and the first exists, so a truncating library would
+// create a file at the truncated prefix.
+TEST(PreloadIntegration, OverlongExportPathsAreRefused) {
+#if !defined(HEMLOCK_PRELOAD_SO) || !defined(HEMLOCK_PRELOAD_DEMO)
+  GTEST_SKIP() << "preload paths not configured";
+#else
+  if (preload_blocked_by_sanitizer()) {
+    GTEST_SKIP() << "LD_PRELOAD slot owned by the sanitizer runtime";
+  }
+  std::string root =
+      (std::filesystem::temp_directory_path() / "hemlock-paths-XXXXXX")
+          .string();
+  ASSERT_NE(mkdtemp(root.data()), nullptr);
+  const std::string dir = root + "/" + std::string(200, 'd');
+  ASSERT_TRUE(std::filesystem::create_directory(dir));
+  const std::string stats = dir + "/" + std::string(200, 's') + ".json";
+  const std::string trace = dir + "/" + std::string(200, 't') + ".json";
+  const std::string err = root + "/stderr.txt";
+  const std::string cmd =
+      std::string("HEMLOCK_DEMO_ITERS=200 LD_PRELOAD=") + HEMLOCK_PRELOAD_SO +
+      " HEMLOCK_STATS=json:" + stats + " HEMLOCK_TRACE=" + trace + " " +
+      HEMLOCK_PRELOAD_DEMO + " > /dev/null 2> " + err;
+  EXPECT_EQ(std::system(cmd.c_str()), 0);
+  for (const std::string& path : {stats, trace}) {
+    EXPECT_FALSE(std::filesystem::exists(path.substr(0, 255)));
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
+  std::ifstream in(err);
+  const std::string text{std::istreambuf_iterator<char>(in), {}};
+  EXPECT_NE(text.find("HEMLOCK_STATS path is"), std::string::npos) << text;
+  EXPECT_NE(text.find("HEMLOCK_TRACE path is"), std::string::npos) << text;
+  EXPECT_NE(text.find("\"schema\":\"hemlock-telemetry-v1\""),
+            std::string::npos)
+      << text;
+  std::filesystem::remove_all(root);
 #endif
 }
 

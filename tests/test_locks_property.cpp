@@ -300,8 +300,6 @@ TYPED_TEST(LockProperty, HandOverHandChainWalk) {
 TYPED_TEST(LockProperty, FifoAdmission) {
   if constexpr (!lock_traits<TypeParam>::is_fifo) {
     GTEST_SKIP() << lock_traits<TypeParam>::name << " is not FIFO";
-  } else if constexpr (!HEMLOCK_TELEMETRY_ENABLED) {
-    GTEST_SKIP() << "the enqueue order is observed through telemetry";
   } else {
     constexpr int kWaiters = 5;
     constexpr int kRounds = 6;

@@ -27,7 +27,6 @@
 #include "api/factory.hpp"
 #include "core/hemlock.hpp"
 #include "locks/mcs.hpp"
-#include "locks/std_adapter.hpp"
 #include "locks/system.hpp"
 #include "minikv/arena.hpp"
 #include "minikv/cache.hpp"
@@ -581,7 +580,7 @@ TEST(ImmutableTableTest, RejectsZeroFanout) {
   EXPECT_THROW(ImmutableTable::Builder(0), std::invalid_argument);
   DbOptions opt;
   opt.block_fanout = 0;
-  EXPECT_THROW(DB<StdMutex> db(opt), std::invalid_argument);
+  EXPECT_THROW(DB<PthreadMutex> db(opt), std::invalid_argument);
 }
 
 TEST(ShardedDbOptionsTest, RejectsZeroShardsAndZeroFanout) {
@@ -887,7 +886,7 @@ TEST(CacheTest, SingleReaderMissStreamReusesDeadEntries) {
 TEST(DbTest, PutGetAcrossFlushes) {
   DbOptions opt;
   opt.write_buffer_bytes = 16 * 1024;  // force frequent flushes
-  DB<StdMutex> db(opt);
+  DB<PthreadMutex> db(opt);
   constexpr int kKeys = 5000;
   for (int i = 0; i < kKeys; ++i) {
     ASSERT_TRUE(db.put(bench_key(i), "value" + std::to_string(i)).is_ok());
@@ -904,7 +903,7 @@ TEST(DbTest, PutGetAcrossFlushes) {
 TEST(DbTest, OverwritesResolveToNewestAcrossTables) {
   DbOptions opt;
   opt.write_buffer_bytes = 8 * 1024;
-  DB<StdMutex> db(opt);
+  DB<PthreadMutex> db(opt);
   for (int round = 0; round < 5; ++round) {
     for (int i = 0; i < 500; ++i) {
       db.put(bench_key(i), "r" + std::to_string(round));
@@ -924,7 +923,7 @@ TEST(DbTest, CompactionKeepsNewestVersionOnce) {
   DbOptions opt;
   opt.block_fanout = 3;
   opt.compaction_trigger = 2;
-  DB<StdMutex> db(opt);
+  DB<PthreadMutex> db(opt);
   std::map<std::string, std::string> model;
   for (int round = 0; round < 6; ++round) {
     for (int i = round; i < 300; i += round + 1) {
@@ -1011,7 +1010,7 @@ TEST(NewestFirstModel, CentralDbOverwrites) {
   opt.block_fanout = 4;
   opt.compaction_trigger = 4;
   opt.block_cache_bytes = 64 * 1024;
-  DB<StdMutex> db(opt);
+  DB<PthreadMutex> db(opt);
   std::size_t checks = 0, max_tables = 0;
   check_newest_first(db, 0x5EED20,
                      [&] { return db.memtable_entries() == 0; },
@@ -1631,7 +1630,7 @@ TEST(MemTableRecycling, ConcurrentGetsSeeTheirOwnKeyUntorn) {
 TEST(MemTableRecycling, CentralDbGetsPinTheMemtable) {
   DbOptions opt;
   opt.write_buffer_bytes = 64 * 1024;
-  DB<StdMutex> db(opt);
+  DB<PthreadMutex> db(opt);
   auto& domain = reclaim::EpochDomain::global();
   constexpr int kPuts = 100000;
   auto put = [&](int i) {
@@ -1834,7 +1833,7 @@ TEST(DbTest, ShardedScanCopiesOnlyItsResults) {
 }
 
 TEST(DbTest, CacheServesRepeatedReads) {
-  DB<StdMutex> db;
+  DB<PthreadMutex> db;
   fill_seq(db, 2000, 64);
   std::string v;
   for (int pass = 0; pass < 3; ++pass) {

@@ -206,7 +206,6 @@ TEST(ThreadRec, IdsAreUnique) {
   EXPECT_EQ(ids.size(), 8u);
 }
 
-#if HEMLOCK_TELEMETRY_ENABLED
 // The §5.4 hooks write the caller's slab (slot 0: no attribution is
 // current) and the predecessor's live Grant-waiter gauge.
 TEST(LockProfiler, HooksRespectEnableFlag) {
@@ -235,12 +234,6 @@ TEST(LockProfiler, HooksRespectEnableFlag) {
   LockProfiler::enable(false);
   telemetry::reset();
 }
-#else
-TEST(LockProfiler, CompiledOutWithTelemetry) {
-  LockProfiler::enable(true);
-  EXPECT_FALSE(LockProfiler::enabled());
-}
-#endif
 
 TEST(SpinWait, EscalatesAfterLimit) {
   SpinWait w(4);

@@ -134,19 +134,12 @@ TEST(LockUsageProfileRender, MentionsEveryHeadlineStat) {
   p.max_locks_held = 2;
   p.max_grant_waiters = 1;
   const std::string s = p.describe();
-#if HEMLOCK_TELEMETRY_ENABLED
   EXPECT_NE(s.find("24"), std::string::npos);
   EXPECT_NE(s.find("purely local"), std::string::npos);
-#else
-  // No slabs, no profile: say so rather than print numbers.
-  EXPECT_NE(s.find("needs the telemetry"), std::string::npos);
-#endif
   EXPECT_TRUE(p.purely_local());
   p.max_grant_waiters = 3;
   EXPECT_FALSE(p.purely_local());
-#if HEMLOCK_TELEMETRY_ENABLED
   EXPECT_NE(p.describe().find("multi-waiting"), std::string::npos);
-#endif
 }
 
 }  // namespace

@@ -2,15 +2,20 @@
 // (stats/telemetry.hpp): log2 bucket edges, handle lifecycle and
 // slot-scrub-on-release, hook counting through AnyLock (one contended
 // count per waiting acquisition, across waiting engines), sampled
-// wait/hold histograms, snapshot/merge exactness under thread churn
-// (exited threads fold into the retired array), the governor block as
-// the rows' totals, reset, the JSON export, and the condvar-source
-// registration.
+// wait/hold histograms and their quantiles (the text report and the
+// JSON print the same ones), snapshot/merge exactness under thread
+// churn (exited threads fold into the retired array), the governor
+// block as the rows' totals, reset, the JSON export, and the
+// condvar-source registration.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <iterator>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,8 +28,6 @@
 
 namespace hemlock::telemetry {
 namespace {
-
-#if HEMLOCK_TELEMETRY_ENABLED
 
 TEST(Telemetry, Log2BucketEdges) {
   EXPECT_EQ(log2_bucket(0), 0u);
@@ -151,11 +154,11 @@ TEST(Telemetry, SampledTimingFillsWaitAndHoldHistograms) {
   release_handle(h);
 }
 
-TEST(Telemetry, HistogramBucketsMaterializeAtLowerEdge) {
+TEST(Telemetry, HistogramQuantilesReadBucketUpperEdges) {
   const TelemetryHandle h = register_handle("tm-hist");
   ASSERT_NE(h.id, 0);
-  // Plant counts directly in two buckets of this thread's slab; the
-  // snapshot re-materializes bucket b as count at value 2^b.
+  // Plant counts directly in two buckets of this thread's slab: three
+  // samples in [2^5, 2^6), one in [2^12, 2^13).
   TmSlot& s = my_slab().slots[h.id];
   s.wait_hist[5].store(3, std::memory_order_relaxed);   // mo: test setup
   s.wait_hist[12].store(1, std::memory_order_relaxed);  // mo: test setup
@@ -163,11 +166,83 @@ TEST(Telemetry, HistogramBucketsMaterializeAtLowerEdge) {
   const LockTelemetry* row = find_row(snap, "tm-hist");
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->wait_ns.count(), 4u);
-  EXPECT_EQ(row->wait_ns.min(), 1u << 5);
-  EXPECT_EQ(row->wait_ns.max(), 1u << 12);
-  // p50 lands in bucket 5's [2^5, 2^6) range (3 of 4 samples).
-  EXPECT_GE(row->wait_ns.quantile(0.5), 1u << 5);
-  EXPECT_LT(row->wait_ns.quantile(0.5), 1u << 6);
+  // Nearest rank: the ceil(q·4)-th sample's bucket, read at its upper
+  // edge.
+  EXPECT_EQ(row->wait_ns.quantile(0.0), (1u << 6) - 1);
+  EXPECT_EQ(row->wait_ns.quantile(0.75), (1u << 6) - 1);
+  EXPECT_EQ(row->wait_ns.quantile(0.76), (1u << 13) - 1);
+  EXPECT_EQ(row->wait_ns.max(), (1u << 13) - 1);
+  EXPECT_EQ(row->hold_ns.count(), 0u);
+  EXPECT_EQ(row->hold_ns.quantile(0.5), 0u);
+  release_handle(h);
+}
+
+/// The text report's cell under `heading` in the row named `name`, or
+/// nullopt when either is missing. Rows and headings are single words.
+std::optional<std::uint64_t> report_cell(std::string_view name,
+                                         std::string_view heading) {
+  std::FILE* f = std::tmpfile();
+  if (f == nullptr) return std::nullopt;
+  report_to_fd(fileno(f));
+  std::rewind(f);
+  std::optional<std::size_t> column;
+  std::optional<std::uint64_t> cell;
+  char line[2048];
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    std::istringstream words(line);
+    std::vector<std::string> w{std::istream_iterator<std::string>(words), {}};
+    if (w.empty()) continue;
+    if (w[0] == "lock") {
+      const auto at = std::find(w.begin(), w.end(), heading);
+      if (at != w.end()) column = static_cast<std::size_t>(at - w.begin());
+    } else if (w[0] == name && column && *column < w.size()) {
+      cell = std::stoull(w[*column]);
+    }
+  }
+  std::fclose(f);
+  return cell;
+}
+
+/// The JSON export's `key` of histogram `hist` in the row named `name`.
+std::optional<std::uint64_t> json_hist_field(const std::string& json,
+                                             std::string_view name,
+                                             std::string_view hist,
+                                             std::string_view key) {
+  const std::size_t row =
+      json.find("{\"name\":\"" + std::string(name) + "\"");
+  if (row == std::string::npos) return std::nullopt;
+  const std::size_t h = json.find("\"" + std::string(hist) + "\":{", row);
+  if (h == std::string::npos) return std::nullopt;
+  const std::string field = "\"" + std::string(key) + "\":";
+  const std::size_t at = json.find(field, h);
+  if (at == std::string::npos) return std::nullopt;
+  return std::stoull(json.substr(at + field.size()));
+}
+
+// The text report and the JSON read a row's quantiles through one
+// function, so they print the same p99. The planted counts put each
+// p99 where two quantile rules part: at an integral rank (99 of 100
+// waits) and in the top non-empty bucket (every hold).
+TEST(Telemetry, ReportAndJsonAgreeOnQuantiles) {
+  const TelemetryHandle h = register_handle("tm-agree");
+  ASSERT_NE(h.id, 0);
+  TmSlot& s = my_slab().slots[h.id];
+  s.acquires.store(150, std::memory_order_relaxed);      // mo: test setup
+  s.wait_hist[5].store(99, std::memory_order_relaxed);   // mo: test setup
+  s.wait_hist[9].store(1, std::memory_order_relaxed);    // mo: test setup
+  s.hold_hist[6].store(150, std::memory_order_relaxed);  // mo: test setup
+
+  const std::string json = to_json(collect());
+  const auto json_wait = json_hist_field(json, "tm-agree", "wait_ns", "p99");
+  const auto json_hold = json_hist_field(json, "tm-agree", "hold_ns", "p99");
+  const auto report_wait = report_cell("tm-agree", "wait-p99(ns)");
+  const auto report_hold = report_cell("tm-agree", "hold-p99(ns)");
+  ASSERT_TRUE(json_wait && json_hold) << json;
+  ASSERT_TRUE(report_wait && report_hold);
+  EXPECT_EQ(*report_wait, *json_wait);
+  EXPECT_EQ(*report_hold, *json_hold);
+  EXPECT_EQ(*json_wait, (1u << 6) - 1);
+  EXPECT_EQ(*json_hold, (1u << 7) - 1);
   release_handle(h);
 }
 
@@ -388,8 +463,6 @@ TEST(Telemetry, ResetZeroesSlotsAndGovernorDiag) {
   EXPECT_EQ(g.census_high_water_max, 0u);
   release_handle(h);
 }
-
-#endif  // HEMLOCK_TELEMETRY_ENABLED
 
 TEST(Telemetry, ToJsonCarriesSchemaAndSections) {
   const std::string json = to_json(collect());
